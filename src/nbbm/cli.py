@@ -451,6 +451,8 @@ def _cmd_levy(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     rows = []
     for r in range(args.replicas):
         res = run_coupled(ReproductionLaw.binary(), args.n,

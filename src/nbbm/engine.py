@@ -97,6 +97,11 @@ class ReproductionLaw:
             raise ValueError(
                 f"mean offspring increment must be > 0, got m = {self.m!r}"
             )
+        # inverse-CDF table for sample_offspring; not a field, so equality,
+        # hashing and repr see only the probabilities
+        cdf = np.cumsum(q)
+        cdf.flags.writeable = False
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def m(self) -> float:
@@ -127,8 +132,7 @@ class ReproductionLaw:
 def sample_offspring(law: ReproductionLaw, size: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Offspring counts by inverse-CDF lookup."""
-    cdf = np.cumsum(law.probabilities)
-    k = np.searchsorted(cdf, rng.random(int(size)), side="right")
+    k = np.searchsorted(law._cdf, rng.random(int(size)), side="right")
     return np.minimum(k, len(law.probabilities) - 1).astype(np.int64)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "run_bsharp",
     "CouplingError",
     "CoupledResult",
+    "check_coupling",
     "run_coupled",
 ]
 
@@ -687,6 +688,68 @@ class CoupledResult:
         return self.checks == self.events
 
 
+def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
+                   w_car: np.ndarray, w_off: np.ndarray) -> None:
+    """Raise CouplingError unless a coupled three-system state is sound.
+
+    The state is the one `run_coupled` keeps: the plus positions p_x; each
+    mid particle's plus carrier (an index into p_x) and offset; each minus
+    particle's mid carrier (an index into m_car) and offset.  A lower
+    particle sits at its carrier's position minus its offset.  Checked in
+    this order: every carrier index names a live particle, both pairings
+    are injective, plus dominates mid and mid dominates minus in ranked
+    order, and every offset is nonnegative, each up to 1e-12.
+    """
+    _check_pairing(m_car, len(p_x), "mid-to-plus")
+    _check_pairing(w_car, len(m_car), "minus-to-mid")
+    m = p_x[m_car] - m_off
+    w = m[w_car] - w_off  # before m is sorted in place
+    p = np.sort(p_x)
+    m.sort()
+    w.sort()
+    nm, nw = len(m), len(w)
+    if len(p) < nm or not np.all(p[len(p) - nm:] >= m - 1e-12):
+        raise CouplingError("domination order violated (plus vs mid)")
+    if nm < nw or not np.all(m[nm - nw:] >= w - 1e-12):
+        raise CouplingError("domination order violated (mid vs minus)")
+    if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
+        raise CouplingError("negative pairing offset")
+
+
+def _check_pairing(car: np.ndarray, n_carriers: int, name: str) -> None:
+    if len(car) == 0:
+        return
+    if car.min() < 0 or car.max() >= n_carriers:
+        raise CouplingError(f"{name} pairing points at a dead carrier")
+    if np.bincount(car).max() > 1:
+        raise CouplingError(f"{name} pairing lost injectivity")
+
+
+def _rider(car: np.ndarray, i: int) -> int:
+    """Index of the particle whose carrier is i, or -1 if there is none."""
+    hit = (car == i).nonzero()[0]
+    return int(hit[0]) if len(hit) else -1
+
+
+def _without(a: np.ndarray, i: int, *born: np.ndarray) -> np.ndarray:
+    """a without entry i, then the newborn entries: birth order is kept."""
+    return np.concatenate((a[:i], a[i + 1:], *born))
+
+
+def _leftmost_free(x: np.ndarray, car: np.ndarray, at: float,
+                   system: str) -> int:
+    """Index of the leftmost particle at x >= at - 1e-12 that no entry of
+    car names; the earliest born wins a tie.  car may hold the sentinel
+    len(x) for the particle being re-paired."""
+    taken = np.zeros(len(x) + 1, dtype=bool)
+    taken[car] = True
+    free = np.flatnonzero(~taken[:-1] & (x >= at - 1e-12))
+    if len(free) == 0:
+        raise CouplingError(f"no free {system} carrier weakly right of an "
+                            f"orphaned particle")
+    return int(free[np.argmin(x[free])])
+
+
 def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
                 seed: int = 0, replica: int = 0, slack: int = 0,
                 extra: int = 0, init_positions=None,
@@ -698,12 +761,21 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     system over-culls to n_select - extra whenever it exceeds n_select.
     Mid particles ride plus particles through an injective pairing at
     nonnegative offset (and minus particles ride mid ones), so each lower
-    system is a shifted-left subset of the one above: domination holds by
-    construction and is re-verified after every event, as are injectivity
-    and the offset signs.  Kills in an upper system re-pair the orphaned
-    lower particle with the nearest free carrier weakly to its right; the
-    coupling argument guarantees one exists, and a CouplingError reports
-    any violation.
+    system is a shifted-left subset of the one above and paired particles
+    share increments.  Kills in an upper system re-pair the orphaned lower
+    particle with the leftmost free carrier weakly to its right; the
+    coupling argument guarantees one exists.
+
+    The state is five flat arrays: the plus positions and, for the mid and
+    the minus system, each particle's carrier (an index into the system
+    above) and offset; a lower position is its carrier's minus its offset.
+    Every array is in birth order: a branching particle is deleted, its
+    children are appended, and carrier indices past a deleted one shift
+    down.  Birth order breaks every tie in the kill and re-pairing rules;
+    positions tie only between siblings, whose birth order is their
+    genealogical order.  After every event `check_coupling` verifies the
+    carriers, the injectivity of both pairings, domination and the offset
+    signs, and raises CouplingError on any violation.
 
     With slack = extra = 0 the three systems coincide sample-path-wise.
     Event-driven and exact: no time discretisation enters.
@@ -713,123 +785,35 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     if slack < 0 or extra < 0 or extra > n_select - 1:
         raise ValueError(f"need slack >= 0 and 0 <= extra <= n_select - 1, "
                          f"got slack = {slack!r}, extra = {extra!r}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, "
+                         f"got {horizon!r}")
     rng = rng_stream(seed, replica, _LANE_COUPLED)
     if init_positions is None:
         a0 = recentering(n_select).a_N if n_select >= 16 \
             else max(math.pi, math.log(n_select) + 1.0)
         init_positions = sine_exp_density(a0, 1.0).sample(n_select, rng)
-    init_positions = np.asarray(init_positions, dtype=float)
-    if len(init_positions) != n_select:
+    p_x = np.array(init_positions, dtype=float)
+    if len(p_x) != n_select:
         raise ValueError("init_positions must hold exactly n_select values")
-
-    # plus: pid -> [position, label]; mid: uid -> [pid, offset, label];
-    # minus: wid -> [uid, offset, label].  Lower positions derive from the
-    # carrier minus the offset, so paired particles share increments.
-    plus: dict[int, list] = {}
-    mid: dict[int, list] = {}
-    minus: dict[int, list] = {}
-    phi_inv: dict[int, int] = {}
-    psi_inv: dict[int, int] = {}
-    next_id = 0
-    for i, x in enumerate(init_positions):
-        pid, uid, wid = next_id, next_id + 1, next_id + 2
-        next_id += 3
-        label = (i,)
-        plus[pid] = [float(x), label]
-        mid[uid] = [pid, 0.0, label]
-        minus[wid] = [uid, 0.0, label]
-        phi_inv[pid] = uid
-        psi_inv[uid] = wid
-
-    def mid_pos(uid: int) -> float:
-        ent = mid[uid]
-        return plus[ent[0]][0] - ent[1]
-
-    def minus_pos(wid: int) -> float:
-        ent = minus[wid]
-        return mid_pos(ent[0]) - ent[1]
-
-    def check_invariants() -> None:
-        if len(phi_inv) != len(mid) or \
-                any(phi_inv.get(ent[0]) != u for u, ent in mid.items()):
-            raise CouplingError("mid-to-plus pairing lost injectivity")
-        if len(psi_inv) != len(minus) or \
-                any(psi_inv.get(ent[0]) != w for w, ent in minus.items()):
-            raise CouplingError("minus-to-mid pairing lost injectivity")
-        nm, nw = len(mid), len(minus)
-        try:
-            p = np.fromiter((ent[0] for ent in plus.values()), float,
-                            len(plus))
-            mc = np.fromiter((plus[ent[0]][0] for ent in mid.values()),
-                             float, nm)
-            mo = np.fromiter((ent[1] for ent in mid.values()), float, nm)
-            wc = np.fromiter(
-                (plus[mid[ent[0]][0]][0] - mid[ent[0]][1]
-                 for ent in minus.values()), float, nw)
-            wo = np.fromiter((ent[1] for ent in minus.values()), float, nw)
-        except KeyError:
-            raise CouplingError("pairing points at a dead carrier") from None
-        if min(mo.min(initial=0.0), wo.min(initial=0.0)) < -1e-12:
-            raise CouplingError("negative pairing offset")
-        m = mc - mo
-        w = wc - wo
-        p.sort()
-        m.sort()
-        w.sort()
-        if len(p) < nm or not np.all(p[len(p) - nm:] >= m - 1e-12):
-            raise CouplingError("domination order violated (plus vs mid)")
-        if nm < nw or not np.all(m[nm - nw:] >= w - 1e-12):
-            raise CouplingError("domination order violated (mid vs minus)")
-
-    def rewire_mid(uid: int, x: float) -> None:
-        """Re-pair an orphaned mid at position x with the leftmost free plus
-        weakly to its right."""
-        best = None
-        for pid, ent in plus.items():
-            if pid not in phi_inv and ent[0] >= x - 1e-12 and \
-                    (best is None or (ent[0], ent[1]) < best[:2]):
-                best = (ent[0], ent[1], pid)
-        if best is None:
-            raise CouplingError(
-                "no free plus carrier weakly right of an orphaned mid")
-        mid[uid][0] = best[2]
-        mid[uid][1] = best[0] - x
-        phi_inv[best[2]] = uid
-
-    def rewire_minus(wid: int, x: float) -> None:
-        """Re-pair an orphaned minus at position x with the leftmost free mid
-        weakly to its right."""
-        best = None
-        for u, ent in mid.items():
-            if u not in psi_inv:
-                ux = plus[ent[0]][0] - ent[1]
-                if ux >= x - 1e-12 and \
-                        (best is None or (ux, ent[2]) < best[:2]):
-                    best = (ux, ent[2], u)
-        if best is None:
-            raise CouplingError(
-                "no free mid carrier weakly right of an orphaned minus")
-        minus[wid][0] = best[2]
-        minus[wid][1] = best[0] - x
-        psi_inv[best[2]] = wid
+    m_car = np.arange(n_select)
+    m_off = np.zeros(n_select)
+    w_car = np.arange(n_select)
+    w_off = np.zeros(n_select)
 
     t = 0.0
     events = checks = 0
     beta0 = law.beta0
     fault_done = not inject_fault
-    ids_cache = sorted(plus)
 
     while True:
-        n = len(plus)
+        n = len(p_x)
         if n == 0:
             break
         wait = rng.exponential(1.0 / (beta0 * n))
         step = min(wait, horizon - t)
         if step > 0.0:
-            moved = np.fromiter((plus[p][0] for p in ids_cache), float, n)
-            moved += rng.normal(0.0, math.sqrt(step), n)
-            for pid, x in zip(ids_cache, moved.tolist()):
-                plus[pid][0] = x
+            p_x += rng.normal(0.0, math.sqrt(step), n)
         t += step
         if wait >= horizon - (t - step):
             break
@@ -837,75 +821,67 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
 
         if not fault_done and t >= horizon / 2.0:
             fault_done = True
-            mid[min(mid)][1] = -0.5
+            m_off[0] = -0.5  # the oldest mid particle
 
         # branching cascade: the chosen plus particle and its riders branch
         # together with a common offspring count
-        victim = ids_cache[int(rng.integers(n))]
+        v = int(rng.integers(n))
         k = int(sample_offspring(law, 1, rng)[0])
-        vx, vlabel = plus.pop(victim)
-        child_pids = []
-        for j in range(k):
-            plus[next_id] = [vx, vlabel + (j,)]
-            child_pids.append(next_id)
-            next_id += 1
-        uid = phi_inv.pop(victim, None)
-        if uid is not None:
-            pid_of, off, ulabel = mid.pop(uid)
-            child_uids = []
-            for j in range(k):
-                mid[next_id] = [child_pids[j], off, ulabel + (j,)]
-                phi_inv[child_pids[j]] = next_id
-                child_uids.append(next_id)
-                next_id += 1
-            wid = psi_inv.pop(uid, None)
-            if wid is not None:
-                uid_of, off2, wlabel = minus.pop(wid)
-                for j in range(k):
-                    minus[next_id] = [child_uids[j], off2, wlabel + (j,)]
-                    psi_inv[child_uids[j]] = next_id
-                    next_id += 1
+        p_x = _without(p_x, v, np.full(k, p_x[v]))
+        u = _rider(m_car, v)
+        m_car[m_car > v] -= 1
+        if u >= 0:
+            nm = len(m_car)
+            m_car = _without(m_car, u, np.arange(n - 1, n - 1 + k))
+            m_off = _without(m_off, u, np.full(k, m_off[u]))
+            w = _rider(w_car, u)
+            w_car[w_car > u] -= 1
+            if w >= 0:
+                w_car = _without(w_car, w, np.arange(nm - 1, nm - 1 + k))
+                w_off = _without(w_off, w, np.full(k, w_off[w]))
 
         # kill rules, lowest system first
-        if len(minus) > n_select:
-            doomed = heapq.nsmallest(
-                len(minus) - (n_select - extra),
-                ((minus_pos(w), minus[w][2], w) for w in minus))
-            for _, _, wid in doomed:
-                uid_of = minus.pop(wid)[0]
-                del psi_inv[uid_of]
+        m_x = p_x[m_car] - m_off
+        if len(w_car) > n_select:
+            doomed = np.argsort(m_x[w_car] - w_off, kind="stable")[
+                :len(w_car) - (n_select - extra)]
+            w_car = np.delete(w_car, doomed)
+            w_off = np.delete(w_off, doomed)
 
-        while len(mid) > n_select:
-            _, _, u_kill = min((plus[ent[0]][0] - ent[1], ent[2], u)
-                               for u, ent in mid.items())
-            wid = psi_inv.pop(u_kill, None)
-            orphan_x = minus_pos(wid) if wid is not None else 0.0
-            pid_of = mid.pop(u_kill)[0]
-            del phi_inv[pid_of]
-            if wid is not None:
-                rewire_minus(wid, orphan_x)
+        while len(m_car) > n_select:
+            u = int(np.argmin(m_x))
+            w = _rider(w_car, u)
+            orphan_x = m_x[u] - w_off[w] if w >= 0 else 0.0
+            m_car, m_off, m_x = (_without(a, u) for a in (m_car, m_off, m_x))
+            w_car[w_car > u] -= 1
+            if w >= 0:
+                w_car[w] = len(m_car)  # the sentinel: no carrier yet
+                b = _leftmost_free(m_x, w_car, orphan_x, "mid")
+                w_car[w] = b
+                w_off[w] = m_x[b] - orphan_x
 
-        if len(plus) > n_select + slack:
-            victims = heapq.nsmallest(
-                len(plus) - (n_select + slack),
-                ((ent[0], ent[1], pid) for pid, ent in plus.items()))
-            orphans = []
-            for _, _, pid in victims:
-                u = phi_inv.pop(pid, None)
-                if u is not None:
-                    orphans.append((mid_pos(u), u))
-                del plus[pid]
-            for x, u in sorted(orphans, reverse=True):
-                rewire_mid(u, x)
+        n = len(p_x)
+        if n > n_select + slack:
+            doomed = np.argsort(p_x, kind="stable")[:n - (n_select + slack)]
+            alive = np.ones(n, dtype=bool)
+            alive[doomed] = False
+            orphans = np.flatnonzero(~alive[m_car])
+            orphan_x = m_x[orphans]
+            p_x = p_x[alive]
+            m_car = (np.cumsum(alive) - 1)[m_car]
+            m_car[orphans] = len(p_x)  # the sentinel: no carrier yet
+            # re-pair the rightmost orphan first, the later born on a tie
+            for i in np.lexsort((orphans, orphan_x))[::-1]:
+                b = _leftmost_free(p_x, m_car, orphan_x[i], "plus")
+                m_car[orphans[i]] = b
+                m_off[orphans[i]] = p_x[b] - orphan_x[i]
 
-        ids_cache = sorted(plus)
-        check_invariants()
+        check_coupling(p_x, m_car, m_off, w_car, w_off)
         checks += 1
 
-    final_plus = np.sort([ent[0] for ent in plus.values()])[::-1]
-    final_mid = np.sort([mid_pos(u) for u in mid])[::-1]
-    final_minus = np.sort([minus_pos(w) for w in minus])[::-1]
+    m_x = p_x[m_car] - m_off
     return CoupledResult(events=events, checks=checks, horizon=horizon,
                          n_select=n_select, slack=slack, extra=extra,
-                         final_plus=final_plus, final_mid=final_mid,
-                         final_minus=final_minus)
+                         final_plus=np.sort(p_x)[::-1],
+                         final_mid=np.sort(m_x)[::-1],
+                         final_minus=np.sort(m_x[w_car] - w_off)[::-1])

@@ -287,6 +287,17 @@ def test_couple_fault_injection_fails(capsys):
     assert err["error"]["type"] == "CouplingError"
 
 
+@pytest.mark.parametrize("flags", [["--horizon", "nan"],
+                                   ["--horizon", "-1"],
+                                   ["--horizon", "3.0", "--replicas", "0"]])
+def test_couple_rejects_bad_horizon_and_replicas(flags, capsys):
+    assert main(["couple", "--n", "25", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "dominance verified" not in captured.out
+    err = json.loads(captured.err.splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+
+
 def test_report_on_series_and_events(tmp_path):
     ini = _write(tmp_path, NBBM_INI)
     out = tmp_path / "run"

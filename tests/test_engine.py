@@ -68,6 +68,19 @@ def test_offspring_sampler_binary_always_two(binary_law, rng):
     assert np.all(sample_offspring(binary_law, 1000, rng) == 2)
 
 
+def test_offspring_sampler_keeps_the_inverse_cdf_draw(mixed_law):
+    # the CDF is tabulated once per law; the draw must equal the formula
+    # that rebuilt it on every call
+    ks = sample_offspring(mixed_law, 1000, rng_stream(11, 0, 0))
+    u = rng_stream(11, 0, 0).random(1000)
+    old = np.minimum(np.searchsorted(np.cumsum(mixed_law.probabilities), u,
+                                     side="right"), 3).astype(np.int64)
+    assert np.array_equal(ks, old)
+    twin = ReproductionLaw((0.2, 0.0, 0.5, 0.3))
+    assert twin == mixed_law and hash(twin) == hash(mixed_law)
+    assert repr(twin) == "ReproductionLaw(probabilities=(0.2, 0.0, 0.5, 0.3))"
+
+
 def test_offspring_sampler_matches_moments(mixed_law, rng):
     ks = sample_offspring(mixed_law, 10**6, rng)
     n = len(ks)

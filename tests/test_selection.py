@@ -19,6 +19,7 @@ from nbbm.selection import (
     CouplingError,
     _sharp_expire,
     apply_nbbm_selection,
+    check_coupling,
     med_alpha,
     run_bbbm,
     run_bflat,
@@ -28,6 +29,7 @@ from nbbm.selection import (
 )
 
 from conftest import assert_close
+from coupled_reference import run_coupled_dicts
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +433,62 @@ def test_coupled_validation(binary_law):
     with pytest.raises(ValueError):
         run_coupled(binary_law, 10, horizon=1.0,
                     init_positions=np.zeros(4))
+    for horizon in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError):
+            run_coupled(binary_law, 10, horizon=horizon)
+
+
+def _same_sample_path(a, b):
+    assert (a.events, a.checks) == (b.events, b.checks)
+    for name in ("final_plus", "final_mid", "final_minus"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
+@pytest.mark.parametrize("n_select", [25, 30, 100])
+@pytest.mark.parametrize("slack, extra", [(0, 0), (3, 2), (10, 20)])
+def test_coupled_matches_the_dict_reference(law_name, n_select, slack, extra,
+                                            request):
+    law = request.getfixturevalue(law_name)
+    for seed in range(3):
+        kw = dict(horizon=1.5, seed=seed, slack=slack, extra=extra)
+        _same_sample_path(run_coupled(law, n_select, **kw),
+                          run_coupled_dicts(law, n_select, **kw))
+
+
+def test_coupled_matches_the_dict_reference_at_benchmark_size(binary_law):
+    kw = dict(horizon=10.0, seed=1, slack=4, extra=4)
+    _same_sample_path(run_coupled(binary_law, 400, **kw),
+                      run_coupled_dicts(binary_law, 400, **kw))
+
+
+def _sound_coupling():
+    # plus at 3, 2, 1; mids ride plus 0 and 2 (at 2.5 and 1); minuses ride
+    # mid 1 and mid 0 (at 0.75 and 2)
+    return [np.array([3.0, 2.0, 1.0]),
+            np.array([0, 2]), np.array([0.5, 0.0]),
+            np.array([1, 0]), np.array([0.25, 0.5])]
+
+
+def test_check_coupling_accepts_a_sound_state():
+    check_coupling(*_sound_coupling())
+
+
+@pytest.mark.parametrize("array, entry, value, match", [
+    (1, 1, 0, "mid-to-plus pairing lost injectivity"),
+    (1, 0, 3, "mid-to-plus pairing points at a dead carrier"),
+    (1, 0, -1, "mid-to-plus pairing points at a dead carrier"),
+    (3, 0, 2, "minus-to-mid pairing points at a dead carrier"),
+    (3, 1, 1, "minus-to-mid pairing lost injectivity"),
+    # the second mid at 1.5 stays dominated; only its offset is wrong
+    (2, 1, -0.5, "negative pairing offset"),
+    # the first mid at 3.5 sits above its carrier, the rightmost plus
+    (2, 0, -0.5, r"domination order violated \(plus vs mid\)"),
+    # the first minus at 3 sits above every mid
+    (4, 0, -2.0, r"domination order violated \(mid vs minus\)"),
+])
+def test_check_coupling_rejects_each_corruption(array, entry, value, match):
+    state = _sound_coupling()
+    state[array][entry] = value
+    with pytest.raises(CouplingError, match=match):
+        check_coupling(*state)
