@@ -370,8 +370,8 @@ def _cmd_simulate(args) -> int:
                 "series and piece diagnostics instead")
         runner = {"bbbm": run_bbbm, "bflat": run_bflat,
                   "bsharp": run_bsharp,
-                  "csharp": lambda c, r: run_bsharp(c, r, csharp=True)}[mode]
-        results = _pmap(lambda r: runner(cfg, r), cfg.replicas, cfg.threads)
+                  "csharp": lambda c: run_bsharp(c, csharp=True)}[mode]
+        results = runner(cfg)
         series_list = [res.series for res in results]
         runinfo["barrier"] = [
             {"replica": r, "trials_run": res.trials_run,
@@ -379,6 +379,7 @@ def _cmd_simulate(args) -> int:
              "clamped_responses": res.clamped_responses,
              "reinjected": res.reinjected, "wall_hits": res.wall_hits,
              "depth_capped": res.depth_capped,
+             "peak_count": res.peak_count, "max_pop": res.max_pop,
              "pieces": res.pieces, "colour_stats": res.colour_stats}
             for r, res in enumerate(results)]
         final_pop = Population.from_positions(results[0].final_positions,
@@ -655,7 +656,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replicas", type=int, help="override [run] replicas")
     sim.add_argument("--seed", type=int, help="override [run] seed")
     sim.add_argument("--threads", type=int,
-                     help="override [run] threads (NBBM_THREADS env wins)")
+                     help="override [run] threads (NBBM_THREADS env wins); "
+                          "reaches modes nbbm and coupled only, the barrier "
+                          "modes step all replicas in one batch")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--stamp", action="store_true",
                      help="record wall-clock creation time in the manifest"

@@ -323,17 +323,16 @@ class SimConfig:
     max_segments: int = 50_000_000
 
     def validate(self) -> list[str]:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt!r}")
+        # run lengths are turned into step counts, so they must be finite
+        for name in ("dt", "horizon", "sample_every"):
+            val = getattr(self, name)
+            if val is not None and not 0.0 < val < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {val!r}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads!r}")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
-        if self.sample_every is not None and not self.sample_every > 0.0:
-            raise ValueError(
-                f"sample_every must be > 0, got {self.sample_every!r}")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if any(not (0.0 < al < 1.0) for al in self.alphas):

@@ -8,13 +8,22 @@ forward after each breakout; the flat and sharp variants additionally colour
 particles to bound the population from above and below.  `run_coupled` drives
 three systems with shared noise and per-event domination checks.
 
-The barrier runners use the vectorized array lane throughout: populations are
-plain position arrays, colour is a parallel code array, and excursions past
-the right wall are simulated as stand-alone fugitive trials whose frozen
-descendants re-enter the population at their freeze times.  Rule evaluation
-happens at step ends, so colour flips and re-entries are placed with O(dt)
-time resolution; the Brownian and branching dynamics themselves are exact
-within each step.
+The barrier runners advance all replicas of a run together in flat arrays:
+positions, colour codes and blue expiry times, each particle tagged with its
+replica id, as in `ensemble.killed_ensemble`.  One generator,
+rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
+takes its own replica's barrier drift, and per-replica state (barrier path,
+pending breakout, freeze-time queue, re-entry heap, pieces and counters) is
+touched only when that replica has something due.  After each step the
+arrays are regrouped by replica with a stable sort, so every per-replica
+statistic is taken on a contiguous slice.  With one replica the draws, their
+order and every sum are those of a lone replica run, so the output is
+bit-identical to the one-replica reference kept in the tests.  Excursions
+past the right wall are simulated as stand-alone fugitive trials, one per
+hit, replica by replica in hit-time order; their frozen descendants re-enter
+the population at their freeze times.  Rule evaluation happens at step ends,
+so colour flips and re-entries are placed with O(dt) time resolution; the
+Brownian and branching dynamics themselves are exact within each step.
 """
 
 from __future__ import annotations
@@ -306,7 +315,11 @@ class BarrierDrift:
 
 @dataclass
 class BarrierResult:
-    """Series and breakout bookkeeping for one barrier-frame run."""
+    """Series and breakout bookkeeping for one barrier-frame replica.
+
+    peak_count is the largest population at a step end (the start
+    included) and max_pop the population cap that raises CapacityError.
+    """
 
     series: StatsSeries
     path: BarrierPath
@@ -320,6 +333,8 @@ class BarrierResult:
     depth_capped: int = 0
     colour_stats: dict = field(default_factory=dict)
     final_positions: np.ndarray | None = None
+    peak_count: int | None = None
+    max_pop: int | None = None
 
 
 def _require(cfg: SimConfig, *names: str) -> None:
@@ -351,7 +366,34 @@ def _sharp_expire(pos, col, expy, now, n_sharp, permissive, stats):
     return pos[keep], col[keep], expy[keep]
 
 
-def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
+@dataclass
+class _Replica:
+    """Breakout bookkeeping of one replica in a batched barrier run."""
+
+    path: BarrierPath
+    pending: tuple[float, float] | None = None
+    theta_queue: list[tuple[float, int]] = field(default_factory=list)
+    reinject: list[tuple[float, int, float, int, float, int]] = field(
+        default_factory=list)
+    seq: int = 0
+    pieces: list[dict] = field(default_factory=list)
+    stats: dict = field(default_factory=lambda: dict.fromkeys(
+        ("red_killed", "blue_created", "blue_killed", "rewhitened",
+         "white_killed_at_origin"), 0))
+    trials_run: int = 0
+    suppressed: int = 0
+    clamped: int = 0
+    reinjected: int = 0
+    wall_hits: int = 0
+    depth_capped: int = 0
+
+
+def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:
+    """Slice bounds of each replica in a replica-sorted id array."""
+    return np.searchsorted(rep, np.arange(replicas + 1)).tolist()
+
+
+def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     _require(cfg, "interval", "A", "epsilon", "y", "zeta")
     cfg.validate()
     iv, A, eps = cfg.interval, cfg.A, cfg.epsilon
@@ -386,106 +428,157 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
     n_med = hperp_count(A, iv)
     max_pop = max(200_000, 100 * n_med)
 
-    rng = rng_stream(cfg.seed, replica, _LANE_BARRIER)
-    pos, _ = hperp_flat(A, iv, 1, rng)
+    n_rep = cfg.replicas
+    rng = rng_stream(cfg.seed, 0, _LANE_BARRIER)
+    pos, rep = hperp_flat(A, iv, n_rep, rng)
     col = np.zeros(len(pos), dtype=np.int8)
     expy = np.full(len(pos), math.inf)
+    bounds = _replica_bounds(rep, n_rep)
+    peak = np.diff(bounds)
 
-    path = BarrierPath(iv, A)
-    pending: tuple[float, float] | None = None
-    theta_queue: list[tuple[float, int]] = []
-    reinject: list[tuple[float, int, float, int, float, int]] = []
-    seq = 0
-    pieces: list[dict] = []
-    stats = {"red_killed": 0, "blue_created": 0, "blue_killed": 0,
-             "rewhitened": 0, "white_killed_at_origin": 0}
-    trials_run = suppressed = clamped = reinjected = wall_hits = 0
-    depth_capped = 0
+    reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
     scale = 1.0 / cfg.law.beta0
 
     times = [0.0]
-    rows: dict[str, list[float]] = {k: [] for k in
-                                    ("count", "Z", "Y", "R_cum", "barrier_shift")}
-    med_rows: dict[float, list[float]] = {al: [] for al in cfg.alphas}
+    names = ["count", "Z", "Y", "R_cum", "barrier_shift"]
     if mode == "bflat":
-        rows["count_white"] = []
+        names.append("count_white")
     if sharp:
-        rows["count_blue"] = []
+        names.append("count_blue")
+    names += [f"med_{al:g}" for al in cfg.alphas]
+    rows: dict[str, list[np.ndarray]] = {k: [] for k in names}
 
-    def measure_positions(p, c):
-        return p[c == _WHITE] if mode == "bflat" else p
-
-    def record(t_now, p, c):
-        rows["count"].append(float(len(p)))
-        rows["Z"].append(float(np.sum(w_Z(p, iv))))
-        rows["Y"].append(float(np.sum(w_Y(p, iv))))
-        rows["R_cum"].append(float(wall_hits))
-        rows["barrier_shift"].append(path.shift(t_now))
+    def record(t_now, pos, col, rep, bounds):
+        # one row per name, one entry per replica; sums and medians are
+        # taken on each replica's slice, as a lone replica would take them
+        wz, wy = w_Z(pos, iv), w_Y(pos, iv)
+        whites = col == _WHITE
+        row = {k: np.empty(n_rep) for k in names}
+        for r, st in enumerate(reps):
+            lo, hi = bounds[r], bounds[r + 1]
+            row["Z"][r] = wz[lo:hi].sum()
+            row["Y"][r] = wy[lo:hi].sum()
+            row["R_cum"][r] = st.wall_hits
+            row["barrier_shift"][r] = st.path.shift(t_now)
+            seen = pos[lo:hi][whites[lo:hi]] if mode == "bflat" \
+                else pos[lo:hi]
+            for al in cfg.alphas:
+                row[f"med_{al:g}"][r] = med_alpha(seen, al, n_med)
+        row["count"][:] = np.diff(bounds)
         if mode == "bflat":
-            rows["count_white"].append(float(np.sum(c == _WHITE)))
+            row["count_white"][:] = np.bincount(rep[whites], minlength=n_rep)
         if sharp:
-            rows["count_blue"].append(float(np.sum(c == _BLUE)))
-        for al in cfg.alphas:
-            med_rows[al].append(med_alpha(measure_positions(p, c), al, n_med))
+            row["count_blue"][:] = np.bincount(rep[col == _BLUE],
+                                               minlength=n_rep)
+        for k in names:
+            rows[k].append(row[k])
 
-    record(0.0, pos, col)
+    def launch_trial(st: _Replica, t_hit: float, c_hit: int, e_hit: float,
+                     depth: int = 1) -> None:
+        st.trials_run += 1
+        batch = breakout_trials(cfg.law, iv, A, eps, y, zeta,
+                                n_trials=1, dt=dt, rng=rng,
+                                collect_line=True,
+                                zeta_breakout=cfg.zeta_breakout)
+        for s_f, x_f in zip(batch.frozen_time, batch.frozen_pos):
+            heapq.heappush(st.reinject, (t_hit + float(s_f), st.seq,
+                                         float(x_f), c_hit, e_hit, depth))
+            st.seq += 1
+        for x_f in batch.alive_pos:
+            heapq.heappush(st.reinject, (t_hit + zeta, st.seq, float(x_f),
+                                         c_hit, e_hit, depth))
+            st.seq += 1
+        if bool(batch.is_breakout[0]):
+            if st.pending is not None or t_hit < st.path.pieces[-1].t_start:
+                st.suppressed += 1
+            else:
+                st.pending = (t_hit, t_hit + float(batch.sigma_max[0]))
+
+    def settle(st: _Replica, p, c, e, t1):
+        """Step-end rules of one replica on its own particles."""
+        if sharp:
+            p, c, e = _sharp_expire(p, c, e, t1, n_sharp, mode == "csharp",
+                                    st.stats)
+
+        if st.pending is not None and st.pending[1] <= t1 + 1e-9:
+            t_break, t_plus = st.pending
+            z_now = float(np.sum(w_Z(p, iv)))
+            delta_raw = math.log(z_now) - A if z_now > 0.0 else -math.inf
+            delta = max(delta_raw, -1.0 + 1e-9)
+            if delta != delta_raw:
+                st.clamped += 1
+            theta = st.path.install(t_break, t_plus, delta)
+            st.theta_queue.append((theta, len(st.pieces)))
+            st.pieces.append({"T": t_break, "T_plus": t_plus, "Z": z_now,
+                              "delta_raw": delta_raw, "delta": delta,
+                              "theta": theta})
+            st.pending = None
+
+        while st.theta_queue and st.theta_queue[0][0] <= t1 + 1e-9:
+            _, piece_idx = st.theta_queue.pop(0)
+            # diagnostic only: whether the strip below the wall and the
+            # trial pipeline had really cleared by the freeze time
+            n_strip = int(np.sum(p > a - y))
+            piece = st.pieces[piece_idx]
+            piece["in_between_at_theta"] = n_strip
+            piece["outstanding_at_theta"] = len(st.reinject)
+            piece["clear_at_theta"] = n_strip == 0 and not st.reinject
+            if mode == "bflat":
+                reds = c == _RED
+                st.stats["red_killed"] += int(reds.sum())
+                p, c, e = p[~reds], c[~reds], e[~reds]
+            if sharp:
+                p, c, e = _sharp_expire(p, c, e, math.inf, n_sharp,
+                                        mode == "csharp", st.stats)
+
+        if mode == "bflat":
+            whites = c == _WHITE
+            n_white = int(whites.sum())
+            if n_white > n_flat:
+                wpos = p[whites]
+                srt = np.sort(wpos)
+                right = n_white - np.searchsorted(srt, wpos, side="right")
+                flip = np.zeros(len(p), dtype=bool)
+                flip[np.nonzero(whites)[0][right >= n_flat]] = True
+                c = np.where(flip, _RED, c).astype(np.int8)
+        return p, c, e
+
+    record(0.0, pos, col, rep, bounds)
 
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     for i in range(n_steps):
         t0 = i * dt
         h = min(dt, horizon - t0)
         t1 = t0 + h
-        drift_rate = -mu - (path.shift(t1) - path.shift(t0)) / h
+        drift = np.array([-mu - (st.path.shift(t1) - st.path.shift(t0)) / h
+                          for st in reps])
 
-        def launch_trial(t_hit: float, c_hit: int, e_hit: float,
-                         depth: int = 1) -> None:
-            nonlocal trials_run, suppressed, pending, seq
-            trials_run += 1
-            batch = breakout_trials(cfg.law, iv, A, eps, y, zeta,
-                                    n_trials=1, dt=dt, rng=rng,
-                                    collect_line=True,
-                                    zeta_breakout=cfg.zeta_breakout)
-            for s_f, x_f in zip(batch.frozen_time, batch.frozen_pos):
-                heapq.heappush(reinject, (t_hit + float(s_f), seq,
-                                          float(x_f), c_hit, e_hit, depth))
-                seq += 1
-            for x_f in batch.alive_pos:
-                heapq.heappush(reinject, (t_hit + zeta, seq, float(x_f),
-                                          c_hit, e_hit, depth))
-                seq += 1
-            if bool(batch.is_breakout[0]):
-                if pending is not None or t_hit < path.pieces[-1].t_start:
-                    suppressed += 1
-                else:
-                    pending = (t_hit, t_hit + float(batch.sigma_max[0]))
-
-        hits_upper: list[tuple[float, int, float]] = []
-        hits_origin: list[float] = []
-        out_pos, out_col, out_expy = [], [], []
-        w_pos, w_col, w_expy = pos, col, expy
+        upper, origin = [], []
+        out = [(pos[:0], col[:0], expy[:0], rep[:0])]
+        w_pos, w_col, w_expy, w_rep = pos, col, expy, rep
         w_rem = np.full(len(pos), h)
         while len(w_pos):
             n = len(w_pos)
             tb = rng.exponential(scale, n)
             seg = np.minimum(tb, w_rem)
-            x2 = w_pos + drift_rate * seg + rng.normal(0.0, 1.0, n) * np.sqrt(seg)
+            x2 = (w_pos + drift[w_rep] * seg
+                  + rng.normal(0.0, 1.0, n) * np.sqrt(seg))
             with np.errstate(over="ignore"):
                 p_lo = np.exp(np.minimum(-2.0 * w_pos * x2 / seg, 0.0))
-                p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg, 0.0))
+                p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg,
+                                         0.0))
             hit_lo = (rng.random(n) < p_lo) & (w_col != _BLUE)
             hit_hi = ~hit_lo & (rng.random(n) < p_hi)
             t_hit = t0 + (h - w_rem) + seg
 
-            if hit_lo.any():
-                hits_origin.extend(t_hit[hit_lo])
-            for j in np.nonzero(hit_hi)[0]:
-                hits_upper.append((float(t_hit[j]), int(w_col[j]),
-                                   float(w_expy[j])))
+            if sharp and hit_lo.any():
+                origin.append((t_hit[hit_lo], w_rep[hit_lo]))
+            if hit_hi.any():
+                upper.append((t_hit[hit_hi], w_col[hit_hi], w_expy[hit_hi],
+                              w_rep[hit_hi]))
             live = ~hit_lo & ~hit_hi
             done = live & (tb >= w_rem)
-            out_pos.append(x2[done])
-            out_col.append(w_col[done])
-            out_expy.append(w_expy[done])
+            out.append((x2[done], w_col[done], w_expy[done], w_rep[done]))
             cont = live & ~done
             if not cont.any():
                 break
@@ -493,134 +586,133 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
             w_pos = np.repeat(x2[cont], ks)
             w_col = np.repeat(w_col[cont], ks)
             w_expy = np.repeat(w_expy[cont], ks)
+            w_rep = np.repeat(w_rep[cont], ks)
             w_rem = np.repeat(w_rem[cont] - tb[cont], ks)
-        pos = np.concatenate(out_pos) if out_pos else np.empty(0)
-        col = np.concatenate(out_col).astype(np.int8) if out_col \
-            else np.empty(0, dtype=np.int8)
-        expy = np.concatenate(out_expy) if out_expy else np.empty(0)
+        pos, col, expy, rep = (np.concatenate(x) for x in zip(*out))
 
-        # fugitive trials for this step's wall hits, in hit-time order
-        hits_upper.sort()
-        for t_hit, c_hit, e_hit in hits_upper:
-            wall_hits += 1
-            launch_trial(t_hit, c_hit, e_hit)
+        # fugitive trials for this step's wall hits: replica by replica,
+        # each in hit-time order
+        if upper:
+            t_up, c_up, e_up, r_up = (np.concatenate(x) for x in zip(*upper))
+            order = np.lexsort((e_up, c_up, t_up, r_up))
+            for t_hit, c_hit, e_hit, r in zip(
+                    t_up[order].tolist(), c_up[order].tolist(),
+                    e_up[order].tolist(), r_up[order].tolist()):
+                reps[r].wall_hits += 1
+                launch_trial(reps[r], t_hit, c_hit, e_hit)
 
-        # step-end housekeeping; each block sees the previous one's output
-        add_pos, add_col, add_expy = [], [], []
-        while reinject and reinject[0][0] <= t1 + 1e-9:
-            t_in, _, x_in, c_in, e_in, d_in = heapq.heappop(reinject)
-            if sharp and c_in == _BLUE and e_in <= t1:
-                if x_in < 0.0:
-                    stats["blue_killed"] += 1
+        # re-entries due by the step end, replica by replica
+        add = []
+        for r, st in enumerate(reps):
+            while st.reinject and st.reinject[0][0] <= t1 + 1e-9:
+                t_in, _, x_in, c_in, e_in, d_in = heapq.heappop(st.reinject)
+                if sharp and c_in == _BLUE and e_in <= t1:
+                    if x_in < 0.0:
+                        st.stats["blue_killed"] += 1
+                        continue
+                    c_in, e_in = _WHITE, math.inf
+                    st.stats["rewhitened"] += 1
+                if x_in >= a:
+                    # a lineage frozen beyond the wall counts as a fresh
+                    # hit, but trials within trials stop nesting past depth 3
+                    if d_in >= 3:
+                        st.depth_capped += 1
+                        continue
+                    st.wall_hits += 1
+                    launch_trial(st, max(t_in, t0), c_in, e_in, d_in + 1)
                     continue
-                c_in, e_in = _WHITE, math.inf
-                stats["rewhitened"] += 1
-            if x_in >= a:
-                # a lineage frozen beyond the wall counts as a fresh hit,
-                # but trials within trials stop nesting past depth 3
-                if d_in >= 3:
-                    depth_capped += 1
-                    continue
-                wall_hits += 1
-                launch_trial(max(t_in, t0), c_in, e_in, d_in + 1)
-                continue
-            reinjected += 1
-            add_pos.append(x_in)
-            add_col.append(c_in)
-            add_expy.append(e_in)
-        if add_pos:
-            pos = np.concatenate([pos, add_pos])
-            col = np.concatenate([col, np.asarray(add_col, dtype=np.int8)])
-            expy = np.concatenate([expy, add_expy])
+                st.reinjected += 1
+                add.append((x_in, c_in, e_in, r))
+        if add:
+            x_add, c_add, e_add, r_add = zip(*add)
+            pos = np.concatenate([pos, x_add])
+            col = np.concatenate([col, np.asarray(c_add, dtype=np.int8)])
+            expy = np.concatenate([expy, e_add])
+            rep = np.concatenate([rep, np.asarray(r_add, dtype=np.int64)])
 
-        if sharp and hits_origin:
-            n_right = int(np.sum(pos > 0.0))
-            for t_hit in sorted(hits_origin):
-                if n_right < n_sharp:
-                    cell = math.floor(t_hit / sharp_period)
-                    pos = np.append(pos, 0.0)
-                    col = np.append(col, np.int8(_BLUE))
-                    expy = np.append(expy, (cell + 2.0) * sharp_period)
-                    stats["blue_created"] += 1
-                else:
-                    stats["white_killed_at_origin"] += 1
+        # origin hits of whites live on as blues while their replica has
+        # fewer than n_sharp particles right of the origin
+        if origin:
+            t_lo, r_lo = (np.concatenate(x) for x in zip(*origin))
+            order = np.lexsort((t_lo, r_lo))
+            t_lo, r_lo = t_lo[order], r_lo[order]
+            n_right = np.bincount(rep[pos > 0.0], minlength=n_rep)
+            blue = n_right[r_lo] < n_sharp
+            created = np.bincount(r_lo[blue], minlength=n_rep)
+            killed = np.bincount(r_lo[~blue], minlength=n_rep)
+            for r in np.flatnonzero(created + killed).tolist():
+                reps[r].stats["blue_created"] += int(created[r])
+                reps[r].stats["white_killed_at_origin"] += int(killed[r])
+            n_blue = int(blue.sum())
+            pos = np.concatenate([pos, np.zeros(n_blue)])
+            col = np.concatenate([col, np.full(n_blue, _BLUE, dtype=np.int8)])
+            expy = np.concatenate(
+                [expy, (np.floor(t_lo[blue] / sharp_period) + 2.0)
+                 * sharp_period])
+            rep = np.concatenate([rep, r_lo[blue]])
 
+        # regroup by replica; the stable sort keeps each replica's order
+        order = np.argsort(rep, kind="stable")
+        pos, col, expy, rep = pos[order], col[order], expy[order], rep[order]
+        bounds = _replica_bounds(rep, n_rep)
+
+        # step-end rules, only on the replicas that have one due
+        due = np.zeros(n_rep, dtype=bool)
         if sharp:
-            pos, col, expy = _sharp_expire(pos, col, expy, t1, n_sharp,
-                                           mode == "csharp", stats)
-
-        if pending is not None and pending[1] <= t1 + 1e-9:
-            t_break, t_plus = pending
-            z_now = float(np.sum(w_Z(pos, iv)))
-            delta_raw = math.log(z_now) - A if z_now > 0.0 else -math.inf
-            delta = max(delta_raw, -1.0 + 1e-9)
-            if delta != delta_raw:
-                clamped += 1
-            theta = path.install(t_break, t_plus, delta)
-            theta_queue.append((theta, len(pieces)))
-            pieces.append({"T": t_break, "T_plus": t_plus, "Z": z_now,
-                           "delta_raw": delta_raw, "delta": delta,
-                           "theta": theta})
-            pending = None
-
-        while theta_queue and theta_queue[0][0] <= t1 + 1e-9:
-            _, piece_idx = theta_queue.pop(0)
-            # diagnostic only: whether the strip below the wall and the
-            # trial pipeline had really cleared by the freeze time
-            n_strip = int(np.sum(pos > a - y))
-            pieces[piece_idx]["in_between_at_theta"] = n_strip
-            pieces[piece_idx]["outstanding_at_theta"] = len(reinject)
-            pieces[piece_idx]["clear_at_theta"] = (
-                n_strip == 0 and not reinject)
-            if mode == "bflat":
-                reds = col == _RED
-                stats["red_killed"] += int(reds.sum())
-                pos, col, expy = pos[~reds], col[~reds], expy[~reds]
-            if sharp:
-                pos, col, expy = _sharp_expire(pos, col, expy, math.inf,
-                                               n_sharp, mode == "csharp",
-                                               stats)
-
+            due[rep[(col == _BLUE) & (expy <= t1 + 1e-9)]] = True
         if mode == "bflat":
-            whites = col == _WHITE
-            n_white = int(whites.sum())
-            if n_white > n_flat:
-                wpos = pos[whites]
-                srt = np.sort(wpos)
-                right = n_white - np.searchsorted(srt, wpos, side="right")
-                flip = np.zeros(len(pos), dtype=bool)
-                flip[np.nonzero(whites)[0][right >= n_flat]] = True
-                col = np.where(flip, _RED, col).astype(np.int8)
+            due |= np.bincount(rep[col == _WHITE], minlength=n_rep) > n_flat
+        for r, st in enumerate(reps):
+            if (st.pending is not None and st.pending[1] <= t1 + 1e-9) or \
+                    (st.theta_queue and st.theta_queue[0][0] <= t1 + 1e-9):
+                due[r] = True
+        if due.any():
+            parts = []
+            for r in range(n_rep):
+                lo, hi = bounds[r], bounds[r + 1]
+                p, c, e = pos[lo:hi], col[lo:hi], expy[lo:hi]
+                if due[r]:
+                    p, c, e = settle(reps[r], p, c, e, t1)
+                parts.append((p, c, e, np.full(len(p), r, dtype=np.int64)))
+            pos, col, expy, rep = (np.concatenate(x) for x in zip(*parts))
+            bounds = _replica_bounds(rep, n_rep)
 
-        if len(pos) > max_pop:
-            raise CapacityError(
-                f"population {len(pos)} exceeds the cap {max_pop}")
+        counts = np.diff(bounds)
+        if counts.max(initial=0) > max_pop:
+            r = int(np.argmax(counts))
+            raise CapacityError(f"replica {r}: population {counts[r]} "
+                                f"exceeds the cap {max_pop}")
+        np.maximum(peak, counts, out=peak)
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
-            record(t1, pos, col)
+            record(t1, pos, col, rep, bounds)
 
-    columns = {k: np.asarray(v) for k, v in rows.items()}
-    for al in cfg.alphas:
-        columns[f"med_{al:g}"] = np.asarray(med_rows[al])
-    series = StatsSeries(np.asarray(times), columns, replica=replica,
-                         meta={"mode": mode, "n_med": n_med})
-    colour_stats = dict(stats)
-    if mode == "bflat":
-        colour_stats["n_flat"] = n_flat
-    if sharp:
-        colour_stats["n_sharp"] = n_sharp
-        colour_stats["period"] = sharp_period
-    return BarrierResult(series=series, path=path, pieces=pieces, mode=mode,
-                         trials_run=trials_run,
-                         suppressed_breakouts=suppressed,
-                         clamped_responses=clamped, reinjected=reinjected,
-                         wall_hits=wall_hits, depth_capped=depth_capped,
-                         colour_stats=colour_stats,
-                         final_positions=pos)
+    table = {k: np.array(v) for k, v in rows.items()}
+    results = []
+    for r, st in enumerate(reps):
+        columns = {k: table[k][:, r].copy() for k in names}
+        series = StatsSeries(np.array(times), columns, replica=r,
+                             meta={"mode": mode, "n_med": n_med})
+        colour_stats = dict(st.stats)
+        if mode == "bflat":
+            colour_stats["n_flat"] = n_flat
+        if sharp:
+            colour_stats["n_sharp"] = n_sharp
+            colour_stats["period"] = sharp_period
+        results.append(BarrierResult(
+            series=series, path=st.path, pieces=st.pieces, mode=mode,
+            trials_run=st.trials_run, suppressed_breakouts=st.suppressed,
+            clamped_responses=st.clamped, reinjected=st.reinjected,
+            wall_hits=st.wall_hits, depth_capped=st.depth_capped,
+            colour_stats=colour_stats,
+            final_positions=pos[bounds[r]:bounds[r + 1]].copy(),
+            peak_count=int(peak[r]), max_pop=max_pop))
+    return results
 
 
-def run_bbbm(cfg: SimConfig, replica: int = 0) -> BarrierResult:
-    """Barrier-frame run: absorbing origin, ratcheting right barrier.
+def run_bbbm(cfg: SimConfig) -> list[BarrierResult]:
+    """Barrier-frame runs, one per replica: absorbing origin, ratcheting
+    right barrier.
 
     Particles diffuse with drift -mu in the frame of the barrier, whose
     displacement adds the extra drift -X'(t), linearised within each step.
@@ -630,35 +722,43 @@ def run_bbbm(cfg: SimConfig, replica: int = 0) -> BarrierResult:
     time Theta installs the next barrier response with
     Delta = log(Z(T+) e^-A), clamped just above -1 when the observed mass
     sits below the e^-A floor.
+
+    All cfg.replicas replicas advance together in replica-tagged flat
+    arrays on the one stream rng_stream(seed, 0, barrier lane); each keeps
+    its own barrier path, trial pipeline and counters.  A run with one
+    replica draws exactly what a lone replica run on that stream draws.
     """
-    return _barrier_run(cfg, "bbbm", replica)
+    return _barrier_batch(cfg, "bbbm")
 
 
-def run_bflat(cfg: SimConfig, replica: int = 0) -> BarrierResult:
-    """Barrier run whose measure drops over-crowded particles.
+def run_bflat(cfg: SimConfig) -> list[BarrierResult]:
+    """Barrier runs, one per replica, whose measure drops over-crowded
+    particles.
 
-    A white particle seeing at least N_flat whites strictly to its right
-    turns red (checked at step ends); reds keep diffusing and branching but
-    are culled at each barrier freeze time, and the reported medians and
-    white counts are over whites only.  N_flat is the stationary wall count
-    at mass e^(A + delta_color).
+    A white particle seeing at least N_flat whites of its replica strictly
+    to its right turns red (checked at step ends); reds keep diffusing and
+    branching but are culled at each barrier freeze time, and the reported
+    medians and white counts are over whites only.  N_flat is the stationary
+    wall count at mass e^(A + delta_color).  Replicas are batched as in
+    `run_bbbm`.
     """
-    return _barrier_run(cfg, "bflat", replica)
+    return _barrier_batch(cfg, "bflat")
 
 
-def run_bsharp(cfg: SimConfig, replica: int = 0,
-               csharp: bool = False) -> BarrierResult:
-    """Barrier run that lets under-crowded origin hits live on as blues.
+def run_bsharp(cfg: SimConfig, csharp: bool = False) -> list[BarrierResult]:
+    """Barrier runs, one per replica, that let under-crowded origin hits
+    live on as blues.
 
-    A white hitting the origin while fewer than N_sharp particles sit
-    strictly right of it turns blue at the origin instead of dying; blues
-    ignore the origin until their expiry, two cells of the (K + 3) a^2 time
-    grid after the hit (or the next barrier freeze, whichever is first).  At
-    expiry a blue left of the origin is killed (csharp: only when N_sharp
-    particles sit strictly to its right) and survivors re-whiten.  Reported
-    statistics are over all particles.
+    A white hitting the origin while fewer than N_sharp particles of its
+    replica sit strictly right of it turns blue at the origin instead of
+    dying; blues ignore the origin until their expiry, two cells of the
+    (K + 3) a^2 time grid after the hit (or the next barrier freeze,
+    whichever is first).  At expiry a blue left of the origin is killed
+    (csharp: only when N_sharp particles sit strictly to its right) and
+    survivors re-whiten.  Reported statistics are over all particles.
+    Replicas are batched as in `run_bbbm`.
     """
-    return _barrier_run(cfg, "csharp" if csharp else "bsharp", replica)
+    return _barrier_batch(cfg, "csharp" if csharp else "bsharp")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,39 @@ def test_simulate_bbbm_runinfo_carries_diagnostics(tmp_path):
         assert key in row
     h, series = read_series_csv(out / "series.csv")
     assert "barrier_shift" in series[0].columns
+
+
+def test_simulate_bbbm_runinfo_reports_capacity_headroom(tmp_path):
+    ini = _write(tmp_path, BBBM_INI)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out),
+                 "--replicas", "2"]) == 0
+    rows = json.loads((out / "runinfo.json").read_text())["barrier"]
+    _, series = read_series_csv(out / "series.csv")
+    assert [row["replica"] for row in rows] == [0, 1]
+    for row, s in zip(rows, series):
+        assert s.columns["count"].max() <= row["peak_count"] <= row["max_pop"]
+
+
+@pytest.mark.parametrize("mode", ["nbbm", "bbbm"])
+@pytest.mark.parametrize("key", ["horizon", "dt", "sample_every"])
+def test_simulate_rejects_non_finite_run_lengths(tmp_path, capsys, mode,
+                                                 key):
+    # drop the finite value; [run] is the last section, so the appended
+    # line lands in it
+    text = re.sub(rf"^{key} = .*\n", "",
+                  NBBM_INI if mode == "nbbm" else BBBM_INI,
+                  flags=re.M) + f"{key} = inf\n"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    # bad config values surface as ConfigError, a ValueError subclass
+    assert err["error"]["type"] == "ConfigError"
+    assert f"{key} must be positive and finite" in err["error"]["message"]
+    assert json.loads((out / "error.json").read_text()) == err
+    assert not (out / "series.csv").exists()
 
 
 def test_simulate_mode_requirements(tmp_path, capsys):

@@ -382,3 +382,9 @@ def test_config_validate_rejects_bad_fields(binary_law, iv10):
         SimConfig(law=binary_law, interval=iv10, alphas=(0.5, 1.5)).validate()
     with pytest.raises(ValueError):
         SimConfig(law=binary_law, interval=iv10, zeta=-2.0).validate()
+    # run lengths become step counts: each must be positive and finite
+    for name in ("dt", "horizon", "sample_every"):
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                SimConfig(law=binary_law, interval=iv10,
+                          **{name: bad}).validate()

@@ -28,6 +28,7 @@ from nbbm.selection import (
     run_nbbm,
 )
 
+from barrier_reference import _barrier_run
 from conftest import assert_close
 from coupled_reference import run_coupled_dicts
 
@@ -252,7 +253,7 @@ BARRIER_GEOM = dict(interval=IntervalParams(5.0), dt=0.05, y=2.0, zeta=6.0)
 def test_bbbm_without_breakouts_keeps_a_flat_barrier(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=30.0, seed=0,
                     A=1.2, epsilon=1e9, zeta_breakout=False)
-    res = run_bbbm(cfg)
+    res = run_bbbm(cfg)[0]
     assert res.mode == "bbbm"
     assert res.pieces == []
     assert np.all(res.series.columns["barrier_shift"] == 0.0)
@@ -265,7 +266,7 @@ def test_bbbm_without_breakouts_keeps_a_flat_barrier(binary_law):
 def test_bbbm_breakout_installs_a_piece(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=120.0, seed=0,
                     A=1.2, epsilon=1e-6)
-    res = run_bbbm(cfg)
+    res = run_bbbm(cfg)[0]
     assert len(res.pieces) == 1
     piece = res.pieces[0]
     assert piece["T_plus"] >= piece["T"]
@@ -286,7 +287,7 @@ def test_bbbm_breakout_installs_a_piece(binary_law):
 def test_bbbm_piece_annotated_at_freeze_time(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=120.0, seed=0,
                     A=1.2, epsilon=1e-6)
-    piece = run_bbbm(cfg).pieces[0]
+    piece = run_bbbm(cfg)[0].pieces[0]
     assert piece["clear_at_theta"] == (
         piece["in_between_at_theta"] == 0
         and piece["outstanding_at_theta"] == 0)
@@ -298,7 +299,7 @@ def test_bbbm_caps_nested_trials(binary_law):
     cfg = SimConfig(binary_law, interval=IntervalParams(5.0), dt=0.05,
                     horizon=60.0, seed=3, A=4.0, epsilon=1e9, y=2.0,
                     zeta=2.0, zeta_breakout=False)
-    res = run_bbbm(cfg)
+    res = run_bbbm(cfg)[0]
     assert res.depth_capped > 0
 
 
@@ -317,7 +318,7 @@ def test_bflat_whites_are_a_subpopulation(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=30.0, seed=0,
                     A=0.5, epsilon=1e9, zeta_breakout=False,
                     delta_color=0.005)
-    res = run_bflat(cfg)
+    res = run_bflat(cfg)[0]
     count = res.series.columns["count"]
     white = res.series.columns["count_white"]
     assert np.all(white <= count)
@@ -329,7 +330,7 @@ def test_bflat_whites_are_a_subpopulation(binary_law):
 def test_bflat_culls_reds_at_the_freeze_time(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=60.0, seed=3,
                     A=0.5, epsilon=1e-6, delta_color=0.005)
-    res = run_bflat(cfg)
+    res = run_bflat(cfg)[0]
     assert len(res.pieces) == 1
     assert res.colour_stats["red_killed"] > 0
 
@@ -345,7 +346,7 @@ def test_bsharp_blues_survive_the_origin(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=12.0, seed=1,
                     A=2.0, epsilon=1e9, zeta_breakout=False,
                     delta_color=0.005)
-    res = run_bsharp(cfg)
+    res = run_bsharp(cfg)[0]
     assert res.mode == "bsharp"
     cs = res.colour_stats
     assert cs["blue_created"] > 0
@@ -360,7 +361,7 @@ def test_bsharp_permissive_flag_switches_mode(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=6.0, seed=1,
                     A=2.0, epsilon=1e9, zeta_breakout=False,
                     delta_color=0.005)
-    assert run_bsharp(cfg, csharp=True).mode == "csharp"
+    assert run_bsharp(cfg, csharp=True)[0].mode == "csharp"
 
 
 def test_sharp_expiry_kills_left_blues_and_rewhitens_the_rest():
@@ -385,6 +386,119 @@ def test_sharp_expiry_permissive_needs_a_crowd_to_the_right():
     assert stats == {"blue_killed": 0, "rewhitened": 2}
     assert len(p2) == 4
     assert c2.tolist() == [_WHITE, _BLUE, _WHITE, _WHITE]
+
+
+# ---------------------------------------------------------------------------
+# batched barrier runs against the one-replica reference
+
+BENCH_GEOM = dict(interval=IntervalParams(8.0), dt=0.05, y=3.0, zeta=6.0,
+                  A=3.0, epsilon=0.01, horizon=10.0)
+
+# the barrier tests' geometries and seeds above, the nested run cut short
+# (it still reaches the depth cap by T = 40), plus the benchmark geometry.
+# The bflat run at seed 0 keeps its full horizon: it is the one with steps
+# holding several wall hits at distinct times, whose order the trials
+# must follow.
+REFERENCE_CASES = [
+    ("bbbm", dict(BARRIER_GEOM, horizon=30.0, seed=0, A=1.2, epsilon=1e9,
+                  zeta_breakout=False)),
+    ("bbbm", dict(BARRIER_GEOM, horizon=120.0, seed=0, A=1.2,
+                  epsilon=1e-6)),
+    ("bbbm", dict(interval=IntervalParams(5.0), dt=0.05, horizon=40.0,
+                  seed=3, A=4.0, epsilon=1e9, y=2.0, zeta=2.0,
+                  zeta_breakout=False)),
+    ("bflat", dict(BARRIER_GEOM, horizon=30.0, seed=0, A=0.5, epsilon=1e9,
+                   zeta_breakout=False, delta_color=0.005)),
+    ("bflat", dict(BARRIER_GEOM, horizon=60.0, seed=3, A=0.5, epsilon=1e-6,
+                   delta_color=0.005)),
+    ("bsharp", dict(BARRIER_GEOM, horizon=12.0, seed=1, A=2.0, epsilon=1e9,
+                    zeta_breakout=False, delta_color=0.005)),
+    ("csharp", dict(BARRIER_GEOM, horizon=12.0, seed=1, A=2.0, epsilon=1e9,
+                    zeta_breakout=False, delta_color=0.005)),
+    ("bbbm", dict(BENCH_GEOM, seed=0)),
+    ("bbbm", dict(BENCH_GEOM, seed=1)),
+]
+
+
+def _run_batch(cfg, mode):
+    if mode == "bbbm":
+        return run_bbbm(cfg)
+    if mode == "bflat":
+        return run_bflat(cfg)
+    return run_bsharp(cfg, csharp=mode == "csharp")
+
+
+@pytest.mark.parametrize("mode, kw", REFERENCE_CASES)
+def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, mode,
+                                                            kw):
+    cfg = SimConfig(binary_law, **kw)
+    (new,) = _run_batch(cfg, mode)
+    ref = _barrier_run(cfg, mode, 0)
+    assert list(new.series.columns) == list(ref.series.columns)
+    assert np.array_equal(new.series.times, ref.series.times)
+    for name, col in ref.series.columns.items():
+        assert np.array_equal(new.series.columns[name], col), name
+    assert new.series.meta == ref.series.meta
+    assert new.pieces == ref.pieces
+    for name in ("mode", "trials_run", "suppressed_breakouts",
+                 "clamped_responses", "reinjected", "wall_hits",
+                 "depth_capped", "colour_stats"):
+        assert getattr(new, name) == getattr(ref, name), name
+    assert np.array_equal(new.final_positions, ref.final_positions)
+    assert new.path.pieces == ref.path.pieces
+    if kw.get("zeta") == 2.0:
+        assert new.depth_capped > 0  # the nesting cap is exercised
+
+
+def test_barrier_batch_keeps_each_replica_consistent(binary_law):
+    cfg = SimConfig(binary_law, **BENCH_GEOM, seed=5, replicas=4)
+    results = run_bbbm(cfg)
+    assert [r.series.replica for r in results] == [0, 1, 2, 3]
+    for res in results:
+        assert res.trials_run == res.wall_hits
+        cols = res.series.columns
+        shifts = [res.path.shift(t) for t in res.series.times]
+        assert np.array_equal(cols["barrier_shift"], shifts)
+        assert cols["count"][-1] == len(res.final_positions)
+        assert np.all(res.final_positions < 8.0)
+        assert cols["count"].max() <= res.peak_count <= res.max_pop
+    # the replicas are distinct sample paths
+    assert len({r.series.columns["Z"][-1] for r in results}) == 4
+
+
+def test_barrier_batch_records_a_dead_replica_as_empty(binary_law):
+    # at this seed replicas 0, 3, 4 and 5 die out for good while 1 and 2
+    # live on to the horizon
+    cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=10.0, seed=0,
+                    A=1.2, epsilon=1e9, zeta_breakout=False, replicas=6)
+    results = run_bbbm(cfg)
+    final = [r.series.columns["count"][-1] for r in results]
+    assert final[0] == 0.0 and final[1] > 0.0 and final[2] > 0.0
+    for res in results:
+        cols = res.series.columns
+        empty = cols["count"] == 0.0
+        assert np.all(cols["Z"][empty] == 0.0)
+        assert np.all(cols["Y"][empty] == 0.0)
+        assert np.all(cols["med_0.5"][empty] == -math.inf)
+    count0 = results[0].series.columns["count"]
+    first = int(np.argmax(count0 == 0.0))
+    assert first > 0 and np.all(count0[first:] == 0.0)
+    assert len(results[0].final_positions) == 0
+
+
+@pytest.mark.slow
+def test_barrier_batch_replica_means_agree_with_the_reference(binary_law):
+    n = 30
+    batch = run_bbbm(SimConfig(binary_law, **BENCH_GEOM, seed=11,
+                               replicas=n))
+    cfg = SimConfig(binary_law, **BENCH_GEOM, seed=12)
+    ref = [_barrier_run(cfg, "bbbm", r) for r in range(n)]
+    for name in ("count", "Z"):
+        a = np.array([r.series.columns[name][-1] for r in batch])
+        b = np.array([r.series.columns[name][-1] for r in ref])
+        z = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / n
+                                              + b.var(ddof=1) / n)
+        assert abs(z) <= 4.0, (name, z)
 
 
 # ---------------------------------------------------------------------------
