@@ -343,6 +343,11 @@ def _require(cfg: SimConfig, *names: str) -> None:
         raise ValueError(f"config is missing required fields: {missing}")
 
 
+def _blue_due(col, expy, now):
+    """Mask of the blue particles whose expiry falls by time `now`."""
+    return (col == _BLUE) & (expy <= now + 1e-9)
+
+
 def _sharp_expire(pos, col, expy, now, n_sharp, permissive, stats):
     """Apply the expiry rule to due blue particles.
 
@@ -350,7 +355,7 @@ def _sharp_expire(pos, col, expy, now, n_sharp, permissive, stats):
     variant only those still seeing n_sharp particles strictly to their
     right are.  Survivors re-whiten.
     """
-    due = (col == _BLUE) & (expy <= now + 1e-9)
+    due = _blue_due(col, expy, now)
     if not due.any():
         return pos, col, expy
     doomed = due & (pos < 0.0)
@@ -387,10 +392,75 @@ class _Replica:
     wall_hits: int = 0
     depth_capped: int = 0
 
+    def response_due(self, t1: float) -> bool:
+        """Whether the pending barrier response falls by the step end t1."""
+        return self.pending is not None and self.pending[1] <= t1 + 1e-9
+
+    def freeze_due(self, t1: float) -> bool:
+        """Whether the earliest queued freeze time falls by t1."""
+        return bool(self.theta_queue) and self.theta_queue[0][0] <= t1 + 1e-9
+
 
 def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:
     """Slice bounds of each replica in a replica-sorted id array."""
+    if replicas == 1:
+        return [0, len(rep)]
     return np.searchsorted(rep, np.arange(replicas + 1)).tolist()
+
+
+def _sizes(bounds: list[int]) -> list[int]:
+    """Population of each replica from its slice bounds."""
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _segment_step(pos, col, expy, rep, drift, t0, h, a, law, scale, rng,
+                  keep_origin):
+    """Advance replica-tagged particles exactly through [t0, t0 + h].
+
+    Each particle moves with its replica's drift, drift[rep], between the
+    exponential branching clocks (mean `scale`) of its line, and leaves at
+    the first wall its Brownian bridge touches: the origin (blues excepted)
+    or a.  Returns the survivors' (pos, col, expy, rep) and lists of array
+    chunks of the wall hits (time, colour, expiry, replica) and, when
+    keep_origin, of the origin hits (time, replica).
+    """
+    upper, origin = [], []
+    out = [(pos[:0], col[:0], expy[:0], rep[:0])]
+    w_pos, w_col, w_expy, w_rep = pos, col, expy, rep
+    w_rem = np.full(len(pos), h)
+    while len(w_pos):
+        n = len(w_pos)
+        tb = rng.exponential(scale, n)
+        seg = np.minimum(tb, w_rem)
+        x2 = (w_pos + drift[w_rep] * seg
+              + rng.normal(0.0, 1.0, n) * np.sqrt(seg))
+        with np.errstate(over="ignore"):
+            p_lo = np.exp(np.minimum(-2.0 * w_pos * x2 / seg, 0.0))
+            p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg,
+                                     0.0))
+        hit_lo = (rng.random(n) < p_lo) & (w_col != _BLUE)
+        hit_hi = ~hit_lo & (rng.random(n) < p_hi)
+        t_hit = t0 + (h - w_rem) + seg
+
+        if keep_origin and hit_lo.any():
+            origin.append((t_hit[hit_lo], w_rep[hit_lo]))
+        if hit_hi.any():
+            upper.append((t_hit[hit_hi], w_col[hit_hi], w_expy[hit_hi],
+                          w_rep[hit_hi]))
+        live = ~hit_lo & ~hit_hi
+        done = live & (tb >= w_rem)
+        out.append((x2[done], w_col[done], w_expy[done], w_rep[done]))
+        cont = live & ~done
+        if not cont.any():
+            break
+        ks = sample_offspring(law, int(cont.sum()), rng)
+        w_pos = np.repeat(x2[cont], ks)
+        w_col = np.repeat(w_col[cont], ks)
+        w_expy = np.repeat(w_expy[cont], ks)
+        w_rep = np.repeat(w_rep[cont], ks)
+        w_rem = np.repeat(w_rem[cont] - tb[cont], ks)
+    pos, col, expy, rep = (np.concatenate(x) for x in zip(*out))
+    return pos, col, expy, rep, upper, origin
 
 
 def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
@@ -434,7 +504,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     col = np.zeros(len(pos), dtype=np.int8)
     expy = np.full(len(pos), math.inf)
     bounds = _replica_bounds(rep, n_rep)
-    peak = np.diff(bounds)
+    peak = _sizes(bounds)
 
     reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
     scale = 1.0 / cfg.law.beta0
@@ -464,7 +534,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 else pos[lo:hi]
             for al in cfg.alphas:
                 row[f"med_{al:g}"][r] = med_alpha(seen, al, n_med)
-        row["count"][:] = np.diff(bounds)
+        row["count"][:] = _sizes(bounds)
         if mode == "bflat":
             row["count_white"][:] = np.bincount(rep[whites], minlength=n_rep)
         if sharp:
@@ -494,13 +564,18 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             else:
                 st.pending = (t_hit, t_hit + float(batch.sigma_max[0]))
 
+    def crowded(n_white):
+        # bflat: only a replica with more than N_flat whites has a white
+        # seeing N_flat whites to its right
+        return n_white > n_flat
+
     def settle(st: _Replica, p, c, e, t1):
         """Step-end rules of one replica on its own particles."""
         if sharp:
             p, c, e = _sharp_expire(p, c, e, t1, n_sharp, mode == "csharp",
                                     st.stats)
 
-        if st.pending is not None and st.pending[1] <= t1 + 1e-9:
+        if st.response_due(t1):
             t_break, t_plus = st.pending
             z_now = float(np.sum(w_Z(p, iv)))
             delta_raw = math.log(z_now) - A if z_now > 0.0 else -math.inf
@@ -514,7 +589,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                               "theta": theta})
             st.pending = None
 
-        while st.theta_queue and st.theta_queue[0][0] <= t1 + 1e-9:
+        while st.freeze_due(t1):
             _, piece_idx = st.theta_queue.pop(0)
             # diagnostic only: whether the strip below the wall and the
             # trial pipeline had really cleared by the freeze time
@@ -534,7 +609,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         if mode == "bflat":
             whites = c == _WHITE
             n_white = int(whites.sum())
-            if n_white > n_flat:
+            if crowded(n_white):
                 wpos = p[whites]
                 srt = np.sort(wpos)
                 right = n_white - np.searchsorted(srt, wpos, side="right")
@@ -553,42 +628,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         drift = np.array([-mu - (st.path.shift(t1) - st.path.shift(t0)) / h
                           for st in reps])
 
-        upper, origin = [], []
-        out = [(pos[:0], col[:0], expy[:0], rep[:0])]
-        w_pos, w_col, w_expy, w_rep = pos, col, expy, rep
-        w_rem = np.full(len(pos), h)
-        while len(w_pos):
-            n = len(w_pos)
-            tb = rng.exponential(scale, n)
-            seg = np.minimum(tb, w_rem)
-            x2 = (w_pos + drift[w_rep] * seg
-                  + rng.normal(0.0, 1.0, n) * np.sqrt(seg))
-            with np.errstate(over="ignore"):
-                p_lo = np.exp(np.minimum(-2.0 * w_pos * x2 / seg, 0.0))
-                p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg,
-                                         0.0))
-            hit_lo = (rng.random(n) < p_lo) & (w_col != _BLUE)
-            hit_hi = ~hit_lo & (rng.random(n) < p_hi)
-            t_hit = t0 + (h - w_rem) + seg
-
-            if sharp and hit_lo.any():
-                origin.append((t_hit[hit_lo], w_rep[hit_lo]))
-            if hit_hi.any():
-                upper.append((t_hit[hit_hi], w_col[hit_hi], w_expy[hit_hi],
-                              w_rep[hit_hi]))
-            live = ~hit_lo & ~hit_hi
-            done = live & (tb >= w_rem)
-            out.append((x2[done], w_col[done], w_expy[done], w_rep[done]))
-            cont = live & ~done
-            if not cont.any():
-                break
-            ks = sample_offspring(cfg.law, int(cont.sum()), rng)
-            w_pos = np.repeat(x2[cont], ks)
-            w_col = np.repeat(w_col[cont], ks)
-            w_expy = np.repeat(w_expy[cont], ks)
-            w_rep = np.repeat(w_rep[cont], ks)
-            w_rem = np.repeat(w_rem[cont] - tb[cont], ks)
-        pos, col, expy, rep = (np.concatenate(x) for x in zip(*out))
+        pos, col, expy, rep, upper, origin = _segment_step(
+            pos, col, expy, rep, drift, t0, h, a, cfg.law, scale, rng, sharp)
 
         # fugitive trials for this step's wall hits: replica by replica,
         # each in hit-time order
@@ -651,38 +692,42 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                  * sharp_period])
             rep = np.concatenate([rep, r_lo[blue]])
 
-        # regroup by replica; the stable sort keeps each replica's order
-        order = np.argsort(rep, kind="stable")
-        pos, col, expy, rep = pos[order], col[order], expy[order], rep[order]
+        # regroup by replica; the stable sort keeps each replica's order,
+        # and is skipped when the ids are sorted already (one replica)
+        if n_rep > 1 and (rep[1:] < rep[:-1]).any():
+            order = np.argsort(rep, kind="stable")
+            pos, col, expy, rep = (pos[order], col[order], expy[order],
+                                   rep[order])
         bounds = _replica_bounds(rep, n_rep)
 
         # step-end rules, only on the replicas that have one due
-        due = np.zeros(n_rep, dtype=bool)
+        due = {r for r, st in enumerate(reps)
+               if st.response_due(t1) or st.freeze_due(t1)}
         if sharp:
-            due[rep[(col == _BLUE) & (expy <= t1 + 1e-9)]] = True
+            due.update(rep[_blue_due(col, expy, t1)].tolist())
         if mode == "bflat":
-            due |= np.bincount(rep[col == _WHITE], minlength=n_rep) > n_flat
-        for r, st in enumerate(reps):
-            if (st.pending is not None and st.pending[1] <= t1 + 1e-9) or \
-                    (st.theta_queue and st.theta_queue[0][0] <= t1 + 1e-9):
-                due[r] = True
-        if due.any():
-            parts = []
-            for r in range(n_rep):
+            white = np.bincount(rep[col == _WHITE], minlength=n_rep)
+            due.update(np.flatnonzero(crowded(white)).tolist())
+        if due:
+            # the runs of replicas in between are carried over as they are
+            parts, last = [], 0
+            for r in sorted(due):
                 lo, hi = bounds[r], bounds[r + 1]
-                p, c, e = pos[lo:hi], col[lo:hi], expy[lo:hi]
-                if due[r]:
-                    p, c, e = settle(reps[r], p, c, e, t1)
-                parts.append((p, c, e, np.full(len(p), r, dtype=np.int64)))
+                p, c, e = settle(reps[r], pos[lo:hi], col[lo:hi],
+                                 expy[lo:hi], t1)
+                parts += [(pos[last:lo], col[last:lo], expy[last:lo],
+                           rep[last:lo]), (p, c, e, rep[lo:lo + len(p)])]
+                last = hi
+            parts.append((pos[last:], col[last:], expy[last:], rep[last:]))
             pos, col, expy, rep = (np.concatenate(x) for x in zip(*parts))
             bounds = _replica_bounds(rep, n_rep)
 
-        counts = np.diff(bounds)
-        if counts.max(initial=0) > max_pop:
-            r = int(np.argmax(counts))
+        counts = _sizes(bounds)
+        if max(counts) > max_pop:
+            r = counts.index(max(counts))
             raise CapacityError(f"replica {r}: population {counts[r]} "
                                 f"exceeds the cap {max_pop}")
-        np.maximum(peak, counts, out=peak)
+        peak = list(map(max, peak, counts))
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
             record(t1, pos, col, rep, bounds)
@@ -706,7 +751,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             wall_hits=st.wall_hits, depth_capped=st.depth_capped,
             colour_stats=colour_stats,
             final_positions=pos[bounds[r]:bounds[r + 1]].copy(),
-            peak_count=int(peak[r]), max_pop=max_pop))
+            peak_count=peak[r], max_pop=max_pop))
     return results
 
 
@@ -727,6 +772,9 @@ def run_bbbm(cfg: SimConfig) -> list[BarrierResult]:
     arrays on the one stream rng_stream(seed, 0, barrier lane); each keeps
     its own barrier path, trial pipeline and counters.  A run with one
     replica draws exactly what a lone replica run on that stream draws.
+    Every replica's particles are held at once, so memory grows with
+    replicas x population: the population cap (max_pop, reported with each
+    result) bounds each replica, not the batch.
     """
     return _barrier_batch(cfg, "bbbm")
 

@@ -17,6 +17,7 @@ from nbbm.selection import (
     BarrierDrift,
     BarrierPath,
     CouplingError,
+    _segment_step,
     _sharp_expire,
     apply_nbbm_selection,
     check_coupling,
@@ -484,6 +485,37 @@ def test_barrier_batch_records_a_dead_replica_as_empty(binary_law):
     first = int(np.argmax(count0 == 0.0))
     assert first > 0 and np.all(count0[first:] == 0.0)
     assert len(results[0].final_positions) == 0
+
+
+def test_segment_step_moves_each_particle_at_its_replica_drift(binary_law):
+    # the same particles and draws tagged three ways: all of replica 2 of
+    # three, all of the only replica of a one-replica batch, and split
+    # between replicas 1 and 2 of equal drift; each must move as the
+    # one-replica batch does and keep its tags
+    n = 300
+    pos = np.random.default_rng(7).uniform(0.5, 7.5, n)
+    col = np.zeros(n, dtype=np.int8)
+    expy = np.full(n, math.inf)
+    drift = np.array([-2.0, 0.5, 0.5])
+    runs = {"lone": (np.full(n, 2), drift),
+            "one": (np.zeros(n, dtype=np.int64), drift[2:]),
+            "split": (np.repeat([1, 2], n // 2), drift)}
+    out = {k: _segment_step(pos, col, expy, rep, dr, 0.0, 0.5, 8.0,
+                            binary_law, 1.0 / binary_law.beta0,
+                            np.random.default_rng(3), True)
+           for k, (rep, dr) in runs.items()}
+    one = out["one"]
+    assert one[4] and one[5]  # wall and origin hits both happen
+    for k in ("lone", "split"):
+        for got, want in zip(out[k][:3], one[:3]):
+            assert np.array_equal(got, want), k
+        for got, want in zip(out[k][4] + out[k][5], one[4] + one[5]):
+            for g, w in zip(got[:-1], want[:-1]):
+                assert np.array_equal(g, w), k
+    lone = out["lone"]
+    assert np.all(lone[3] == 2)
+    assert all(np.all(hit[-1] == 2) for hit in lone[4] + lone[5])
+    assert set(out["split"][3].tolist()) == {1, 2}
 
 
 @pytest.mark.slow
