@@ -9,8 +9,9 @@ written CSV logs into a verdict bundle and plot-ready tables.
 Reproducibility rules: every run is identified by a manifest whose hash
 is embedded in each output file; all randomness is drawn from
 counter-based streams keyed by (seed, replica, lane); files are written
-by the collecting thread in replica order.  Identical manifests therefore
-produce identical bytes, whatever the thread count.
+in replica order.  Identical manifests therefore produce identical bytes.
+Replicas run in one process on one thread: the barrier modes step them
+together in one flat array, modes nbbm and coupled one after another.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import argparse
 import configparser
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -121,7 +120,8 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     Physically meaningful parameters (the offspring law, a, N, A, ...) have
     no defaults and must be spelled out; only numerics (dt, sample cadence)
     default.  Regime warnings are left to SimConfig.validate so the caller
-    decides where to print them.
+    decides where to print them.  `[run] threads`, a setting of older
+    configs, is accepted and ignored with one warning on stderr.
     """
     path = Path(path)
     if not path.is_file():
@@ -209,7 +209,6 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         delta_color=_get_float(cp, "bbbm", "delta_color"),
         c_center=_get_float(cp, "bbbm", "c_center", 0.0),
         sample_every=_get_float(cp, "run", "sample_every"),
-        threads=_get_int(cp, "run", "threads", 1),
         zeta_breakout=zeta_breakout,
         max_segments=_get_int(cp, "run", "max_segments", 50_000_000),
     )
@@ -217,6 +216,9 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         cfg.validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    if cp.has_option("run", "threads"):
+        print("warning: [run] threads is ignored; replicas run on one thread",
+              file=sys.stderr)
     return cfg, mode
 
 
@@ -257,27 +259,6 @@ def _write_json(path: Path, obj) -> None:
                                default=_json_default) + "\n")
 
 
-def _pmap(fn, n: int, threads: int) -> list:
-    if threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n)))
-
-
-def _env_threads() -> int | None:
-    raw = os.environ.get("NBBM_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"NBBM_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise ConfigError(f"NBBM_THREADS must be >= 1, got {val}")
-    return val
-
-
 def _nbbm_event_log(cfg: SimConfig, horizon: float) -> list[Event]:
     """Labelled object-lane N-BBM run for event logging.
 
@@ -314,11 +295,6 @@ def _cmd_simulate(args) -> int:
         cfg.replicas = args.replicas
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    env_threads = _env_threads()
-    if env_threads is not None:
-        cfg.threads = env_threads
     _check_mode_requirements(cfg, mode)
     for w in cfg.validate():
         print(f"warning: {w}", file=sys.stderr)
@@ -351,11 +327,9 @@ def _cmd_simulate(args) -> int:
             manifest.outputs["events"] = "events.csv"
             runinfo["events_logged"] = len(events)
     elif mode == "coupled":
-        results = _pmap(
-            lambda r: run_coupled(cfg.law, cfg.n_select,
-                                  horizon=cfg.horizon, seed=cfg.seed,
-                                  replica=r),
-            cfg.replicas, cfg.threads)
+        results = [run_coupled(cfg.law, cfg.n_select, horizon=cfg.horizon,
+                               seed=cfg.seed, replica=r)
+                   for r in range(cfg.replicas)]
         runinfo["coupled"] = [
             {"replica": r, "events": res.events, "checks": res.checks,
              "dominance_verified": res.dominance_verified}
@@ -655,10 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override [run] mode from the config")
     sim.add_argument("--replicas", type=int, help="override [run] replicas")
     sim.add_argument("--seed", type=int, help="override [run] seed")
-    sim.add_argument("--threads", type=int,
-                     help="override [run] threads (NBBM_THREADS env wins); "
-                          "reaches modes nbbm and coupled only, the barrier "
-                          "modes step all replicas in one batch")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--stamp", action="store_true",
                      help="record wall-clock creation time in the manifest"

@@ -18,13 +18,14 @@ throughput and is cross-checked against this one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from .kernels import IntervalParams, sine_exp_density, w_Y, w_Z
+from .kernels import IntervalParams, w_Y, w_Z
 
 __all__ = [
     "CapacityError",
@@ -42,7 +43,6 @@ __all__ = [
     "advance",
     "SimConfig",
     "hperp_count",
-    "sample_initial_hperp",
     "BreakoutOutcome",
     "breakout_trial",
 ]
@@ -56,8 +56,9 @@ def rng_stream(seed: int, replica: int = 0, lane: int = 0) -> np.random.Generato
     """Counter-based generator for (seed, replica, lane).
 
     Distinct triples give statistically independent streams, and the stream
-    depends only on the triple, never on scheduling, so threaded and serial
-    runs of the same experiment consume identical randomness.
+    depends only on the triple, never on the order in which replicas run or
+    on what else ran before, so reruns of an experiment consume identical
+    randomness.
     """
     seed = int(seed)
     replica = int(replica)
@@ -103,7 +104,7 @@ class ReproductionLaw:
         cdf.flags.writeable = False
         object.__setattr__(self, "_cdf", cdf)
 
-    @property
+    @functools.cached_property  # read once per segment step
     def m(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.probabilities)) - 1.0
 
@@ -318,7 +319,6 @@ class SimConfig:
     delta_color: float | None = None
     c_center: float = 0.0
     sample_every: float | None = None
-    threads: int = 1
     zeta_breakout: bool = True
     max_segments: int = 50_000_000
 
@@ -331,8 +331,6 @@ class SimConfig:
                     f"{name} must be positive and finite, got {val!r}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if any(not (0.0 < al < 1.0) for al in self.alphas):
@@ -371,23 +369,6 @@ def hperp_count(A: float, iv: IntervalParams) -> int:
     """floor(2 pi e^A a^-3 e^(mu a)): particle count of the reference profile."""
     return int(math.floor(2.0 * math.pi * math.exp(A) * iv.a ** -3.0
                           * math.exp(iv.mu * iv.a)))
-
-
-def sample_initial_hperp(A: float, iv: IntervalParams,
-                         rng: np.random.Generator,
-                         time: float = 0.0) -> Population:
-    """Initial population: hperp_count particles iid from the stationary
-
-    count profile sin(pi x / a) e^(-mu x) on (0, a), normalised.  With the
-    count floor(2 pi e^A a^-3 e^(mu a)) this makes E[Z_0] = e^A up to the
-    floor, and keeps the expected population size constant in time.
-    """
-    n = hperp_count(A, iv)
-    if n < 1:
-        raise ValueError(
-            f"profile count floor(2 pi e^A a^-3 e^(mu a)) = 0 at A = {A!r}, a = {iv.a!r}")
-    xs = sine_exp_density(iv.a, iv.mu).sample(n, rng)
-    return Population.from_positions(xs, time=time)
 
 
 _UNIT_LEFT = ConstantDrift(-1.0)

@@ -2,10 +2,13 @@
 
 Same stepping scheme as the object engine (fresh exponential clocks per
 segment, Gaussian moves, bridge absorption, children inheriting the rest of
-the step), but positions live in numpy arrays tagged with replica ids, so
-millions of particles advance per step without per-particle Python work.
-The price is that these lanes carry no genealogical labels; the labelled
-engine in `engine` is the reference they are cross-checked against.
+the step), but positions live in numpy arrays tagged with replica or trial
+ids, so millions of particles advance per step without per-particle Python
+work.  `step_segments` is that step, written once: the killed ensemble, the
+batched fugitive trials and the barrier runners in `selection` all advance
+through it.  The price is that these lanes carry no genealogical labels;
+the labelled engine in `engine` is the reference they are cross-checked
+against.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .engine import CapacityError, ReproductionLaw, sample_offspring
 from .kernels import IntervalParams, sine_exp_density, w_Y, w_Z
 
 __all__ = [
+    "step_segments",
     "KilledEnsembleResult",
     "hperp_flat",
     "killed_ensemble",
@@ -27,10 +31,86 @@ __all__ = [
 ]
 
 
+def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
+                  law: ReproductionLaw, rng: np.random.Generator,
+                  upper: float | None = None, origin_ignores=None):
+    """Advance tagged particles exactly through the step [t0, t0 + h].
+
+    Each particle moves with drift `drift` (a scalar, or an array indexed by
+    tag) between the exponential branching clocks of its line, and leaves at
+    the first wall its Brownian bridge touches: the origin, unless
+    origin_ignores (a mask over the input particles) marks it, or `upper`
+    when given; an origin hit is never also an upper hit.  A branching
+    particle's children start at its branch point with the rest of its
+    step; they inherit its tag and payload (a tuple of arrays aligned with
+    pos) and whether the origin ignores it.  Each loop over the current
+    segments draws, in order, the clocks, the Gaussian moves, the origin
+    uniforms, the upper uniforms when there is an upper wall, and the
+    offspring counts of the branching particles.
+
+    Returns the survivors' (pos, tag, payload), the origin and upper hits as
+    lists of per-loop chunks (time, tag, *payload), and the number of
+    segments processed.
+    """
+    carry = [tag, *payload]
+    if origin_ignores is not None:
+        carry.append(origin_ignores)
+    n_out = 1 + len(payload)
+    out = [[pos[:0], *(c[:0] for c in carry[:n_out])]]
+    lower, upper_hits = [], []
+    rem = np.full(len(pos), h)
+    scale = 1.0 / law.beta0
+    per_tag = isinstance(drift, np.ndarray)
+    segments = 0
+    while len(pos):
+        n = len(pos)
+        segments += n
+        tb = rng.exponential(scale, n)
+        seg = np.minimum(tb, rem)
+        mean = drift[carry[0]] * seg if per_tag else drift * seg
+        x2 = pos + mean + rng.standard_normal(n) * np.sqrt(seg)
+        # exponent >= 0 exactly when the endpoints straddle the wall, so
+        # the min folds the sure-hit case into the same expression.  Both
+        # probabilities come before the uniforms: building them around a
+        # freshly drawn uniform array cost a third more page faults and
+        # about 7% more CPU in the killed ensemble at 33k particles.
+        p_lo = np.exp(np.minimum(-2.0 * pos * x2 / seg, 0.0))
+        if upper is not None:
+            p_hi = np.exp(np.minimum(
+                -2.0 * (upper - pos) * (upper - x2) / seg, 0.0))
+        hit_lo = rng.random(n) < p_lo
+        if origin_ignores is not None:
+            hit_lo &= ~carry[-1]
+        live, hit_hi = ~hit_lo, None
+        if upper is not None:
+            hit_hi = live & (rng.random(n) < p_hi)
+            live &= ~hit_hi
+        for hit, chunks in ((hit_lo, lower), (hit_hi, upper_hits)):
+            if hit is not None and len(idx := hit.nonzero()[0]):
+                chunks.append((t0 + (h - rem[idx]) + seg[idx],
+                               *(c[idx] for c in carry[:n_out])))
+        done = live & (tb >= rem)
+        out.append([x2[done], *(c[done] for c in carry[:n_out])])
+        cont = live & ~done
+        n_br = np.count_nonzero(cont)
+        if n_br == 0:
+            break
+        ks = sample_offspring(law, n_br, rng)
+        pos = np.repeat(x2[cont], ks)
+        carry = [np.repeat(c[cont], ks) for c in carry]
+        rem = np.repeat(rem[cont] - tb[cont], ks)
+    pos, tag, *payload = (np.concatenate(x) for x in zip(*out))
+    return pos, tag, tuple(payload), lower, upper_hits, segments
+
+
 def _record_steps(record_times, dt: float) -> tuple[np.ndarray, list[int]]:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     rec = np.asarray(record_times, dtype=float)
     if rec.ndim != 1 or len(rec) == 0:
         raise ValueError("record_times must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(rec)):
+        raise ValueError("record_times must be finite")
     if np.any(rec < 0.0) or np.any(np.diff(rec) <= 0.0):
         raise ValueError("record_times must be nonnegative and strictly increasing")
     steps = []
@@ -120,46 +200,17 @@ def killed_ensemble(law: ReproductionLaw, iv: IntervalParams, *,
         snapshot(0)
         row = 1
 
-    scale = 1.0 / law.beta0
     segments = 0
     for step in range(1, rec_steps[-1] + 1):
-        work_pos, work_rep = pos, rep
-        work_rem = np.full(len(pos), dt)
-        out_pos, out_rep = [], []
-        while len(work_pos):
-            n = len(work_pos)
-            segments += n
-            if segments > max_segments:
-                raise CapacityError(
-                    f"segment budget {max_segments} exhausted at step {step}")
-            tb = rng.exponential(scale, n)
-            seg = np.minimum(tb, work_rem)
-            x2 = (work_pos + drift_rate * seg
-                  + rng.standard_normal(n) * np.sqrt(seg))
-            # exponent >= 0 exactly when the endpoints straddle the wall,
-            # so the min folds the sure-hit case into the same expression
-            p_lo = np.exp(np.minimum(-2.0 * work_pos * x2 / seg, 0.0))
-            p_hi = np.exp(np.minimum(
-                -2.0 * (a - work_pos) * (a - x2) / seg, 0.0))
-            dead_lo = rng.random(n) < p_lo
-            dead_hi = ~dead_lo & (rng.random(n) < p_hi)
-            if dead_hi.any():
-                r_acc += np.bincount(work_rep[dead_hi], minlength=replicas)
-            alive = ~(dead_lo | dead_hi)
-            fin = alive & (tb >= work_rem)
-            out_pos.append(x2[fin])
-            out_rep.append(work_rep[fin])
-            br = alive & ~fin
-            n_br = int(br.sum())
-            if n_br == 0:
-                break
-            k = sample_offspring(law, n_br, rng)
-            work_pos = np.repeat(x2[br], k)
-            work_rep = np.repeat(work_rep[br], k)
-            work_rem = np.repeat((work_rem - tb)[br], k)
-        pos = np.concatenate(out_pos) if out_pos else np.empty(0)
-        rep = (np.concatenate(out_rep) if out_rep
-               else np.empty(0, dtype=np.int64))
+        pos, rep, _, _, upper, n_seg = step_segments(
+            pos, rep, t0=(step - 1) * dt, h=dt, drift=drift_rate, law=law,
+            rng=rng, upper=a)
+        segments += n_seg
+        if segments > max_segments:
+            raise CapacityError(
+                f"segment budget {max_segments} exhausted at step {step}")
+        for _, r_hit in upper:
+            r_acc += np.bincount(r_hit, minlength=replicas)
         if row < n_rec and rec_steps[row] == step:
             snapshot(row)
             row += 1
@@ -215,6 +266,8 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     """
     if not y > 0.0 or not zeta > 0.0:
         raise ValueError("y and zeta must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     a, mu = iv.a, iv.mu
     n_trials = int(n_trials)
     threshold = epsilon * math.exp(A)
@@ -229,57 +282,29 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     hit_zeta = np.zeros(n_trials, dtype=bool)
     fr_trial, fr_time, fr_pos = [], [], []
 
-    scale = 1.0 / law.beta0
     segments = 0
     n_steps = int(math.ceil(zeta / dt - 1e-9))
     for step in range(n_steps):
         if not len(xi):
             break
         s0 = step * dt
-        h = min(dt, zeta - s0)
-        work_xi, work_trial = xi, trial
-        work_rem = np.full(len(xi), h)
-        out_xi, out_trial = [], []
-        while len(work_xi):
-            n = len(work_xi)
-            segments += n
-            if segments > max_segments:
-                raise CapacityError(
-                    f"segment budget {max_segments} exhausted at s = {s0:.6g}")
-            tb = rng.exponential(scale, n)
-            seg = np.minimum(tb, work_rem)
-            x2 = work_xi - seg + rng.standard_normal(n) * np.sqrt(seg)
-            p_hit = np.exp(np.minimum(-2.0 * work_xi * x2 / seg, 0.0))
-            frozen = rng.random(n) < p_hit
-            if frozen.any():
-                s_hit = s0 + (h - work_rem[frozen]) + seg[frozen]
-                ft = work_trial[frozen]
-                lab = a - y + (1.0 - mu) * s_hit
-                z_acc += np.bincount(ft, weights=w_Z(lab, iv),
-                                     minlength=n_trials)
-                y_acc += np.bincount(ft, weights=w_Y(lab, iv),
-                                     minlength=n_trials)
-                n_frozen += np.bincount(ft, minlength=n_trials)
-                np.maximum.at(sigma, ft, s_hit)
-                if collect_line:
-                    fr_trial.append(ft.copy())
-                    fr_time.append(s_hit.copy())
-                    fr_pos.append(lab.copy())
-            alive = ~frozen
-            fin = alive & (tb >= work_rem)
-            out_xi.append(x2[fin])
-            out_trial.append(work_trial[fin])
-            br = alive & ~fin
-            n_br = int(br.sum())
-            if n_br == 0:
-                break
-            k = sample_offspring(law, n_br, rng)
-            work_xi = np.repeat(x2[br], k)
-            work_trial = np.repeat(work_trial[br], k)
-            work_rem = np.repeat((work_rem - tb)[br], k)
-        xi = np.concatenate(out_xi) if out_xi else np.empty(0)
-        trial = (np.concatenate(out_trial) if out_trial
-                 else np.empty(0, dtype=np.int64))
+        xi, trial, _, frozen, _, n_seg = step_segments(
+            xi, trial, t0=s0, h=min(dt, zeta - s0), drift=-1.0, law=law,
+            rng=rng)
+        segments += n_seg
+        if segments > max_segments:
+            raise CapacityError(
+                f"segment budget {max_segments} exhausted at s = {s0:.6g}")
+        for s_hit, ft in frozen:
+            lab = a - y + (1.0 - mu) * s_hit
+            z_acc += np.bincount(ft, weights=w_Z(lab, iv), minlength=n_trials)
+            y_acc += np.bincount(ft, weights=w_Y(lab, iv), minlength=n_trials)
+            n_frozen += np.bincount(ft, minlength=n_trials)
+            np.maximum.at(sigma, ft, s_hit)
+            if collect_line:
+                fr_trial.append(ft)
+                fr_time.append(s_hit)
+                fr_pos.append(lab)
         over = (z_acc > censor_weight_mult * threshold) | \
                (n_frozen > censor_count)
         if over.any() and len(xi):

@@ -1,11 +1,10 @@
 """Experiment persistence: manifest, CSV logs, binary population checkpoints.
 
 Every file format here is deterministic: the same manifest produces the
-same bytes, including across thread counts, because all randomness is keyed
-by (seed, replica, lane) and the writers render floats at fixed precision
-from a single collector.  Data files carry the manifest hash in a leading
-comment line so any output can be traced back to the exact configuration
-that produced it.
+same bytes, because all randomness is keyed by (seed, replica, lane) and
+the writers render floats at fixed precision.  Data files carry the
+manifest hash in a leading comment line so any output can be traced back
+to the exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ def _config_to_dict(cfg: SimConfig) -> dict:
         "delta_color": cfg.delta_color,
         "c_center": cfg.c_center,
         "sample_every": cfg.sample_every,
-        "threads": cfg.threads,
         "zeta_breakout": cfg.zeta_breakout,
         "max_segments": cfg.max_segments,
     }
@@ -96,7 +94,6 @@ def _config_from_dict(d: dict) -> SimConfig:
         delta_color=d["delta_color"],
         c_center=d["c_center"],
         sample_every=d["sample_every"],
-        threads=d["threads"],
         zeta_breakout=d.get("zeta_breakout", True),
         max_segments=d["max_segments"],
     )
@@ -107,11 +104,11 @@ class ExperimentManifest:
     """Everything needed to reproduce a run, plus where its outputs went.
 
     The identity hash covers what determines the sampled numbers: mode,
-    config, seed, code version.  It excludes created_at, the output paths,
-    and the thread count (randomness is keyed by replica, so threading
-    cannot change results), which is what lets the same experiment rerun
-    anywhere, at any parallelism, and produce data files with identical
-    bytes.  created_at stays None unless stamping is requested.
+    config, seed, code version.  It excludes created_at and the output
+    paths, which is what lets the same experiment rerun anywhere and produce
+    data files with identical bytes.  created_at stays None unless stamping
+    is requested.  Manifests written while the config still had a thread
+    count load unchanged: the key is ignored, and the hash never covered it.
     """
 
     config: SimConfig
@@ -160,13 +157,11 @@ class ExperimentManifest:
         return m
 
     def hash(self) -> str:
-        ident_cfg = _config_to_dict(self.config)
-        del ident_cfg["threads"]
         return canonical_hash({
             "schema": "nbbm-manifest-1",
             "mode": self.mode,
             "code_version": self.code_version,
-            "config": ident_cfg,
+            "config": _config_to_dict(self.config),
         })
 
     def save(self, path: str | Path) -> None:

@@ -8,9 +8,11 @@ forward after each breakout; the flat and sharp variants additionally colour
 particles to bound the population from above and below.  `run_coupled` drives
 three systems with shared noise and per-event domination checks.
 
-The barrier runners advance all replicas of a run together in flat arrays:
-positions, colour codes and blue expiry times, each particle tagged with its
-replica id, as in `ensemble.killed_ensemble`.  One generator,
+`run_nbbm` runs its replicas one after another, each on its own stream
+rng_stream(seed, replica, nbbm lane).  The barrier runners advance all
+replicas of a run together in flat arrays: positions, colour codes and blue
+expiry times, each particle tagged with its replica id, stepped by
+`ensemble.step_segments` as the killed ensemble is.  One generator,
 rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
 takes its own replica's barrier drift, and per-replica state (barrier path,
 pending breakout, freeze-time queue, re-entry heap, pieces and counters) is
@@ -30,14 +32,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import (CapacityError, ReproductionLaw, SimConfig, hperp_count,
                      rng_stream, sample_offspring)
-from .ensemble import breakout_trials, hperp_flat
+from .ensemble import breakout_trials, hperp_flat, step_segments
 from .kernels import (IntervalParams, barrier_f, error_envelope_E,
                       sine_exp_density, w_Y, w_Z)
 from .levy import RecenteringConstants, recentering
@@ -50,7 +51,6 @@ __all__ = [
     "run_nbbm",
     "BarrierPiece",
     "BarrierPath",
-    "BarrierDrift",
     "BarrierResult",
     "run_bbbm",
     "run_bflat",
@@ -117,18 +117,6 @@ def _trim_rightmost(pos: np.ndarray, n_keep: int) -> np.ndarray:
         return pos
     cut = len(pos) - n_keep
     return pos[np.argpartition(pos, cut)[cut:]]
-
-
-def _map_replicas(fn, replicas: int, threads: int) -> list:
-    """Run fn(replica) for each replica, collecting results in replica order.
-
-    Each replica draws from its own rng_stream, so the output is identical
-    for any thread count.
-    """
-    if threads <= 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicas)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +196,8 @@ def run_nbbm(cfg: SimConfig) -> NbbmResult:
         else horizon / 256.0
     sample_steps = max(1, round(sample_every / cfg.dt))
 
-    series = _map_replicas(
-        lambda r: _nbbm_replica(cfg, a_init, horizon, sample_steps, r),
-        cfg.replicas, cfg.threads)
+    series = [_nbbm_replica(cfg, a_init, horizon, sample_steps, r)
+              for r in range(cfg.replicas)]
     finals = [s.meta.pop("final_positions") for s in series]
     return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt,
                       final_positions=finals)
@@ -296,17 +283,6 @@ class BarrierPath:
         """(Theta_n, frozen level) for each completed piece."""
         return [(p.t_end, self.pieces[i + 1].base)
                 for i, p in enumerate(self.pieces[:-1])]
-
-
-@dataclass(frozen=True)
-class BarrierDrift:
-    """Cumulative drift seen in the barrier frame: -mu t - X(t)."""
-
-    mu: float
-    path: BarrierPath
-
-    def cumulative(self, t: float) -> float:
-        return -self.mu * t - self.path.shift(t)
 
 
 # ---------------------------------------------------------------------------
@@ -413,56 +389,6 @@ def _sizes(bounds: list[int]) -> list[int]:
     return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _segment_step(pos, col, expy, rep, drift, t0, h, a, law, scale, rng,
-                  keep_origin):
-    """Advance replica-tagged particles exactly through [t0, t0 + h].
-
-    Each particle moves with its replica's drift, drift[rep], between the
-    exponential branching clocks (mean `scale`) of its line, and leaves at
-    the first wall its Brownian bridge touches: the origin (blues excepted)
-    or a.  Returns the survivors' (pos, col, expy, rep) and lists of array
-    chunks of the wall hits (time, colour, expiry, replica) and, when
-    keep_origin, of the origin hits (time, replica).
-    """
-    upper, origin = [], []
-    out = [(pos[:0], col[:0], expy[:0], rep[:0])]
-    w_pos, w_col, w_expy, w_rep = pos, col, expy, rep
-    w_rem = np.full(len(pos), h)
-    while len(w_pos):
-        n = len(w_pos)
-        tb = rng.exponential(scale, n)
-        seg = np.minimum(tb, w_rem)
-        x2 = (w_pos + drift[w_rep] * seg
-              + rng.normal(0.0, 1.0, n) * np.sqrt(seg))
-        with np.errstate(over="ignore"):
-            p_lo = np.exp(np.minimum(-2.0 * w_pos * x2 / seg, 0.0))
-            p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg,
-                                     0.0))
-        hit_lo = (rng.random(n) < p_lo) & (w_col != _BLUE)
-        hit_hi = ~hit_lo & (rng.random(n) < p_hi)
-        t_hit = t0 + (h - w_rem) + seg
-
-        if keep_origin and hit_lo.any():
-            origin.append((t_hit[hit_lo], w_rep[hit_lo]))
-        if hit_hi.any():
-            upper.append((t_hit[hit_hi], w_col[hit_hi], w_expy[hit_hi],
-                          w_rep[hit_hi]))
-        live = ~hit_lo & ~hit_hi
-        done = live & (tb >= w_rem)
-        out.append((x2[done], w_col[done], w_expy[done], w_rep[done]))
-        cont = live & ~done
-        if not cont.any():
-            break
-        ks = sample_offspring(law, int(cont.sum()), rng)
-        w_pos = np.repeat(x2[cont], ks)
-        w_col = np.repeat(w_col[cont], ks)
-        w_expy = np.repeat(w_expy[cont], ks)
-        w_rep = np.repeat(w_rep[cont], ks)
-        w_rem = np.repeat(w_rem[cont] - tb[cont], ks)
-    pos, col, expy, rep = (np.concatenate(x) for x in zip(*out))
-    return pos, col, expy, rep, upper, origin
-
-
 def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     _require(cfg, "interval", "A", "epsilon", "y", "zeta")
     cfg.validate()
@@ -507,7 +433,6 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     peak = _sizes(bounds)
 
     reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
-    scale = 1.0 / cfg.law.beta0
 
     times = [0.0]
     names = ["count", "Z", "Y", "R_cum", "barrier_shift"]
@@ -628,13 +553,14 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         drift = np.array([-mu - (st.path.shift(t1) - st.path.shift(t0)) / h
                           for st in reps])
 
-        pos, col, expy, rep, upper, origin = _segment_step(
-            pos, col, expy, rep, drift, t0, h, a, cfg.law, scale, rng, sharp)
+        pos, rep, (col, expy), origin, upper, _ = step_segments(
+            pos, rep, (col, expy), t0=t0, h=h, drift=drift, law=cfg.law,
+            rng=rng, upper=a, origin_ignores=col == _BLUE if sharp else None)
 
         # fugitive trials for this step's wall hits: replica by replica,
         # each in hit-time order
         if upper:
-            t_up, c_up, e_up, r_up = (np.concatenate(x) for x in zip(*upper))
+            t_up, r_up, c_up, e_up = (np.concatenate(x) for x in zip(*upper))
             order = np.lexsort((e_up, c_up, t_up, r_up))
             for t_hit, c_hit, e_hit, r in zip(
                     t_up[order].tolist(), c_up[order].tolist(),
@@ -673,8 +599,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
 
         # origin hits of whites live on as blues while their replica has
         # fewer than n_sharp particles right of the origin
-        if origin:
-            t_lo, r_lo = (np.concatenate(x) for x in zip(*origin))
+        if sharp and origin:
+            t_lo, r_lo, _, _ = (np.concatenate(x) for x in zip(*origin))
             order = np.lexsort((t_lo, r_lo))
             t_lo, r_lo = t_lo[order], r_lo[order]
             n_right = np.bincount(rep[pos > 0.0], minlength=n_rep)

@@ -135,33 +135,28 @@ def test_simulate_nbbm_outputs(tmp_path):
     assert manifest.outputs["checkpoint"] == "final.ckpt"
 
 
-def test_simulate_reruns_are_byte_identical(tmp_path):
-    ini = _write(tmp_path, NBBM_INI)
-    outs = []
-    for name, threads in (("a", None), ("b", None), ("c", "3")):
+def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
+    # the old thread settings are gone: [run] threads is accepted with one
+    # warning and changes nothing, NBBM_THREADS is not read, and the
+    # --threads flag no longer exists
+    plain = _write(tmp_path, NBBM_INI)
+    threaded = _write(tmp_path, NBBM_INI + "threads = 3\n", "threads.ini")
+    outs, errs = [], []
+    for name, ini in (("a", plain), ("b", plain), ("c", threaded)):
+        if name == "b":
+            monkeypatch.setenv("NBBM_THREADS", "zero")
         out = tmp_path / name
-        argv = ["simulate", "--config", str(ini), "--out", str(out)]
-        if threads:
-            argv += ["--threads", threads]
-        assert main(argv) == 0
+        assert main(["simulate", "--config", str(ini), "--out",
+                     str(out)]) == 0
         outs.append((out / "series.csv").read_bytes())
+        errs.append(capsys.readouterr().err)
     assert outs[0] == outs[1] == outs[2]
-
-
-def test_simulate_env_threads_override(tmp_path, monkeypatch):
-    ini = _write(tmp_path, NBBM_INI)
-    base = tmp_path / "base"
-    assert main(["simulate", "--config", str(ini), "--out", str(base)]) == 0
-    monkeypatch.setenv("NBBM_THREADS", "4")
-    env_out = tmp_path / "env"
-    assert main(["simulate", "--config", str(ini), "--out",
-                 str(env_out)]) == 0
-    assert (base / "series.csv").read_bytes() == \
-        (env_out / "series.csv").read_bytes()
-    monkeypatch.setenv("NBBM_THREADS", "zero")
-    code = main(["simulate", "--config", str(ini),
-                 "--out", str(tmp_path / "bad")])
-    assert code == 1
+    assert "threads" not in errs[0] + errs[1]
+    assert errs[2].count("threads") == 1
+    assert errs[2].startswith("warning: [run] threads is ignored")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--config", str(plain), "--out",
+              str(tmp_path / "d"), "--threads", "3"])
 
 
 def test_simulate_stamp_keeps_the_hash(tmp_path):

@@ -23,10 +23,10 @@ from nbbm.engine import (
     hperp_count,
     parse_label,
     rng_stream,
-    sample_initial_hperp,
     sample_offspring,
     w_Z,
 )
+from nbbm.ensemble import hperp_flat
 
 from conftest import assert_close
 
@@ -273,15 +273,14 @@ def test_reference_profile_count_formula(iv15):
 
 
 def test_reference_profile_positions_inside(iv10, rng):
-    pop = sample_initial_hperp(1.0, iv10, rng)
-    pos = pop.positions()
+    pos, _ = hperp_flat(1.0, iv10, 1, rng)
     assert len(pos) == hperp_count(1.0, iv10)
     assert np.all((pos > 0.0) & (pos < 10.0))
 
 
 def test_reference_profile_rejects_empty_count(iv10):
     with pytest.raises(ValueError):
-        sample_initial_hperp(-20.0, iv10, rng_stream(0, 0, 0))
+        hperp_flat(-20.0, iv10, 1, rng_stream(0, 0, 0))
 
 
 def test_reference_profile_weight_concentrates(iv10):
@@ -289,8 +288,8 @@ def test_reference_profile_weight_concentrates(iv10):
     A, reps = 1.0, 400
     z0 = np.empty(reps)
     for r in range(reps):
-        pop = sample_initial_hperp(A, iv10, rng_stream(29, r, 0))
-        z0[r] = float(np.sum(w_Z(pop.positions(), iv10)))
+        pos, _ = hperp_flat(A, iv10, 1, rng_stream(29, r, 0))
+        z0[r] = float(np.sum(w_Z(pos, iv10)))
     se = float(np.std(z0, ddof=1)) / math.sqrt(reps)
     # floor of the count plus the e^{-mu a} profile correction bias the mean
     # by O(1/n + e^{-mu a}); both are far below one SE here

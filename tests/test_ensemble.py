@@ -1,5 +1,6 @@
 """Replica-batched lanes: the flat initial profile, the killed ensemble, and
-batched trials, cross-checked against the per-particle engine."""
+batched trials, cross-checked against the per-particle engine and, bit for
+bit, against the loops they replaced (ensemble_reference)."""
 
 import math
 
@@ -11,6 +12,7 @@ from nbbm.engine import breakout_trial, rng_stream, w_Z
 from nbbm.ensemble import breakout_trials, hperp_flat, killed_ensemble
 from nbbm.stats import oracle_Z
 
+import ensemble_reference
 from conftest import assert_close
 
 
@@ -197,3 +199,68 @@ def test_trials_agree_with_single_trial_engine(binary_law):
     batch_wy = kw["y"] * math.exp(-kw["y"]) * batch.n_frozen
     ks = sps.ks_2samp(batch_wy, singles_wy)
     assert ks.pvalue > 0.01, f"KS p = {ks.pvalue:g}"
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the reference loops, and step validation
+
+
+def _assert_same_fields(new, ref):
+    for name, want in vars(ref).items():
+        got = getattr(new, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.array_equal(got, want), name
+            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
+def test_killed_ensemble_matches_the_reference(request, iv5, law_name, seed):
+    law = request.getfixturevalue(law_name)
+    out = []
+    for run in (killed_ensemble, ensemble_reference.killed_ensemble):
+        rng = rng_stream(seed, 0, 0)
+        pos0, rep0 = hperp_flat(2.0, iv5, 20, rng)
+        out.append(run(law, iv5, drift_rate=-iv5.mu, replicas=20, dt=0.05,
+                       record_times=[0.0, 1.0, 2.0, 4.0], rng=rng,
+                       positions0=pos0, replica0=rep0))
+    assert out[1].r_cum[-1].sum() > 0  # the upper wall is exercised
+    _assert_same_fields(*out)
+
+
+@pytest.mark.parametrize("collect_line", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
+def test_breakout_trials_match_the_reference(request, iv10, law_name, seed,
+                                             collect_line):
+    law = request.getfixturevalue(law_name)
+    out = [run(law, iv10, **dict(TRIAL_KW, zeta=6.0), n_trials=200, dt=0.05,
+               rng=rng_stream(seed, 0, 0), collect_line=collect_line)
+           for run in (breakout_trials, ensemble_reference.breakout_trials)]
+    assert out[1].n_frozen.sum() > 0 and out[1].hit_zeta.any()
+    _assert_same_fields(*out)
+
+
+def test_censored_breakout_trials_match_the_reference(binary_law, iv10):
+    out = [run(binary_law, iv10, **TRIAL_KW, n_trials=200, dt=0.05,
+               rng=rng_stream(19, 0, 0), censor_count=1, collect_line=True)
+           for run in (breakout_trials, ensemble_reference.breakout_trials)]
+    assert out[1].censored.any()
+    _assert_same_fields(*out)
+
+
+def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
+    trial_kw = dict(TRIAL_KW, n_trials=10, rng=rng_stream(0, 0, 0))
+    killed_kw = dict(drift_rate=-iv5.mu, replicas=1, rng=rng_stream(0, 0, 0),
+                     positions0=np.array([2.0]), replica0=np.array([0]))
+    for dt in (-0.05, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            breakout_trials(binary_law, iv10, **trial_kw, dt=dt)
+        with pytest.raises(ValueError, match="dt"):
+            killed_ensemble(binary_law, iv5, **killed_kw, dt=dt,
+                            record_times=[0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        killed_ensemble(binary_law, iv5, **killed_kw, dt=0.05,
+                        record_times=[0.0, math.inf])

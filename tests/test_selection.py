@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.engine import Particle, Population, ReproductionLaw, SimConfig
+from nbbm.ensemble import step_segments
 from nbbm.kernels import IntervalParams, barrier_f
 from nbbm.levy import recentering
 from nbbm.selection import (
     _BLUE,
     _WHITE,
-    BarrierDrift,
     BarrierPath,
     CouplingError,
-    _segment_step,
     _sharp_expire,
     apply_nbbm_selection,
     check_coupling,
@@ -149,16 +148,6 @@ def test_nbbm_median_advances(nbbm_small):
     assert np.all(m50[:, -1] > 100.0)
 
 
-def test_nbbm_thread_count_does_not_change_results(binary_law):
-    runs = []
-    for threads in (1, 3):
-        cfg = SimConfig(binary_law, dt=0.1, horizon=5.0, replicas=3, seed=9,
-                        n_select=24, threads=threads)
-        runs.append(run_nbbm(cfg))
-    for s1, s3 in zip(runs[0].series, runs[1].series):
-        assert np.array_equal(s1.columns["med_0.5"], s3.columns["med_0.5"])
-
-
 def test_nbbm_needs_two_particles(binary_law):
     with pytest.raises(ValueError):
         run_nbbm(SimConfig(binary_law, n_select=1, horizon=1.0))
@@ -235,14 +224,6 @@ def test_install_validation(iv5):
     theta = path.install(1.0, 2.0, 0.2)
     with pytest.raises(ValueError):
         path.install(theta - 5.0, theta, 0.1)  # predates the open piece
-
-
-def test_barrier_drift_cumulative(iv5):
-    path = BarrierPath(iv5, 1.0)
-    path.install(1.0, 2.0, 0.5)
-    drift = BarrierDrift(iv5.mu, path)
-    t = 9.0
-    assert_close(drift.cumulative(t), -iv5.mu * t - path.shift(t), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +481,27 @@ def test_segment_step_moves_each_particle_at_its_replica_drift(binary_law):
     runs = {"lone": (np.full(n, 2), drift),
             "one": (np.zeros(n, dtype=np.int64), drift[2:]),
             "split": (np.repeat([1, 2], n // 2), drift)}
-    out = {k: _segment_step(pos, col, expy, rep, dr, 0.0, 0.5, 8.0,
-                            binary_law, 1.0 / binary_law.beta0,
-                            np.random.default_rng(3), True)
+    out = {k: step_segments(pos, rep, (col, expy), t0=0.0, h=0.5, drift=dr,
+                            law=binary_law, rng=np.random.default_rng(3),
+                            upper=8.0)
            for k, (rep, dr) in runs.items()}
     one = out["one"]
-    assert one[4] and one[5]  # wall and origin hits both happen
+    assert one[3] and one[4]  # origin and wall hits both happen
     for k in ("lone", "split"):
-        for got, want in zip(out[k][:3], one[:3]):
+        assert np.array_equal(out[k][0], one[0]), k
+        for got, want in zip(out[k][2], one[2]):
             assert np.array_equal(got, want), k
-        for got, want in zip(out[k][4] + out[k][5], one[4] + one[5]):
-            for g, w in zip(got[:-1], want[:-1]):
-                assert np.array_equal(g, w), k
+        assert out[k][5] == one[5]
+        for hits, want_hits in zip(out[k][3:5], one[3:5]):
+            assert len(hits) == len(want_hits), k
+            for got, want in zip(hits, want_hits):
+                # (time, tag, colour, expiry): all but the tag agree
+                for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
+                    assert np.array_equal(g, w), k
     lone = out["lone"]
-    assert np.all(lone[3] == 2)
-    assert all(np.all(hit[-1] == 2) for hit in lone[4] + lone[5])
-    assert set(out["split"][3].tolist()) == {1, 2}
+    assert np.all(lone[1] == 2)
+    assert all(np.all(hit[1] == 2) for hit in lone[3] + lone[4])
+    assert set(out["split"][1].tolist()) == {1, 2}
 
 
 @pytest.mark.slow
