@@ -337,10 +337,12 @@ class SimConfig:
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas!r}")
         if self.n_select is not None and self.n_select < 1:
             raise ValueError(f"n_select must be >= 1, got {self.n_select!r}")
+        # these feed exp() and particle counts, so they must be finite too
         for name in ("A", "epsilon", "eta", "y", "zeta", "delta_color"):
             val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise ValueError(f"{name} must be > 0, got {val!r}")
+            if val is not None and not 0.0 < val < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {val!r}")
         if not math.isfinite(self.c_center):
             raise ValueError(f"c_center must be finite, got {self.c_center!r}")
 

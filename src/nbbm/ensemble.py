@@ -264,8 +264,9 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     zeta_breakout = False drops the reaching-zeta clause from the breakout
     classification (weight and censor clauses stay).
     """
-    if not y > 0.0 or not zeta > 0.0:
-        raise ValueError("y and zeta must be > 0")
+    if not (0.0 < y < math.inf and 0.0 < zeta < math.inf):
+        raise ValueError(f"y and zeta must be positive and finite, got "
+                         f"y = {y!r}, zeta = {zeta!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     a, mu = iv.a, iv.mu

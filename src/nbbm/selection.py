@@ -778,13 +778,16 @@ def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
     _check_pairing(w_car, len(m_car), "minus-to-mid")
     m = p_x[m_car] - m_off
     w = m[w_car] - w_off  # before m is sorted in place
-    p = np.sort(p_x)
+    p = p_x.copy()
+    p.sort()
     m.sort()
     w.sort()
     nm, nw = len(m), len(w)
-    if len(p) < nm or not np.all(p[len(p) - nm:] >= m - 1e-12):
+    # count_nonzero(b) < len(b) is not b.all(), at a third of the cost
+    if (len(p) < nm
+            or np.count_nonzero(p[len(p) - nm:] >= m - 1e-12) < nm):
         raise CouplingError("domination order violated (plus vs mid)")
-    if nm < nw or not np.all(m[nm - nw:] >= w - 1e-12):
+    if nm < nw or np.count_nonzero(m[nm - nw:] >= w - 1e-12) < nw:
         raise CouplingError("domination order violated (mid vs minus)")
     if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
         raise CouplingError("negative pairing offset")
@@ -793,19 +796,27 @@ def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
 def _check_pairing(car: np.ndarray, n_carriers: int, name: str) -> None:
     if len(car) == 0:
         return
-    if car.min() < 0 or car.max() >= n_carriers:
-        raise CouplingError(f"{name} pairing points at a dead carrier")
-    if np.bincount(car).max() > 1:
+    dead = f"{name} pairing points at a dead carrier"
+    try:
+        riders = np.bincount(car, minlength=n_carriers)
+    except ValueError:  # bincount refuses a negative entry
+        raise CouplingError(dead) from None
+    if len(riders) > n_carriers:
+        raise CouplingError(dead)
+    if np.count_nonzero(riders) < len(car):  # a carrier with two riders
         raise CouplingError(f"{name} pairing lost injectivity")
 
 
 def _rider(car: np.ndarray, i: int) -> int:
     """Index of the particle whose carrier is i, or -1 if there is none."""
-    hit = (car == i).nonzero()[0]
-    return int(hit[0]) if len(hit) else -1
+    if len(car):
+        j = int((car == i).argmax())
+        if car[j] == i:
+            return j
+    return -1
 
 
-def _without(a: np.ndarray, i: int, *born: np.ndarray) -> np.ndarray:
+def _without(a: np.ndarray, i: int, *born) -> np.ndarray:
     """a without entry i, then the newborn entries: birth order is kept."""
     return np.concatenate((a[:i], a[i + 1:], *born))
 
@@ -813,15 +824,15 @@ def _without(a: np.ndarray, i: int, *born: np.ndarray) -> np.ndarray:
 def _leftmost_free(x: np.ndarray, car: np.ndarray, at: float,
                    system: str) -> int:
     """Index of the leftmost particle at x >= at - 1e-12 that no entry of
-    car names; the earliest born wins a tie.  car may hold the sentinel
-    len(x) for the particle being re-paired."""
-    taken = np.zeros(len(x) + 1, dtype=bool)
-    taken[car] = True
-    free = np.flatnonzero(~taken[:-1] & (x >= at - 1e-12))
-    if len(free) == 0:
+    car names; the earliest born wins a tie.  car may hold the sentinel -1
+    for particles that have no carrier yet."""
+    y = np.where(x >= at - 1e-12, x, np.inf)
+    y[car[car >= 0]] = np.inf
+    b = int(y.argmin())
+    if y[b] == np.inf:
         raise CouplingError(f"no free {system} carrier weakly right of an "
                             f"orphaned particle")
-    return int(free[np.argmin(x[free])])
+    return b
 
 
 def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
@@ -847,7 +858,11 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     children are appended, and carrier indices past a deleted one shift
     down.  Birth order breaks every tie in the kill and re-pairing rules;
     positions tie only between siblings, whose birth order is their
-    genealogical order.  After every event `check_coupling` verifies the
+    genealogical order.  Each system drops its doomed particles one
+    leftmost particle at a time, the earliest born on a tie.  A mid kill
+    re-pairs its orphan at once.  A plus cull first removes all its doomed
+    particles, then re-pairs their orphans, rightmost first and the later
+    born on a tie.  After every event `check_coupling` verifies the
     carriers, the injectivity of both pairings, domination and the offset
     signs, and raises CouplingError on any violation.
 
@@ -870,6 +885,8 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     p_x = np.array(init_positions, dtype=float)
     if len(p_x) != n_select:
         raise ValueError("init_positions must hold exactly n_select values")
+    if not np.isfinite(p_x).all():
+        raise ValueError("init_positions must be finite")
     m_car = np.arange(n_select)
     m_off = np.zeros(n_select)
     w_car = np.arange(n_select)
@@ -901,54 +918,61 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
         # together with a common offspring count
         v = int(rng.integers(n))
         k = int(sample_offspring(law, 1, rng)[0])
-        p_x = _without(p_x, v, np.full(k, p_x[v]))
+        p_x = _without(p_x, v, (p_x[v],) * k)
         u = _rider(m_car, v)
-        m_car[m_car > v] -= 1
+        m_car -= m_car > v
         if u >= 0:
             nm = len(m_car)
             m_car = _without(m_car, u, np.arange(n - 1, n - 1 + k))
-            m_off = _without(m_off, u, np.full(k, m_off[u]))
+            m_off = _without(m_off, u, (m_off[u],) * k)
             w = _rider(w_car, u)
-            w_car[w_car > u] -= 1
+            w_car -= w_car > u
             if w >= 0:
                 w_car = _without(w_car, w, np.arange(nm - 1, nm - 1 + k))
-                w_off = _without(w_off, w, np.full(k, w_off[w]))
+                w_off = _without(w_off, w, (w_off[w],) * k)
 
-        # kill rules, lowest system first
+        # kill rules, lowest system first; each system drops its leftmost
+        # particle one at a time, the earliest born on a tie (argmin takes
+        # the first index, as a stable argsort would)
         m_x = p_x[m_car] - m_off
         if len(w_car) > n_select:
-            doomed = np.argsort(m_x[w_car] - w_off, kind="stable")[
-                :len(w_car) - (n_select - extra)]
-            w_car = np.delete(w_car, doomed)
-            w_off = np.delete(w_off, doomed)
+            w_x = m_x[w_car] - w_off
+            for _ in range(len(w_car) - (n_select - extra)):
+                j = int(w_x.argmin())
+                w_car = _without(w_car, j)
+                w_off = _without(w_off, j)
+                w_x = _without(w_x, j)
 
         while len(m_car) > n_select:
-            u = int(np.argmin(m_x))
+            u = int(m_x.argmin())
             w = _rider(w_car, u)
-            orphan_x = m_x[u] - w_off[w] if w >= 0 else 0.0
-            m_car, m_off, m_x = (_without(a, u) for a in (m_car, m_off, m_x))
-            w_car[w_car > u] -= 1
             if w >= 0:
-                w_car[w] = len(m_car)  # the sentinel: no carrier yet
+                # re-paired before u goes: w_car[w] = u keeps u taken
+                orphan_x = m_x[u] - w_off[w]
                 b = _leftmost_free(m_x, w_car, orphan_x, "mid")
                 w_car[w] = b
                 w_off[w] = m_x[b] - orphan_x
+            m_car = _without(m_car, u)
+            m_off = _without(m_off, u)
+            m_x = _without(m_x, u)
+            w_car -= w_car > u
 
-        n = len(p_x)
-        if n > n_select + slack:
-            doomed = np.argsort(p_x, kind="stable")[:n - (n_select + slack)]
-            alive = np.ones(n, dtype=bool)
-            alive[doomed] = False
-            orphans = np.flatnonzero(~alive[m_car])
-            orphan_x = m_x[orphans]
-            p_x = p_x[alive]
-            m_car = (np.cumsum(alive) - 1)[m_car]
-            m_car[orphans] = len(p_x)  # the sentinel: no carrier yet
-            # re-pair the rightmost orphan first, the later born on a tie
-            for i in np.lexsort((orphans, orphan_x))[::-1]:
-                b = _leftmost_free(p_x, m_car, orphan_x[i], "plus")
-                m_car[orphans[i]] = b
-                m_off[orphans[i]] = p_x[b] - orphan_x[i]
+        # an orphan of the plus cull waits at carrier -1 until all doomed
+        # particles are gone
+        orphans = []
+        for _ in range(len(p_x) - (n_select + slack)):
+            i = int(p_x.argmin())
+            u = _rider(m_car, i)
+            if u >= 0:
+                orphans.append((m_x[u], u))
+                m_car[u] = -1
+            p_x = _without(p_x, i)
+            m_car -= m_car > i
+        # re-pair the rightmost orphan first, the later born on a tie
+        for orphan_x, u in sorted(orphans, reverse=True):
+            b = _leftmost_free(p_x, m_car, orphan_x, "plus")
+            m_car[u] = b
+            m_off[u] = p_x[b] - orphan_x
 
         check_coupling(p_x, m_car, m_off, w_car, w_off)
         checks += 1

@@ -231,6 +231,24 @@ def test_simulate_rejects_non_finite_run_lengths(tmp_path, capsys, mode,
     assert not (out / "series.csv").exists()
 
 
+@pytest.mark.parametrize("mode, key", [("bbbm", "A"),
+                                       ("bflat", "delta_color")])
+def test_simulate_rejects_non_finite_barrier_parameters(tmp_path, capsys,
+                                                        mode, key):
+    text = re.sub(rf"^{key} = .*\n", "",
+                  BBBM_INI.replace("mode = bbbm", f"mode = {mode}"),
+                  flags=re.M).replace("[bbbm]\n", f"[bbbm]\n{key} = inf\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert f"{key} must be positive and finite" in err["error"]["message"]
+    assert json.loads((out / "error.json").read_text()) == err
+    assert not (out / "series.csv").exists()
+
+
 def test_simulate_mode_requirements(tmp_path, capsys):
     ini = _write(tmp_path, "[law]\nq2 = 1.0\n")
     assert main(["simulate", "--config", str(ini), "--mode", "bbbm",

@@ -387,3 +387,10 @@ def test_config_validate_rejects_bad_fields(binary_law, iv10):
             with pytest.raises(ValueError, match=name):
                 SimConfig(law=binary_law, interval=iv10,
                           **{name: bad}).validate()
+    # the barrier parameters feed exp() and particle counts: also finite
+    for name in ("A", "epsilon", "eta", "y", "zeta", "delta_color"):
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be positive and finite"):
+                SimConfig(law=binary_law, interval=iv10,
+                          **{name: bad}).validate()

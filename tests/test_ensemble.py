@@ -264,3 +264,9 @@ def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
     with pytest.raises(ValueError, match="finite"):
         killed_ensemble(binary_law, iv5, **killed_kw, dt=0.05,
                         record_times=[0.0, math.inf])
+    # zeta sets a step count and y the start height: both must be finite
+    for name in ("y", "zeta"):
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="y and zeta"):
+                breakout_trials(binary_law, iv10,
+                                **dict(trial_kw, **{name: bad}), dt=0.05)

@@ -17,6 +17,7 @@ from nbbm.selection import (
     _WHITE,
     BarrierPath,
     CouplingError,
+    _leftmost_free,
     _sharp_expire,
     apply_nbbm_selection,
     check_coupling,
@@ -565,6 +566,10 @@ def test_coupled_validation(binary_law):
     with pytest.raises(ValueError):
         run_coupled(binary_law, 10, horizon=1.0,
                     init_positions=np.zeros(4))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_coupled(binary_law, 10, horizon=1.0,
+                        init_positions=np.r_[np.arange(9.0), bad])
     for horizon in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(ValueError):
             run_coupled(binary_law, 10, horizon=horizon)
@@ -592,6 +597,18 @@ def test_coupled_matches_the_dict_reference_at_benchmark_size(binary_law):
     kw = dict(horizon=10.0, seed=1, slack=4, extra=4)
     _same_sample_path(run_coupled(binary_law, 400, **kw),
                       run_coupled_dicts(binary_law, 400, **kw))
+
+
+@pytest.mark.parametrize("law_name, n_select, slack, extra, seed", [
+    ("binary_law", 30, 3, 2, 13), ("mixed_law", 25, 2, 1, 11)])
+def test_coupled_matches_the_dict_reference_on_tied_plus_siblings(
+        law_name, n_select, slack, extra, seed, request):
+    # at these seeds the plus cull must choose among tied newborn siblings
+    # and the choice shows in the final positions: the earliest born dies
+    law = request.getfixturevalue(law_name)
+    kw = dict(horizon=1.5, seed=seed, slack=slack, extra=extra)
+    _same_sample_path(run_coupled(law, n_select, **kw),
+                      run_coupled_dicts(law, n_select, **kw))
 
 
 def _sound_coupling():
@@ -624,3 +641,19 @@ def test_check_coupling_rejects_each_corruption(array, entry, value, match):
     state[array][entry] = value
     with pytest.raises(CouplingError, match=match):
         check_coupling(*state)
+
+
+def test_leftmost_free_carrier_or_an_error():
+    # the two particles at 1 tie; the earliest born wins; -1 marks an
+    # orphan that has no carrier yet and takes nothing
+    x = np.array([3.0, 1.0, 2.0, 1.0])
+    assert _leftmost_free(x, np.array([0, -1]), 0.5, "plus") == 1
+    assert _leftmost_free(x, np.array([1, -1]), 0.5, "plus") == 3
+    assert _leftmost_free(x, np.array([1, 3]), 1.5, "plus") == 2
+    assert _leftmost_free(x, np.array([-1]), 3.0 + 1e-13, "mid") == 0
+    with pytest.raises(CouplingError, match="no free plus carrier weakly "
+                                            "right of an orphaned particle"):
+        _leftmost_free(x, np.array([0, 2, -1]), 1.5, "plus")
+    with pytest.raises(CouplingError, match="no free mid carrier weakly "
+                                            "right of an orphaned particle"):
+        _leftmost_free(x, np.array([-1]), 3.5, "mid")
