@@ -1,13 +1,13 @@
 """Monte Carlo toolkit for branching Brownian motion with selection.
 
 Subpackages by concern: closed-form interval kernels (kernels), the jump
-process scaling limit (levy), labelled and vectorized particle engines
-(engine, ensemble), selection rules and barrier dynamics (selection),
+process scaling limit (levy), the model and run definitions (engine), the
+flat-array segment step and the runs on it (ensemble), selection rules and barrier dynamics (selection),
 estimator/oracle reports (stats), and the command line front end (cli).
 """
 
 from nbbm.kernels import IntervalParams, KernelAccuracy
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = ["IntervalParams", "KernelAccuracy", "__version__"]

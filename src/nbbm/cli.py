@@ -30,14 +30,12 @@ import numpy as np
 from nbbm import __version__
 from nbbm.engine import (
     CapacityError,
-    Event,
     IntervalParams,
-    Population,
     ReproductionLaw,
     SimConfig,
-    advance,
     rng_stream,
 )
+from nbbm.ensemble import step_segments
 from nbbm.kernels import selfcheck, sine_exp_density
 from nbbm.levy import LevyParams, kappa, recentering, sample_levy_increment
 from nbbm.runio import (
@@ -55,7 +53,7 @@ from nbbm.runio import (
 )
 from nbbm.selection import (
     CouplingError,
-    apply_nbbm_selection,
+    _trim_rightmost,
     run_bbbm,
     run_bflat,
     run_bsharp,
@@ -84,11 +82,18 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "interval": {"a"},
-    "bbbm": {"A", "epsilon", "eta", "y", "zeta", "delta_color", "c_center",
+    "bbbm": {"A", "epsilon", "eta", "y", "zeta", "delta_color",
              "zeta_breakout"},
     "selection": {"N", "alphas"},
     "run": {"mode", "dt", "horizon", "replicas", "seed",
-            "sample_every", "threads", "max_segments"},
+            "sample_every", "max_segments"},
+}
+
+# settings of older configs that no run reads: accepted, each with one
+# warning on stderr saying why it is ignored
+_IGNORED_KEYS = {
+    ("run", "threads"): "replicas run on one thread",
+    ("bbbm", "c_center"): "no simulation reads it",
 }
 
 
@@ -120,8 +125,9 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     Physically meaningful parameters (the offspring law, a, N, A, ...) have
     no defaults and must be spelled out; only numerics (dt, sample cadence)
     default.  Regime warnings are left to SimConfig.validate so the caller
-    decides where to print them.  `[run] threads`, a setting of older
-    configs, is accepted and ignored with one warning on stderr.
+    decides where to print them.  Settings of older configs that no run
+    reads (`_IGNORED_KEYS`) are accepted and ignored with one warning each
+    on stderr.
     """
     path = Path(path)
     if not path.is_file():
@@ -136,8 +142,10 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         if section != "law" and section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}]")
         if section != "law":
+            known = {k.lower() for k in _KNOWN_KEYS[section]}
+            known |= {k.lower() for s, k in _IGNORED_KEYS if s == section}
             for key in cp.options(section):
-                if key not in {k.lower() for k in _KNOWN_KEYS[section]}:
+                if key not in known:
                     raise ConfigError(f"unknown key [{section}] {key}")
 
     if not cp.has_section("law"):
@@ -207,7 +215,6 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         y=_get_float(cp, "bbbm", "y"),
         zeta=_get_float(cp, "bbbm", "zeta"),
         delta_color=_get_float(cp, "bbbm", "delta_color"),
-        c_center=_get_float(cp, "bbbm", "c_center", 0.0),
         sample_every=_get_float(cp, "run", "sample_every"),
         zeta_breakout=zeta_breakout,
         max_segments=_get_int(cp, "run", "max_segments", 50_000_000),
@@ -216,9 +223,10 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         cfg.validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    if cp.has_option("run", "threads"):
-        print("warning: [run] threads is ignored; replicas run on one thread",
-              file=sys.stderr)
+    for (section, key), why in _IGNORED_KEYS.items():
+        if cp.has_option(section, key):
+            print(f"warning: [{section}] {key} is ignored; {why}",
+                  file=sys.stderr)
     return cfg, mode
 
 
@@ -259,26 +267,38 @@ def _write_json(path: Path, obj) -> None:
                                default=_json_default) + "\n")
 
 
-def _nbbm_event_log(cfg: SimConfig, horizon: float) -> list[Event]:
-    """Labelled object-lane N-BBM run for event logging.
+def _nbbm_event_log(cfg: SimConfig, horizon: float) -> list[tuple]:
+    """Branch events of one N-BBM run, as rows (time, parent, position, k).
 
-    The fast lane drops genealogy, so event logs come from a companion run
-    on its own stream (deterministic, but a different sample path than
-    replica 0 of the series).  Selection is applied at step ends.
+    A companion run on its own stream (deterministic, but a different
+    sample path than replica 0 of the series): the particles step exactly
+    through `step_segments` in free space (the origin ignores them all),
+    carrying their parent rows, and the n_select right-most are kept at each
+    step end.  [run] max_segments bounds the segments of the whole run.
     """
     n_sel = cfg.n_select
     rng = rng_stream(cfg.seed, 0, _LANE_EVENT_LOG)
     a_init = (recentering(n_sel).a_N if n_sel >= 16
               else max(math.pi, math.log(n_sel) + 1.0))
-    pop = Population.from_positions(
-        sine_exp_density(a_init, 1.0).sample(n_sel, rng))
-    events: list[Event] = []
+    pos = sine_exp_density(a_init, 1.0).sample(n_sel, rng)
+    tag = np.zeros(n_sel, dtype=np.int64)
+    parent = -1 - np.arange(n_sel, dtype=np.int64)
+    branches: list[tuple] = []
+    segments = 0
     n_steps = int(math.ceil(horizon / cfg.dt - 1e-9))
     for i in range(n_steps):
-        advance(pop, min((i + 1) * cfg.dt, horizon), law=cfg.law, dt=cfg.dt,
-                rng=rng, events=events, max_segments=cfg.max_segments)
-        apply_nbbm_selection(pop, n_sel)
-    return events
+        t0 = i * cfg.dt
+        h = min(cfg.dt, horizon - t0)
+        pos, tag, (parent,), _, _, n_seg = step_segments(
+            pos, tag, (parent,), t0=t0, h=h, drift=0.0, law=cfg.law, rng=rng,
+            origin_ignores=np.ones(len(pos), dtype=bool), branches=branches)
+        segments += n_seg
+        if segments > cfg.max_segments:
+            raise CapacityError(
+                f"segment budget {cfg.max_segments} exhausted at "
+                f"t = {t0 + h:.6g}")
+        pos, tag, parent = _trim_rightmost(pos, n_sel, tag, parent)
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +329,6 @@ def _cmd_simulate(args) -> int:
 
     runinfo: dict = {"manifest": h, "mode": mode, "replicas": cfg.replicas}
     series_list = None
-    final_pop: Population | None = None
 
     if mode == "nbbm":
         res = run_nbbm(cfg)
@@ -319,8 +338,7 @@ def _cmd_simulate(args) -> int:
         if res.constants is not None:
             runinfo["a_N"] = res.constants.a_N
             runinfo["mu_N"] = res.constants.mu_N
-        final_pop = Population.from_positions(res.final_positions[0],
-                                              time=res.horizon)
+        final = (res.final_positions[0], res.horizon)
         if args.log_events:
             events = _nbbm_event_log(cfg, res.horizon)
             write_events_csv(outdir / "events.csv", events, h)
@@ -334,14 +352,12 @@ def _cmd_simulate(args) -> int:
             {"replica": r, "events": res.events, "checks": res.checks,
              "dominance_verified": res.dominance_verified}
             for r, res in enumerate(results)]
-        final_pop = Population.from_positions(results[0].final_mid,
-                                              time=cfg.horizon)
+        final = (results[0].final_mid, cfg.horizon)
     else:
         if args.log_events:
             raise ConfigError(
-                "event logs are only available for mode nbbm "
-                "(the labelled lane); the vectorized barrier lanes record "
-                "series and piece diagnostics instead")
+                "event logs are only available for mode nbbm; the barrier "
+                "modes record series and piece diagnostics instead")
         runner = {"bbbm": run_bbbm, "bflat": run_bflat,
                   "bsharp": run_bsharp,
                   "csharp": lambda c: run_bsharp(c, csharp=True)}[mode]
@@ -356,14 +372,13 @@ def _cmd_simulate(args) -> int:
              "peak_count": res.peak_count, "max_pop": res.max_pop,
              "pieces": res.pieces, "colour_stats": res.colour_stats}
             for r, res in enumerate(results)]
-        final_pop = Population.from_positions(results[0].final_positions,
-                                              time=results[0].series.times[-1])
+        final = (results[0].final_positions, results[0].series.times[-1])
 
     if series_list is not None:
         write_series_csv(outdir / "series.csv", series_list, h)
         manifest.outputs["series"] = "series.csv"
     if args.checkpoint:
-        save_population(outdir / "final.ckpt", final_pop, h)
+        save_population(outdir / "final.ckpt", *final, h)
         manifest.outputs["checkpoint"] = "final.ckpt"
     manifest.outputs["runinfo"] = "runinfo.json"
     _write_json(outdir / "runinfo.json", runinfo)
@@ -561,24 +576,11 @@ def _levy_verdicts(path: str, delta: float,
     return verdicts, {"hash": h, "samples": len(values), "t": t_span}
 
 
-def _events_verdicts(path: str, plot_dir: Path) -> tuple[list[dict], dict]:
+def _events_verdicts(path: str) -> tuple[list[dict], dict]:
     h, events = read_events_csv(path)
-    by_kind: dict[str, int] = {}
-    for ev in events:
-        by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1
-    verdicts = [{"name": "event_counts", "verdict": "info", **by_kind}]
-    stopped = np.array([ev.position for ev in events
-                        if ev.kind in ("absorb_lo", "absorb_hi", "freeze")])
-    if len(stopped) >= 10 and float(np.min(stopped)) < float(np.max(stopped)):
-        dens = empirical_density(stopped, bins=max(10, min(50, len(stopped) // 20)),
-                                 lo=float(np.min(stopped)),
-                                 hi=float(np.max(stopped)))
-        lines = [f"# manifest={h}", "bin_lo,bin_hi,mass"]
-        for i in range(len(dens.mass)):
-            lines.append(",".join(fmt_real(v) for v in (
-                dens.edges[i], dens.edges[i + 1], dens.mass[i])))
-        (plot_dir / "stopped_density.csv").write_text("\n".join(lines) + "\n")
-    return verdicts, {"hash": h, "events": len(events)}
+    n = len(events["time"])
+    verdicts = [{"name": "event_counts", "verdict": "info", "branch": n}]
+    return verdicts, {"hash": h, "events": n}
 
 
 def _cmd_report(args) -> int:
@@ -598,7 +600,7 @@ def _cmd_report(args) -> int:
         verdicts += v
         inputs["levy"] = s
     if args.events:
-        v, s = _events_verdicts(args.events, outdir)
+        v, s = _events_verdicts(args.events)
         verdicts += v
         inputs["events"] = s
     bundle = {"inputs": inputs, "verdicts": verdicts,
@@ -634,10 +636,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="record wall-clock creation time in the manifest"
                           " (off by default to keep reruns byte-identical)")
     sim.add_argument("--checkpoint", action="store_true",
-                     help="write final.ckpt with replica 0's end state")
+                     help="write final.ckpt with replica 0's final time "
+                          "and positions")
     sim.add_argument("--log-events", action="store_true",
-                     help="also write events.csv from the labelled lane "
-                          "(mode nbbm only)")
+                     help="also write events.csv, the branch events "
+                          "(time, parent row, position, k) of a companion "
+                          "run on its own stream (mode nbbm only)")
     sim.set_defaults(fn=_cmd_simulate)
 
     chk = sub.add_parser(

@@ -1,14 +1,16 @@
-"""Flat-array replica lanes for the heavy Monte Carlo work.
+"""Flat-array particle lanes: the one segment step and the runs built on it.
 
-Same stepping scheme as the object engine (fresh exponential clocks per
-segment, Gaussian moves, bridge absorption, children inheriting the rest of
-the step), but positions live in numpy arrays tagged with replica or trial
-ids, so millions of particles advance per step without per-particle Python
-work.  `step_segments` is that step, written once: the killed ensemble, the
-batched fugitive trials and the barrier runners in `selection` all advance
-through it.  The price is that these lanes carry no genealogical labels;
-the labelled engine in `engine` is the reference they are cross-checked
-against.
+Positions live in numpy arrays tagged with replica or trial ids, so millions
+of particles advance per step without per-particle Python work.
+`step_segments` is the step, written once: within [t0, t0 + h] every
+particle is handled exactly, with a fresh exponential branch clock per
+segment (memoryless, so no clock state survives a step), a Gaussian move, a
+Brownian-bridge test against each wall and a branch into k children at the
+branch point with the rest of the step.  The killed ensemble, the batched
+fugitive trials, the barrier runners in `selection` and the N-BBM event log
+in `cli` all advance through it.  Genealogy is opt-in: with a `branches`
+list the step records every branch event and hands each child the row of
+the event that produced it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .engine import CapacityError, ReproductionLaw, sample_offspring
 from .kernels import IntervalParams, sine_exp_density, w_Y, w_Z
 
 __all__ = [
+    "bridge_hit_prob",
     "step_segments",
     "KilledEnsembleResult",
     "hperp_flat",
@@ -31,27 +34,54 @@ __all__ = [
 ]
 
 
+def bridge_hit_prob(x1, x2, seg, wall):
+    """P(a Brownian bridge from x1 to x2 over `seg` touches `wall`), elementwise.
+
+    exp(-2 (x1 - wall)(x2 - wall) / seg), which is 1 whenever the endpoints
+    straddle the wall; exact for a single wall, so absorption against one
+    wall preserves the killed kernel at any step size.  exp is evaluated
+    only where the exponent is above -746: below that it is exactly 0.0,
+    and numpy's slow underflow path for it costs most of the call when most
+    particles sit far from the wall.
+    """
+    e = -2.0 * (x1 - wall) * (x2 - wall) / seg
+    p = np.zeros(np.shape(e))
+    # the min folds the sure-hit case (exponent >= 0) into the same formula
+    return np.exp(np.minimum(e, 0.0), out=p, where=e > -746.0)
+
+
 def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
                   law: ReproductionLaw, rng: np.random.Generator,
-                  upper: float | None = None, origin_ignores=None):
+                  upper: float | None = None, origin_ignores=None,
+                  branches: list | None = None):
     """Advance tagged particles exactly through the step [t0, t0 + h].
 
     Each particle moves with drift `drift` (a scalar, or an array indexed by
     tag) between the exponential branching clocks of its line, and leaves at
     the first wall its Brownian bridge touches: the origin, unless
     origin_ignores (a mask over the input particles) marks it, or `upper`
-    when given; an origin hit is never also an upper hit.  A branching
-    particle's children start at its branch point with the rest of its
-    step; they inherit its tag and payload (a tuple of arrays aligned with
-    pos) and whether the origin ignores it.  Each loop over the current
+    when given.  The walls are tested one after the other with their
+    one-sided bridge probabilities, and an origin hit is never also an upper
+    hit; this misplaces only paths that touch both walls in one segment
+    (probability of order exp(-2 upper^2 / h)).  A hit is placed at the end
+    of its segment.  A branching particle's children start at its branch point with the rest
+    of its step; they inherit its tag and payload (a tuple of arrays aligned
+    with pos) and whether the origin ignores it.  Each loop over the current
     segments draws, in order, the clocks, the Gaussian moves, the origin
     uniforms, the upper uniforms when there is an upper wall, and the
     offspring counts of the branching particles.
+
+    With a `branches` list, payload[0] holds each particle's parent: every
+    branch event is appended to the list as a row (time, parent, branch
+    position, k), and the children's payload[0] is that row's index in the
+    list.  The draws and the other outputs are the same with or without it.
 
     Returns the survivors' (pos, tag, payload), the origin and upper hits as
     lists of per-loop chunks (time, tag, *payload), and the number of
     segments processed.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step length h must be positive and finite, got {h!r}")
     carry = [tag, *payload]
     if origin_ignores is not None:
         carry.append(origin_ignores)
@@ -69,15 +99,12 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
         seg = np.minimum(tb, rem)
         mean = drift[carry[0]] * seg if per_tag else drift * seg
         x2 = pos + mean + rng.standard_normal(n) * np.sqrt(seg)
-        # exponent >= 0 exactly when the endpoints straddle the wall, so
-        # the min folds the sure-hit case into the same expression.  Both
-        # probabilities come before the uniforms: building them around a
-        # freshly drawn uniform array cost a third more page faults and
+        # Both probabilities come before the uniforms: building them around
+        # a freshly drawn uniform array cost a third more page faults and
         # about 7% more CPU in the killed ensemble at 33k particles.
-        p_lo = np.exp(np.minimum(-2.0 * pos * x2 / seg, 0.0))
+        p_lo = bridge_hit_prob(pos, x2, seg, 0.0)
         if upper is not None:
-            p_hi = np.exp(np.minimum(
-                -2.0 * (upper - pos) * (upper - x2) / seg, 0.0))
+            p_hi = bridge_hit_prob(pos, x2, seg, upper)
         hit_lo = rng.random(n) < p_lo
         if origin_ignores is not None:
             hit_lo &= ~carry[-1]
@@ -97,6 +124,13 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
             break
         ks = sample_offspring(law, n_br, rng)
         pos = np.repeat(x2[cont], ks)
+        if branches is not None:
+            row = len(branches)
+            branches.extend(zip((t0 + (h - rem[cont]) + tb[cont]).tolist(),
+                                carry[1][cont].tolist(), x2[cont].tolist(),
+                                ks.tolist()))
+            carry[1] = np.zeros(n, dtype=np.int64)
+            carry[1][cont] = np.arange(row, row + n_br)
         carry = [np.repeat(c[cont], ks) for c in carry]
         rem = np.repeat(rem[cont] - tb[cont], ks)
     pos, tag, *payload = (np.concatenate(x) for x in zip(*out))

@@ -1,17 +1,16 @@
-"""Experiment persistence: manifest, CSV logs, binary population checkpoints.
+"""Experiment persistence: manifest, CSV logs, binary position checkpoints.
 
 Every file format here is deterministic: the same manifest produces the
 same bytes, because all randomness is keyed by (seed, replica, lane) and
 the writers render floats at fixed precision.  Data files carry the
-manifest hash in a leading comment line so any output can be traced back
-to the exact configuration that produced it.
+manifest hash in a leading comment line (checkpoints in their header) so
+any output can be traced back to the exact configuration that produced it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,16 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from nbbm import __version__
-from nbbm.engine import (
-    Event,
-    IntervalParams,
-    Particle,
-    Population,
-    ReproductionLaw,
-    SimConfig,
-    format_label,
-    parse_label,
-)
+from nbbm.engine import IntervalParams, ReproductionLaw, SimConfig
 from nbbm.stats import StatsSeries
 
 MODES = ("nbbm", "bbbm", "bflat", "bsharp", "csharp", "coupled")
@@ -68,7 +58,6 @@ def _config_to_dict(cfg: SimConfig) -> dict:
         "y": cfg.y,
         "zeta": cfg.zeta,
         "delta_color": cfg.delta_color,
-        "c_center": cfg.c_center,
         "sample_every": cfg.sample_every,
         "zeta_breakout": cfg.zeta_breakout,
         "max_segments": cfg.max_segments,
@@ -92,7 +81,6 @@ def _config_from_dict(d: dict) -> SimConfig:
         y=d["y"],
         zeta=d["zeta"],
         delta_color=d["delta_color"],
-        c_center=d["c_center"],
         sample_every=d["sample_every"],
         zeta_breakout=d.get("zeta_breakout", True),
         max_segments=d["max_segments"],
@@ -109,6 +97,8 @@ class ExperimentManifest:
     data files with identical bytes.  created_at stays None unless stamping
     is requested.  Manifests written while the config still had a thread
     count load unchanged: the key is ignored, and the hash never covered it.
+    A `c_center` key of older manifests is ignored too, but their hash
+    covered it, so such a manifest loads only without its stored hash.
     """
 
     config: SimConfig
@@ -236,49 +226,43 @@ def read_series_csv(path: str | Path) -> tuple[str, list[StatsSeries]]:
     return manifest_hash, out
 
 
-_EVENT_KINDS = ("branch", "absorb_lo", "absorb_hi", "freeze")
+_EVENT_HEADER = "time,parent,position,k"
 
 
-def write_events_csv(path: str | Path, events: list[Event],
-                     manifest_hash: str,
-                     kind_map: dict[str, str] | None = None) -> None:
-    """Event log: kind, time, dot-separated label, position, k (branch only).
+def write_events_csv(path: str | Path, events, manifest_hash: str) -> None:
+    """Branch-event log, one row (time, parent, position, k) per event.
 
-    kind_map renames kinds on the way out; trials freeze their particles on
-    the stopping line through the engine's lower absorption, so a trial log
-    is written with kind_map={"absorb_lo": "freeze"}.
+    parent is the 0-based row of the branch event that produced the
+    branching particle, or -1 - i for the i-th initial particle, so the rows
+    hold the whole genealogy; position is the branch point and k the
+    offspring count.
     """
-    kind_map = kind_map or {}
-    lines = [f"# manifest={manifest_hash}", "event,time,label,position,k"]
-    for ev in events:
-        kind = kind_map.get(ev.kind, ev.kind)
-        if kind not in _EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        k = str(ev.k) if kind == "branch" else ""
-        lines.append(",".join([kind, fmt_real(ev.time),
-                               format_label(ev.label),
-                               fmt_real(ev.position), k]))
+    lines = [f"# manifest={manifest_hash}", _EVENT_HEADER]
+    for t, parent, x, k in events:
+        lines.append(f"{fmt_real(t)},{int(parent)},{fmt_real(x)},{int(k)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_events_csv(path: str | Path) -> tuple[str, list[Event]]:
+def read_events_csv(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
+    """Columns time, parent, position and k of an event log, as arrays."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# manifest="):
         raise ValueError(f"{path}: missing manifest header line")
     manifest_hash = lines[0].split("=", 1)[1]
-    if lines[1] != "event,time,label,position,k":
-        raise ValueError(f"{path}: unexpected event header {lines[1]!r}")
-    events = []
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        kind, t, label, pos, k = ln.split(",")
-        if kind not in _EVENT_KINDS:
-            raise ValueError(f"{path}: unknown event kind {kind!r}")
-        events.append(Event(kind=kind, time=float(t),
-                            label=parse_label(label), position=float(pos),
-                            k=int(k) if k else -1))
-    return manifest_hash, events
+    if lines[1:2] != [_EVENT_HEADER]:
+        raise ValueError(f"{path}: unexpected event header {lines[1:2]!r}")
+    rows = [ln.split(",") for ln in lines[2:] if ln]
+    if any(len(r) != 4 for r in rows):
+        raise ValueError(f"{path}: event rows need 4 fields")
+    parent = np.array([int(r[1]) for r in rows], dtype=np.int64)
+    if np.any(parent >= np.arange(len(rows))):
+        raise ValueError(f"{path}: a parent row does not precede its event")
+    return manifest_hash, {
+        "time": np.array([float(r[0]) for r in rows]),
+        "parent": parent,
+        "position": np.array([float(r[2]) for r in rows]),
+        "k": np.array([int(r[3]) for r in rows], dtype=np.int64),
+    }
 
 
 def write_levy_csv(path: str | Path, replica: np.ndarray, t: np.ndarray,
@@ -314,29 +298,27 @@ def read_levy_csv(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
 # binary population checkpoint
 
 _MAGIC = b"NBBMPOP1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_HEAD = struct.Struct("<8sH16sQd")
 
 
-def save_population(path: str | Path, pop: Population,
+def save_population(path: str | Path, positions, time: float,
                     manifest_hash: str = "") -> None:
-    """Versioned little-endian snapshot for restarting long runs.
+    """Versioned little-endian snapshot of positions at `time`.
 
-    The header carries the 16-character manifest hash (zero-padded when
-    absent) so a checkpoint can be traced like any other output file.
+    Layout: magic, version, the 16-character manifest hash (zero-padded
+    when absent) so a checkpoint can be traced like any other output file,
+    the count, the time, then the positions as float64.
     """
     h = manifest_hash.encode("ascii")
     if len(h) > 16:
         raise ValueError(f"manifest hash too long for header: {manifest_hash!r}")
-    chunks = [_MAGIC, struct.pack("<H", _CKPT_VERSION),
-              struct.pack("<16s", h),
-              struct.pack("<Qd", len(pop), pop.time)]
-    for p in pop.particles:
-        if not all(-2**31 <= c < 2**31 for c in p.label):
-            raise ValueError(f"label component out of i32 range: {p.label!r}")
-        chunks.append(struct.pack("<ddH", p.position, p.birth_time,
-                                  len(p.label)))
-        chunks.append(struct.pack(f"<{len(p.label)}i", *p.label))
-    Path(path).write_bytes(b"".join(chunks))
+    pos = np.asarray(positions, dtype="<f8")
+    if pos.ndim != 1:
+        raise ValueError(f"positions must be 1-d, got shape {pos.shape}")
+    Path(path).write_bytes(
+        _HEAD.pack(_MAGIC, _CKPT_VERSION, h, len(pos), float(time))
+        + pos.tobytes())
 
 
 def checkpoint_hash(path: str | Path) -> str:
@@ -348,27 +330,23 @@ def checkpoint_hash(path: str | Path) -> str:
     return head[10:26].rstrip(b"\x00").decode("ascii")
 
 
-def load_population(path: str | Path) -> Population:
+def load_population(path: str | Path) -> tuple[float, np.ndarray]:
+    """(time, positions) of a checkpoint written by `save_population`."""
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ValueError(f"{path}: not a population checkpoint")
-    (version,) = struct.unpack_from("<H", blob, 8)
+    if len(blob) < _HEAD.size:
+        raise ValueError(f"{path}: truncated checkpoint")
+    _, version, _, count, time = _HEAD.unpack_from(blob)
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        count, time = struct.unpack_from("<Qd", blob, 26)
-        off = 26 + struct.calcsize("<Qd")
-        particles = []
-        for _ in range(count):
-            x, bt, nlab = struct.unpack_from("<ddH", blob, off)
-            off += struct.calcsize("<ddH")
-            label = struct.unpack_from(f"<{nlab}i", blob, off)
-            off += 4 * nlab
-            particles.append(Particle(tuple(label), x, bt))
-    except struct.error:
-        raise ValueError(f"{path}: truncated checkpoint") from None
-    if off != len(blob):
-        raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
-    if any(not math.isfinite(p.position) for p in particles):
+    size = _HEAD.size + 8 * count
+    if len(blob) < size:
+        raise ValueError(f"{path}: truncated checkpoint")
+    if len(blob) > size:
+        raise ValueError(f"{path}: {len(blob) - size} trailing bytes")
+    pos = np.frombuffer(blob, dtype="<f8", count=count,
+                        offset=_HEAD.size).astype(float)
+    if not np.all(np.isfinite(pos)):
         raise ValueError(f"{path}: non-finite particle position")
-    return Population(time=time, particles=particles)
+    return time, pos

@@ -1,7 +1,7 @@
 """Selection rules and moving-barrier dynamics on top of the branching engine.
 
-Three layers live here.  `med_alpha` and `apply_nbbm_selection` implement the
-keep-the-N-rightmost rule and the order statistic used to track the front.
+Three layers live here.  `med_alpha` and `_trim_rightmost` implement the
+order statistic used to track the front and the keep-the-N-rightmost rule.
 `BarrierPath` plus the `run_bbbm` / `run_bflat` / `run_bsharp` runners evolve
 a population between an absorbing origin and a right barrier that ratchets
 forward after each breakout; the flat and sharp variants additionally colour
@@ -46,7 +46,6 @@ from .stats import StatsSeries
 
 __all__ = [
     "med_alpha",
-    "apply_nbbm_selection",
     "NbbmResult",
     "run_nbbm",
     "BarrierPiece",
@@ -88,35 +87,18 @@ def med_alpha(positions, alpha: float, n_select: int) -> float:
     return float(np.partition(pos, len(pos) - 1 - j)[len(pos) - 1 - j])
 
 
-def apply_nbbm_selection(pop, n_select: int) -> list:
-    """Remove left-most particles from a Population until n_select remain.
-
-    Ties are broken by genealogical label, so the killed set is a
-    deterministic function of the population.  Returns the killed particles
-    in kill order (left to right).
+def _trim_rightmost(pos: np.ndarray, n_keep: int, *aligned: np.ndarray):
+    """Keep the n_keep right-most entries of pos and the same entries of each
+    aligned array; returns (pos, *aligned).  Ties are arbitrary, which has
+    probability zero for continuous positions.
     """
-    if n_select < 1:
-        raise ValueError(f"n_select must be >= 1, got {n_select!r}")
-    excess = len(pop) - n_select
-    if excess <= 0:
-        return []
-    order = sorted(range(len(pop.particles)),
-                   key=lambda i: (pop.particles[i].position,
-                                  pop.particles[i].label))
-    doomed = order[:excess]
-    killed = [pop.particles[i] for i in doomed]
-    doomed_set = set(doomed)
-    pop.particles = [p for i, p in enumerate(pop.particles)
-                     if i not in doomed_set]
-    return killed
-
-
-def _trim_rightmost(pos: np.ndarray, n_keep: int) -> np.ndarray:
-    """Keep the n_keep right-most entries (ties arbitrary, zero probability)."""
+    if n_keep < 1:
+        raise ValueError(f"n_keep must be >= 1, got {n_keep!r}")
     if len(pos) <= n_keep:
-        return pos
+        return (pos, *aligned)
     cut = len(pos) - n_keep
-    return pos[np.argpartition(pos, cut)[cut:]]
+    keep = np.argpartition(pos, cut)[cut:]
+    return (pos[keep], *(a[keep] for a in aligned))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +144,7 @@ def _nbbm_replica(cfg: SimConfig, a_init: float, horizon: float,
             ks = sample_offspring(cfg.law, int(branching.sum()), rng)
             pos = np.concatenate([pos[~branching],
                                   np.repeat(pos[branching], ks)])
-        pos = _trim_rightmost(pos, n_sel)
+        pos, = _trim_rightmost(pos, n_sel)
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append((i + 1) * cfg.dt)
             counts.append(len(pos))
@@ -731,6 +713,12 @@ def run_bsharp(cfg: SimConfig, csharp: bool = False) -> list[BarrierResult]:
     (csharp: only when N_sharp particles sit strictly to its right) and
     survivors re-whiten.  Reported statistics are over all particles.
     Replicas are batched as in `run_bbbm`.
+
+    At desk scale these modes do not reach their first blue expiry: blues
+    branch unchecked for two cells, 200 time units at a = 5, so every
+    geometry tried (a = 3.5 to 5, A = 1 to 2) passes the population cap of
+    200k particles first and raises CapacityError.  Only unit tests reach
+    the expiry path.
     """
     return _barrier_batch(cfg, "csharp" if csharp else "bsharp")
 

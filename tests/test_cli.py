@@ -130,19 +130,23 @@ def test_simulate_nbbm_outputs(tmp_path):
     assert runinfo["n_select"] == 20
 
     assert checkpoint_hash(out / "final.ckpt") == h
-    pop = load_population(out / "final.ckpt")
-    assert len(pop) == 20 and pop.time == 2.0
+    time, pos = load_population(out / "final.ckpt")
+    assert len(pos) == 20 and time == 2.0
     assert manifest.outputs["checkpoint"] == "final.ckpt"
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     # the old thread settings are gone: [run] threads is accepted with one
     # warning and changes nothing, NBBM_THREADS is not read, and the
-    # --threads flag no longer exists
+    # --threads flag no longer exists; [bbbm] c_center, which no simulation
+    # read, goes the same way
     plain = _write(tmp_path, NBBM_INI)
     threaded = _write(tmp_path, NBBM_INI + "threads = 3\n", "threads.ini")
+    centred = _write(tmp_path, NBBM_INI + "[bbbm]\nc_center = 0.5\n",
+                     "centred.ini")
     outs, errs = [], []
-    for name, ini in (("a", plain), ("b", plain), ("c", threaded)):
+    for name, ini in (("a", plain), ("b", plain), ("c", threaded),
+                      ("d", centred)):
         if name == "b":
             monkeypatch.setenv("NBBM_THREADS", "zero")
         out = tmp_path / name
@@ -150,10 +154,13 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
                      str(out)]) == 0
         outs.append((out / "series.csv").read_bytes())
         errs.append(capsys.readouterr().err)
-    assert outs[0] == outs[1] == outs[2]
-    assert "threads" not in errs[0] + errs[1]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert "threads" not in errs[0] + errs[1] + errs[3]
     assert errs[2].count("threads") == 1
     assert errs[2].startswith("warning: [run] threads is ignored")
+    assert "c_center" not in errs[0] + errs[1] + errs[2]
+    assert errs[3].count("c_center") == 1
+    assert errs[3].startswith("warning: [bbbm] c_center is ignored")
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(plain), "--out",
               str(tmp_path / "d"), "--threads", "3"])
@@ -175,14 +182,38 @@ def test_simulate_stamp_keeps_the_hash(tmp_path):
 
 def test_simulate_event_log(tmp_path):
     ini = _write(tmp_path, NBBM_INI)
+    logs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(ini), "--out", str(out),
+                     "--log-events"]) == 0
+        logs.append((out / "events.csv").read_bytes())
+    assert logs[0] == logs[1]
+    h, ev = read_events_csv(out / "events.csv")
+    assert h == ExperimentManifest.load(out / "manifest.json").hash()
+    assert logs[0].decode().splitlines()[1] == "time,parent,position,k"
+    n = len(ev["time"])
+    runinfo = json.loads((out / "runinfo.json").read_text())
+    assert n > 0 and runinfo["events_logged"] == n
+    # binary law: every event has two children; the log starts from the
+    # N = 20 initial particles, numbered -1 to -20
+    assert np.all(ev["k"] == 2)
+    assert np.all((ev["parent"] >= -20) & (ev["parent"] < np.arange(n)))
+    assert np.all((ev["time"] > 0.0) & (ev["time"] <= 2.0))
+
+
+def test_simulate_event_log_budget_spans_the_run(tmp_path, capsys):
+    # 20 particles over 40 steps take about 800 segments, and no step
+    # takes 200: the budget counts the whole run, not each step
+    ini = _write(tmp_path, NBBM_INI + "max_segments = 200\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(ini), "--out", str(out),
-                 "--log-events"]) == 0
-    h, events = read_events_csv(out / "events.csv")
-    assert h == ExperimentManifest.load(out / "manifest.json").hash()
-    kinds = {ev.kind for ev in events}
-    assert "branch" in kinds
-    assert all((ev.k >= 0) == (ev.kind == "branch") for ev in events)
+                 "--log-events"]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "CapacityError"
+    assert "segment budget 200" in err["error"]["message"]
+    assert json.loads((out / "error.json").read_text()) == err
+    assert not (out / "events.csv").exists()
 
 
 def test_simulate_bbbm_runinfo_carries_diagnostics(tmp_path):
@@ -269,7 +300,7 @@ def test_simulate_rejects_event_log_outside_nbbm(tmp_path, capsys):
     ini = _write(tmp_path, BBBM_INI)
     assert main(["simulate", "--config", str(ini), "--out",
                  str(tmp_path / "x"), "--log-events"]) == 1
-    assert "labelled lane" in capsys.readouterr().err
+    assert "only available for mode nbbm" in capsys.readouterr().err
 
 
 def test_simulate_prints_regime_warnings(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Core simulation engine: offspring laws, seeded streams, labels, the
-bridge boundary corrector, stepping with absorption, and single trials."""
+"""Core model pieces and stepping: offspring laws, seeded streams, the
+bridge hit probability, the segment step with walls and genealogy, the
+reference profile and the run configuration."""
 
 import math
 
@@ -9,24 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.engine import (
-    CapacityError,
-    ConstantDrift,
-    IntervalParams,
-    Particle,
-    Population,
     ReproductionLaw,
     SimConfig,
-    advance,
-    breakout_trial,
-    bridge_hit_prob,
-    format_label,
     hperp_count,
-    parse_label,
     rng_stream,
     sample_offspring,
-    w_Z,
 )
-from nbbm.ensemble import hperp_flat
+from nbbm.ensemble import bridge_hit_prob, hperp_flat, step_segments
+from nbbm.kernels import w_Z
 
 from conftest import assert_close
 
@@ -125,30 +116,24 @@ def test_rng_stream_rejects_out_of_range_indices():
 
 
 # ---------------------------------------------------------------------------
-# genealogy labels
-
-
-def test_label_round_trip_examples():
-    assert format_label(()) == ""
-    assert parse_label("") == ()
-    assert format_label((1, 3, 2)) == "1.3.2"
-    assert parse_label("1.3.2") == (1, 3, 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=99), max_size=8))
-def test_label_round_trip_property(parts):
-    label = tuple(parts)
-    assert parse_label(format_label(label)) == label
-
-
-# ---------------------------------------------------------------------------
 # bridge corrector
 
 
 def test_bridge_hit_prob_reference_value():
     # exp(-2 (b-x1)(b-x2) / dt) at x1 = x2 = 0.5, dt = 1, b = 0
     assert_close(bridge_hit_prob(0.5, 0.5, 1.0, 0.0), math.exp(-0.5), 1e-15)
+
+
+def test_bridge_hit_prob_equals_exp_through_the_underflow_range():
+    # exp is skipped below an exponent of -746, where it is exactly 0.0
+    rng = rng_stream(5, 0, 0)
+    x1 = rng.uniform(-0.5, 30.5, 4000)
+    x2 = x1 + rng.standard_normal(4000)
+    for wall in (0.0, 31.0):
+        e = -2.0 * (x1 - wall) * (x2 - wall) / 0.5
+        p = bridge_hit_prob(x1, x2, 0.5, wall)
+        assert np.array_equal(p, np.exp(np.minimum(e, 0.0)))
+        assert np.any(e < -746.0) and np.any(p == 1.0)
 
 
 def test_bridge_hit_prob_certain_when_endpoint_crosses():
@@ -176,88 +161,122 @@ def test_bridge_hit_prob_is_a_probability(x1, x2, seg):
 
 
 # ---------------------------------------------------------------------------
-# advance
+# advancing particles through the segment step
+
+
+def _advance(law, pos, steps, dt, rng, *, tag=None, payload=(), drift=0.0,
+             upper=None, walls=False, branches=None):
+    """Step `steps` times through step_segments; without walls the origin
+    ignores every particle.  Returns (pos, tag, payload, hits)."""
+    tag = np.zeros(len(pos), dtype=np.int64) if tag is None else tag
+    hits = []
+    for i in range(steps):
+        ignores = None if walls else np.ones(len(pos), dtype=bool)
+        pos, tag, payload, lo, hi, _ = step_segments(
+            pos, tag, payload, t0=i * dt, h=dt, drift=drift, law=law,
+            rng=rng, upper=upper, origin_ignores=ignores, branches=branches)
+        hits += lo + hi
+    return pos, tag, payload, hits
 
 
 def test_advance_requires_forward_time(binary_law, rng):
-    pop = Population.from_positions([0.5])
-    with pytest.raises(ValueError):
-        advance(pop, 0.0, law=binary_law, dt=0.1, rng=rng)
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step length"):
+            step_segments(np.array([0.5]), np.zeros(1, dtype=np.int64),
+                          t0=0.0, h=h, drift=0.0, law=binary_law, rng=rng)
 
 
 def test_advance_mean_growth_per_root(binary_law):
-    # no boundaries: each root's subtree count has mean e^{t/2}
+    # no walls: each root's subtree count has mean e^{t/2}
     n_roots = 10**4
-    t = 2.0
-    pop = Population.from_positions(np.zeros(n_roots))
-    advance(pop, t, law=binary_law, dt=0.05, rng=rng_stream(7, 0, 0))
-    per_root = np.zeros(n_roots)
-    for p in pop.particles:
-        per_root[p.label[0] - 1] += 1
+    t, dt = 2.0, 0.05
+    _, tag, _, _ = _advance(binary_law, np.zeros(n_roots), round(t / dt), dt,
+                            rng_stream(7, 0, 0),
+                            tag=np.arange(n_roots, dtype=np.int64))
+    per_root = np.bincount(tag, minlength=n_roots)
     se = float(np.std(per_root, ddof=1)) / math.sqrt(n_roots)
     assert abs(float(np.mean(per_root)) - math.exp(t / 2.0)) <= 3.0 * se
 
 
 def test_advance_count_monotone_without_deaths(binary_law):
-    pop = Population.from_positions([0.0, 1.0, 2.0])
-    counts = [len(pop.particles)]
+    pos = np.array([0.0, 1.0, 2.0])
+    counts = [len(pos)]
     rng = rng_stream(3, 0, 0)
-    for k in range(1, 11):
-        advance(pop, 0.5 * k, law=binary_law, dt=0.1, rng=rng)
-        counts.append(len(pop.particles))
+    for _ in range(10):
+        pos, *_ = _advance(binary_law, pos, 5, 0.1, rng)
+        counts.append(len(pos))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_advance_absorption_confines_and_logs(binary_law, iv5):
-    pop = Population.from_positions(np.full(200, 2.5))
-    events = []
-    advance(pop, 10.0, law=binary_law, dt=0.1, rng=rng_stream(11, 0, 0),
-            drift=ConstantDrift(-iv5.mu), absorb_lower=0.0, absorb_upper=5.0,
-            events=events)
-    pos = pop.positions()
+    branches = []
+    pos, _, _, hits = _advance(
+        binary_law, np.full(200, 2.5), 100, 0.1, rng_stream(11, 0, 0),
+        payload=(-1 - np.arange(200),), drift=-iv5.mu, upper=5.0,
+        walls=True, branches=branches)
     assert np.all((pos > 0.0) & (pos < 5.0))
-    kinds = {ev.kind for ev in events}
-    assert kinds <= {"branch", "absorb_lo", "absorb_hi"}
-    absorbed = [ev for ev in events if ev.kind.startswith("absorb")]
-    assert absorbed, "no absorption in 10 time units is implausible"
-    # the log is ordered per lineage segment, not globally; times stay in range
-    assert all(0.0 < ev.time <= 10.0 for ev in absorbed)
-    # branch events record the offspring count, absorptions do not
-    for ev in events:
-        assert (ev.k >= 0) == (ev.kind == "branch")
+    times = np.concatenate([t for t, *_ in hits])
+    assert len(times), "no absorption in 10 time units is implausible"
+    assert np.all((times > 0.0) & (times <= 10.0))
+    # branch rows record the branch point and offspring count
+    assert branches and all(0.0 < x < 5.0 and k == 2
+                            for _, _, x, k in branches)
 
 
-def test_advance_child_labels_extend_parent(binary_law):
-    pop = Population.from_positions([1.0])
-    advance(pop, 6.0, law=binary_law, dt=0.1, rng=rng_stream(13, 0, 0))
-    labels = pop.labels()
-    assert len(labels) > 1
-    assert len(set(labels)) == len(labels)
-    for lab in labels:
-        assert lab[0] == 1
-        assert all(i >= 1 for i in lab)
-
-
-def test_advance_capacity_error(binary_law):
-    pop = Population.from_positions(np.zeros(1000))
-    with pytest.raises(CapacityError):
-        advance(pop, 50.0, law=binary_law, dt=0.1,
-                rng=rng_stream(0, 0, 0), max_segments=10_000)
+def test_advance_parents_precede_children(mixed_law):
+    # genealogy from parent rows: every parent row comes before its event,
+    # each event's k children are its branching children plus its
+    # survivors, and with no walls the count is roots + sum(k - 1)
+    roots = 5
+    branches = []
+    pos, _, (parent,), _ = _advance(
+        mixed_law, np.zeros(roots), 60, 0.1, rng_stream(13, 0, 0),
+        payload=(-1 - np.arange(roots, dtype=np.int64),), branches=branches)
+    rows = np.array([p for _, p, _, _ in branches], dtype=np.int64)
+    ks = np.array([k for _, _, _, k in branches], dtype=np.int64)
+    assert len(rows) > 1 and len(pos) > 1
+    assert np.all(rows < np.arange(len(rows)))
+    assert len(pos) == roots + int(np.sum(ks - 1))
+    children = (np.bincount(rows[rows >= 0], minlength=len(rows))
+                + np.bincount(parent[parent >= 0], minlength=len(rows)))
+    assert np.array_equal(children, ks)
+    founders = -1 - np.concatenate([rows[rows < 0], parent[parent < 0]])
+    assert np.array_equal(np.bincount(founders, minlength=roots),
+                          np.ones(roots, dtype=np.int64))
 
 
 def test_advance_event_log_deterministic(binary_law, iv5):
     def run():
-        pop = Population.from_positions(np.full(50, 2.5))
-        events = []
-        advance(pop, 5.0, law=binary_law, dt=0.1, rng=rng_stream(17, 0, 2),
-                drift=ConstantDrift(-iv5.mu), absorb_lower=0.0,
-                absorb_upper=5.0, events=events)
-        return pop, events
+        branches = []
+        pos, _, (parent,), hits = _advance(
+            binary_law, np.full(50, 2.5), 50, 0.1, rng_stream(17, 0, 2),
+            payload=(-1 - np.arange(50),), drift=-iv5.mu, upper=5.0,
+            walls=True, branches=branches)
+        return pos, parent, branches, np.concatenate([t for t, *_ in hits])
 
-    pop_a, ev_a = run()
-    pop_b, ev_b = run()
-    assert ev_a == ev_b
-    assert np.array_equal(pop_a.positions(), pop_b.positions())
+    a, b = run(), run()
+    assert a[2] == b[2]
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+def test_advance_genealogy_leaves_the_draws_unchanged(mixed_law, iv5):
+    kw = dict(t0=0.0, h=2.0, drift=-iv5.mu, law=mixed_law, upper=5.0)
+    pos0 = np.full(40, 2.5)
+    tag0 = np.arange(40, dtype=np.int64)
+    plain = step_segments(pos0, tag0, rng=rng_stream(19, 0, 0), **kw)
+    branches = []
+    logged = step_segments(pos0, tag0, (-1 - tag0,), rng=rng_stream(19, 0, 0),
+                           branches=branches, **kw)
+    assert branches
+    assert np.array_equal(plain[0], logged[0])
+    assert np.array_equal(plain[1], logged[1])
+    assert plain[5] == logged[5]
+    for hits_a, hits_b in zip(plain[3:5], logged[3:5]):
+        assert len(hits_a) == len(hits_b)
+        for ca, cb in zip(hits_a, hits_b):
+            assert np.array_equal(ca[0], cb[0])
+            assert np.array_equal(ca[1], cb[1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,60 +313,6 @@ def test_reference_profile_weight_concentrates(iv10):
     # floor of the count plus the e^{-mu a} profile correction bias the mean
     # by O(1/n + e^{-mu a}); both are far below one SE here
     assert abs(float(np.mean(z0)) - math.exp(A)) <= 3.0 * se + 0.02
-
-
-# ---------------------------------------------------------------------------
-# single trial from the top of the interval
-
-
-def test_trial_outcome_internally_consistent(binary_law, iv10):
-    out = breakout_trial(binary_law, A=2.0, epsilon=0.05, y=2.0, zeta=15.0,
-                         iv=iv10, dt=0.05, rng=rng_stream(31, 0, 0))
-    assert out.n_frozen == len(out.stopped_line)
-    assert_close(out.W_y, 2.0 * math.exp(-2.0) * out.n_frozen, 1e-12)
-    z_sum = sum(w_Z(pos, iv10) for _, _, pos in out.stopped_line)
-    assert_close(out.Z, z_sum, 1e-9)
-    assert out.is_breakout == (out.Z > 0.05 * math.exp(2.0) or out.hit_zeta)
-
-
-def test_trial_freezes_on_the_moving_line(binary_law, iv10):
-    y, zeta, t0 = 2.0, 15.0, 3.0
-    out = breakout_trial(binary_law, A=2.0, epsilon=0.05, y=y, zeta=zeta,
-                         iv=iv10, dt=0.05, rng=rng_stream(37, 0, 0),
-                         start_time=t0)
-    for _, t_abs, pos in out.stopped_line:
-        elapsed = t_abs - t0
-        assert 0.0 <= elapsed <= zeta + 1e-12
-        line = iv10.a - y + (1.0 - iv10.mu) * elapsed
-        assert_close(pos, line, 1e-9)
-    assert 0.0 <= out.sigma_max <= zeta + 1e-12
-
-
-def test_trial_zeta_clause_is_optional(binary_law, iv10):
-    # with the clause off, still-running lineages no longer force a breakout
-    kw = dict(A=2.0, epsilon=1e9, y=2.0, zeta=4.0, iv=iv10, dt=0.05)
-    hits = 0
-    for r in range(40):
-        with_clause = breakout_trial(binary_law, **kw,
-                                     rng=rng_stream(41, r, 0))
-        without = breakout_trial(binary_law, **kw,
-                                 rng=rng_stream(41, r, 0),
-                                 zeta_breakout=False)
-        assert with_clause.hit_zeta == without.hit_zeta
-        assert without.is_breakout == (without.Z > 1e9 * math.exp(2.0))
-        hits += with_clause.hit_zeta
-        if with_clause.hit_zeta:
-            assert with_clause.is_breakout and not without.is_breakout
-    assert hits > 0, "zeta never reached; the flag was not exercised"
-
-
-def test_trial_rejects_bad_geometry(binary_law, iv10, rng):
-    with pytest.raises(ValueError):
-        breakout_trial(binary_law, A=2.0, epsilon=0.05, y=0.0, zeta=5.0,
-                       iv=iv10, dt=0.05, rng=rng)
-    with pytest.raises(ValueError):
-        breakout_trial(binary_law, A=2.0, epsilon=0.05, y=2.0, zeta=-1.0,
-                       iv=iv10, dt=0.05, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Replica-batched lanes: the flat initial profile, the killed ensemble, and
-batched trials, cross-checked against the per-particle engine and, bit for
-bit, against the loops they replaced (ensemble_reference)."""
+batched trials, cross-checked against the scalar reference lane
+(engine_reference) and, bit for bit, against the loops they replaced
+(ensemble_reference)."""
 
 import math
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from nbbm.engine import breakout_trial, rng_stream, w_Z
+from nbbm.engine import rng_stream
 from nbbm.ensemble import breakout_trials, hperp_flat, killed_ensemble
+from nbbm.kernels import w_Z
 from nbbm.stats import oracle_Z
 
 import ensemble_reference
 from conftest import assert_close
+from engine_reference import breakout_trial
 
 
 # ---------------------------------------------------------------------------

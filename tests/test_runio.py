@@ -8,16 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nbbm.engine import (
-    Event,
-    Particle,
-    Population,
-    ReproductionLaw,
-    SimConfig,
-)
+from nbbm.engine import ReproductionLaw, SimConfig
 from nbbm.kernels import IntervalParams
 from nbbm.runio import (
     ExperimentManifest,
+    _config_from_dict,
     canonical_hash,
     checkpoint_hash,
     fmt_real,
@@ -96,6 +91,18 @@ def test_manifest_hash_excludes_run_placement():
                               outputs={"x": "y"}).hash() == base.hash()
     assert ExperimentManifest(_cfg(), "bbbm",
                               created_at="now").hash() == base.hash()
+
+
+def test_manifest_loads_an_old_config_with_c_center():
+    # c_center was parsed and hashed but read by no simulation; an old
+    # manifest that still carries it loads, its stored hash aside
+    base = ExperimentManifest(_cfg(), "bbbm")
+    old = base.to_json_dict()
+    old["config"]["c_center"] = 0.25
+    assert "c_center" not in base.to_json_dict()["config"]
+    assert _config_from_dict(old["config"]) == base.config
+    del old["hash"]
+    assert ExperimentManifest.from_json_dict(old).hash() == base.hash()
 
 
 def test_manifest_hash_covers_the_experiment_identity():
@@ -188,36 +195,31 @@ def test_series_column_order():
 # events CSV
 
 
-def test_events_csv_round_trip_and_kind_map(tmp_path):
-    events = [
-        Event("branch", 0.25, (1, 2), 3.5, k=2),
-        Event("absorb_lo", 0.5, (1,), 0.0),
-        Event("absorb_hi", 0.75, (2, 1, 1), 5.0),
-    ]
+def test_events_csv_round_trip(tmp_path):
+    events = [(0.25, -1, 3.5, 2), (0.5, -2, 1.0 / 3.0, 0), (0.75, 0, -2.0, 3)]
     path = tmp_path / "events.csv"
-    write_events_csv(path, events, "cafecafecafecafe",
-                     kind_map={"absorb_lo": "freeze"})
+    write_events_csv(path, events, "cafecafecafecafe")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest=cafecafecafecafe"
-    assert lines[1] == "event,time,label,position,k"
-    assert lines[2].startswith("branch,") and lines[2].endswith(",2")
-    assert lines[3].startswith("freeze,") and lines[3].endswith(",")
+    assert lines[1] == "time,parent,position,k"
+    assert lines[2] == "0.25,-1,3.5,2"
     h, back = read_events_csv(path)
     assert h == "cafecafecafecafe"
-    assert back[0] == Event("branch", 0.25, (1, 2), 3.5, k=2)
-    assert back[1].kind == "freeze" and back[1].k == -1
-    assert back[2].label == (2, 1, 1)
+    assert list(zip(*(back[c].tolist()
+                      for c in ("time", "parent", "position", "k")))) == events
+    assert back["parent"].dtype == back["k"].dtype == np.int64
 
 
-def test_events_csv_rejects_unknown_kinds(tmp_path):
+def test_events_csv_rejects_bad_rows(tmp_path):
     path = tmp_path / "events.csv"
-    with pytest.raises(ValueError, match="unknown event kind"):
-        write_events_csv(path, [Event("branch", 0.0, (1,), 0.0, k=2)], "h",
-                         kind_map={"branch": "explode"})
-    path.write_text("# manifest=h\nevent,time,label,position,k\n"
-                    "explode,0,1,0.0,\n")
-    with pytest.raises(ValueError, match="unknown event kind"):
-        read_events_csv(path)
+    for body, needle in (
+            ("event,time,label,position,k\nbranch,0,1,0.0,2\n", "header"),
+            ("time,parent,position,k\n0.1,-1,0.0\n", "4 fields"),
+            ("time,parent,position,k\n0.1,-1,0.0,2\n0.2,1,0.0,2\n",
+             "precede")):
+        path.write_text("# manifest=h\n" + body)
+        with pytest.raises(ValueError, match=needle):
+            read_events_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +250,29 @@ def test_levy_csv_length_mismatch(tmp_path):
 # population checkpoints
 
 
-def _pop():
-    return Population(3.25, [
-        Particle((1,), 0.5, 0.0),
-        Particle((1, 2, 7), -1.25, 1.5),
-        Particle((2, 1), 1e-12, 3.0),
-    ])
+_POS = np.array([0.5, -1.25, 1e-12])
 
 
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "pop.bin"
-    pop = _pop()
-    save_population(path, pop, "feedfacefeedface")
+    save_population(path, _POS, 3.25, "feedfacefeedface")
     assert checkpoint_hash(path) == "feedfacefeedface"
-    back = load_population(path)
-    assert back.time == pop.time
-    assert len(back) == 3
-    for p_in, p_out in zip(pop.particles, back.particles):
-        assert p_out.label == p_in.label
-        assert p_out.position == p_in.position
-        assert p_out.birth_time == p_in.birth_time
+    time, pos = load_population(path)
+    assert time == 3.25
+    assert np.array_equal(pos, _POS) and pos.dtype == np.float64
+    # header, count and time, then eight bytes per position
+    assert len(path.read_bytes()) == 42 + 8 * len(_POS)
 
 
 def test_checkpoint_unstamped_hash_is_empty(tmp_path):
     path = tmp_path / "pop.bin"
-    save_population(path, _pop())
+    save_population(path, _POS, 0.0)
     assert checkpoint_hash(path) == ""
 
 
 def test_checkpoint_corruption_errors(tmp_path):
     path = tmp_path / "pop.bin"
-    save_population(path, _pop(), "aa")
+    save_population(path, _POS, 3.25, "aa")
     blob = bytearray(path.read_bytes())
 
     bad = tmp_path / "bad.bin"
@@ -294,9 +288,10 @@ def test_checkpoint_corruption_errors(tmp_path):
     with pytest.raises(ValueError, match="version"):
         load_population(bad)
 
-    bad.write_bytes(bytes(blob[:-4]))
-    with pytest.raises(ValueError, match="truncated"):
-        load_population(bad)
+    for cut in (4, len(blob) - 20):
+        bad.write_bytes(bytes(blob[:-cut]))
+        with pytest.raises(ValueError, match="truncated"):
+            load_population(bad)
 
     bad.write_bytes(bytes(blob) + b"\x00\x00")
     with pytest.raises(ValueError, match="trailing"):
@@ -305,11 +300,10 @@ def test_checkpoint_corruption_errors(tmp_path):
 
 def test_checkpoint_rejects_bad_payloads(tmp_path):
     path = tmp_path / "pop.bin"
-    wide = Population(0.0, [Particle((2 ** 31,), 1.0, 0.0)])
-    with pytest.raises(ValueError, match="i32 range"):
-        save_population(path, wide)
+    with pytest.raises(ValueError, match="1-d"):
+        save_population(path, _POS.reshape(3, 1), 0.0)
     with pytest.raises(ValueError, match="too long"):
-        save_population(path, _pop(), "x" * 17)
-    save_population(path, Population(0.0, [Particle((1,), math.inf, 0.0)]))
+        save_population(path, _POS, 0.0, "x" * 17)
+    save_population(path, np.array([1.0, math.inf]), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         load_population(path)

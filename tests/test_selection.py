@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbbm.engine import Particle, Population, ReproductionLaw, SimConfig
+from nbbm.engine import ReproductionLaw, SimConfig
 from nbbm.ensemble import step_segments
 from nbbm.kernels import IntervalParams, barrier_f
 from nbbm.levy import recentering
@@ -19,7 +19,7 @@ from nbbm.selection import (
     CouplingError,
     _leftmost_free,
     _sharp_expire,
-    apply_nbbm_selection,
+    _trim_rightmost,
     check_coupling,
     med_alpha,
     run_bbbm,
@@ -84,33 +84,23 @@ def test_med_alpha_monotone_under_right_shifts(pairs, alpha, n):
 # keep-the-right-most selection
 
 
-def _pop(entries):
-    return Population(0.0, [Particle(lab, x, 0.0) for lab, x in entries])
-
-
 def test_selection_removes_two_smallest():
-    pop = _pop([((1,), 3.0), ((2,), 1.0), ((3,), 5.0), ((4,), 0.5),
-                ((5,), 4.0)])
-    killed = apply_nbbm_selection(pop, 3)
-    assert [p.position for p in killed] == [0.5, 1.0]
-    assert sorted(p.position for p in pop.particles) == [3.0, 4.0, 5.0]
-
-
-def test_selection_tie_kills_smaller_label():
-    pop = _pop([((2,), 1.0), ((1, 3), 1.0), ((4,), 2.0)])
-    killed = apply_nbbm_selection(pop, 2)
-    assert [p.label for p in killed] == [(1, 3)]
+    pos = np.array([3.0, 1.0, 5.0, 0.5, 4.0])
+    kept, ids = _trim_rightmost(pos, 3, np.arange(5))
+    assert sorted(kept) == [3.0, 4.0, 5.0]
+    # aligned arrays keep the entries of the kept positions
+    assert np.array_equal(pos[ids], kept)
 
 
 def test_selection_noop_when_under_count():
-    pop = _pop([((1,), 1.0), ((2,), 2.0)])
-    assert apply_nbbm_selection(pop, 5) == []
-    assert len(pop.particles) == 2
+    pos, ids = np.array([1.0, 2.0]), np.array([7, 8])
+    kept, kept_ids = _trim_rightmost(pos, 5, ids)
+    assert kept is pos and kept_ids is ids
 
 
 def test_selection_rejects_bad_count():
     with pytest.raises(ValueError):
-        apply_nbbm_selection(_pop([((1,), 1.0)]), 0)
+        _trim_rightmost(np.array([1.0]), 0)
 
 
 # ---------------------------------------------------------------------------
