@@ -12,6 +12,8 @@ counter-based streams keyed by (seed, replica, lane); files are written
 in replica order.  Identical manifests therefore produce identical bytes.
 Replicas run in one process on one thread: the barrier modes step them
 together in one flat array, modes nbbm and coupled one after another.
+`simulate --log-events` writes the genealogy `run_nbbm` records for replica
+0, so events.csv and series.csv describe one sample path.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from nbbm.engine import (
     SimConfig,
     rng_stream,
 )
-from nbbm.ensemble import step_segments
-from nbbm.kernels import selfcheck, sine_exp_density
-from nbbm.levy import LevyParams, kappa, recentering, sample_levy_increment
+from nbbm.kernels import selfcheck
+from nbbm.levy import LevyParams, kappa, sample_levy_increment
 from nbbm.runio import (
     MODES,
     ExperimentManifest,
@@ -53,7 +54,6 @@ from nbbm.runio import (
 )
 from nbbm.selection import (
     CouplingError,
-    _trim_rightmost,
     run_bbbm,
     run_bflat,
     run_bsharp,
@@ -67,7 +67,6 @@ from nbbm.stats import (
     speed_estimate,
 )
 
-_LANE_EVENT_LOG = 4
 _LANE_LEVY = 5
 
 _CF_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -85,8 +84,7 @@ _KNOWN_KEYS = {
     "bbbm": {"A", "epsilon", "eta", "y", "zeta", "delta_color",
              "zeta_breakout"},
     "selection": {"N", "alphas"},
-    "run": {"mode", "dt", "horizon", "replicas", "seed",
-            "sample_every", "max_segments"},
+    "run": {"mode", "dt", "horizon", "replicas", "seed", "sample_every"},
 }
 
 # settings of older configs that no run reads: accepted, each with one
@@ -94,6 +92,7 @@ _KNOWN_KEYS = {
 _IGNORED_KEYS = {
     ("run", "threads"): "replicas run on one thread",
     ("bbbm", "c_center"): "no simulation reads it",
+    ("run", "max_segments"): "no run has a segment budget",
 }
 
 
@@ -217,7 +216,6 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         delta_color=_get_float(cp, "bbbm", "delta_color"),
         sample_every=_get_float(cp, "run", "sample_every"),
         zeta_breakout=zeta_breakout,
-        max_segments=_get_int(cp, "run", "max_segments", 50_000_000),
     )
     try:
         cfg.validate()
@@ -267,40 +265,6 @@ def _write_json(path: Path, obj) -> None:
                                default=_json_default) + "\n")
 
 
-def _nbbm_event_log(cfg: SimConfig, horizon: float) -> list[tuple]:
-    """Branch events of one N-BBM run, as rows (time, parent, position, k).
-
-    A companion run on its own stream (deterministic, but a different
-    sample path than replica 0 of the series): the particles step exactly
-    through `step_segments` in free space (the origin ignores them all),
-    carrying their parent rows, and the n_select right-most are kept at each
-    step end.  [run] max_segments bounds the segments of the whole run.
-    """
-    n_sel = cfg.n_select
-    rng = rng_stream(cfg.seed, 0, _LANE_EVENT_LOG)
-    a_init = (recentering(n_sel).a_N if n_sel >= 16
-              else max(math.pi, math.log(n_sel) + 1.0))
-    pos = sine_exp_density(a_init, 1.0).sample(n_sel, rng)
-    tag = np.zeros(n_sel, dtype=np.int64)
-    parent = -1 - np.arange(n_sel, dtype=np.int64)
-    branches: list[tuple] = []
-    segments = 0
-    n_steps = int(math.ceil(horizon / cfg.dt - 1e-9))
-    for i in range(n_steps):
-        t0 = i * cfg.dt
-        h = min(cfg.dt, horizon - t0)
-        pos, tag, (parent,), _, _, n_seg = step_segments(
-            pos, tag, (parent,), t0=t0, h=h, drift=0.0, law=cfg.law, rng=rng,
-            origin_ignores=np.ones(len(pos), dtype=bool), branches=branches)
-        segments += n_seg
-        if segments > cfg.max_segments:
-            raise CapacityError(
-                f"segment budget {cfg.max_segments} exhausted at "
-                f"t = {t0 + h:.6g}")
-        pos, tag, parent = _trim_rightmost(pos, n_sel, tag, parent)
-    return branches
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -316,6 +280,8 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     _check_mode_requirements(cfg, mode)
+    if args.log_events and mode != "nbbm":
+        raise ConfigError("event logs are only available for mode nbbm")
     for w in cfg.validate():
         print(f"warning: {w}", file=sys.stderr)
 
@@ -331,7 +297,8 @@ def _cmd_simulate(args) -> int:
     series_list = None
 
     if mode == "nbbm":
-        res = run_nbbm(cfg)
+        events = [] if args.log_events else None
+        res = run_nbbm(cfg, events)
         series_list = res.series
         runinfo["n_select"] = res.n_select
         runinfo["horizon"] = res.horizon
@@ -339,8 +306,7 @@ def _cmd_simulate(args) -> int:
             runinfo["a_N"] = res.constants.a_N
             runinfo["mu_N"] = res.constants.mu_N
         final = (res.final_positions[0], res.horizon)
-        if args.log_events:
-            events = _nbbm_event_log(cfg, res.horizon)
+        if events is not None:
             write_events_csv(outdir / "events.csv", events, h)
             manifest.outputs["events"] = "events.csv"
             runinfo["events_logged"] = len(events)
@@ -354,10 +320,6 @@ def _cmd_simulate(args) -> int:
             for r, res in enumerate(results)]
         final = (results[0].final_mid, cfg.horizon)
     else:
-        if args.log_events:
-            raise ConfigError(
-                "event logs are only available for mode nbbm; the barrier "
-                "modes record series and piece diagnostics instead")
         runner = {"bbbm": run_bbbm, "bflat": run_bflat,
                   "bsharp": run_bsharp,
                   "csharp": lambda c: run_bsharp(c, csharp=True)}[mode]
@@ -640,8 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "and positions")
     sim.add_argument("--log-events", action="store_true",
                      help="also write events.csv, the branch events "
-                          "(time, parent row, position, k) of a companion "
-                          "run on its own stream (mode nbbm only)")
+                          "(time, parent row, position, k) of replica 0 "
+                          "of the series run (mode nbbm only)")
     sim.set_defaults(fn=_cmd_simulate)
 
     chk = sub.add_parser(

@@ -4,7 +4,7 @@ The offspring law and its inverse-CDF sampler, the counter-based random
 streams keyed by (seed, replica, lane), the run configuration with its
 validation and regime warnings, the particle count of the reference
 profile, and the error a run raises when it exceeds its particle budget.
-Stepping lives in `ensemble.step_segments`.
+Stepping lives in `ensemble.step_segments` and N-BBM's in `run_nbbm`.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ class SimConfig:
     delta_color: float | None = None
     sample_every: float | None = None
     zeta_breakout: bool = True
-    max_segments: int = 50_000_000
 
     def validate(self) -> list[str]:
         # run lengths are turned into step counts, so they must be finite

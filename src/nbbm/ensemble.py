@@ -7,10 +7,8 @@ particle is handled exactly, with a fresh exponential branch clock per
 segment (memoryless, so no clock state survives a step), a Gaussian move, a
 Brownian-bridge test against each wall and a branch into k children at the
 branch point with the rest of the step.  The killed ensemble, the batched
-fugitive trials, the barrier runners in `selection` and the N-BBM event log
-in `cli` all advance through it.  Genealogy is opt-in: with a `branches`
-list the step records every branch event and hands each child the row of
-the event that produced it.
+fugitive trials and the barrier runners in `selection` all advance through
+it.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ def bridge_hit_prob(x1, x2, seg, wall):
 
 def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
                   law: ReproductionLaw, rng: np.random.Generator,
-                  upper: float | None = None, origin_ignores=None,
-                  branches: list | None = None):
+                  upper: float | None = None, origin_ignores=None):
     """Advance tagged particles exactly through the step [t0, t0 + h].
 
     Each particle moves with drift `drift` (a scalar, or an array indexed by
@@ -70,11 +67,6 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     segments draws, in order, the clocks, the Gaussian moves, the origin
     uniforms, the upper uniforms when there is an upper wall, and the
     offspring counts of the branching particles.
-
-    With a `branches` list, payload[0] holds each particle's parent: every
-    branch event is appended to the list as a row (time, parent, branch
-    position, k), and the children's payload[0] is that row's index in the
-    list.  The draws and the other outputs are the same with or without it.
 
     Returns the survivors' (pos, tag, payload), the origin and upper hits as
     lists of per-loop chunks (time, tag, *payload), and the number of
@@ -124,13 +116,6 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
             break
         ks = sample_offspring(law, n_br, rng)
         pos = np.repeat(x2[cont], ks)
-        if branches is not None:
-            row = len(branches)
-            branches.extend(zip((t0 + (h - rem[cont]) + tb[cont]).tolist(),
-                                carry[1][cont].tolist(), x2[cont].tolist(),
-                                ks.tolist()))
-            carry[1] = np.zeros(n, dtype=np.int64)
-            carry[1][cont] = np.arange(row, row + n_br)
         carry = [np.repeat(c[cont], ks) for c in carry]
         rem = np.repeat(rem[cont] - tb[cont], ks)
     pos, tag, *payload = (np.concatenate(x) for x in zip(*out))

@@ -60,7 +60,6 @@ def _config_to_dict(cfg: SimConfig) -> dict:
         "delta_color": cfg.delta_color,
         "sample_every": cfg.sample_every,
         "zeta_breakout": cfg.zeta_breakout,
-        "max_segments": cfg.max_segments,
     }
 
 
@@ -83,7 +82,6 @@ def _config_from_dict(d: dict) -> SimConfig:
         delta_color=d["delta_color"],
         sample_every=d["sample_every"],
         zeta_breakout=d.get("zeta_breakout", True),
-        max_segments=d["max_segments"],
     )
 
 
@@ -97,8 +95,8 @@ class ExperimentManifest:
     data files with identical bytes.  created_at stays None unless stamping
     is requested.  Manifests written while the config still had a thread
     count load unchanged: the key is ignored, and the hash never covered it.
-    A `c_center` key of older manifests is ignored too, but their hash
-    covered it, so such a manifest loads only without its stored hash.
+    Older manifests' `c_center` and `max_segments` keys are ignored too, but
+    their hash covered them, so such manifests load only without it.
     """
 
     config: SimConfig
@@ -199,11 +197,12 @@ def write_series_csv(path: str | Path, series_list: list[StatsSeries],
 
 
 def read_series_csv(path: str | Path) -> tuple[str, list[StatsSeries]]:
+    """Manifest hash and one series per replica; ValueError if malformed."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# manifest="):
         raise ValueError(f"{path}: missing manifest header line")
     manifest_hash = lines[0].split("=", 1)[1]
-    header = lines[1].split(",")
+    header = lines[1].split(",") if len(lines) > 1 else []
     if header[:2] != ["replica", "t"]:
         raise ValueError(f"{path}: expected replica,t leading columns")
     cols = header[2:]
@@ -212,8 +211,13 @@ def read_series_csv(path: str | Path) -> tuple[str, list[StatsSeries]]:
         if not ln:
             continue
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: a row has {len(parts)} fields, the "
+                             f"header {len(header)}")
         by_rep.setdefault(int(parts[0]), []).append(
             [float(v) for v in parts[1:]])
+    if not by_rep:
+        raise ValueError(f"{path}: no data rows")
     out = []
     for rep in sorted(by_rep):
         arr = np.asarray(by_rep[rep])
@@ -232,10 +236,11 @@ _EVENT_HEADER = "time,parent,position,k"
 def write_events_csv(path: str | Path, events, manifest_hash: str) -> None:
     """Branch-event log, one row (time, parent, position, k) per event.
 
-    parent is the 0-based row of the branch event that produced the
-    branching particle, or -1 - i for the i-th initial particle, so the rows
-    hold the whole genealogy; position is the branch point and k the
-    offspring count.
+    time is the end of the step at which the branching fires; parent is the
+    0-based row of the branch event that produced the branching particle, or
+    -1 - i for the i-th initial particle, so the rows hold the whole
+    genealogy; position is the branch point and k the offspring count,
+    0 included.
     """
     lines = [f"# manifest={manifest_hash}", _EVENT_HEADER]
     for t, parent, x, k in events:

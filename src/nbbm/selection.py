@@ -8,8 +8,9 @@ forward after each breakout; the flat and sharp variants additionally colour
 particles to bound the population from above and below.  `run_coupled` drives
 three systems with shared noise and per-event domination checks.
 
-`run_nbbm` runs its replicas one after another, each on its own stream
-rng_stream(seed, replica, nbbm lane).  The barrier runners advance all
+`run_nbbm`, the one N-BBM step lane, runs its replicas one after another,
+each on its own stream rng_stream(seed, replica, nbbm lane), and can record
+replica 0's genealogy.  The barrier runners advance all
 replicas of a run together in flat arrays: positions, colour codes and blue
 expiry times, each particle tagged with its replica id, stepped by
 `ensemble.step_segments` as the killed ensemble is.  One generator,
@@ -105,6 +106,14 @@ def _trim_rightmost(pos: np.ndarray, n_keep: int, *aligned: np.ndarray):
 # free-space N-particle system
 
 
+def _initial_front(n_select: int, rng: np.random.Generator) -> np.ndarray:
+    """Start of both N-BBM runners: n_select draws from sin(pi x / a) e^-x,
+    a = a_N, or max(pi, ln N + 1) below N = 16 where a_N is undefined."""
+    a = (recentering(n_select).a_N if n_select >= 16
+         else max(math.pi, math.log(n_select) + 1.0))
+    return sine_exp_density(a, 1.0).sample(n_select, rng)
+
+
 @dataclass
 class NbbmResult:
     """Median trajectories of the N-particle system, one series per replica."""
@@ -126,11 +135,12 @@ class NbbmResult:
         return self.series[0].times
 
 
-def _nbbm_replica(cfg: SimConfig, a_init: float, horizon: float,
-                  sample_steps: int, replica: int) -> StatsSeries:
+def _nbbm_replica(cfg: SimConfig, horizon: float, sample_steps: int,
+                  replica: int, branches: list | None):
     n_sel = cfg.n_select
     rng = rng_stream(cfg.seed, replica, _LANE_NBBM)
-    pos = sine_exp_density(a_init, 1.0).sample(n_sel, rng)
+    pos = _initial_front(n_sel, rng)
+    parent = -1 - np.arange(n_sel, dtype=np.int64)
     p_branch = -math.expm1(-cfg.law.beta0 * cfg.dt)
     n_steps = int(math.ceil(horizon / cfg.dt - 1e-9))
 
@@ -142,9 +152,20 @@ def _nbbm_replica(cfg: SimConfig, a_init: float, horizon: float,
         branching = rng.random(len(pos)) < p_branch
         if branching.any():
             ks = sample_offspring(cfg.law, int(branching.sum()), rng)
+            if branches is not None:
+                row = len(branches)
+                branches.extend(zip([(i + 1) * cfg.dt] * len(ks),
+                                    parent[branching].tolist(),
+                                    pos[branching].tolist(), ks.tolist()))
+                parent = np.concatenate([
+                    parent[~branching],
+                    np.repeat(np.arange(row, row + len(ks)), ks)])
             pos = np.concatenate([pos[~branching],
                                   np.repeat(pos[branching], ks)])
-        pos, = _trim_rightmost(pos, n_sel)
+        if branches is None:
+            pos, = _trim_rightmost(pos, n_sel)
+        else:
+            pos, parent = _trim_rightmost(pos, n_sel, parent)
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append((i + 1) * cfg.dt)
             counts.append(len(pos))
@@ -154,35 +175,33 @@ def _nbbm_replica(cfg: SimConfig, a_init: float, horizon: float,
     columns = {"count": np.asarray(counts, dtype=float)}
     for al in cfg.alphas:
         columns[f"med_{al:g}"] = np.asarray(meds[al])
-    return StatsSeries(np.asarray(times), columns, replica=replica,
-                       meta={"final_positions": pos})
+    return StatsSeries(np.asarray(times), columns, replica=replica), pos
 
 
-def run_nbbm(cfg: SimConfig) -> NbbmResult:
+def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
     """Branching Brownian motion keeping only the n_select right-most particles.
 
     Free space, no drift: the front travels at its selection-limited speed,
     read off the alpha-medians.  Default horizon is 20 ln^3 N, the relaxation
     scale of the system.  Branching within a step is Bernoulli with the exact
     single-event probability; multiple branchings of one particle within one
-    step are a second-order effect absorbed by the step error.
+    step are a second-order effect absorbed by the step error.  With a
+    `branches` list, replica 0 appends an events.csv row per branching
+    (`runio.write_events_csv`), k = 0 included, without changing the draws.
     """
     if cfg.n_select is None or cfg.n_select < 2:
         raise ValueError("run_nbbm needs n_select >= 2")
     cfg.validate()
     constants = recentering(cfg.n_select) if cfg.n_select >= 16 else None
-    a_init = constants.a_N if constants else max(math.pi, math.log(cfg.n_select) + 1.0)
     horizon = cfg.horizon if cfg.horizon is not None \
         else 20.0 * math.log(cfg.n_select) ** 3
-    sample_every = cfg.sample_every if cfg.sample_every is not None \
-        else horizon / 256.0
-    sample_steps = max(1, round(sample_every / cfg.dt))
+    sample_steps = max(1, round((cfg.sample_every or horizon / 256.0) / cfg.dt))
 
-    series = [_nbbm_replica(cfg, a_init, horizon, sample_steps, r)
-              for r in range(cfg.replicas)]
-    finals = [s.meta.pop("final_positions") for s in series]
-    return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt,
-                      final_positions=finals)
+    runs = [_nbbm_replica(cfg, horizon, sample_steps, r,
+                          branches if r == 0 else None)
+            for r in range(cfg.replicas)]
+    return NbbmResult([s for s, _ in runs], cfg.n_select, constants, horizon,
+                      cfg.dt, final_positions=[p for _, p in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +886,7 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
                          f"got {horizon!r}")
     rng = rng_stream(seed, replica, _LANE_COUPLED)
     if init_positions is None:
-        a0 = recentering(n_select).a_N if n_select >= 16 \
-            else max(math.pi, math.log(n_select) + 1.0)
-        init_positions = sine_exp_density(a0, 1.0).sample(n_select, rng)
+        init_positions = _initial_front(n_select, rng)
     p_x = np.array(init_positions, dtype=float)
     if len(p_x) != n_select:
         raise ValueError("init_positions must hold exactly n_select values")

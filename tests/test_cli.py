@@ -139,14 +139,17 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     # the old thread settings are gone: [run] threads is accepted with one
     # warning and changes nothing, NBBM_THREADS is not read, and the
     # --threads flag no longer exists; [bbbm] c_center, which no simulation
-    # read, goes the same way
+    # read, and [run] max_segments, whose segment budget is gone, go the
+    # same way
     plain = _write(tmp_path, NBBM_INI)
     threaded = _write(tmp_path, NBBM_INI + "threads = 3\n", "threads.ini")
     centred = _write(tmp_path, NBBM_INI + "[bbbm]\nc_center = 0.5\n",
                      "centred.ini")
+    budgeted = _write(tmp_path, NBBM_INI + "max_segments = 200\n",
+                      "budgeted.ini")
     outs, errs = [], []
     for name, ini in (("a", plain), ("b", plain), ("c", threaded),
-                      ("d", centred)):
+                      ("d", centred), ("e", budgeted)):
         if name == "b":
             monkeypatch.setenv("NBBM_THREADS", "zero")
         out = tmp_path / name
@@ -154,13 +157,16 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
                      str(out)]) == 0
         outs.append((out / "series.csv").read_bytes())
         errs.append(capsys.readouterr().err)
-    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert outs[0] == outs[1] == outs[2] == outs[3] == outs[4]
     assert "threads" not in errs[0] + errs[1] + errs[3]
     assert errs[2].count("threads") == 1
     assert errs[2].startswith("warning: [run] threads is ignored")
     assert "c_center" not in errs[0] + errs[1] + errs[2]
     assert errs[3].count("c_center") == 1
     assert errs[3].startswith("warning: [bbbm] c_center is ignored")
+    assert "max_segments" not in "".join(errs[:4])
+    assert errs[4].count("max_segments") == 1
+    assert errs[4].startswith("warning: [run] max_segments is ignored")
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(plain), "--out",
               str(tmp_path / "d"), "--threads", "3"])
@@ -181,13 +187,20 @@ def test_simulate_stamp_keeps_the_hash(tmp_path):
 
 
 def test_simulate_event_log(tmp_path):
+    # the log is replica 0's genealogy in the series run itself, so it
+    # leaves series.csv byte for byte as it is without the log
     ini = _write(tmp_path, NBBM_INI)
+    plain = tmp_path / "plain"
+    assert main(["simulate", "--config", str(ini), "--out", str(plain)]) == 0
+    assert not (plain / "events.csv").exists()
     logs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["simulate", "--config", str(ini), "--out", str(out),
                      "--log-events"]) == 0
         logs.append((out / "events.csv").read_bytes())
+        assert (out / "series.csv").read_bytes() == \
+            (plain / "series.csv").read_bytes()
     assert logs[0] == logs[1]
     h, ev = read_events_csv(out / "events.csv")
     assert h == ExperimentManifest.load(out / "manifest.json").hash()
@@ -200,20 +213,7 @@ def test_simulate_event_log(tmp_path):
     assert np.all(ev["k"] == 2)
     assert np.all((ev["parent"] >= -20) & (ev["parent"] < np.arange(n)))
     assert np.all((ev["time"] > 0.0) & (ev["time"] <= 2.0))
-
-
-def test_simulate_event_log_budget_spans_the_run(tmp_path, capsys):
-    # 20 particles over 40 steps take about 800 segments, and no step
-    # takes 200: the budget counts the whole run, not each step
-    ini = _write(tmp_path, NBBM_INI + "max_segments = 200\n")
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(ini), "--out", str(out),
-                 "--log-events"]) == 1
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"]["type"] == "CapacityError"
-    assert "segment budget 200" in err["error"]["message"]
-    assert json.loads((out / "error.json").read_text()) == err
-    assert not (out / "events.csv").exists()
+    assert np.array_equal(ev["time"], np.round(ev["time"] / 0.05) * 0.05)
 
 
 def test_simulate_bbbm_runinfo_carries_diagnostics(tmp_path):
@@ -301,6 +301,13 @@ def test_simulate_rejects_event_log_outside_nbbm(tmp_path, capsys):
     assert main(["simulate", "--config", str(ini), "--out",
                  str(tmp_path / "x"), "--log-events"]) == 1
     assert "only available for mode nbbm" in capsys.readouterr().err
+    # mode coupled refuses the flag too, before it runs
+    ini = _write(tmp_path, NBBM_INI.replace("mode = nbbm", "mode = coupled"))
+    out = tmp_path / "c"
+    assert main(["simulate", "--config", str(ini), "--out", str(out),
+                 "--log-events"]) == 1
+    assert "only available for mode nbbm" in capsys.readouterr().err
+    assert not (out / "runinfo.json").exists()
 
 
 def test_simulate_prints_regime_warnings(tmp_path, capsys):
@@ -437,6 +444,24 @@ def test_error_record_lands_in_out_dir(tmp_path, capsys):
     record = json.loads((rep / "error.json").read_text())
     assert record["error"]["type"] == "FileNotFoundError"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("# manifest=x\n", "replica,t"),
+    ("# manifest=x\nreplica,t,med_0.5\n", "no data rows"),
+    ("# manifest=x\nreplica,t,med_0.5\n0,0.0,1.0\n0,0.1\n", "2 fields"),
+], ids=["manifest-only", "header-only", "short-row"])
+def test_report_rejects_a_series_without_data(tmp_path, capsys, text,
+                                              needle):
+    bad = _write(tmp_path, text, "series.csv")
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    assert main(["report", "--series", str(bad), "--out", str(rep)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+    assert str(bad) in err["error"]["message"]
+    assert needle in err["error"]["message"]
+    assert json.loads((rep / "error.json").read_text()) == err
 
 
 def test_version_flag(capsys):

@@ -165,7 +165,7 @@ def test_bridge_hit_prob_is_a_probability(x1, x2, seg):
 
 
 def _advance(law, pos, steps, dt, rng, *, tag=None, payload=(), drift=0.0,
-             upper=None, walls=False, branches=None):
+             upper=None, walls=False):
     """Step `steps` times through step_segments; without walls the origin
     ignores every particle.  Returns (pos, tag, payload, hits)."""
     tag = np.zeros(len(pos), dtype=np.int64) if tag is None else tag
@@ -174,7 +174,7 @@ def _advance(law, pos, steps, dt, rng, *, tag=None, payload=(), drift=0.0,
         ignores = None if walls else np.ones(len(pos), dtype=bool)
         pos, tag, payload, lo, hi, _ = step_segments(
             pos, tag, payload, t0=i * dt, h=dt, drift=drift, law=law,
-            rng=rng, upper=upper, origin_ignores=ignores, branches=branches)
+            rng=rng, upper=upper, origin_ignores=ignores)
         hits += lo + hi
     return pos, tag, payload, hits
 
@@ -209,74 +209,13 @@ def test_advance_count_monotone_without_deaths(binary_law):
 
 
 def test_advance_absorption_confines_and_logs(binary_law, iv5):
-    branches = []
     pos, _, _, hits = _advance(
         binary_law, np.full(200, 2.5), 100, 0.1, rng_stream(11, 0, 0),
-        payload=(-1 - np.arange(200),), drift=-iv5.mu, upper=5.0,
-        walls=True, branches=branches)
+        drift=-iv5.mu, upper=5.0, walls=True)
     assert np.all((pos > 0.0) & (pos < 5.0))
     times = np.concatenate([t for t, *_ in hits])
     assert len(times), "no absorption in 10 time units is implausible"
     assert np.all((times > 0.0) & (times <= 10.0))
-    # branch rows record the branch point and offspring count
-    assert branches and all(0.0 < x < 5.0 and k == 2
-                            for _, _, x, k in branches)
-
-
-def test_advance_parents_precede_children(mixed_law):
-    # genealogy from parent rows: every parent row comes before its event,
-    # each event's k children are its branching children plus its
-    # survivors, and with no walls the count is roots + sum(k - 1)
-    roots = 5
-    branches = []
-    pos, _, (parent,), _ = _advance(
-        mixed_law, np.zeros(roots), 60, 0.1, rng_stream(13, 0, 0),
-        payload=(-1 - np.arange(roots, dtype=np.int64),), branches=branches)
-    rows = np.array([p for _, p, _, _ in branches], dtype=np.int64)
-    ks = np.array([k for _, _, _, k in branches], dtype=np.int64)
-    assert len(rows) > 1 and len(pos) > 1
-    assert np.all(rows < np.arange(len(rows)))
-    assert len(pos) == roots + int(np.sum(ks - 1))
-    children = (np.bincount(rows[rows >= 0], minlength=len(rows))
-                + np.bincount(parent[parent >= 0], minlength=len(rows)))
-    assert np.array_equal(children, ks)
-    founders = -1 - np.concatenate([rows[rows < 0], parent[parent < 0]])
-    assert np.array_equal(np.bincount(founders, minlength=roots),
-                          np.ones(roots, dtype=np.int64))
-
-
-def test_advance_event_log_deterministic(binary_law, iv5):
-    def run():
-        branches = []
-        pos, _, (parent,), hits = _advance(
-            binary_law, np.full(50, 2.5), 50, 0.1, rng_stream(17, 0, 2),
-            payload=(-1 - np.arange(50),), drift=-iv5.mu, upper=5.0,
-            walls=True, branches=branches)
-        return pos, parent, branches, np.concatenate([t for t, *_ in hits])
-
-    a, b = run(), run()
-    assert a[2] == b[2]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_advance_genealogy_leaves_the_draws_unchanged(mixed_law, iv5):
-    kw = dict(t0=0.0, h=2.0, drift=-iv5.mu, law=mixed_law, upper=5.0)
-    pos0 = np.full(40, 2.5)
-    tag0 = np.arange(40, dtype=np.int64)
-    plain = step_segments(pos0, tag0, rng=rng_stream(19, 0, 0), **kw)
-    branches = []
-    logged = step_segments(pos0, tag0, (-1 - tag0,), rng=rng_stream(19, 0, 0),
-                           branches=branches, **kw)
-    assert branches
-    assert np.array_equal(plain[0], logged[0])
-    assert np.array_equal(plain[1], logged[1])
-    assert plain[5] == logged[5]
-    for hits_a, hits_b in zip(plain[3:5], logged[3:5]):
-        assert len(hits_a) == len(hits_b)
-        for ca, cb in zip(hits_a, hits_b):
-            assert np.array_equal(ca[0], cb[0])
-            assert np.array_equal(ca[1], cb[1])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,23 @@ def test_manifest_loads_an_old_config_with_c_center():
     assert ExperimentManifest.from_json_dict(old).hash() == base.hash()
 
 
+def test_manifest_loads_an_old_config_with_max_segments():
+    # max_segments bounded only a companion event-log run, which is gone;
+    # an old manifest that still carries it loads as one with c_center
+    # does: its stored hash covered the key, so only without that hash
+    base = ExperimentManifest(_cfg(), "nbbm")
+    old = base.to_json_dict()
+    old["config"]["max_segments"] = 50_000_000
+    assert "max_segments" not in base.to_json_dict()["config"]
+    assert _config_from_dict(old["config"]) == base.config
+    old["hash"] = canonical_hash({k: old[k] for k in (
+        "schema", "mode", "code_version", "config")})
+    with pytest.raises(ValueError, match="hash mismatch"):
+        ExperimentManifest.from_json_dict(old)
+    del old["hash"]
+    assert ExperimentManifest.from_json_dict(old).hash() == base.hash()
+
+
 def test_manifest_hash_covers_the_experiment_identity():
     base = ExperimentManifest(_cfg(), "bbbm").hash()
     assert ExperimentManifest(_cfg(seed=8), "bbbm").hash() != base

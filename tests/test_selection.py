@@ -146,6 +146,52 @@ def test_nbbm_needs_two_particles(binary_law):
         run_nbbm(SimConfig(binary_law, horizon=1.0))
 
 
+def _nbbm_logged(law, logged=True):
+    # N = 30 over 60 steps of 0.1; replica 1 runs too but is not logged
+    cfg = SimConfig(law, dt=0.1, horizon=6.0, replicas=2, seed=5,
+                    n_select=30)
+    branches = [] if logged else None
+    return run_nbbm(cfg, branches), branches
+
+
+def test_nbbm_parents_precede_their_events(mixed_law):
+    # the founders are the 30 initial particles, numbered -1 to -30; a
+    # branching particle is replaced by its children, so each founder and
+    # each event parents at most one event per child, one step later at
+    # the earliest
+    _, rows = _nbbm_logged(mixed_law)
+    time, parent, _, ks = (np.array(c) for c in zip(*rows))
+    assert len(rows) > 30
+    assert np.all((parent >= -30) & (parent < np.arange(len(rows))))
+    assert np.bincount(-1 - parent[parent < 0]).max() == 1
+    inner = parent >= 0
+    assert np.all(np.bincount(parent[inner], minlength=len(rows)) <= ks)
+    assert np.all(time[parent[inner]] < time[inner])
+
+
+def test_nbbm_event_log_rows_sit_on_the_step_grid(mixed_law):
+    res, rows = _nbbm_logged(mixed_law)
+    time, _, _, ks = (np.array(c) for c in zip(*rows))
+    # k = 0 deaths are events too
+    assert np.any(ks == 0) and set(ks.tolist()) <= {0, 2, 3}
+    grid = [(i + 1) * 0.1 for i in range(60)]
+    assert np.all(np.isin(time, grid)) and np.all(np.diff(time) >= 0.0)
+    assert time[0] > 0.0 and time[-1] <= res.horizon
+
+
+def test_nbbm_event_log_deterministic(mixed_law):
+    assert _nbbm_logged(mixed_law)[1] == _nbbm_logged(mixed_law)[1]
+
+
+def test_nbbm_genealogy_leaves_the_draws_unchanged(mixed_law):
+    logged, rows = _nbbm_logged(mixed_law)
+    plain, _ = _nbbm_logged(mixed_law, logged=False)
+    assert rows
+    assert np.array_equal(logged.med_matrix(0.5), plain.med_matrix(0.5))
+    for a, b in zip(logged.final_positions, plain.final_positions):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # barrier path algebra
 
