@@ -11,7 +11,8 @@ is embedded in each output file; all randomness is drawn from
 counter-based streams keyed by (seed, replica, lane); files are written
 in replica order.  Identical manifests therefore produce identical bytes.
 Replicas run in one process on one thread: the barrier modes step them
-together in one flat array, modes nbbm and coupled one after another.
+together in one flat array, mode nbbm in one array with a row per replica,
+and mode coupled one after another.
 `simulate --log-events` writes the genealogy `run_nbbm` records for replica
 0, so events.csv and series.csv describe one sample path.
 """

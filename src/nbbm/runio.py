@@ -284,13 +284,21 @@ def write_levy_csv(path: str | Path, replica: np.ndarray, t: np.ndarray,
 
 
 def read_levy_csv(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
+    """Manifest hash and the increment columns; ValueError if malformed."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# manifest="):
         raise ValueError(f"{path}: missing manifest header line")
     manifest_hash = lines[0].split("=", 1)[1]
-    if lines[1] != "replica,t,value,seed":
-        raise ValueError(f"{path}: unexpected levy header {lines[1]!r}")
+    header = lines[1] if len(lines) > 1 else ""
+    if header != "replica,t,value,seed":
+        raise ValueError(f"{path}: unexpected levy header {header!r}")
     rows = [ln.split(",") for ln in lines[2:] if ln]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    for r in rows:
+        if len(r) != 4:
+            raise ValueError(f"{path}: a row has {len(r)} fields, the "
+                             f"header 4")
     return manifest_hash, {
         "replica": np.array([int(r[0]) for r in rows], dtype=np.int64),
         "t": np.array([float(r[1]) for r in rows]),

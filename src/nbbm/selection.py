@@ -1,16 +1,17 @@
 """Selection rules and moving-barrier dynamics on top of the branching engine.
 
-Three layers live here.  `med_alpha` and `_trim_rightmost` implement the
-order statistic used to track the front and the keep-the-N-rightmost rule.
+Three layers live here.  `med_alpha` is the order statistic used to track
+the front, and `run_nbbm` the N-particle system that keeps its N rightmost.
 `BarrierPath` plus the `run_bbbm` / `run_bflat` / `run_bsharp` runners evolve
 a population between an absorbing origin and a right barrier that ratchets
 forward after each breakout; the flat and sharp variants additionally colour
 particles to bound the population from above and below.  `run_coupled` drives
 three systems with shared noise and per-event domination checks.
 
-`run_nbbm`, the one N-BBM step lane, runs its replicas one after another,
-each on its own stream rng_stream(seed, replica, nbbm lane), and can record
-replica 0's genealogy.  The barrier runners advance all
+`run_nbbm`, the one N-BBM step lane, steps all replicas together in one
+(replicas, N) array of slots, a dead slot holding -inf, on the one stream
+rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
+barrier runners advance all
 replicas of a run together in flat arrays: positions, colour codes and blue
 expiry times, each particle tagged with its replica id, stepped by
 `ensemble.step_segments` as the killed ensemble is.  One generator,
@@ -70,12 +71,14 @@ _LANE_COUPLED = 3
 _WHITE, _RED, _BLUE = 0, 1, 2
 
 
-def med_alpha(positions, alpha: float, n_select: int) -> float:
+def med_alpha(positions, alpha: float, n_select: int):
     """Level below which fewer than alpha * n_select particles remain above.
 
     Returns inf{x : #(positions >= x) < alpha * n_select}, i.e. the
     ceil(alpha n)-th largest position, or -inf when the population holds
-    fewer than alpha * n_select atoms in total.
+    fewer than alpha * n_select atoms in total.  An atom at -inf never
+    changes the result, so a 2-D array can hold one population per row with
+    -inf in its empty slots; the result is then one level per row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -83,23 +86,13 @@ def med_alpha(positions, alpha: float, n_select: int) -> float:
         raise ValueError(f"n_select must be >= 1, got {n_select!r}")
     pos = np.asarray(positions, dtype=float)
     j = math.ceil(alpha * n_select) - 1
-    if len(pos) <= j:
-        return -math.inf
-    return float(np.partition(pos, len(pos) - 1 - j)[len(pos) - 1 - j])
-
-
-def _trim_rightmost(pos: np.ndarray, n_keep: int, *aligned: np.ndarray):
-    """Keep the n_keep right-most entries of pos and the same entries of each
-    aligned array; returns (pos, *aligned).  Ties are arbitrary, which has
-    probability zero for continuous positions.
-    """
-    if n_keep < 1:
-        raise ValueError(f"n_keep must be >= 1, got {n_keep!r}")
-    if len(pos) <= n_keep:
-        return (pos, *aligned)
-    cut = len(pos) - n_keep
-    keep = np.argpartition(pos, cut)[cut:]
-    return (pos[keep], *(a[keep] for a in aligned))
+    m = pos.shape[-1]
+    if m <= j:
+        return -math.inf if pos.ndim == 1 else np.full(pos.shape[:-1],
+                                                        -math.inf)
+    # a copy, so the result does not keep the partitioned array alive
+    level = np.partition(pos, m - 1 - j, axis=-1)[..., m - 1 - j].copy()
+    return float(level) if pos.ndim == 1 else level
 
 
 # ---------------------------------------------------------------------------
@@ -135,47 +128,163 @@ class NbbmResult:
         return self.series[0].times
 
 
-def _nbbm_replica(cfg: SimConfig, horizon: float, sample_steps: int,
-                  replica: int, branches: list | None):
-    n_sel = cfg.n_select
-    rng = rng_stream(cfg.seed, replica, _LANE_NBBM)
-    pos = _initial_front(n_sel, rng)
-    parent = -1 - np.arange(n_sel, dtype=np.int64)
-    p_branch = -math.expm1(-cfg.law.beta0 * cfg.dt)
-    n_steps = int(math.ceil(horizon / cfg.dt - 1e-9))
+def _branch_slots(size: int, rate: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the slots in range(size) that branch, each on its
+    own with probability 1 - e^-rate.
 
+    The gaps between successive branching slots are geometric,
+    floor(Exp(1) / rate), which is the law of independent Bernoulli trials;
+    drawing the gaps costs one variate per branching slot, not one per slot.
+    """
+    def ends(m):  # 1-based positions of the next m branching slots
+        at = rng.standard_exponential(m)
+        at /= rate
+        np.floor(at, out=at)
+        at += 1.0
+        return at.cumsum(out=at)
+
+    mean = -size * math.expm1(-rate)
+    m = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    at = ends(m)
+    while at[-1] <= size:  # the draws have not yet passed the last slot
+        at = np.concatenate((at, at[-1] + ends(m)))
+    idx = at[:at.searchsorted(size, "right")].astype(np.int64)
+    idx -= 1
+    return idx
+
+
+def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
+                branches: list | None):
+    """Step every replica together; returns (series, final positions), one
+    of each per replica.
+
+    Replica r owns row r of one buffer: its slots are the last N columns,
+    and the `cap` columns left of them take the extra children of a step,
+    so that one partition per row keeps the N rightmost.
+    """
+    n_sel, n_rep, law, dt = cfg.n_select, cfg.replicas, cfg.law, cfg.dt
+    size = n_rep * n_sel
+    rng = rng_stream(cfg.seed, 0, _LANE_NBBM)
+    q = law.probabilities
+    deaths = q[0] > 0.0
+    extra_mean = sum((k - 1) * p for k, p in enumerate(q) if k > 1)
+    cap = 32 + 2 * int(n_sel * -math.expm1(-law.beta0 * dt) * extra_mean)
+    buf = np.full((n_rep, cap + n_sel), -math.inf)
+    for r in range(n_rep):
+        buf[r, cap:] = _initial_front(n_sel, rng)
+    logged = branches is not None
+    if logged:
+        # replica 0's genealogy: the events.csv row of each slot's last
+        # branching, or -1 - i for the i-th initial particle
+        parent = np.empty(cap + n_sel, dtype=np.int64)
+        parent[cap:] = -1 - np.arange(n_sel)
+    z = np.empty((n_rep, n_sel))
+    n_steps = int(math.ceil(horizon / dt - 1e-9))
+
+    def layout():
+        # the slots as an (R, N) view, the buffer as a flat view, what turns
+        # slot index r N + j of replica r into its flat offset, and the flat
+        # offset of replica r's slot 0
+        return (buf[:, cap:], buf.reshape(-1),
+                (np.arange(n_rep) + 1) * cap,
+                np.arange(n_rep) * (cap + n_sel) + cap)
+
+    def counts_now():
+        if not deaths:
+            return np.full(n_rep, n_sel)
+        return np.count_nonzero(slots > -math.inf, axis=1)
+
+    slots, flat, shift, base = layout()
     times = [0.0]
-    meds = {al: [med_alpha(pos, al, n_sel)] for al in cfg.alphas}
-    counts = [len(pos)]
+    meds = {al: [med_alpha(slots, al, n_sel)] for al in cfg.alphas}
+    counts = [counts_now()]
     for i in range(n_steps):
-        pos = pos + rng.normal(0.0, math.sqrt(cfg.dt), len(pos))
-        branching = rng.random(len(pos)) < p_branch
-        if branching.any():
-            ks = sample_offspring(cfg.law, int(branching.sum()), rng)
-            if branches is not None:
-                row = len(branches)
-                branches.extend(zip([(i + 1) * cfg.dt] * len(ks),
-                                    parent[branching].tolist(),
-                                    pos[branching].tolist(), ks.tolist()))
-                parent = np.concatenate([
-                    parent[~branching],
-                    np.repeat(np.arange(row, row + len(ks)), ks)])
-            pos = np.concatenate([pos[~branching],
-                                  np.repeat(pos[branching], ks)])
-        if branches is None:
-            pos, = _trim_rightmost(pos, n_sel)
-        else:
-            pos, parent = _trim_rightmost(pos, n_sel, parent)
-        if (i + 1) % sample_steps == 0 or i == n_steps - 1:
-            times.append((i + 1) * cfg.dt)
-            counts.append(len(pos))
-            for al in cfg.alphas:
-                meds[al].append(med_alpha(pos, al, n_sel))
+        if i < n_steps - 1:
+            h, t1 = dt, (i + 1) * dt
+        else:  # the last step ends at the horizon
+            h, t1 = horizon - i * dt, horizon
+        rng.standard_normal(out=z)
+        z *= math.sqrt(h)
+        slots += z
 
-    columns = {"count": np.asarray(counts, dtype=float)}
-    for al in cfg.alphas:
-        columns[f"med_{al:g}"] = np.asarray(meds[al])
-    return StatsSeries(np.asarray(times), columns, replica=replica), pos
+        idx = _branch_slots(size, law.beta0 * h, rng)
+        ks = sample_offspring(law, len(idx), rng)
+        n_ext = ks - 1
+        if deaths:
+            np.maximum(n_ext, 0, out=n_ext)
+        if n_rep > 1:
+            rows = idx // n_sel
+            ext_rows = rows.repeat(n_ext)
+            per_row = np.bincount(ext_rows, minlength=n_rep)
+            n0 = int(rows.searchsorted(1))  # replica 0's branchings
+            c0, wide = int(per_row[0]), int(per_row.max())
+        else:
+            n0 = len(idx)
+            c0 = wide = int(n_ext.sum())
+        if wide > cap:
+            grown = max(2 * cap, wide)
+            buf = np.concatenate(
+                (np.full((n_rep, grown - cap), -math.inf), buf), axis=1)
+            if logged:
+                parent = np.concatenate(
+                    (np.zeros(grown - cap, dtype=np.int64), parent))
+            cap = grown
+            slots, flat, shift, base = layout()
+        at = idx + shift[rows] if n_rep > 1 else idx + cap
+        vals = flat[at]
+        ext = vals.repeat(n_ext)
+
+        if logged and n0:
+            # rows only for live slots: a dead slot's branching is no event
+            live = vals[:n0] > -math.inf
+            slot = at[:n0][live]  # replica 0's offsets index parent too
+            k0 = ks[:n0][live]
+            row = len(branches)
+            branches.extend(zip([t1] * len(k0), parent[slot].tolist(),
+                                vals[:n0][live].tolist(), k0.tolist()))
+            born = np.full(n0, -1, dtype=np.int64)
+            born[live] = np.arange(row, row + len(k0))
+            parent[slot] = born[live]
+            parent[cap - c0:cap] = born.repeat(n_ext[:n0])
+        if deaths:
+            flat[at[ks == 0]] = -math.inf
+
+        # extra children sit just left of their row's slots, the rows with
+        # fewer of them padded with -inf; one partition keeps the N rightmost
+        wide1 = int(per_row[1:].max()) if n_rep > 1 else 0
+        if wide1:
+            buf[1:, cap - wide1:cap] = -math.inf
+            flat[(base - per_row.cumsum())[ext_rows]
+                 + np.arange(len(ext))] = ext
+            buf[1:, cap - wide1:].partition(wide1, axis=1)
+        else:
+            buf[0, cap - c0:cap] = ext
+        if c0:
+            # replica 0 selects through argpartition, logged or not, so its
+            # genealogy rides along without changing the arrangement
+            span = buf[0, cap - c0:]
+            keep = span.argpartition(c0)[c0:]
+            buf[0, cap:] = span[keep]
+            if logged:
+                parent[cap:] = parent[cap - c0:][keep]
+
+        if (i + 1) % sample_steps == 0 or i == n_steps - 1:
+            times.append(t1)
+            counts.append(counts_now())
+            for al in cfg.alphas:
+                meds[al].append(med_alpha(slots, al, n_sel))
+
+    count_table = np.asarray(counts, dtype=float)
+    med_table = {al: np.asarray(meds[al]) for al in cfg.alphas}
+    series, final = [], []
+    for r in range(n_rep):
+        columns = {"count": count_table[:, r].copy()}
+        for al in cfg.alphas:
+            columns[f"med_{al:g}"] = med_table[al][:, r].copy()
+        series.append(StatsSeries(np.asarray(times), columns, replica=r))
+        final.append(slots[r][slots[r] > -math.inf])
+    return series, final
 
 
 def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
@@ -183,11 +292,15 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
 
     Free space, no drift: the front travels at its selection-limited speed,
     read off the alpha-medians.  Default horizon is 20 ln^3 N, the relaxation
-    scale of the system.  Branching within a step is Bernoulli with the exact
+    scale of the system.  Steps are dt long, except the last, which ends at
+    the horizon.  Branching within a step is Bernoulli with the exact
     single-event probability; multiple branchings of one particle within one
-    step are a second-order effect absorbed by the step error.  With a
-    `branches` list, replica 0 appends an events.csv row per branching
-    (`runio.write_events_csv`), k = 0 included, without changing the draws.
+    step are a second-order effect absorbed by the step error.  A particle
+    with k = 0 children dies, so under such a law the count may fall below
+    n_select.  All replicas step together on the one stream
+    rng_stream(seed, 0, nbbm lane).  With a `branches` list, replica 0
+    appends an events.csv row per branching (`runio.write_events_csv`),
+    k = 0 included, without changing the draws.
     """
     if cfg.n_select is None or cfg.n_select < 2:
         raise ValueError("run_nbbm needs n_select >= 2")
@@ -197,11 +310,9 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
         else 20.0 * math.log(cfg.n_select) ** 3
     sample_steps = max(1, round((cfg.sample_every or horizon / 256.0) / cfg.dt))
 
-    runs = [_nbbm_replica(cfg, horizon, sample_steps, r,
-                          branches if r == 0 else None)
-            for r in range(cfg.replicas)]
-    return NbbmResult([s for s, _ in runs], cfg.n_select, constants, horizon,
-                      cfg.dt, final_positions=[p for _, p in runs])
+    series, final = _nbbm_batch(cfg, horizon, sample_steps, branches)
+    return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt,
+                      final_positions=final)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def test_simulate_nbbm_outputs(tmp_path):
     assert manifest.outputs["checkpoint"] == "final.ckpt"
 
 
+def test_simulate_nbbm_ends_at_a_horizon_off_the_step_grid(tmp_path):
+    # 1.05 is not a multiple of dt = 0.1: ten full steps, then one of 0.05
+    ini = _write(tmp_path, NBBM_INI.replace("dt = 0.05", "dt = 0.1")
+                 .replace("horizon = 2.0", "horizon = 1.05"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out),
+                 "--checkpoint", "--log-events"]) == 0
+    _, series = read_series_csv(out / "series.csv")
+    runinfo = json.loads((out / "runinfo.json").read_text())
+    time, _ = load_population(out / "final.ckpt")
+    assert all(s.times[-1] == 1.05 for s in series)
+    assert runinfo["horizon"] == 1.05 and time == 1.05
+    events = read_events_csv(out / "events.csv")[1]
+    grid = [(i + 1) * 0.1 for i in range(10)] + [1.05]
+    assert np.all(np.isin(events["time"], grid))
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     # the old thread settings are gone: [run] threads is accepted with one
     # warning and changes nothing, NBBM_THREADS is not read, and the
@@ -457,6 +474,25 @@ def test_report_rejects_a_series_without_data(tmp_path, capsys, text,
     rep = tmp_path / "rep"
     rep.mkdir()
     assert main(["report", "--series", str(bad), "--out", str(rep)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+    assert str(bad) in err["error"]["message"]
+    assert needle in err["error"]["message"]
+    assert json.loads((rep / "error.json").read_text()) == err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("# manifest=x\n", "levy header ''"),
+    ("# manifest=x\nreplica,t,value,seed\n", "no data rows"),
+    ("# manifest=x\nreplica,t,value,seed\n0,0.01,0.2,3\n1,0.01,0.2\n",
+     "3 fields"),
+], ids=["manifest-only", "header-only", "short-row"])
+def test_report_rejects_levy_increments_without_data(tmp_path, capsys, text,
+                                                    needle):
+    bad = _write(tmp_path, text, "increments.csv")
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    assert main(["report", "--levy", str(bad), "--out", str(rep)]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "ValueError"
     assert str(bad) in err["error"]["message"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbbm.engine import ReproductionLaw, SimConfig
+from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
 from nbbm.ensemble import step_segments
 from nbbm.kernels import IntervalParams, barrier_f
 from nbbm.levy import recentering
@@ -17,9 +17,9 @@ from nbbm.selection import (
     _WHITE,
     BarrierPath,
     CouplingError,
+    _branch_slots,
     _leftmost_free,
     _sharp_expire,
-    _trim_rightmost,
     check_coupling,
     med_alpha,
     run_bbbm,
@@ -28,10 +28,12 @@ from nbbm.selection import (
     run_coupled,
     run_nbbm,
 )
+from nbbm.stats import speed_estimate
 
 from barrier_reference import _barrier_run
 from conftest import assert_close
 from coupled_reference import run_coupled_dicts
+from nbbm_reference import _trim_rightmost, run_nbbm_reference
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +82,19 @@ def test_med_alpha_monotone_under_right_shifts(pairs, alpha, n):
     assert med_alpha(lo, alpha, n) <= med_alpha(hi, alpha, n)
 
 
+def test_med_alpha_takes_one_population_per_row():
+    rows = np.array([[3.0, -math.inf, 1.0, 2.0, 5.0],
+                     [-math.inf, 4.0, -math.inf, -math.inf, 0.5]])
+    for alpha in (0.2, 0.5, 0.8):
+        levels = med_alpha(rows, alpha, 5)
+        assert levels.shape == (2,)
+        for row, level in zip(rows, levels):
+            assert level == med_alpha(row[row > -math.inf], alpha, 5)
+    assert np.all(med_alpha(rows[:, :2], 0.9, 5) == -math.inf)
+
+
 # ---------------------------------------------------------------------------
-# keep-the-right-most selection
+# keep-the-right-most selection of the reference lane
 
 
 def test_selection_removes_two_smallest():
@@ -190,6 +203,111 @@ def test_nbbm_genealogy_leaves_the_draws_unchanged(mixed_law):
     assert np.array_equal(logged.med_matrix(0.5), plain.med_matrix(0.5))
     for a, b in zip(logged.final_positions, plain.final_positions):
         assert np.array_equal(a, b)
+
+
+def test_nbbm_last_step_ends_at_the_horizon(binary_law):
+    # dt = 1 and horizon = 1.25: one full step, then one of 0.25 that
+    # branches with probability 1 - e^(-beta0 / 4), not 1 - e^-beta0
+    n = 2000
+    cfg = SimConfig(binary_law, dt=1.0, horizon=1.25, seed=4, n_select=n)
+    branches = []
+    res = run_nbbm(cfg, branches)
+    assert res.times.tolist() == [0.0, 1.0, 1.25] and res.horizon == 1.25
+    time = np.array([row[0] for row in branches])
+    assert set(time.tolist()) == {1.0, 1.25}
+    for t1, h in ((1.0, 1.0), (1.25, 0.25)):
+        p = -math.expm1(-binary_law.beta0 * h)
+        fired = np.count_nonzero(time == t1)
+        assert abs(fired - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("size, rate", [(40, 0.3), (7, 2.5), (500, 0.002)])
+def test_branch_slots_are_independent_bernoulli_trials(size, rate):
+    # each slot branches with probability p = 1 - e^-rate, independently:
+    # per-slot frequencies and the variance of the count are binomial
+    rng = rng_stream(21, 0, 0)
+    p, n = -math.expm1(-rate), 4000
+    hits = np.zeros(size)
+    totals = []
+    for _ in range(n):
+        idx = _branch_slots(size, rate, rng)
+        assert np.all(np.diff(idx) > 0)
+        assert len(idx) == 0 or 0 <= idx[0] <= idx[-1] < size
+        hits[idx] += 1
+        totals.append(len(idx))
+    se = math.sqrt(p * (1.0 - p) / n)
+    assert np.all(np.abs(hits / n - p) <= 4.5 * se)
+    var = np.var(totals, ddof=1)
+    var_se = size * p * (1.0 - p) * math.sqrt(2.0 / (n - 1))
+    assert abs(var - size * p * (1.0 - p)) <= 4.0 * var_se + 1e-12
+
+
+def test_nbbm_count_falls_below_n_under_deaths(mixed_law):
+    # k = 0 kills a particle, so a replica can hold fewer than N; a med is
+    # -inf exactly when fewer than ceil(alpha N) particles are left
+    n = 20
+    cfg = SimConfig(mixed_law, dt=0.1, horizon=30.0, replicas=3, seed=2,
+                    n_select=n, alphas=(0.5, 0.95), sample_every=0.1)
+    res = run_nbbm(cfg)
+    below = []
+    for s, final in zip(res.series, res.final_positions):
+        count = s.columns["count"]
+        assert np.all(count <= n)
+        below.append(count < n)
+        for alpha in cfg.alphas:
+            dead = s.columns[f"med_{alpha:g}"] == -math.inf
+            assert np.array_equal(dead, count < math.ceil(alpha * n))
+        assert np.all(np.isfinite(final)) and len(final) == count[-1]
+    below = np.concatenate(below)
+    assert below.any() and not below.all()
+    assert np.any(np.concatenate([s.columns["med_0.95"]
+                                  for s in res.series]) == -math.inf)
+
+
+def test_nbbm_extinct_replica_stays_extinct():
+    # q(0) = 0.45 at N = 4: every replica soon dies out, and a dead slot
+    # never comes back, whatever the other replicas do
+    law = ReproductionLaw((0.45, 0.0, 0.55))
+    cfg = SimConfig(law, dt=0.1, horizon=20.0, replicas=8, seed=3,
+                    n_select=4, sample_every=0.1)
+    res = run_nbbm(cfg)
+    for s, final in zip(res.series, res.final_positions):
+        count = s.columns["count"]
+        gone = np.flatnonzero(count == 0)
+        assert len(gone) and np.all(count[gone[0]:] == 0)
+        assert np.all(s.columns["med_0.5"][gone[0]:] == -math.inf)
+        assert len(final) == 0
+
+
+def test_nbbm_heavy_offspring_widens_the_buffer():
+    # rare 40-child branchings overflow the room left for extra children,
+    # which then grows, logged or not, without changing the draws
+    law = ReproductionLaw.from_dict({1: 0.99, 40: 0.01})
+    cfg = SimConfig(law, dt=0.1, horizon=50.0, replicas=2, seed=1,
+                    n_select=100)
+    branches = []
+    logged, plain = run_nbbm(cfg, branches), run_nbbm(cfg)
+    time, _, _, ks = (np.array(c) for c in zip(*branches))
+    _, step = np.unique(time, return_inverse=True)
+    extras = np.bincount(step, weights=ks - 1)
+    assert extras.max() > 40  # more than the initial room for extras
+    assert np.array_equal(logged.med_matrix(0.5), plain.med_matrix(0.5))
+    for a, b in zip(logged.final_positions, plain.final_positions):
+        assert np.array_equal(a, b) and len(a) == 100
+
+
+@pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
+def test_nbbm_speed_agrees_with_the_reference_lane(law_name, request):
+    # the batched lane and the one-replica-at-a-time reference draw from
+    # different streams, so they agree in law: their per-replica med_0.5
+    # speeds at equal dt must agree within four combined standard errors
+    law = request.getfixturevalue(law_name)
+    cfg = SimConfig(law, dt=0.1, horizon=150.0, replicas=12, seed=7,
+                    n_select=64)
+    speeds = [speed_estimate(res.times, res.med_matrix(0.5), 30.0)
+              for res in (run_nbbm(cfg), run_nbbm_reference(cfg))]
+    (v_new, se_new), (v_ref, se_ref) = speeds
+    assert abs(v_new - v_ref) <= 4.0 * math.hypot(se_new, se_ref), speeds
 
 
 # ---------------------------------------------------------------------------
