@@ -14,6 +14,7 @@ it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +33,57 @@ __all__ = [
 ]
 
 
+# exp(-40) < 2^-53, the spacing of the uniforms `Generator.random` draws, so
+# a miss without a draw at or below this floor moves a hit probability by at
+# most 2^-53.
+_EXPONENT_FLOOR = -40.0
+# the largest x whose exp(x) is a finite double
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def bridge_hit_prob(x1, x2, seg, wall):
     """P(a Brownian bridge from x1 to x2 over `seg` touches `wall`), elementwise.
 
     exp(-2 (x1 - wall)(x2 - wall) / seg), which is 1 whenever the endpoints
     straddle the wall; exact for a single wall, so absorption against one
-    wall preserves the killed kernel at any step size.  exp is evaluated
-    only where the exponent is above -746: below that it is exactly 0.0,
-    and numpy's slow underflow path for it costs most of the call when most
-    particles sit far from the wall.
+    wall preserves the killed kernel at any step size.  The exponent is
+    floored at -40, so a probability below exp(-40) = 4.2e-18 reads as
+    exp(-40): that moves it by less than 2^-53, the resolution of the
+    uniforms it is compared with, and keeps exp off its slow underflow and
+    subnormal paths.  Works in place on one fresh array.
     """
-    e = -2.0 * (x1 - wall) * (x2 - wall) / seg
-    p = np.zeros(np.shape(e))
-    # the min folds the sure-hit case (exponent >= 0) into the same formula
-    return np.exp(np.minimum(e, 0.0), out=p, where=e > -746.0)
+    e = np.asarray(np.multiply(np.subtract(x1, wall), np.subtract(x2, wall)),
+                   dtype=float)
+    e *= -2.0
+    e /= seg
+    # the upper clip folds the sure-hit case (exponent >= 0) into the formula
+    np.clip(e, _EXPONENT_FLOOR, 0.0, out=e)
+    return np.exp(e, out=e)
+
+
+def _wall_hits(d1, d2, k, br, k_br, rng: np.random.Generator,
+               exempt: np.ndarray | None) -> np.ndarray:
+    """Indices of the particles whose bridge touches a wall.
+
+    d1 and d2 are the segments' start and end distances to the wall and k
+    is -2 / seg, except at the branchers `br`, whose -2 / seg is k_br; so
+    d1 d2 k is the exponent of `bridge_hit_prob`.  Only candidates,
+    particles not `exempt` whose exponent is above the floor, draw a
+    uniform, one each in index order; the rest miss.
+    """
+    e = d1 * d2
+    e *= k
+    if len(br):
+        e[br] = d1[br] * d2[br] * k_br
+    cand = (e > _EXPONENT_FLOOR).nonzero()[0]
+    if exempt is not None:
+        cand = cand[~exempt[cand]]
+    if not len(cand):
+        return cand
+    p = e[cand]
+    np.minimum(p, 0.0, out=p)
+    np.exp(p, out=p)
+    return cand[rng.random(len(cand)) < p]
 
 
 def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
@@ -61,12 +99,25 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     one-sided bridge probabilities, and an origin hit is never also an upper
     hit; this misplaces only paths that touch both walls in one segment
     (probability of order exp(-2 upper^2 / h)).  A hit is placed at the end
-    of its segment.  A branching particle's children start at its branch point with the rest
-    of its step; they inherit its tag and payload (a tuple of arrays aligned
-    with pos) and whether the origin ignores it.  Each loop over the current
-    segments draws, in order, the clocks, the Gaussian moves, the origin
-    uniforms, the upper uniforms when there is an upper wall, and the
-    offspring counts of the branching particles.
+    of its segment, at (t0 + h) - (rem - seg) for a segment of length seg
+    with rem of the step left at its start: exactly t0 + h for a segment
+    that ends the step, and never past it.  A branching particle's children
+    start at its branch point with the rest of its step; they inherit its
+    tag and payload (a tuple of arrays aligned with pos) and whether the
+    origin ignores it.
+
+    Each loop over the current segments draws only what it uses, in order:
+    - one uniform u per particle for its branch clock, inverted: a particle
+      with rem left branches iff u < 1 - exp(-beta0 rem), and only then is
+      its branch time -log(1 - u) / beta0 computed;
+    - one Gaussian move per particle;
+    - one uniform per origin candidate, then one per upper candidate (when
+      there is an upper wall) among the particles the origin missed.  A
+      candidate is a particle whose bridge exponent is above -40; the others
+      miss without a draw, which moves a hit probability by less than
+      exp(-40) < 2^-53, the resolution of the uniforms.  Particles the
+      origin ignores are never origin candidates;
+    - the offspring counts of the surviving branchers.
 
     Returns the survivors' (pos, tag, payload), the origin and upper hits as
     lists of per-loop chunks (time, tag, *payload), and the number of
@@ -78,47 +129,68 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     if origin_ignores is not None:
         carry.append(origin_ignores)
     n_out = 1 + len(payload)
-    out = [[pos[:0], *(c[:0] for c in carry[:n_out])]]
-    lower, upper_hits = [], []
-    rem = np.full(len(pos), h)
-    scale = 1.0 / law.beta0
+    out, lower, upper_hits = [], [], []
+    t1 = t0 + h
+    # the step left to each particle: one scalar until the first branching
+    rem = h
+    beta0 = law.beta0
     per_tag = isinstance(drift, np.ndarray)
     segments = 0
     while len(pos):
         n = len(pos)
         segments += n
-        tb = rng.exponential(scale, n)
-        seg = np.minimum(tb, rem)
-        mean = drift[carry[0]] * seg if per_tag else drift * seg
-        x2 = pos + mean + rng.standard_normal(n) * np.sqrt(seg)
-        # Both probabilities come before the uniforms: building them around
-        # a freshly drawn uniform array cost a third more page faults and
-        # about 7% more CPU in the killed ensemble at 33k particles.
-        p_lo = bridge_hit_prob(pos, x2, seg, 0.0)
+        u = rng.random(n)
+        br = (u < -np.expm1(-beta0 * rem)).nonzero()[0]
+        # Every segment but a brancher's runs to the end of the step: the
+        # moves and the bridge factor k = -2 / seg are taken for rem, and the
+        # branchers' are redone for their branch times.
+        v = drift[carry[0]] if per_tag else drift
+        x2 = rng.standard_normal(n)
+        z_br = x2[br]
+        x2 *= np.sqrt(rem)
+        x2 += pos
+        x2 += v * rem
+        k = -2.0 / rem
+        lag = k_br = None
+        if len(br):
+            rem_br = rem[br] if np.ndim(rem) else np.full(len(br), rem)
+            # min: a rounding slip of the inversion never passes rem
+            tb = np.minimum(-np.log1p(-u[br]) / beta0, rem_br)
+            x2[br] = pos[br] + (v[br] if per_tag else v) * tb \
+                + z_br * np.sqrt(tb)
+            k_br = -2.0 / tb
+            # the step left after each segment, which only branchers have
+            lag = np.zeros(n)
+            lag[br] = rem_br - tb
+        hit_lo = _wall_hits(pos, x2, k, br, k_br, rng,
+                            None if origin_ignores is None else carry[-1])
+        done = np.ones(n, dtype=bool)
+        done[hit_lo] = False
+        hit_hi = None
         if upper is not None:
-            p_hi = bridge_hit_prob(pos, x2, seg, upper)
-        hit_lo = rng.random(n) < p_lo
-        if origin_ignores is not None:
-            hit_lo &= ~carry[-1]
-        live, hit_hi = ~hit_lo, None
-        if upper is not None:
-            hit_hi = live & (rng.random(n) < p_hi)
-            live &= ~hit_hi
+            hit_hi = _wall_hits(pos - upper, x2 - upper, k, br, k_br, rng,
+                                ~done if len(hit_lo) else None)
+            done[hit_hi] = False
         for hit, chunks in ((hit_lo, lower), (hit_hi, upper_hits)):
-            if hit is not None and len(idx := hit.nonzero()[0]):
-                chunks.append((t0 + (h - rem[idx]) + seg[idx],
-                               *(c[idx] for c in carry[:n_out])))
-        done = live & (tb >= rem)
+            if hit is not None and len(hit):
+                chunks.append((t1 - lag[hit] if lag is not None
+                               else np.full(len(hit), t1),
+                               *(c[hit] for c in carry[:n_out])))
+        cont = br[done[br]]
+        done[br] = False
         out.append([x2[done], *(c[done] for c in carry[:n_out])])
-        cont = live & ~done
-        n_br = np.count_nonzero(cont)
-        if n_br == 0:
+        if len(cont) == 0:
             break
-        ks = sample_offspring(law, n_br, rng)
+        ks = sample_offspring(law, len(cont), rng)
         pos = np.repeat(x2[cont], ks)
         carry = [np.repeat(c[cont], ks) for c in carry]
-        rem = np.repeat(rem[cont] - tb[cont], ks)
-    pos, tag, *payload = (np.concatenate(x) for x in zip(*out))
+        rem = np.repeat(lag[cont], ks)
+    if len(out) == 1:
+        pos, tag, *payload = out[0]
+    elif out:
+        pos, tag, *payload = (np.concatenate(x) for x in zip(*out))
+    else:
+        tag, *payload = carry[:n_out]
     return pos, tag, tuple(payload), lower, upper_hits, segments
 
 
@@ -195,8 +267,11 @@ def killed_ensemble(law: ReproductionLaw, iv: IntervalParams, *,
     rep = np.asarray(replica0, dtype=np.int64).copy()
     if pos.shape != rep.shape or pos.ndim != 1:
         raise ValueError("positions0 and replica0 must be matching 1-d arrays")
-    if len(pos) and (pos.min() <= 0.0 or pos.max() >= a):
+    # written so that NaN fails it too
+    if not np.all((pos > 0.0) & (pos < a)):
         raise ValueError("initial positions must lie strictly inside (0, a)")
+    if not math.isfinite(drift_rate):
+        raise ValueError(f"drift_rate must be finite, got {drift_rate!r}")
     if len(rep) and (rep.min() < 0 or rep.max() >= replicas):
         raise ValueError("replica ids must lie in [0, replicas)")
 
@@ -288,6 +363,18 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                          f"y = {y!r}, zeta = {zeta!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    # the weight clause compares with epsilon e^A: NaN or inf would
+    # silently switch it off
+    if not math.isfinite(A):
+        raise ValueError(f"A must be finite, got {A!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
+    if A > _LOG_FLOAT_MAX or math.isinf(epsilon * math.exp(A)):
+        raise ValueError(f"the threshold epsilon e^A overflows at "
+                         f"A = {A!r}, epsilon = {epsilon!r}")
+    if not n_trials >= 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials!r}")
     a, mu = iv.a, iv.mu
     n_trials = int(n_trials)
     threshold = epsilon * math.exp(A)

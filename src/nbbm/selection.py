@@ -848,7 +848,8 @@ def run_bsharp(cfg: SimConfig, csharp: bool = False) -> list[BarrierResult]:
     branch unchecked for two cells, 200 time units at a = 5, so every
     geometry tried (a = 3.5 to 5, A = 1 to 2) passes the population cap of
     200k particles first and raises CapacityError.  Only unit tests reach
-    the expiry path.
+    the expiry path.  CHANGES.md records this as a FOUND line; ROADMAP
+    item 3 asks for a geometry and a configurable cap where it runs.
     """
     return _barrier_batch(cfg, "csharp" if csharp else "bsharp")
 

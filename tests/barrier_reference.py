@@ -1,10 +1,12 @@
 """Reference barrier runner: one replica at a time.
 
 This is the per-replica `_barrier_run` that the batched barrier runner in
-`nbbm.selection` replaced, kept unchanged as the reference lane: with one
-replica the batched runner must reproduce its series, pieces, counters,
-colour statistics and final positions bit for bit, and with several
-replicas its replica means must agree with independent runs of this one.
+`nbbm.selection` replaced, kept as the reference lane for the barrier
+bookkeeping: with one replica the batched runner must reproduce its series,
+pieces, counters, colour statistics and final positions bit for bit, and
+with several replicas its replica means must agree with independent runs of
+this one.  Both step through `ensemble.step_segments`, whose draws are
+checked on their own against the reference step in ensemble_reference.
 Each call draws from its own stream rng_stream(seed, replica, barrier lane).
 """
 
@@ -15,9 +17,8 @@ import math
 
 import numpy as np
 
-from nbbm.engine import CapacityError, SimConfig, hperp_count, rng_stream, \
-    sample_offspring
-from nbbm.ensemble import breakout_trials, hperp_flat
+from nbbm.engine import CapacityError, SimConfig, hperp_count, rng_stream
+from nbbm.ensemble import breakout_trials, hperp_flat, step_segments
 from nbbm.kernels import error_envelope_E, w_Y, w_Z
 from nbbm.selection import (_BLUE, _LANE_BARRIER, _RED, _WHITE, BarrierPath,
                             BarrierResult, _require, _sharp_expire,
@@ -75,7 +76,6 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
              "rewhitened": 0, "white_killed_at_origin": 0}
     trials_run = suppressed = clamped = reinjected = wall_hits = 0
     depth_capped = 0
-    scale = 1.0 / cfg.law.beta0
 
     times = [0.0]
     rows: dict[str, list[float]] = {k: [] for k in
@@ -133,45 +133,14 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
                 else:
                     pending = (t_hit, t_hit + float(batch.sigma_max[0]))
 
-        hits_upper: list[tuple[float, int, float]] = []
-        hits_origin: list[float] = []
-        out_pos, out_col, out_expy = [], [], []
-        w_pos, w_col, w_expy = pos, col, expy
-        w_rem = np.full(len(pos), h)
-        while len(w_pos):
-            n = len(w_pos)
-            tb = rng.exponential(scale, n)
-            seg = np.minimum(tb, w_rem)
-            x2 = w_pos + drift_rate * seg + rng.normal(0.0, 1.0, n) * np.sqrt(seg)
-            with np.errstate(over="ignore"):
-                p_lo = np.exp(np.minimum(-2.0 * w_pos * x2 / seg, 0.0))
-                p_hi = np.exp(np.minimum(-2.0 * (a - w_pos) * (a - x2) / seg, 0.0))
-            hit_lo = (rng.random(n) < p_lo) & (w_col != _BLUE)
-            hit_hi = ~hit_lo & (rng.random(n) < p_hi)
-            t_hit = t0 + (h - w_rem) + seg
-
-            if hit_lo.any():
-                hits_origin.extend(t_hit[hit_lo])
-            for j in np.nonzero(hit_hi)[0]:
-                hits_upper.append((float(t_hit[j]), int(w_col[j]),
-                                   float(w_expy[j])))
-            live = ~hit_lo & ~hit_hi
-            done = live & (tb >= w_rem)
-            out_pos.append(x2[done])
-            out_col.append(w_col[done])
-            out_expy.append(w_expy[done])
-            cont = live & ~done
-            if not cont.any():
-                break
-            ks = sample_offspring(cfg.law, int(cont.sum()), rng)
-            w_pos = np.repeat(x2[cont], ks)
-            w_col = np.repeat(w_col[cont], ks)
-            w_expy = np.repeat(w_expy[cont], ks)
-            w_rem = np.repeat(w_rem[cont] - tb[cont], ks)
-        pos = np.concatenate(out_pos) if out_pos else np.empty(0)
-        col = np.concatenate(out_col).astype(np.int8) if out_col \
-            else np.empty(0, dtype=np.int8)
-        expy = np.concatenate(out_expy) if out_expy else np.empty(0)
+        pos, _, (col, expy), origin, upper, _ = step_segments(
+            pos, np.zeros(len(pos), dtype=np.int64), (col, expy), t0=t0,
+            h=h, drift=drift_rate, law=cfg.law, rng=rng, upper=a,
+            origin_ignores=col == _BLUE if sharp else None)
+        hits_upper = [hit for t_hit, _, c_hit, e_hit in upper
+                      for hit in zip(t_hit.tolist(), c_hit.tolist(),
+                                     e_hit.tolist())]
+        hits_origin = [t for t_hit, *_ in origin for t in t_hit.tolist()]
 
         # fugitive trials for this step's wall hits, in hit-time order
         hits_upper.sort()

@@ -124,15 +124,20 @@ def test_bridge_hit_prob_reference_value():
     assert_close(bridge_hit_prob(0.5, 0.5, 1.0, 0.0), math.exp(-0.5), 1e-15)
 
 
-def test_bridge_hit_prob_equals_exp_through_the_underflow_range():
-    # exp is skipped below an exponent of -746, where it is exactly 0.0
+def test_bridge_hit_prob_equals_exp_above_the_floor():
+    # the exponent is floored at -40: above it p is exp exactly, below it p
+    # is exp(-40) < 2^-53, and no result is subnormal or zero
     rng = rng_stream(5, 0, 0)
     x1 = rng.uniform(-0.5, 30.5, 4000)
     x2 = x1 + rng.standard_normal(4000)
+    floor = math.exp(-40.0)
+    assert floor < 2.0**-53
     for wall in (0.0, 31.0):
         e = -2.0 * (x1 - wall) * (x2 - wall) / 0.5
         p = bridge_hit_prob(x1, x2, 0.5, wall)
-        assert np.array_equal(p, np.exp(np.minimum(e, 0.0)))
+        above = e > -40.0
+        assert np.array_equal(p[above], np.exp(np.minimum(e[above], 0.0)))
+        assert np.all(p[~above] == floor)
         assert np.any(e < -746.0) and np.any(p == 1.0)
 
 
@@ -216,6 +221,24 @@ def test_advance_absorption_confines_and_logs(binary_law, iv5):
     times = np.concatenate([t for t, *_ in hits])
     assert len(times), "no absorption in 10 time units is implausible"
     assert np.all((times > 0.0) & (times <= 10.0))
+
+
+def test_step_hits_fall_inside_their_step(binary_law):
+    # many hits, of which branching children make a fair share: each must
+    # be timed within [t0, t0 + h] of its own step, to the last bit
+    rng = rng_stream(2, 0, 0)
+    pos = rng.uniform(0.0, 1.0, 20_000)
+    tag = np.zeros(len(pos), dtype=np.int64)
+    dt, n_hits = 0.1, 0
+    for i in range(30):
+        t0 = i * dt
+        pos, tag, _, lo, hi, _ = step_segments(
+            pos, tag, t0=t0, h=dt, drift=0.0, law=binary_law, rng=rng,
+            upper=1.0)
+        for t, _ in lo + hi:
+            assert np.all((t >= t0) & (t <= t0 + dt)), i
+            n_hits += len(t)
+    assert n_hits > 20_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Replica-batched lanes: the flat initial profile, the killed ensemble, and
 batched trials, cross-checked against the scalar reference lane
-(engine_reference) and, bit for bit, against the loops they replaced
-(ensemble_reference)."""
+(engine_reference) and, in law, against the segment step whose draws the
+library's step cut (ensemble_reference)."""
 
 import math
 
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from nbbm import ensemble
 from nbbm.engine import rng_stream
-from nbbm.ensemble import breakout_trials, hperp_flat, killed_ensemble
+from nbbm.ensemble import (breakout_trials, hperp_flat, killed_ensemble,
+                           step_segments)
 from nbbm.kernels import w_Z
 from nbbm.stats import oracle_Z
 
@@ -205,53 +207,154 @@ def test_trials_agree_with_single_trial_engine(binary_law):
 
 
 # ---------------------------------------------------------------------------
-# bit-identity with the reference loops, and step validation
+# agreement in law with the reference step, and step validation
+#
+# The library step draws only what each segment uses; the reference step
+# (ensemble_reference) draws a clock and one uniform per wall for every
+# particle.  Each comparison runs the two on independent streams of one seed.
 
 
-def _assert_same_fields(new, ref):
-    for name, want in vars(ref).items():
-        got = getattr(new, name)
-        if want is None:
-            assert got is None, name
-        else:
-            assert np.array_equal(got, want), name
-            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+def _z(new, ref):
+    """Two-sample z of the means of independent per-replica values."""
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    se = math.sqrt(new.var(ddof=1) / len(new) + ref.var(ddof=1) / len(ref))
+    diff = new.mean() - ref.mean()
+    return diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
+
+
+def _count_z(new, ref):
+    """z of two counts, each count's variance taken as its mean.  Branch
+    cascades make the variance of a one-step branch count about 1.3 times
+    its mean at beta0 h = 0.25, so |z| <= 4 still allows 3.5 true SE."""
+    return (new - ref) / math.sqrt(max(new + ref, 1))
+
+
+def _on_both_steps(monkeypatch, run):
+    """run(lane) through the library step on stream lane 1, then through the
+    reference step on lane 2."""
+    new = run(1)
+    monkeypatch.setattr(ensemble, "step_segments",
+                        ensemble_reference.step_segments)
+    return new, run(2)
+
+
+@pytest.mark.parametrize("walls", ["origin", "both"])
+def test_one_step_agrees_with_the_reference(binary_law, walls):
+    """One step of 100k particles from one state: hit counts per wall,
+    branch counts and survivors per tag (count z), and the laws of the
+    survivors' positions and displacements and of each wall's hit times
+    (two-sample KS).  "both" adds the upper wall, a drift per tag, a payload
+    and particles the origin ignores."""
+    n, h = 100_000, 0.5
+    pos = rng_stream(0, 0, 9).uniform(0.0, 3.0, n)
+    tag = np.arange(n, dtype=np.int64) % 2
+    kw = dict(t0=1.0, h=h, law=binary_law, drift=-0.5)
+    if walls == "both":
+        kw.update(upper=3.0, drift=np.array([-1.0, 0.5]),
+                  origin_ignores=np.arange(n) % 3 == 0)
+    out = {}
+    for name, step in (("new", step_segments),
+                       ("ref", ensemble_reference.step_segments)):
+        x, t, (x0,), lo, hi, segs = step(
+            pos, tag, (pos,), rng=rng_stream(0, len(out) + 1, 9), **kw)
+        out[name] = dict(
+            x=x, moved=x - x0, tag=np.bincount(t, minlength=2),
+            lo=np.concatenate([c[0] for c in lo]) if lo else np.empty(0),
+            hi=np.concatenate([c[0] for c in hi]) if hi else np.empty(0),
+            # each binary branching adds two segments
+            branches=(segs - n) // 2)
+    new, ref = out["new"], out["ref"]
+    assert len(ref["lo"]) > 1000 and ref["branches"] > 1000
+    if walls == "both":
+        assert len(ref["hi"]) > 1000 and np.any(ref["x"] < 0.0)
+    counts = [("origin hits", len(new["lo"]), len(ref["lo"])),
+              ("upper hits", len(new["hi"]), len(ref["hi"])),
+              ("branches", new["branches"], ref["branches"]),
+              ("tag 0", new["tag"][0], ref["tag"][0]),
+              ("tag 1", new["tag"][1], ref["tag"][1])]
+    for label, a, b in counts:
+        assert abs(_count_z(a, b)) <= 4.0, (label, a, b)
+    for label in ("x", "moved", "lo", "hi"):
+        if len(ref[label]):
+            p = sps.ks_2samp(new[label], ref[label]).pvalue
+            assert p > 1e-4, (label, p)
+    for times in (new["lo"], new["hi"]):
+        assert np.all((times >= 1.0) & (times <= 1.0 + h))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
-def test_killed_ensemble_matches_the_reference(request, iv5, law_name, seed):
+def test_killed_ensemble_matches_the_reference(request, monkeypatch, iv5,
+                                               law_name, seed):
+    """Per-replica final count, Z, Y and upper hits: the means on the two
+    steps agree within |z| <= 4."""
     law = request.getfixturevalue(law_name)
-    out = []
-    for run in (killed_ensemble, ensemble_reference.killed_ensemble):
-        rng = rng_stream(seed, 0, 0)
-        pos0, rep0 = hperp_flat(2.0, iv5, 20, rng)
-        out.append(run(law, iv5, drift_rate=-iv5.mu, replicas=20, dt=0.05,
-                       record_times=[0.0, 1.0, 2.0, 4.0], rng=rng,
-                       positions0=pos0, replica0=rep0))
-    assert out[1].r_cum[-1].sum() > 0  # the upper wall is exercised
-    _assert_same_fields(*out)
+    reps = 300
+
+    def run(lane):
+        rng = rng_stream(seed, lane, 0)
+        pos0, rep0 = hperp_flat(2.0, iv5, reps, rng)
+        return ensemble.killed_ensemble(
+            law, iv5, drift_rate=-iv5.mu, replicas=reps, dt=0.05,
+            record_times=[0.0, 1.0, 2.0, 4.0], rng=rng, positions0=pos0,
+            replica0=rep0)
+
+    new, ref = _on_both_steps(monkeypatch, run)
+    assert ref.r_cum[-1].sum() > 0  # the upper wall is exercised
+    for name in ("count", "Z", "Y", "r_cum"):
+        z = _z(getattr(new, name)[-1], getattr(ref, name)[-1])
+        assert abs(z) <= 4.0, (name, z)
+
+
+def _trial_values(b, collect_line):
+    """Per-trial values compared between the two steps."""
+    vals = {"n_frozen": b.n_frozen, "Z": b.Z, "sigma_max": b.sigma_max,
+            "hit_zeta": b.hit_zeta, "censored": b.censored,
+            "is_breakout": b.is_breakout}
+    if collect_line:
+        n = len(b.Z)
+        vals["frozen time sum"] = np.bincount(
+            b.frozen_trial, weights=b.frozen_time, minlength=n)
+        vals["alive at zeta"] = np.bincount(b.alive_trial, minlength=n)
+    return vals
 
 
 @pytest.mark.parametrize("collect_line", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
-def test_breakout_trials_match_the_reference(request, iv10, law_name, seed,
-                                             collect_line):
+def test_breakout_trials_match_the_reference(request, monkeypatch, iv10,
+                                             law_name, seed, collect_line):
+    """Per-trial frozen count, weight, last freeze, outcome flags and, with
+    collect_line, the frozen-time sum and the lineages alive at zeta: the
+    means on the two steps agree within |z| <= 4."""
     law = request.getfixturevalue(law_name)
-    out = [run(law, iv10, **dict(TRIAL_KW, zeta=6.0), n_trials=200, dt=0.05,
-               rng=rng_stream(seed, 0, 0), collect_line=collect_line)
-           for run in (breakout_trials, ensemble_reference.breakout_trials)]
-    assert out[1].n_frozen.sum() > 0 and out[1].hit_zeta.any()
-    _assert_same_fields(*out)
+
+    def run(lane):
+        return ensemble.breakout_trials(
+            law, iv10, **dict(TRIAL_KW, zeta=6.0), n_trials=600, dt=0.05,
+            rng=rng_stream(seed, lane, 0), collect_line=collect_line)
+
+    new, ref = _on_both_steps(monkeypatch, run)
+    assert ref.n_frozen.sum() > 0 and ref.hit_zeta.any()
+    ref_vals = _trial_values(ref, collect_line)
+    for name, got in _trial_values(new, collect_line).items():
+        z = _z(got, ref_vals[name])
+        assert abs(z) <= 4.0, (name, z)
 
 
-def test_censored_breakout_trials_match_the_reference(binary_law, iv10):
-    out = [run(binary_law, iv10, **TRIAL_KW, n_trials=200, dt=0.05,
-               rng=rng_stream(19, 0, 0), censor_count=1, collect_line=True)
-           for run in (breakout_trials, ensemble_reference.breakout_trials)]
-    assert out[1].censored.any()
-    _assert_same_fields(*out)
+def test_censored_breakout_trials_match_the_reference(monkeypatch, binary_law,
+                                                      iv10):
+    """With a censor count of 1 the censored and breakout shares agree."""
+    def run(lane):
+        return ensemble.breakout_trials(
+            binary_law, iv10, **TRIAL_KW, n_trials=600, dt=0.05,
+            rng=rng_stream(19, lane, 0), censor_count=1, collect_line=True)
+
+    new, ref = _on_both_steps(monkeypatch, run)
+    assert ref.censored.any()
+    for name in ("censored", "is_breakout", "n_frozen"):
+        z = _z(getattr(new, name), getattr(ref, name))
+        assert abs(z) <= 4.0, (name, z)
 
 
 def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
@@ -273,3 +376,24 @@ def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
             with pytest.raises(ValueError, match="y and zeta"):
                 breakout_trials(binary_law, iv10,
                                 **dict(trial_kw, **{name: bad}), dt=0.05)
+    # the weight threshold epsilon e^A must be a finite number
+    for name, bads in (("A", (math.inf, -math.inf, math.nan, 710.0)),
+                       ("epsilon", (math.inf, math.nan, 0.0, -1.0, 1e307)),
+                       ("n_trials", (-1, math.nan))):
+        for bad in bads:
+            with pytest.raises(ValueError, match=name):
+                breakout_trials(binary_law, iv10,
+                                **dict(trial_kw, **{name: bad}), dt=0.05)
+    # a NaN particle would branch into NaN copies that count includes
+    for bad_pos in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="inside"):
+            killed_ensemble(binary_law, iv5,
+                            **dict(killed_kw,
+                                   positions0=np.array([2.0, bad_pos]),
+                                   replica0=np.array([0, 0])),
+                            dt=0.05, record_times=[0.0, 1.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="drift_rate"):
+            killed_ensemble(binary_law, iv5,
+                            **dict(killed_kw, drift_rate=bad), dt=0.05,
+                            record_times=[0.0, 1.0])
