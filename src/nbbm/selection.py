@@ -11,28 +11,26 @@ three systems with shared noise and per-event domination checks.
 `run_nbbm`, the one N-BBM step lane, steps all replicas together in one
 (replicas, N) array of slots, a dead slot holding -inf, on the one stream
 rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
-barrier runners advance all
-replicas of a run together in flat arrays: positions, colour codes and blue
-expiry times, each particle tagged with its replica id, stepped by
-`ensemble.step_segments` as the killed ensemble is.  One generator,
-rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
-takes its own replica's barrier drift, and per-replica state (barrier path,
-pending breakout, freeze-time queue, re-entry heap, pieces and counters) is
-touched only when that replica has something due.  After each step the
-arrays are regrouped by replica with a stable sort, so every per-replica
-statistic is taken on a contiguous slice.  With one replica the draws, their
-order and every sum are those of a lone replica run, so the output is
-bit-identical to the one-replica reference kept in the tests.  Excursions
-past the right wall are simulated as stand-alone fugitive trials, one per
-hit, replica by replica in hit-time order; their frozen descendants re-enter
-the population at their freeze times.  Rule evaluation happens at step ends,
-so colour flips and re-entries are placed with O(dt) time resolution; the
+barrier runners advance all replicas of a run together in flat arrays:
+positions, colour codes and blue expiry times, each particle tagged with its
+replica id, stepped by `ensemble.step_segments` as the killed ensemble is.
+One generator, rng_stream(seed, 0, barrier lane), serves the whole batch;
+each particle takes its own replica's barrier drift, and per-replica state
+(barrier path, pending breakout, freeze-time queue, pieces) is touched only
+when that replica has something due.  After each step the arrays are
+regrouped by replica with a stable sort, so every per-replica statistic is
+taken on a contiguous slice.  Excursions past the right wall are simulated
+as fugitive trials, one per hit, each step's hits in one batch sorted by
+replica and then hit time; the trials' lineages wait in aligned arrays and
+re-enter the population at their freeze times.  A one-replica run whose
+steps launch at most one trial each is bit-identical to the per-hit
+reference kept in the tests.  Rule evaluation happens at step ends, so
+colour flips and re-entries are placed with O(dt) time resolution; the
 Brownian and branching dynamics themselves are exact within each step.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -466,19 +464,12 @@ class _Replica:
     path: BarrierPath
     pending: tuple[float, float] | None = None
     theta_queue: list[tuple[float, int]] = field(default_factory=list)
-    reinject: list[tuple[float, int, float, int, float, int]] = field(
-        default_factory=list)
-    seq: int = 0
     pieces: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=lambda: dict.fromkeys(
         ("red_killed", "blue_created", "blue_killed", "rewhitened",
          "white_killed_at_origin"), 0))
-    trials_run: int = 0
     suppressed: int = 0
     clamped: int = 0
-    reinjected: int = 0
-    wall_hits: int = 0
-    depth_capped: int = 0
 
     def response_due(self, t1: float) -> bool:
         """Whether the pending barrier response falls by the step end t1."""
@@ -487,6 +478,12 @@ class _Replica:
     def freeze_due(self, t1: float) -> bool:
         """Whether the earliest queued freeze time falls by t1."""
         return bool(self.theta_queue) and self.theta_queue[0][0] <= t1 + 1e-9
+
+
+def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
+    """Add each replica's number of entries in r_ids to its stats[key]."""
+    for r, k in zip(*np.unique(r_ids, return_counts=True)):
+        reps[r].stats[key] += int(k)
 
 
 def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:
@@ -522,13 +519,12 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     wall_count = 2.0 * math.pi / a ** 3 * math.exp(mu * a)
     n_flat = int(wall_count * math.exp(A + dc)) if mode == "bflat" else 0
     n_sharp = int(wall_count * math.exp(A - dc)) if sharp else 0
+    sharp_period = math.inf
     if sharp:
         k_env = 1
         while error_envelope_E(float(k_env)) > dc / 10.0:
             k_env += 1
         sharp_period = (k_env + 3.0) * a ** 2
-    else:
-        sharp_period = math.inf
 
     horizon = cfg.horizon if cfg.horizon is not None \
         else 1.5 * math.exp(A) * a ** 2
@@ -545,6 +541,12 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     peak = _sizes(bounds)
 
     reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
+    # each wall hit, a relaunch included, runs one trial
+    wall_hits, reinjected, depth_capped = np.zeros((3, n_rep), dtype=np.int64)
+    # trial lineages waiting to re-enter, in the order they were queued:
+    # entry time, position, colour, expiry, trial depth and replica
+    queue = tuple(np.empty(0, dtype=d) for d in
+                  (float, float, np.int8, float, np.int64, np.int64))
 
     times = [0.0]
     names = ["count", "Z", "Y", "R_cum", "barrier_shift"]
@@ -565,13 +567,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             lo, hi = bounds[r], bounds[r + 1]
             row["Z"][r] = wz[lo:hi].sum()
             row["Y"][r] = wy[lo:hi].sum()
-            row["R_cum"][r] = st.wall_hits
             row["barrier_shift"][r] = st.path.shift(t_now)
             seen = pos[lo:hi][whites[lo:hi]] if mode == "bflat" \
                 else pos[lo:hi]
             for al in cfg.alphas:
                 row[f"med_{al:g}"][r] = med_alpha(seen, al, n_med)
         row["count"][:] = _sizes(bounds)
+        row["R_cum"][:] = wall_hits
         if mode == "bflat":
             row["count_white"][:] = np.bincount(rep[whites], minlength=n_rep)
         if sharp:
@@ -580,34 +582,34 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         for k in names:
             rows[k].append(row[k])
 
-    def launch_trial(st: _Replica, t_hit: float, c_hit: int, e_hit: float,
-                     depth: int = 1) -> None:
-        st.trials_run += 1
+    def launch(t_hit, c_hit, e_hit, depth, r_hit):
+        """Run one fugitive trial per hit, the hits sorted by replica and
+        then time, and queue the trials' lineages."""
+        nonlocal queue
+        np.add.at(wall_hits, r_hit, 1)
         batch = breakout_trials(cfg.law, iv, A, eps, y, zeta,
-                                n_trials=1, dt=dt, rng=rng,
+                                n_trials=len(t_hit), dt=dt, rng=rng,
                                 collect_line=True,
                                 zeta_breakout=cfg.zeta_breakout)
-        for s_f, x_f in zip(batch.frozen_time, batch.frozen_pos):
-            heapq.heappush(st.reinject, (t_hit + float(s_f), st.seq,
-                                         float(x_f), c_hit, e_hit, depth))
-            st.seq += 1
-        for x_f in batch.alive_pos:
-            heapq.heappush(st.reinject, (t_hit + zeta, st.seq, float(x_f),
-                                         c_hit, e_hit, depth))
-            st.seq += 1
-        if bool(batch.is_breakout[0]):
-            if st.pending is not None or t_hit < st.path.pieces[-1].t_start:
+        # a replica's first breakout not before its open piece's start
+        # takes the response unless one is pending; the rest are suppressed
+        for k in np.flatnonzero(batch.is_breakout).tolist():
+            st, t_k = reps[r_hit[k]], float(t_hit[k])
+            if st.pending is not None or t_k < st.path.pieces[-1].t_start:
                 st.suppressed += 1
             else:
-                st.pending = (t_hit, t_hit + float(batch.sigma_max[0]))
+                st.pending = (t_k, t_k + float(batch.sigma_max[k]))
+        # frozen lineages enter at their freeze times, survivors at zeta
+        k = np.concatenate([batch.frozen_trial, batch.alive_trial])
+        s = np.concatenate([batch.frozen_time,
+                            np.full(len(batch.alive_trial), zeta)])
+        x = np.concatenate([batch.frozen_pos, batch.alive_pos])
+        queue = tuple(map(np.concatenate, zip(queue, (
+            t_hit[k] + s, x, c_hit[k], e_hit[k], depth[k], r_hit[k]))))
 
-    def crowded(n_white):
-        # bflat: only a replica with more than N_flat whites has a white
-        # seeing N_flat whites to its right
-        return n_white > n_flat
-
-    def settle(st: _Replica, p, c, e, t1):
-        """Step-end rules of one replica on its own particles."""
+    def settle(r: int, p, c, e, t1):
+        """Step-end rules of replica r on its own particles."""
+        st = reps[r]
         if sharp:
             p, c, e = _sharp_expire(p, c, e, t1, n_sharp, mode == "csharp",
                                     st.stats)
@@ -633,8 +635,9 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             n_strip = int(np.sum(p > a - y))
             piece = st.pieces[piece_idx]
             piece["in_between_at_theta"] = n_strip
-            piece["outstanding_at_theta"] = len(st.reinject)
-            piece["clear_at_theta"] = n_strip == 0 and not st.reinject
+            piece["outstanding_at_theta"] = n_out = int(
+                np.count_nonzero(queue[5] == r))
+            piece["clear_at_theta"] = n_strip == 0 and n_out == 0
             if mode == "bflat":
                 reds = c == _RED
                 st.stats["red_killed"] += int(reds.sum())
@@ -646,13 +649,12 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         if mode == "bflat":
             whites = c == _WHITE
             n_white = int(whites.sum())
-            if crowded(n_white):
+            if n_white > n_flat:
                 wpos = p[whites]
                 srt = np.sort(wpos)
                 right = n_white - np.searchsorted(srt, wpos, side="right")
-                flip = np.zeros(len(p), dtype=bool)
-                flip[np.nonzero(whites)[0][right >= n_flat]] = True
-                c = np.where(flip, _RED, c).astype(np.int8)
+                c = c.copy()
+                c[np.flatnonzero(whites)[right >= n_flat]] = _RED
         return p, c, e
 
     record(0.0, pos, col, rep, bounds)
@@ -669,45 +671,46 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             pos, rep, (col, expy), t0=t0, h=h, drift=drift, law=cfg.law,
             rng=rng, upper=a, origin_ignores=col == _BLUE if sharp else None)
 
-        # fugitive trials for this step's wall hits: replica by replica,
-        # each in hit-time order
+        # one batch of fugitive trials for this step's wall hits, sorted by
+        # replica, then hit time
         if upper:
             t_up, r_up, c_up, e_up = (np.concatenate(x) for x in zip(*upper))
-            order = np.lexsort((e_up, c_up, t_up, r_up))
-            for t_hit, c_hit, e_hit, r in zip(
-                    t_up[order].tolist(), c_up[order].tolist(),
-                    e_up[order].tolist(), r_up[order].tolist()):
-                reps[r].wall_hits += 1
-                launch_trial(reps[r], t_hit, c_hit, e_hit)
+            o = np.lexsort((e_up, c_up, t_up, r_up))
+            launch(t_up[o], c_up[o], e_up[o], np.ones(len(o), dtype=np.int64),
+                   r_up[o])
 
-        # re-entries due by the step end, replica by replica
-        add = []
-        for r, st in enumerate(reps):
-            while st.reinject and st.reinject[0][0] <= t1 + 1e-9:
-                t_in, _, x_in, c_in, e_in, d_in = heapq.heappop(st.reinject)
-                if sharp and c_in == _BLUE and e_in <= t1:
-                    if x_in < 0.0:
-                        st.stats["blue_killed"] += 1
-                        continue
-                    c_in, e_in = _WHITE, math.inf
-                    st.stats["rewhitened"] += 1
-                if x_in >= a:
-                    # a lineage frozen beyond the wall counts as a fresh
-                    # hit, but trials within trials stop nesting past depth 3
-                    if d_in >= 3:
-                        st.depth_capped += 1
-                        continue
-                    st.wall_hits += 1
-                    launch_trial(st, max(t_in, t0), c_in, e_in, d_in + 1)
-                    continue
-                st.reinjected += 1
-                add.append((x_in, c_in, e_in, r))
-        if add:
-            x_add, c_add, e_add, r_add = zip(*add)
-            pos = np.concatenate([pos, x_add])
-            col = np.concatenate([col, np.asarray(c_add, dtype=np.int8)])
-            expy = np.concatenate([expy, e_add])
-            rep = np.concatenate([rep, np.asarray(r_add, dtype=np.int64)])
+        # re-entries due by the step end, in rounds: a round takes every due
+        # lineage, by replica, then entry time, then queue order, and
+        # relaunches those frozen beyond the wall as one nested batch, whose
+        # lineages may fall due in the next round
+        due = queue[0] <= t1 + 1e-9
+        while due.any():
+            o = np.flatnonzero(due)
+            o = o[np.lexsort((queue[0][o], queue[5][o]))]
+            t_in, x_in, c_in, e_in, d_in, r_in = (q[o] for q in queue)
+            queue = tuple(q[~due] for q in queue)
+            out = x_in >= a
+            stay = ~out
+            if sharp:
+                expired = (c_in == _BLUE) & (e_in <= t1)
+                dead = expired & (x_in < 0.0)
+                _tally(reps, "blue_killed", r_in[dead])
+                _tally(reps, "rewhitened", r_in[expired & ~dead])
+                c_in[expired], e_in[expired] = _WHITE, math.inf
+                stay &= ~dead
+            # a lineage frozen beyond the wall counts as a fresh hit, but
+            # trials within trials stop nesting past depth 3
+            capped = out & (d_in >= 3)
+            np.add.at(depth_capped, r_in[capped], 1)
+            go = out & ~capped
+            if go.any():
+                launch(np.maximum(t_in[go], t0), c_in[go], e_in[go],
+                       d_in[go] + 1, r_in[go])
+            np.add.at(reinjected, r_in[stay], 1)
+            pos, col, expy, rep = (np.concatenate(x) for x in zip(
+                (pos, col, expy, rep),
+                (x_in[stay], c_in[stay], e_in[stay], r_in[stay])))
+            due = queue[0] <= t1 + 1e-9
 
         # origin hits of whites live on as blues while their replica has
         # fewer than n_sharp particles right of the origin
@@ -717,18 +720,14 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             t_lo, r_lo = t_lo[order], r_lo[order]
             n_right = np.bincount(rep[pos > 0.0], minlength=n_rep)
             blue = n_right[r_lo] < n_sharp
-            created = np.bincount(r_lo[blue], minlength=n_rep)
-            killed = np.bincount(r_lo[~blue], minlength=n_rep)
-            for r in np.flatnonzero(created + killed).tolist():
-                reps[r].stats["blue_created"] += int(created[r])
-                reps[r].stats["white_killed_at_origin"] += int(killed[r])
+            _tally(reps, "blue_created", r_lo[blue])
+            _tally(reps, "white_killed_at_origin", r_lo[~blue])
             n_blue = int(blue.sum())
-            pos = np.concatenate([pos, np.zeros(n_blue)])
-            col = np.concatenate([col, np.full(n_blue, _BLUE, dtype=np.int8)])
-            expy = np.concatenate(
-                [expy, (np.floor(t_lo[blue] / sharp_period) + 2.0)
-                 * sharp_period])
-            rep = np.concatenate([rep, r_lo[blue]])
+            pos, col, expy, rep = (np.concatenate(x) for x in zip(
+                (pos, col, expy, rep),
+                (np.zeros(n_blue), np.full(n_blue, _BLUE, dtype=np.int8),
+                 (np.floor(t_lo[blue] / sharp_period) + 2.0) * sharp_period,
+                 r_lo[blue])))
 
         # regroup by replica; the stable sort keeps each replica's order,
         # and is skipped when the ids are sorted already (one replica)
@@ -744,15 +743,17 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         if sharp:
             due.update(rep[_blue_due(col, expy, t1)].tolist())
         if mode == "bflat":
+            # only a replica with more than N_flat whites has a white
+            # seeing N_flat whites to its right
             white = np.bincount(rep[col == _WHITE], minlength=n_rep)
-            due.update(np.flatnonzero(crowded(white)).tolist())
+            due.update(np.flatnonzero(white > n_flat).tolist())
         if due:
             # the runs of replicas in between are carried over as they are
             parts, last = [], 0
             for r in sorted(due):
                 lo, hi = bounds[r], bounds[r + 1]
-                p, c, e = settle(reps[r], pos[lo:hi], col[lo:hi],
-                                 expy[lo:hi], t1)
+                p, c, e = settle(r, pos[lo:hi], col[lo:hi], expy[lo:hi],
+                                 t1)
                 parts += [(pos[last:lo], col[last:lo], expy[last:lo],
                            rep[last:lo]), (p, c, e, rep[lo:lo + len(p)])]
                 last = hi
@@ -784,9 +785,9 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             colour_stats["period"] = sharp_period
         results.append(BarrierResult(
             series=series, path=st.path, pieces=st.pieces, mode=mode,
-            trials_run=st.trials_run, suppressed_breakouts=st.suppressed,
-            clamped_responses=st.clamped, reinjected=st.reinjected,
-            wall_hits=st.wall_hits, depth_capped=st.depth_capped,
+            trials_run=int(wall_hits[r]), suppressed_breakouts=st.suppressed,
+            clamped_responses=st.clamped, reinjected=int(reinjected[r]),
+            wall_hits=int(wall_hits[r]), depth_capped=int(depth_capped[r]),
             colour_stats=colour_stats,
             final_positions=pos[bounds[r]:bounds[r + 1]].copy(),
             peak_count=peak[r], max_pop=max_pop))
@@ -808,11 +809,13 @@ def run_bbbm(cfg: SimConfig) -> list[BarrierResult]:
 
     All cfg.replicas replicas advance together in replica-tagged flat
     arrays on the one stream rng_stream(seed, 0, barrier lane); each keeps
-    its own barrier path, trial pipeline and counters.  A run with one
-    replica draws exactly what a lone replica run on that stream draws.
-    Every replica's particles are held at once, so memory grows with
-    replicas x population: the population cap (max_pop, reported with each
-    result) bounds each replica, not the batch.
+    its own barrier path and counters, and a step's wall hits, across
+    replicas, run as one batch of trials.  Of a step's breakouts, a
+    replica's earliest eligible one takes the response unless one is
+    pending; the others count as suppressed.  Every replica's particles
+    are held at once, so memory grows with replicas x population: the
+    population cap (max_pop, reported with each result) bounds each
+    replica, not the batch.
     """
     return _barrier_batch(cfg, "bbbm")
 

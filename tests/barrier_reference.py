@@ -8,6 +8,13 @@ with several replicas its replica means must agree with independent runs of
 this one.  Both step through `ensemble.step_segments`, whose draws are
 checked on their own against the reference step in ensemble_reference.
 Each call draws from its own stream rng_stream(seed, replica, barrier lane).
+
+The batched runner draws a step's trials as one batch, so it matches this
+runner bit for bit only on runs whose steps launch at most one trial each;
+on the others it must agree in law.  `replica_moments` gives the moments
+that comparison takes; run this file to print them for the test cases:
+
+    PYTHONPATH=src python tests/barrier_reference.py
 """
 
 from __future__ import annotations
@@ -260,3 +267,39 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
                          wall_hits=wall_hits, depth_capped=depth_capped,
                          colour_stats=colour_stats,
                          final_positions=pos)
+
+
+# the final statistics the law-level comparison takes
+FINAL_STATS = ("count", "Z", "wall_hits", "reinjected")
+
+
+def final_stats(res: BarrierResult) -> tuple[float, ...]:
+    """FINAL_STATS of one replica's result."""
+    cols = res.series.columns
+    return (float(cols["count"][-1]), float(cols["Z"][-1]),
+            float(res.wall_hits), float(res.reinjected))
+
+
+def replica_moments(cfg: SimConfig, mode: str,
+                    replicas) -> dict[str, tuple[float, float]]:
+    """Mean and variance (ddof 1) of each of FINAL_STATS over reference
+    runs of the given replicas."""
+    x = np.array([final_stats(_barrier_run(cfg, mode, r)) for r in replicas])
+    return {name: (float(m), float(v)) for name, m, v in
+            zip(FINAL_STATS, x.mean(axis=0), x.var(axis=0, ddof=1))}
+
+
+if __name__ == "__main__":
+    from nbbm.engine import ReproductionLaw
+    from test_selection import IN_LAW, REFERENCE_CASES, REFERENCE_REPLICAS
+
+    print("REFERENCE_MOMENTS = {")
+    for i in IN_LAW:
+        mode, kw = REFERENCE_CASES[i]
+        moments = replica_moments(SimConfig(ReproductionLaw.binary(), **kw),
+                                  mode, REFERENCE_REPLICAS)
+        print(f'    "{mode}-kw{i}": {{')
+        for name, (m, v) in moments.items():
+            print(f'        "{name}": ({m!r}, {v!r}),')
+        print("    },")
+    print("}")

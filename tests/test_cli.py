@@ -362,6 +362,20 @@ def test_levy_outputs(tmp_path):
     assert lams == sorted([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.5])
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--samples", "-5"], "--samples"), (["--samples", "0"], "--samples"),
+    (["--t", "nan"], "--t"), (["--t", "-1"], "--t"), (["--t", "inf"], "--t"),
+])
+def test_levy_rejects_bad_samples_and_span_before_writing(tmp_path, capsys,
+                                                          flags, needle):
+    out = tmp_path / "levy"
+    assert main(["levy", "--out", str(out), *flags]) == 1
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "ValueError" and needle in err["message"]
+
+
 def test_levy_is_deterministic(tmp_path):
     args = ["levy", "--samples", "200", "--t", "0.5", "--seed", "7"]
     a, b = tmp_path / "a", tmp_path / "b"

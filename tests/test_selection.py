@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
-from nbbm.ensemble import step_segments
+from nbbm.ensemble import breakout_trials, hperp_flat, step_segments
 from nbbm.kernels import IntervalParams, barrier_f
 from nbbm.levy import recentering
 from nbbm.selection import (
     _BLUE,
+    _LANE_BARRIER,
     _WHITE,
     BarrierPath,
     CouplingError,
@@ -30,7 +31,7 @@ from nbbm.selection import (
 )
 from nbbm.stats import speed_estimate
 
-from barrier_reference import _barrier_run
+from barrier_reference import FINAL_STATS, _barrier_run, final_stats
 from conftest import assert_close
 from coupled_reference import run_coupled_dicts
 from nbbm_reference import _trim_rightmost, run_nbbm_reference
@@ -434,6 +435,50 @@ def test_bbbm_breakout_installs_a_piece(binary_law):
         assert res.pieces or np.all(shifts == 0.0)
 
 
+def test_only_the_earliest_breakout_of_a_replica_takes_the_response(
+        binary_law):
+    # A first step long enough for several wall hits per replica, at
+    # distinct times, and a threshold so low that every trial breaks out.
+    # The step's trials run as one batch, the hits sorted by replica and
+    # then by time; this replays the first step's draws to name each hit's
+    # trial.
+    kw = dict(BARRIER_GEOM, dt=1.0, A=5.0, epsilon=1e-12, seed=0,
+              replicas=5)
+    cfg = SimConfig(binary_law, **kw, horizon=1.0)
+    iv, n_rep = cfg.interval, cfg.replicas
+    rng = rng_stream(cfg.seed, 0, _LANE_BARRIER)
+    pos, rep = hperp_flat(cfg.A, iv, n_rep, rng)
+    *_, upper, _ = step_segments(
+        pos, rep, (np.zeros(len(pos), dtype=np.int8),
+                   np.full(len(pos), math.inf)),
+        t0=0.0, h=cfg.dt, drift=np.full(n_rep, -iv.mu), law=binary_law,
+        rng=rng, upper=iv.a)
+    t_hit, r_hit, _, _ = (np.concatenate(x) for x in zip(*upper))
+    # in step order, some replica's first hit is not its earliest
+    assert any(t_hit[r_hit == r][0] > t_hit[r_hit == r].min()
+               for r in range(n_rep))
+    order = np.lexsort((t_hit, r_hit))
+    t_hit, r_hit = t_hit[order], r_hit[order]
+    trials = breakout_trials(binary_law, iv, cfg.A, cfg.epsilon, cfg.y,
+                             cfg.zeta, n_trials=len(t_hit), dt=cfg.dt,
+                             rng=rng)
+    assert trials.is_breakout.all()
+    hits = np.bincount(r_hit, minlength=n_rep)
+    assert hits.min() >= 2
+    first = np.searchsorted(r_hit, np.arange(n_rep))
+
+    # after one step: each replica's later breakouts are suppressed
+    for r, res in enumerate(run_bbbm(cfg)):
+        assert res.wall_hits == hits[r]
+        assert res.suppressed_breakouts == hits[r] - 1
+    # the earliest breakout's response installs within zeta of it
+    cfg = SimConfig(binary_law, **kw, horizon=2.0 + cfg.zeta)
+    for r, res in enumerate(run_bbbm(cfg)):
+        k = first[r]
+        assert res.pieces[0]["T"] == t_hit[k]
+        assert res.pieces[0]["T_plus"] == t_hit[k] + trials.sigma_max[k]
+
+
 def test_bbbm_piece_annotated_at_freeze_time(binary_law):
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=120.0, seed=0,
                     A=1.2, epsilon=1e-6)
@@ -552,10 +597,7 @@ BENCH_GEOM = dict(interval=IntervalParams(8.0), dt=0.05, y=3.0, zeta=6.0,
                   A=3.0, epsilon=0.01, horizon=10.0)
 
 # the barrier tests' geometries and seeds above, the nested run cut short
-# (it still reaches the depth cap by T = 40), plus the benchmark geometry.
-# The bflat run at seed 0 keeps its full horizon: it is the one with steps
-# holding several wall hits at distinct times, whose order the trials
-# must follow.
+# (it still reaches the depth cap by T = 40), plus the benchmark geometry
 REFERENCE_CASES = [
     ("bbbm", dict(BARRIER_GEOM, horizon=30.0, seed=0, A=1.2, epsilon=1e9,
                   zeta_breakout=False)),
@@ -577,6 +619,17 @@ REFERENCE_CASES = [
 ]
 
 
+# Steps that launch two or more trials draw them as one batch, which the
+# per-hit reference does not; these cases have such steps, so they are
+# compared in law, the others bit for bit.
+IN_LAW = (0, 2, 3)
+SINGLE_LAUNCH = [i for i in range(len(REFERENCE_CASES)) if i not in IN_LAW]
+
+
+def _case_ids(cases):
+    return [f"{REFERENCE_CASES[i][0]}-kw{i}" for i in cases]
+
+
 def _run_batch(cfg, mode):
     if mode == "bbbm":
         return run_bbbm(cfg)
@@ -585,9 +638,9 @@ def _run_batch(cfg, mode):
     return run_bsharp(cfg, csharp=mode == "csharp")
 
 
-@pytest.mark.parametrize("mode, kw", REFERENCE_CASES)
-def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, mode,
-                                                            kw):
+@pytest.mark.parametrize("i", SINGLE_LAUNCH, ids=_case_ids(SINGLE_LAUNCH))
+def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, i):
+    mode, kw = REFERENCE_CASES[i]
     cfg = SimConfig(binary_law, **kw)
     (new,) = _run_batch(cfg, mode)
     ref = _barrier_run(cfg, mode, 0)
@@ -603,8 +656,51 @@ def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, mode,
         assert getattr(new, name) == getattr(ref, name), name
     assert np.array_equal(new.final_positions, ref.final_positions)
     assert new.path.pieces == ref.path.pieces
+
+
+# The reference's replicas 1-48 of each IN_LAW case (stream 0 is the
+# batch's), from `barrier_reference.replica_moments`; run that file to
+# recompute them.  The per-hit reference takes about 1.4 s a replica on the
+# nested case, too long to rerun on every test run.
+REFERENCE_REPLICAS = range(1, 49)
+REFERENCE_MOMENTS = {
+    "bbbm-kw0": {
+        "count": (132.042, 61491.4),
+        "Z": (62.4394, 14311.1),
+        "wall_hits": (22.2083, 1812.47),
+        "reinjected": (47.8542, 7962.64),
+    },
+    "bbbm-kw2": {
+        "count": (3949.31, 4.17862e+06),
+        "Z": (1800.36, 885701),
+        "wall_hits": (1007.98, 266636),
+        "reinjected": (1552.79, 630962),
+    },
+    "bflat-kw3": {
+        "count": (70.8125, 57243.6),
+        "Z": (33.3271, 12607.6),
+        "wall_hits": (11.5417, 1545.66),
+        "reinjected": (25.3958, 7207.82),
+    },
+}
+
+
+@pytest.mark.parametrize("i", IN_LAW, ids=_case_ids(IN_LAW))
+def test_barrier_batch_agrees_in_law_with_the_reference(binary_law, i):
+    mode, kw = REFERENCE_CASES[i]
+    n, n_ref = 8, len(REFERENCE_REPLICAS)
+    results = _run_batch(SimConfig(binary_law, **kw, replicas=n), mode)
+    x = np.array([final_stats(res) for res in results])
+    ref = REFERENCE_MOMENTS[f"{mode}-kw{i}"]
+    for name, m, v in zip(FINAL_STATS, x.mean(axis=0), x.var(axis=0, ddof=1)):
+        m_ref, v_ref = ref[name]
+        z = (m - m_ref) / math.sqrt(v / n + v_ref / n_ref)
+        assert abs(z) <= 4.0, (name, z)
+    for res in results:
+        assert res.trials_run == res.wall_hits
     if kw.get("zeta") == 2.0:
-        assert new.depth_capped > 0  # the nesting cap is exercised
+        # the nesting cap is exercised
+        assert any(res.depth_capped > 0 for res in results)
 
 
 def test_barrier_batch_keeps_each_replica_consistent(binary_law):
