@@ -8,7 +8,7 @@ written CSV logs into a verdict bundle and plot-ready tables.
 
 Reproducibility rules: every run is identified by a manifest whose hash
 is embedded in each output file; all randomness is drawn from
-counter-based streams keyed by (seed, replica, lane); files are written
+SFC64 streams seeded from (seed, replica, lane); files are written
 in replica order.  Identical manifests therefore produce identical bytes.
 Replicas run in one process on one thread: the barrier modes step them
 together in one flat array, mode nbbm in one array with a row per replica,

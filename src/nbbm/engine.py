@@ -1,7 +1,7 @@
 """Model and run definitions shared by every lane.
 
-The offspring law and its inverse-CDF sampler, the counter-based random
-streams keyed by (seed, replica, lane), the run configuration with its
+The offspring law and its inverse-CDF sampler, the SFC64 random streams
+seeded from (seed, replica, lane), the run configuration with its
 validation and regime warnings, the particle count of the reference
 profile, and the error a run raises when it exceeds its particle budget.
 Stepping lives in `ensemble.step_segments` and N-BBM's in `run_nbbm`.
@@ -32,12 +32,17 @@ class CapacityError(RuntimeError):
 
 
 def rng_stream(seed: int, replica: int = 0, lane: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, replica, lane).
+    """SFC64 generator seeded from (seed, replica, lane).
 
-    Distinct triples give statistically independent streams, and the stream
-    depends only on the triple, never on the order in which replicas run or
-    on what else ran before, so reruns of an experiment consume identical
-    randomness.
+    The triple is packed into four fixed-width 32-bit words, the low and
+    high halves of seed mod 2^64 and of (replica << 20) | lane, and hashed
+    by `SeedSequence` into the SFC64 state.  Fixed width makes the packing
+    one-to-one: SeedSequence splits each int into as many words as it needs
+    and zero-pads short input, so a plain [seed, replica, lane] would give
+    (0, 1, 5) and (2^32, 5, 0) the same stream.  Distinct triples give
+    statistically independent streams, and the stream depends only on the
+    triple, never on the order in which replicas run or on what else ran
+    before, so reruns of an experiment consume identical randomness.
     """
     seed = int(seed)
     replica = int(replica)
@@ -46,10 +51,11 @@ def rng_stream(seed: int, replica: int = 0, lane: int = 0) -> np.random.Generato
         raise ValueError(f"replica must lie in [0, 2^40), got {replica!r}")
     if not 0 <= lane < 2 ** 20:
         raise ValueError(f"lane must lie in [0, 2^20), got {lane!r}")
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, (replica << 20) | lane], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    seed &= 0xFFFFFFFFFFFFFFFF
+    key = (replica << 20) | lane
+    words = np.array([seed & 0xFFFFFFFF, seed >> 32, key & 0xFFFFFFFF,
+                      key >> 32], dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 @dataclass(frozen=True)

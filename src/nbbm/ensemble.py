@@ -86,6 +86,53 @@ def _wall_hits(d1, d2, k, br, k_br, rng: np.random.Generator,
     return cand[rng.random(len(cand)) < p]
 
 
+def _branch_slots(size: int, rate: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the slots in range(size) that branch, each on its
+    own with probability 1 - e^-rate.
+
+    The gaps between successive branching slots are geometric,
+    floor(Exp(1) / rate), which is the law of independent Bernoulli trials;
+    drawing the gaps costs one variate per branching slot, not one per slot.
+    The first gap is drawn alone, and so is every later one when fewer than
+    4 branchings are expected in the slots left, so a call where no slot or
+    few slots branch costs a few scalar draws and no array work.
+    """
+    draw = rng.standard_exponential
+    first = draw() / rate if rate > 0.0 else math.inf
+    if not first < size:
+        return np.empty(0, dtype=np.int64)
+    first = math.floor(first)
+    # below about 4 expected branchings, scalar draws cost less than the
+    # half-dozen array operations of the batch below
+    if (size - first) * rate < 4.0:
+        slots = [first]
+        at = first + 1 + draw() / rate
+        while at < size:
+            slots.append(math.floor(at))
+            at = slots[-1] + 1 + draw() / rate
+        return np.array(slots, dtype=np.int64)
+
+    def ends(m):  # offsets of the next m branching slots, from the last one
+        at = rng.standard_exponential(m)
+        at /= rate
+        np.floor(at, out=at)
+        at += 1.0
+        return at.cumsum(out=at)
+
+    mean = -(size - first) * math.expm1(-rate)
+    m = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    at = ends(m)
+    at += first
+    while at[-1] < size:  # the draws have not yet passed the last slot
+        at = np.concatenate((at, at[-1] + ends(m)))
+    k = at.searchsorted(size)
+    idx = np.empty(k + 1, dtype=np.int64)
+    idx[0] = first
+    idx[1:] = at[:k]
+    return idx
+
+
 def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
                   law: ReproductionLaw, rng: np.random.Generator,
                   upper: float | None = None, origin_ignores=None):
@@ -107,9 +154,14 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     origin ignores it.
 
     Each loop over the current segments draws only what it uses, in order:
-    - one uniform u per particle for its branch clock, inverted: a particle
-      with rem left branches iff u < 1 - exp(-beta0 rem), and only then is
-      its branch time -log(1 - u) / beta0 computed;
+    - the geometric gaps of `_branch_slots`, which propose each particle
+      independently with probability p_max = 1 - exp(-beta0 max(rem)), so
+      the draws grow with the branchers, not the particles;
+    - one uniform u on (0, p_max) per proposed particle: it branches iff its
+      time -log(1 - u) / beta0 falls within its rem, that is iff
+      u < 1 - exp(-beta0 rem), so with probability 1 - exp(-beta0 rem) and
+      at an exponential time conditioned to fall in rem.  While rem is one
+      scalar (the first loop) every proposal branches;
     - one Gaussian move per particle;
     - one uniform per origin candidate, then one per upper candidate (when
       there is an upper wall) among the particles the origin missed.  A
@@ -133,14 +185,30 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     t1 = t0 + h
     # the step left to each particle: one scalar until the first branching
     rem = h
+    per_rem = False
     beta0 = law.beta0
     per_tag = isinstance(drift, np.ndarray)
     segments = 0
     while len(pos):
         n = len(pos)
         segments += n
-        u = rng.random(n)
-        br = (u < -np.expm1(-beta0 * rem)).nonzero()[0]
+        rate = beta0 * (rem.max() if per_rem else rem)
+        br = _branch_slots(n, rate, rng)
+        if len(br):
+            # the proposals' branch times -log(1 - u) / beta0, u uniform on
+            # (0, 1 - exp(-rate)): exponential times conditioned to fall
+            # within max(rem)
+            tb = rng.random(len(br))
+            tb *= math.expm1(-rate)
+            np.log1p(tb, out=tb)
+            tb /= -beta0
+            rem_br = rem
+            if per_rem:  # a proposal branches iff its time falls in its rem
+                rem_br = rem[br]
+                take = tb < rem_br
+                br, tb, rem_br = br[take], tb[take], rem_br[take]
+            else:  # a rounding slip of the inversion never passes rem
+                np.minimum(tb, rem, out=tb)
         # Every segment but a brancher's runs to the end of the step: the
         # moves and the bridge factor k = -2 / seg are taken for rem, and the
         # branchers' are redone for their branch times.
@@ -153,9 +221,6 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
         k = -2.0 / rem
         lag = k_br = None
         if len(br):
-            rem_br = rem[br] if np.ndim(rem) else np.full(len(br), rem)
-            # min: a rounding slip of the inversion never passes rem
-            tb = np.minimum(-np.log1p(-u[br]) / beta0, rem_br)
             x2[br] = pos[br] + (v[br] if per_tag else v) * tb \
                 + z_br * np.sqrt(tb)
             k_br = -2.0 / tb
@@ -185,6 +250,7 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
         pos = np.repeat(x2[cont], ks)
         carry = [np.repeat(c[cont], ks) for c in carry]
         rem = np.repeat(lag[cont], ks)
+        per_rem = True
     if len(out) == 1:
         pos, tag, *payload = out[0]
     elif out:

@@ -38,7 +38,8 @@ import numpy as np
 
 from .engine import (CapacityError, ReproductionLaw, SimConfig, hperp_count,
                      rng_stream, sample_offspring)
-from .ensemble import breakout_trials, hperp_flat, step_segments
+from .ensemble import (_branch_slots, breakout_trials, hperp_flat,
+                       step_segments)
 from .kernels import (IntervalParams, barrier_f, error_envelope_E,
                       sine_exp_density, w_Y, w_Z)
 from .levy import RecenteringConstants, recentering
@@ -124,32 +125,6 @@ class NbbmResult:
     @property
     def times(self) -> np.ndarray:
         return self.series[0].times
-
-
-def _branch_slots(size: int, rate: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of the slots in range(size) that branch, each on its
-    own with probability 1 - e^-rate.
-
-    The gaps between successive branching slots are geometric,
-    floor(Exp(1) / rate), which is the law of independent Bernoulli trials;
-    drawing the gaps costs one variate per branching slot, not one per slot.
-    """
-    def ends(m):  # 1-based positions of the next m branching slots
-        at = rng.standard_exponential(m)
-        at /= rate
-        np.floor(at, out=at)
-        at += 1.0
-        return at.cumsum(out=at)
-
-    mean = -size * math.expm1(-rate)
-    m = int(mean + 6.0 * math.sqrt(mean) + 16.0)
-    at = ends(m)
-    while at[-1] <= size:  # the draws have not yet passed the last slot
-        at = np.concatenate((at, at[-1] + ends(m)))
-    idx = at[:at.searchsorted(size, "right")].astype(np.int64)
-    idx -= 1
-    return idx
 
 
 def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,

@@ -95,11 +95,35 @@ def test_rng_stream_reproducible():
 
 
 def test_rng_stream_distinct_replicas_uncorrelated():
+    # neighbouring replicas, seeds and lanes, and the top of the replica range
     n = 10**5
-    u = rng_stream(42, 0, 0).random(n)
-    v = rng_stream(42, 1, 0).random(n)
-    corr = float(np.corrcoef(u, v)[0, 1])
-    assert abs(corr) <= 3.0 / math.sqrt(n)
+    pairs = [((42, 0, 0), (42, 1, 0)), ((42, 0, 0), (43, 0, 0)),
+             ((42, 0, 0), (42, 0, 1)), ((42, 2**40 - 1, 0), (42, 2**40 - 2, 0)),
+             ((42, 2**40 - 1, 0), (42, 0, 0)),
+             ((42, 2**40 - 1, 2**20 - 1), (42, 2**40 - 1, 2**20 - 2))]
+    for a, b in pairs:
+        u = rng_stream(*a).random(n)
+        v = rng_stream(*b).random(n)
+        corr = float(np.corrcoef(u, v)[0, 1])
+        assert abs(corr) <= 3.0 / math.sqrt(n), (a, b, corr)
+
+
+def test_rng_stream_seeds_from_fixed_width_words():
+    # SeedSequence splits an int into as many 32-bit words as it needs and
+    # zero-pads short input, so [seed, replica, lane] as given would map
+    # these triples to one state; four fixed-width words keep them apart
+    for a, b in (((0, 1, 5), (2**32, 5, 0)), ((7, 0, 0), (7, 0, 1))):
+        assert not np.array_equal(rng_stream(*a).random(8),
+                                  rng_stream(*b).random(8)), (a, b)
+    # the words: seed mod 2^64 and (replica << 20) | lane, low half first
+    seed, replica, lane = 2**64 + 2**33 + 3, 2**39 + 6, 2**20 - 1
+    key = (replica << 20) | lane
+    words = np.array([3, 2, key & 0xFFFFFFFF, key >> 32], dtype=np.uint32)
+    want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+    assert np.array_equal(rng_stream(seed, replica, lane).random(8),
+                          want.random(8))
+    assert np.array_equal(rng_stream(-1).random(8),
+                          rng_stream(2**64 - 1).random(8))
 
 
 def test_rng_stream_distinct_lanes_differ():

@@ -207,6 +207,42 @@ def test_trials_agree_with_single_trial_engine(binary_law):
 
 
 # ---------------------------------------------------------------------------
+# branch selection against closed forms
+
+
+def test_one_step_line_counts_are_negative_binomial(binary_law):
+    """Binary law, no walls: a line's count after a step of length h is
+    geometric with success probability p = e^(-beta0 h) (a Yule process), so
+    n particles leave a negative binomial total, mean n / p and variance
+    n (1 - p) / p^2.  At beta0 h = 1 most lines branch again within the
+    step, from loops whose particles have different times left, where the
+    proposals are thinned.  A survivor, picked without looking at the
+    moves, has moved by one Brownian increment over h however often its
+    line branched."""
+    n, h, calls = 50, 2.0, 2000
+    p = math.exp(-binary_law.beta0 * h)
+    mean, var = n / p, n * (1.0 - p) / p**2
+    # excess kurtosis of the sum of n iid geometric counts
+    kurt = (6.0 + p**2 / (1.0 - p)) / n
+    rng = rng_stream(29, 0, 0)
+    pos = np.zeros(n)
+    tag = np.zeros(n, dtype=np.int64)
+    ignores = np.ones(n, dtype=bool)
+    totals, moved = np.empty(calls), np.empty(calls)
+    for c in range(calls):
+        x, _, _, lo, hi, _ = step_segments(
+            pos, tag, t0=0.0, h=h, drift=0.0, law=binary_law, rng=rng,
+            origin_ignores=ignores)
+        assert not lo and not hi
+        totals[c], moved[c] = len(x), x[-1]
+    z_mean = (totals.mean() - mean) / math.sqrt(var / calls)
+    var_se = var * math.sqrt(2.0 / (calls - 1) + kurt / calls)
+    z_var = (totals.var(ddof=1) - var) / var_se
+    assert abs(z_mean) <= 4.0 and abs(z_var) <= 4.0, (z_mean, z_var)
+    assert sps.kstest(moved / math.sqrt(h), "norm").pvalue > 1e-4
+
+
+# ---------------------------------------------------------------------------
 # agreement in law with the reference step, and step validation
 #
 # The library step draws only what each segment uses; the reference step

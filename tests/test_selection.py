@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
-from nbbm.ensemble import breakout_trials, hperp_flat, step_segments
+from nbbm.ensemble import (_branch_slots, breakout_trials, hperp_flat,
+                           step_segments)
 from nbbm.kernels import IntervalParams, barrier_f
 from nbbm.levy import recentering
 from nbbm.selection import (
@@ -18,7 +19,6 @@ from nbbm.selection import (
     _WHITE,
     BarrierPath,
     CouplingError,
-    _branch_slots,
     _leftmost_free,
     _sharp_expire,
     check_coupling,
@@ -389,16 +389,18 @@ BARRIER_GEOM = dict(interval=IntervalParams(5.0), dt=0.05, y=2.0, zeta=6.0)
 
 
 def test_bbbm_without_breakouts_keeps_a_flat_barrier(binary_law):
+    # a small batch, so that some replica touches the wall
     cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=30.0, seed=0,
-                    A=1.2, epsilon=1e9, zeta_breakout=False)
-    res = run_bbbm(cfg)[0]
-    assert res.mode == "bbbm"
-    assert res.pieces == []
-    assert np.all(res.series.columns["barrier_shift"] == 0.0)
+                    A=1.2, epsilon=1e9, zeta_breakout=False, replicas=4)
+    results = run_bbbm(cfg)
+    for res in results:
+        assert res.mode == "bbbm"
+        assert res.pieces == []
+        assert np.all(res.series.columns["barrier_shift"] == 0.0)
+        assert res.trials_run == res.wall_hits
+        assert res.suppressed_breakouts == 0
     # wall touches still happen; their trials return mass to the population
-    assert res.trials_run == res.wall_hits > 0
-    assert res.reinjected > 0
-    assert res.suppressed_breakouts == 0
+    assert any(res.wall_hits > 0 and res.reinjected > 0 for res in results)
 
 
 def test_bbbm_breakout_installs_a_piece(binary_law):
@@ -480,12 +482,17 @@ def test_only_the_earliest_breakout_of_a_replica_takes_the_response(
 
 
 def test_bbbm_piece_annotated_at_freeze_time(binary_law):
-    cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=120.0, seed=0,
-                    A=1.2, epsilon=1e-6)
-    piece = run_bbbm(cfg)[0].pieces[0]
-    assert piece["clear_at_theta"] == (
-        piece["in_between_at_theta"] == 0
-        and piece["outstanding_at_theta"] == 0)
+    # a small batch, so that some replica reaches a piece's freeze time
+    horizon = 120.0
+    cfg = SimConfig(binary_law, **BARRIER_GEOM, horizon=horizon, seed=0,
+                    A=1.2, epsilon=1e-6, replicas=4)
+    pieces = [piece for res in run_bbbm(cfg) for piece in res.pieces
+              if piece["theta"] <= horizon]
+    assert pieces
+    for piece in pieces:
+        assert piece["clear_at_theta"] == (
+            piece["in_between_at_theta"] == 0
+            and piece["outstanding_at_theta"] == 0)
 
 
 def test_bbbm_caps_nested_trials(binary_law):
@@ -620,10 +627,13 @@ REFERENCE_CASES = [
 
 
 # Steps that launch two or more trials draw them as one batch, which the
-# per-hit reference does not; these cases have such steps, so they are
-# compared in law, the others bit for bit.
-IN_LAW = (0, 2, 3)
-SINGLE_LAUNCH = [i for i in range(len(REFERENCE_CASES)) if i not in IN_LAW]
+# per-hit reference does not; the MULTI_LAUNCH cases have such steps, so
+# only the others are compared bit for bit.  The IN_LAW cases, the ones
+# with wall hits, are compared in law at several replicas.
+MULTI_LAUNCH = (2, 5, 6, 7)
+SINGLE_LAUNCH = [i for i in range(len(REFERENCE_CASES))
+                 if i not in MULTI_LAUNCH]
+IN_LAW = (0, 1, 2, 3, 5, 6, 7)
 
 
 def _case_ids(cases):
@@ -665,22 +675,46 @@ def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, i):
 REFERENCE_REPLICAS = range(1, 49)
 REFERENCE_MOMENTS = {
     "bbbm-kw0": {
-        "count": (132.042, 61491.4),
-        "Z": (62.4394, 14311.1),
-        "wall_hits": (22.2083, 1812.47),
-        "reinjected": (47.8542, 7962.64),
+        "count": (148.667, 62812.9),
+        "Z": (71.1849, 14797.7),
+        "wall_hits": (24, 1673.02),
+        "reinjected": (54.2083, 8369.53),
+    },
+    "bbbm-kw1": {
+        "count": (5.47917, 536.085),
+        "Z": (2.077, 77.0518),
+        "wall_hits": (24.9792, 5343.17),
+        "reinjected": (25.8958, 5719.24),
     },
     "bbbm-kw2": {
-        "count": (3949.31, 4.17862e+06),
-        "Z": (1800.36, 885701),
-        "wall_hits": (1007.98, 266636),
-        "reinjected": (1552.79, 630962),
+        "count": (3965.42, 4.65346e+06),
+        "Z": (1806.5, 978848),
+        "wall_hits": (1017, 290679),
+        "reinjected": (1578.02, 723058),
     },
     "bflat-kw3": {
-        "count": (70.8125, 57243.6),
-        "Z": (33.3271, 12607.6),
-        "wall_hits": (11.5417, 1545.66),
-        "reinjected": (25.3958, 7207.82),
+        "count": (42.75, 10394.7),
+        "Z": (18.819, 2072.52),
+        "wall_hits": (7.04167, 261.147),
+        "reinjected": (15.1042, 1290.86),
+    },
+    "bsharp-kw5": {
+        "count": (2053.58, 2.66629e+06),
+        "Z": (20.7371, 254.486),
+        "wall_hits": (4.54167, 23.4876),
+        "reinjected": (7.6875, 66.5173),
+    },
+    "csharp-kw6": {
+        "count": (2053.58, 2.66629e+06),
+        "Z": (20.7371, 254.486),
+        "wall_hits": (4.54167, 23.4876),
+        "reinjected": (7.6875, 66.5173),
+    },
+    "bbbm-kw7": {
+        "count": (401.792, 12603.7),
+        "Z": (21.8045, 77.7616),
+        "wall_hits": (1.4375, 2.71941),
+        "reinjected": (3.95833, 31.9131),
     },
 }
 
