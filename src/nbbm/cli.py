@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first parse
 import math
 import re
 import sys

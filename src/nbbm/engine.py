@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: here, not on the first draw
 
 from .kernels import IntervalParams
 
@@ -28,7 +29,12 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """A run exceeded its particle-segment budget."""
+    """A run exceeded its particle budget.
+
+    Raised when a killed ensemble or a batch of breakout trials uses up its
+    segment budget (`max_segments`), and when a barrier run's population
+    passes its cap (`BarrierResult.max_pop`) at a step end.
+    """
 
 
 def rng_stream(seed: int, replica: int = 0, lane: int = 0) -> np.random.Generator:

@@ -22,6 +22,13 @@ import numpy as np
 from .engine import CapacityError, ReproductionLaw, sample_offspring
 from .kernels import IntervalParams, sine_exp_density, w_Y, w_Z
 
+# glibc's malloc serves each block above its mmap threshold (128 KiB at
+# start) with a fresh mapping, so a step's particle arrays would be faulted
+# in page by page on every step.  Freeing one mapped block raises the
+# threshold to that block's size, 4 MiB here, and arrays up to it then
+# reuse heap pages.  Elsewhere this is one short-lived allocation.
+np.empty(1 << 19)
+
 __all__ = [
     "bridge_hit_prob",
     "step_segments",
@@ -487,7 +494,7 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                 xi, trial = xi[~drop], trial[~drop]
 
     if len(xi):
-        hit_zeta[np.unique(trial)] = True
+        hit_zeta[trial] = True
         sigma[hit_zeta] = zeta
     out = TrialBatch(
         n_frozen=n_frozen,

@@ -16,6 +16,11 @@ Gaussian refinement for the omitted small jumps (variance
 pi^2 int_0^delta u^2 Lambda(du), about pi^2 delta): without it the truncation
 leaves a characteristic-function bias of order delta that a 1e5-sample
 comparison can resolve.
+
+scipy loads only inside the quadrature-backed functions (`kappa`,
+`c_prime`, `x_alpha`, `increment_mean_rate`, `increment_var_rate` and the
+cached compensator and small-jump rates), so `recentering` and importing
+this module never pay for it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "LevyParams",
@@ -94,6 +98,8 @@ def kappa(lam: float, params: LevyParams = LevyParams()) -> complex:
     (u <= 1) compensated.  kappa(0) = 0, Re kappa <= 0, kappa(-lam) is the
     conjugate of kappa(lam).
     """
+    from scipy import integrate
+
     lam = float(lam)
     if lam == 0.0:
         return 0.0 + 0.0j
@@ -131,6 +137,7 @@ def c_prime() -> float:
     Finite (the integrand is O(1) at 0) and negative: log(1+x) < x makes the
     inner piece negative faster than the (1, e-1] piece pays it back.
     """
+    from scipy import integrate
 
     def inner(x):
         # (log(1+x) - x) / x^2 on (0, 1]
@@ -152,6 +159,8 @@ def x_alpha(alpha: float) -> float:
 
     Strictly decreasing on alpha in (0, 1]; x_alpha(1) = 0, x_alpha(2/e) = 1.
     """
+    from scipy import optimize
+
     alpha = float(alpha)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
@@ -230,6 +239,8 @@ def recentering(n: int) -> RecenteringConstants:
 @lru_cache(maxsize=32)
 def _compensator_rate(delta: float) -> float:
     # pi^2 int_delta^1 u rho(u) du, the drift removed for retained jumps <= 1
+    from scipy import integrate
+
     val = integrate.quad(lambda u: u * _rho(u), delta, 1.0,
                          epsabs=1e-13, epsrel=1e-12, limit=200)[0]
     return _PI2 * val
@@ -238,6 +249,8 @@ def _compensator_rate(delta: float) -> float:
 @lru_cache(maxsize=32)
 def _small_jump_variance_rate(delta: float) -> float:
     # pi^2 int_0^delta u^2 rho(u) du; integrand -> 1 at 0
+    from scipy import integrate
+
     val = integrate.quad(lambda u: u * u * _rho(u), 0.0, delta,
                          epsabs=1e-15, epsrel=1e-12, limit=200)[0]
     return _PI2 * val
@@ -245,6 +258,8 @@ def _small_jump_variance_rate(delta: float) -> float:
 
 def increment_mean_rate(params: LevyParams = LevyParams()) -> float:
     """E[L_1] = c + pi^2 int_1^inf u Lambda(du); independent of the truncation."""
+    from scipy import integrate
+
     val = integrate.quad(lambda u: u * _rho(u), 1.0, np.inf,
                          epsabs=1e-13, epsrel=1e-12, limit=200)[0]
     return params.c + _PI2 * val
@@ -252,6 +267,8 @@ def increment_mean_rate(params: LevyParams = LevyParams()) -> float:
 
 def increment_var_rate() -> float:
     """Var(L_1) = pi^2 int_0^inf u^2 Lambda(du); equals pi^4 / 3."""
+    from scipy import integrate
+
     val = integrate.quad(lambda u: u * u * _rho(u), 0.0, 1.0,
                          epsabs=1e-14, epsrel=1e-12, limit=200)[0]
     val += integrate.quad(lambda u: u * u * _rho(u), 1.0, np.inf,

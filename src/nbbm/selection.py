@@ -457,8 +457,9 @@ class _Replica:
 
 def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
     """Add each replica's number of entries in r_ids to its stats[key]."""
-    for r, k in zip(*np.unique(r_ids, return_counts=True)):
-        reps[r].stats[key] += int(k)
+    counts = np.bincount(r_ids, minlength=len(reps))
+    for r in np.flatnonzero(counts):
+        reps[r].stats[key] += int(counts[r])
 
 
 def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:

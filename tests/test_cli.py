@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbbm
 from nbbm import __version__
 from nbbm.cli import ConfigError, main, parse_config
 from nbbm.runio import (
@@ -432,6 +437,57 @@ def test_report_on_series_and_events(tmp_path):
     mean = (rep / "series_mean.csv").read_text().splitlines()
     assert mean[1] == "t,med_0.25,med_0.5,count"
     assert len(mean) == 2 + len(read_series_csv(out / "series.csv")[1][0].times)
+
+
+# Run in a fresh interpreter: which modules a run loads shows only there.
+# argv: the nbbm config, the bbbm config, the scratch directory.
+_SCIPY_FREE_RUNS = """\
+import json, sys
+from nbbm.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+nbbm_ini, bbbm_ini, tmp = sys.argv[1:]
+report = {"import": scipy_loaded()}
+runs = {
+    "nbbm": ["simulate", "--config", nbbm_ini, "--out", tmp + "/nbbm"],
+    "bbbm": ["simulate", "--config", bbbm_ini, "--out", tmp + "/bbbm"],
+    "coupled": ["simulate", "--config", nbbm_ini, "--mode", "coupled",
+                "--out", tmp + "/coupled"],
+    "couple": ["couple", "--n", "25", "--horizon", "1.0", "--out",
+               tmp + "/couple"],
+    "report": ["report", "--series", tmp + "/nbbm/series.csv", "--out",
+               tmp + "/report"],
+    "kernels-selfcheck": ["kernels-selfcheck"],
+    "levy": ["levy", "--samples", "200", "--t", "0.5", "--out",
+             tmp + "/levy"],
+}
+for name, argv in runs.items():
+    report[name] = (main(argv), scipy_loaded())
+print(json.dumps(report))
+"""
+
+
+def test_runs_never_import_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(nbbm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNS,
+         str(_write(tmp_path, NBBM_INI, "nbbm.ini")),
+         str(_write(tmp_path, BBBM_INI, "bbbm.ini")), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report.pop("import") == []
+    for name in ("nbbm", "bbbm", "coupled", "couple", "report"):
+        assert report[name] == [0, []], name
+    # the quadrature-backed commands still work, loading scipy on demand
+    for name in ("kernels-selfcheck", "levy"):
+        code, loaded = report[name]
+        assert code == 0 and "scipy.integrate" in loaded, name
 
 
 def test_report_passes_true_increments(tmp_path):

@@ -2,6 +2,7 @@
 boundary behaviour, and the envelope inequalities the estimators lean on."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -389,6 +390,32 @@ def test_sine_exp_density_sampling_consistent():
     assert np.all((sample > 0.0) & (sample < 5.0))
     ks = sps.kstest(sample, d.cdf)
     assert ks.pvalue > 0.01, f"KS p = {ks.pvalue:g}"
+
+
+@pytest.mark.parametrize("a", [PI, 5.0, 8.0, 15.0, 40.0])
+@pytest.mark.parametrize("decay", [-3.0, -0.7, 0.0, 1e-9, 1e-3, 0.9, 200.0])
+def test_sine_exp_normalization_matches_quadrature(a, decay):
+    quad, _ = integrate.quad(
+        lambda u: math.sin(PI * u / a) * math.exp(-decay * u), 0.0, a,
+        epsabs=0.0, epsrel=1e-13, limit=400)
+    assert abs(SineExpDensity(a, decay).norm - quad) <= 1e-12 * quad
+
+
+@pytest.mark.parametrize("a, decay", [(8.0, -100.0), (8.0, -88.7),
+                                      (1.0, -1e200), (1.0, 1e200)])
+def test_sine_exp_density_rejects_an_overflowing_normalization(a, decay):
+    # e^{-decay a} overflows (or the CDF grid's e^{-decay a} |decay| does),
+    # or decay^2 does and the normalization underflows to zero
+    needle = re.escape(f"a = {a!r}, decay = {decay!r}")
+    with pytest.raises(ValueError, match=needle):
+        SineExpDensity(a, decay)
+
+
+def test_sine_exp_density_keeps_a_finite_grid_near_the_overflow():
+    d = SineExpDensity(8.0, -88.0)
+    assert math.isfinite(d.norm) and d.norm > 0.0
+    assert np.all(np.isfinite(d._cdf_grid)) and d._cdf_grid[-1] == 1.0
+    assert np.all(np.diff(d._cdf_grid) >= 0.0)
 
 
 # ---------------------------------------------------------------------------

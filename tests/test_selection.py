@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbbm import selection
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
 from nbbm.ensemble import (_branch_slots, breakout_trials, hperp_flat,
                            step_segments)
@@ -604,7 +605,8 @@ BENCH_GEOM = dict(interval=IntervalParams(8.0), dt=0.05, y=3.0, zeta=6.0,
                   A=3.0, epsilon=0.01, horizon=10.0)
 
 # the barrier tests' geometries and seeds above, the nested run cut short
-# (it still reaches the depth cap by T = 40), plus the benchmark geometry
+# (it still reaches the depth cap by T = 40), the benchmark geometry, and
+# the breakout geometry at seed 4, which launches trials one per step
 REFERENCE_CASES = [
     ("bbbm", dict(BARRIER_GEOM, horizon=30.0, seed=0, A=1.2, epsilon=1e9,
                   zeta_breakout=False)),
@@ -623,6 +625,8 @@ REFERENCE_CASES = [
                     zeta_breakout=False, delta_color=0.005)),
     ("bbbm", dict(BENCH_GEOM, seed=0)),
     ("bbbm", dict(BENCH_GEOM, seed=1)),
+    ("bbbm", dict(BARRIER_GEOM, horizon=120.0, seed=4, A=1.2,
+                  epsilon=1e-6)),
 ]
 
 
@@ -666,6 +670,24 @@ def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, i):
         assert getattr(new, name) == getattr(ref, name), name
     assert np.array_equal(new.final_positions, ref.final_positions)
     assert new.path.pieces == ref.path.pieces
+
+
+def test_single_launch_cases_compare_trials(binary_law, monkeypatch):
+    # the bit-for-bit check reaches the trials only in cases that launch
+    # some; a stream change can leave every case without a wall hit
+    launched = []
+
+    def counting(*args, **kw):
+        launched[-1].append(kw["n_trials"])
+        return breakout_trials(*args, **kw)
+
+    monkeypatch.setattr(selection, "breakout_trials", counting)
+    for i in SINGLE_LAUNCH:
+        launched.append([])
+        mode, kw = REFERENCE_CASES[i]
+        _run_batch(SimConfig(binary_law, **kw), mode)
+    assert all(n == 1 for calls in launched for n in calls), launched
+    assert sum(len(calls) > 0 for calls in launched) >= 2, launched
 
 
 # The reference's replicas 1-48 of each IN_LAW case (stream 0 is the
