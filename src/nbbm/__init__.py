@@ -8,6 +8,6 @@ estimator/oracle reports (stats), and the command line front end (cli).
 
 from nbbm.kernels import IntervalParams, KernelAccuracy
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = ["IntervalParams", "KernelAccuracy", "__version__"]

@@ -327,6 +327,8 @@ def _cmd_simulate(args) -> int:
              "clamped_responses": res.clamped_responses,
              "reinjected": res.reinjected, "wall_hits": res.wall_hits,
              "depth_capped": res.depth_capped,
+             "breakout_waits": res.breakout_waits,
+             "breakout_wait_time": res.breakout_wait_time,
              "peak_count": res.peak_count, "max_pop": res.max_pop,
              "pieces": res.pieces, "colour_stats": res.colour_stats}
             for r, res in enumerate(results)]

@@ -6,9 +6,10 @@ of particles advance per step without per-particle Python work.
 particle is handled exactly, with a fresh exponential branch clock per
 segment (memoryless, so no clock state survives a step), a Gaussian move, a
 Brownian-bridge test against each wall and a branch into k children at the
-branch point with the rest of the step.  The killed ensemble, the batched
+branch point with the rest of the step.  The killed ensemble, the
 fugitive trials and the barrier runners in `selection` all advance through
-it.
+it.  The trials live in a `TrialPool`, which a barrier run steps once per
+runner step, each lineage through its own span.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "hperp_flat",
     "killed_ensemble",
     "TrialBatch",
+    "TrialPool",
+    "PoolStep",
     "breakout_trials",
 ]
 
@@ -160,6 +163,12 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     tag and payload (a tuple of arrays aligned with pos) and whether the
     origin ignores it.
 
+    h may also be an array aligned with pos (t0 then a scalar or another
+    such array): each particle then steps through its own span
+    [t0, t0 + h], and its hits are timed against its own step end.  The
+    trial pool takes this path.  Its first loop then already has one rem
+    per particle, so it proposes and thins as the later loops do below.
+
     Each loop over the current segments draws only what it uses, in order:
     - the geometric gaps of `_branch_slots`, which propose each particle
       independently with probability p_max = 1 - exp(-beta0 max(rem)), so
@@ -182,17 +191,21 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
     lists of per-loop chunks (time, tag, *payload), and the number of
     segments processed.
     """
-    if not 0.0 < h < math.inf:
+    # the step left to each particle: one scalar until the first branching,
+    # unless each particle has its own span
+    per_span = per_rem = isinstance(h, np.ndarray)
+    if not (np.all((h > 0.0) & (h < math.inf)) if per_span
+            else 0.0 < h < math.inf):
         raise ValueError(f"step length h must be positive and finite, got {h!r}")
     carry = [tag, *payload]
+    n_out = 1 + len(payload)
+    t1 = t0 + h
+    if per_span:  # each particle's step end, which its children inherit
+        carry.append(t1)
     if origin_ignores is not None:
         carry.append(origin_ignores)
-    n_out = 1 + len(payload)
     out, lower, upper_hits = [], [], []
-    t1 = t0 + h
-    # the step left to each particle: one scalar until the first branching
     rem = h
-    per_rem = False
     beta0 = law.beta0
     per_tag = isinstance(drift, np.ndarray)
     segments = 0
@@ -245,9 +258,12 @@ def step_segments(pos, tag, payload=(), *, t0: float, h: float, drift,
             done[hit_hi] = False
         for hit, chunks in ((hit_lo, lower), (hit_hi, upper_hits)):
             if hit is not None and len(hit):
-                chunks.append((t1 - lag[hit] if lag is not None
-                               else np.full(len(hit), t1),
-                               *(c[hit] for c in carry[:n_out])))
+                end = carry[n_out][hit] if per_span else t1
+                if lag is not None:
+                    end = end - lag[hit]
+                elif not per_span:
+                    end = np.full(len(hit), t1)
+                chunks.append((end, *(c[hit] for c in carry[:n_out])))
         cont = br[done[br]]
         done[br] = False
         out.append([x2[done], *(c[done] for c in carry[:n_out])])
@@ -415,6 +431,301 @@ class TrialBatch:
     alive_pos: np.ndarray | None = None
 
 
+# per-trial columns of a pool: launch time, replica, colour and expiry of
+# the particle that launched it, nesting depth, the accumulators, and the
+# step end by which its last lineage left (nan while it runs)
+_TRIAL_COLUMNS = (("launch", float), ("replica", np.int64),
+                  ("colour", np.int8), ("expiry", float), ("depth", np.int64),
+                  ("Z", float), ("Y", float), ("n_frozen", np.int64),
+                  ("sigma_max", float), ("censored", bool),
+                  ("hit_zeta", bool), ("done_at", float))
+
+# nested trials stop at this depth: a lineage of a depth-3 trial that lands
+# beyond the wall is dropped and counted as depth-capped
+_MAX_DEPTH = 3
+
+
+class TrialPool:
+    """Fugitive trials in flight, of every replica of a barrier run.
+
+    Lineages live in three aligned arrays: the line-frame position `xi`,
+    the index of their trial in `trials`, and `clock`, the time each has
+    been advanced to.  `trials` holds one array per `_TRIAL_COLUMNS` name,
+    one entry per trial not yet decided.  Per replica the pool counts the
+    trials launched, the relaunches (lineages that landed beyond the wall
+    and started a nested trial), the depth-capped lineages, and the
+    breakouts whose decision waited for an earlier trial of their replica
+    with the total length of those waits.  `breakout_trials` is the only
+    code that launches, advances or decides trials.
+    """
+
+    def __init__(self, replicas: int = 1) -> None:
+        self.replicas = replicas
+        self.xi = np.empty(0)
+        self.trial = np.empty(0, dtype=np.int64)
+        self.clock = np.empty(0)
+        self.trials = {k: np.empty(0, dtype=d) for k, d in _TRIAL_COLUMNS}
+        self.launched, self.relaunched, self.depth_capped, self.waits = \
+            np.zeros((4, replicas), dtype=np.int64)
+        self.wait_time = np.zeros(replicas)
+        self.segments = 0
+        # whether a trial was done since the last decision, and the clock
+        # of every lineage when they all share one
+        self.fresh = False
+        self.synced: float | None = None
+
+    def __len__(self) -> int:
+        """The number of lineages in flight."""
+        return len(self.xi)
+
+    def lineages_of(self, replica: int) -> int:
+        """The number of lineages in flight for one replica."""
+        return int(np.count_nonzero(
+            self.trials["replica"][self.trial] == replica))
+
+    def _launch(self, t, replica, colour, expiry, depth, y: float) -> None:
+        n = len(t)
+        if not n:
+            return
+        given = dict(launch=t, replica=replica, colour=colour, expiry=expiry,
+                     depth=depth, done_at=np.full(n, math.nan))
+        first = len(self.trials["launch"])
+        self.trials = {k: np.concatenate((v, given[k] if k in given
+                                          else np.zeros(n, dtype=v.dtype)))
+                       for k, v in self.trials.items()}
+        self.xi = np.concatenate((self.xi, np.full(n, float(y))))
+        self.trial = np.concatenate(
+            (self.trial, np.arange(first, first + n, dtype=np.int64)))
+        self.clock = np.concatenate((self.clock, t))
+        self.synced = None
+        self.launched += np.bincount(replica, minlength=self.replicas)
+
+
+@dataclass
+class _TrialRules:
+    """The fixed parameters of a trial, checked by `breakout_trials`."""
+
+    law: ReproductionLaw
+    iv: IntervalParams
+    y: float
+    zeta: float
+    threshold: float
+    censor_weight: float
+    censor_count: int
+    zeta_breakout: bool
+    max_segments: int
+
+
+def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
+             rng: np.random.Generator):
+    """Advance every lineage of the pool to min(t0 + h, launch + zeta).
+
+    A lineage whose clock is t0 (within 1e-9) steps through [t0, t0 + h];
+    one launched or relaunched at another time steps from its clock, so
+    its span may be shorter or longer than h, and one launched at t0 + h
+    waits for the next step.  When all lineages share one span the step
+    takes its scalar path, so trials launched together draw as the
+    stand-alone batch always has.  Freezes update the accumulators; then
+    the trials past a censor limit lose their lineages, the lineages at
+    their trial's zeta leave the pool, and trials left without lineages
+    are done.  Returns the lineages that froze, as a list of chunks
+    (trial, time, local time, lab position), and those cut at zeta as one
+    such chunk, or None.
+    """
+    iv, y, zeta = rules.iv, rules.y, rules.zeta
+    a, mu = iv.a, iv.mu
+    tr = pool.trials
+    t1 = t0 + h
+    x, k, clock = pool.xi, pool.trial, pool.clock
+    wait = None
+    t_step, h_step = t0, h
+    # as the stand-alone batch always has, a lineage within 1e-9 of a span
+    # from its zeta ends there
+    if pool.synced is not None and abs(pool.synced - t0) <= 1e-9 \
+            and tr["launch"].min() + zeta - t0 > h * (1.0 + 1e-9):
+        # every lineage steps through [t0, t0 + h], and none reaches zeta
+        any_cut = False
+    else:
+        snap = np.abs(clock - t0) <= 1e-9
+        uniform = snap.all()
+        start = t0 if uniform else np.where(snap, t0, clock)
+        span = h if uniform else np.where(snap, h, t1 - clock)
+        left = tr["launch"][k] + zeta - start
+        cut = left <= span * (1.0 + 1e-9)
+        any_cut = cut.any()
+        if not uniform or any_cut:
+            span = np.minimum(span, left)
+            move = span > 0.0
+            if not move.all():
+                wait = ~move
+                x, k, cut, span = x[move], k[move], cut[move], span[move]
+                if not uniform:
+                    snap, start = snap[move], start[move]
+            if len(span) and (uniform or snap.all()) \
+                    and span.min() == span.max():
+                h_step = float(span[0])
+            else:
+                t_step, h_step = start, span
+    frozen = []
+    # which lineages reach zeta rides along only when some do
+    carried = (cut,) if any_cut else ()
+    if len(x):
+        x, k, carried, frozen, _, n_seg = step_segments(
+            x, k, carried, t0=t_step, h=h_step, drift=-1.0, law=rules.law,
+            rng=rng)
+        pool.segments += n_seg
+        if pool.segments > rules.max_segments:
+            raise CapacityError(f"segment budget {rules.max_segments} "
+                                f"exhausted at t = {t0:.6g}")
+    n = len(tr["launch"])
+    exits = []
+    for t_f, k_f, *_ in frozen:
+        s = t_f - tr["launch"][k_f]
+        lab = a - y + (1.0 - mu) * s
+        tr["Z"] += np.bincount(k_f, weights=w_Z(lab, iv), minlength=n)
+        tr["Y"] += np.bincount(k_f, weights=w_Y(lab, iv), minlength=n)
+        tr["n_frozen"] += np.bincount(k_f, minlength=n)
+        np.maximum.at(tr["sigma_max"], k_f, s)
+        exits.append((k_f, t_f, s, lab))
+    # the survivors, now at t1, then the lineages that waited
+    cut = carried[0] if any_cut else None
+    clock_out = np.full(len(x), t1)
+    if wait is not None:
+        x, k, clock_out = (np.concatenate(v) for v in (
+            (x, pool.xi[wait]), (k, pool.trial[wait]),
+            (clock_out, clock[wait])))
+        if any_cut:
+            cut = np.concatenate(
+                (cut, np.zeros(np.count_nonzero(wait), dtype=bool)))
+    clock = clock_out
+    # only a freeze moves a trial past a censor limit, and only a freeze, a
+    # death, a censored trial or a cut at zeta leaves a trial without
+    # lineages
+    left_pool = bool(frozen) or rules.law.probabilities[0] > 0.0
+    if frozen:
+        over = (tr["Z"] > rules.censor_weight) | \
+               (tr["n_frozen"] > rules.censor_count)
+        if over.any() and len(k):
+            drop = over[k]
+            if drop.any():
+                tr["censored"][k[drop]] = True
+                x, k, clock = x[~drop], k[~drop], clock[~drop]
+                if any_cut:
+                    cut = cut[~drop]
+    alive = None
+    if any_cut and cut.any():
+        k_c = k[cut]
+        tr["hit_zeta"][k_c] = True
+        tr["sigma_max"][k_c] = zeta
+        alive = (k_c, tr["launch"][k_c] + zeta, np.full(len(k_c), zeta),
+                 x[cut] + (a - y + (1.0 - mu) * zeta))
+        x, k, clock = x[~cut], k[~cut], clock[~cut]
+        left_pool = True
+    pool.xi, pool.trial, pool.clock = x, k, clock
+    pool.synced = t1 if wait is None else None
+    if left_pool:
+        done = np.isnan(tr["done_at"])
+        done &= np.bincount(k, minlength=n) == 0
+        if done.any():
+            tr["done_at"][done] = t1
+            pool.fresh = True
+    return exits, alive
+
+
+def _is_breakout(rules: _TrialRules, Z, hit_zeta, censored) -> np.ndarray:
+    return (Z > rules.threshold) \
+        | (hit_zeta if rules.zeta_breakout else False) | censored
+
+
+@dataclass
+class PoolStep:
+    """What one runner step of a trial pool hands back.
+
+    reentry: the lineages that left the pool below the wall, frozen on
+    their line or cut at zeta, as arrays `pos` (lab position), `replica`,
+    `colour`, `expiry` and `age` (local time at exit).  decided: the trials
+    whose outcome is settled, in hit-time order within each replica, as
+    the pool's trial columns plus `is_breakout`.
+    """
+
+    reentry: dict[str, np.ndarray]
+    decided: dict[str, np.ndarray]
+
+
+def _pool_step(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
+               rng: np.random.Generator, hits) -> PoolStep:
+    t1 = t0 + h
+    if len(hits[0]):  # launched by replica, then hit time
+        o = np.lexsort((hits[0], hits[1]))
+        pool._launch(*(v[o] for v in hits), np.ones(len(o), dtype=np.int64),
+                     rules.y)
+    exits = []
+    if len(pool):
+        exits, alive = _advance(pool, rules, t0, h, rng)
+        if alive is not None:
+            exits.append(alive)
+    k, s, lab = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    if exits:
+        k, t_out, s, lab = (np.concatenate(v) for v in zip(*exits))
+        # a lineage beyond the wall hits it again: it relaunches one level
+        # deeper at its exit time, up to depth 3
+        out = lab >= rules.iv.a
+        if out.any():
+            tr = pool.trials
+            k_o, t_o = k[out], t_out[out]
+            d_o, r_o = tr["depth"][k_o], tr["replica"][k_o]
+            capped = d_o >= _MAX_DEPTH
+            pool.depth_capped += np.bincount(r_o[capped],
+                                             minlength=pool.replicas)
+            go = ~capped
+            pool.relaunched += np.bincount(r_o[go], minlength=pool.replicas)
+            pool._launch(t_o[go], r_o[go], tr["colour"][k_o[go]],
+                         tr["expiry"][k_o[go]], d_o[go] + 1, rules.y)
+            k, s, lab = k[~out], s[~out], lab[~out]
+    tr = pool.trials
+    reentry = dict(pos=lab, replica=tr["replica"][k], colour=tr["colour"][k],
+                   expiry=tr["expiry"][k], age=s)
+    return PoolStep(reentry, _decide(pool, rules, t1))
+
+
+def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
+    """Take the settled trials out of the pool, in hit-time order within
+    each replica.  A done trial is settled once every earlier trial of its
+    replica is: a breakout that waits for one still running counts as a
+    wait, of length t1 minus the step end at which it was done."""
+    tr = pool.trials
+    if not pool.fresh:
+        decided = {k: v[:0] for k, v in tr.items()}
+        decided["is_breakout"] = np.empty(0, dtype=bool)
+        return decided
+    pool.fresh = False
+    # by replica, then launch time, then launch order (lexsort is stable)
+    order = np.lexsort((tr["launch"], tr["replica"]))
+    running = np.isnan(tr["done_at"][order]).astype(np.int64)
+    before = np.cumsum(running) - running
+    rep = tr["replica"][order]
+    first = np.ones(len(rep), dtype=bool)
+    first[1:] = rep[1:] != rep[:-1]
+    base = before[first][np.cumsum(first) - 1]
+    take = order[(running == 0) & (before == base)]
+    decided = {k: v[take] for k, v in tr.items()}
+    decided["is_breakout"] = _is_breakout(
+        rules, decided["Z"], decided["hit_zeta"], decided["censored"])
+    late = decided["is_breakout"] & (decided["done_at"] < t1 - 1e-9)
+    if late.any():
+        r_late = decided["replica"][late]
+        pool.waits += np.bincount(r_late, minlength=pool.replicas)
+        pool.wait_time += np.bincount(
+            r_late, weights=t1 - decided["done_at"][late],
+            minlength=pool.replicas)
+    if len(take):
+        keep = np.ones(len(order), dtype=bool)
+        keep[take] = False
+        pool.trials = {k: v[keep] for k, v in tr.items()}
+        pool.trial = (np.cumsum(keep) - 1)[pool.trial]
+    return decided
+
+
 def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                     epsilon: float, y: float, zeta: float, *, n_trials: int,
                     dt: float, rng: np.random.Generator,
@@ -422,14 +733,37 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                     censor_count: int = 20_000,
                     collect_line: bool = False,
                     zeta_breakout: bool = True,
-                    max_segments: int = 2_000_000_000) -> TrialBatch:
-    """Vectorized fugitive trials, all started at height y above the line.
+                    max_segments: int = 2_000_000_000,
+                    pool: TrialPool | None = None, t0: float = 0.0,
+                    hits=None):
+    """Fugitive trials, each started at height y above its stopping line.
 
-    Works in line coordinates (drift -1, freeze at 0); the line rises at
-    1 - mu in the lab frame from a - y, so a freeze at local time s maps to
-    lab position a - y + (1 - mu) s.  All trials share the step clock.
-    zeta_breakout = False drops the reaching-zeta clause from the breakout
-    classification (weight and censor clauses stay).
+    A trial works in line coordinates (drift -1, freeze at 0); the line
+    rises at 1 - mu in the lab frame from a - y, so a freeze at local time
+    s maps to lab position a - y + (1 - mu) s, and a lineage still running
+    at s = zeta is cut there.  Trials past the censor limits stop early
+    with censored set.  zeta_breakout = False drops the reaching-zeta
+    clause from the breakout classification (weight and censor clauses
+    stay).  The trials run in a `TrialPool`, in one of two forms.
+
+    Without a pool, n_trials trials start at s = 0 and step together, dt at
+    a time, until every lineage has frozen, died or reached zeta; the
+    result is a `TrialBatch`, with every frozen and cut lineage when
+    collect_line is set.
+
+    With a pool, one call is one runner step [t0, t0 + dt].  It launches
+    the step's n_trials wall hits, given as hits = (times, replicas,
+    colours, expiries) with the times in (t0, t0 + dt], by replica and then
+    hit time, then advances every lineage of the pool once, to
+    min(t0 + dt, launch + zeta), through one `step_segments` call.  A
+    lineage that leaves the pool beyond the wall relaunches as a nested
+    trial one level deeper at its exit time, up to depth 3; deeper ones
+    are dropped and counted as depth-capped.  The result is a `PoolStep`:
+    the lineages that re-enter below the wall, and the trials decided this
+    step in hit-time order per replica.  A trial's outcome is known when
+    its last lineage leaves; a breakout waits until every earlier trial of
+    its replica is decided, and the pool counts such waits and their
+    length per replica.
     """
     if not (0.0 < y < math.inf and 0.0 < zeta < math.inf):
         raise ValueError(f"y and zeta must be positive and finite, got "
@@ -448,74 +782,38 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                          f"A = {A!r}, epsilon = {epsilon!r}")
     if not n_trials >= 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials!r}")
-    a, mu = iv.a, iv.mu
     n_trials = int(n_trials)
     threshold = epsilon * math.exp(A)
+    rules = _TrialRules(law, iv, y, zeta, threshold,
+                        censor_weight_mult * threshold, censor_count,
+                        zeta_breakout, max_segments)
+    if pool is not None:
+        if hits is None or len(hits[0]) != n_trials:
+            raise ValueError("a pool step needs one hit per trial")
+        return _pool_step(pool, rules, t0, dt, rng, hits)
 
-    xi = np.full(n_trials, float(y))
-    trial = np.arange(n_trials, dtype=np.int64)
-    z_acc = np.zeros(n_trials)
-    y_acc = np.zeros(n_trials)
-    n_frozen = np.zeros(n_trials, dtype=np.int64)
-    sigma = np.zeros(n_trials)
-    censored = np.zeros(n_trials, dtype=bool)
-    hit_zeta = np.zeros(n_trials, dtype=bool)
-    fr_trial, fr_time, fr_pos = [], [], []
-
-    segments = 0
-    n_steps = int(math.ceil(zeta / dt - 1e-9))
-    for step in range(n_steps):
-        if not len(xi):
+    pool = TrialPool()
+    pool._launch(np.zeros(n_trials), np.zeros(n_trials, dtype=np.int64),
+                 np.zeros(n_trials, dtype=np.int8),
+                 np.full(n_trials, math.inf),
+                 np.ones(n_trials, dtype=np.int64), y)
+    frozen, alive = [], None
+    for step in range(int(math.ceil(zeta / dt - 1e-9))):
+        if not len(pool):
             break
-        s0 = step * dt
-        xi, trial, _, frozen, _, n_seg = step_segments(
-            xi, trial, t0=s0, h=min(dt, zeta - s0), drift=-1.0, law=law,
-            rng=rng)
-        segments += n_seg
-        if segments > max_segments:
-            raise CapacityError(
-                f"segment budget {max_segments} exhausted at s = {s0:.6g}")
-        for s_hit, ft in frozen:
-            lab = a - y + (1.0 - mu) * s_hit
-            z_acc += np.bincount(ft, weights=w_Z(lab, iv), minlength=n_trials)
-            y_acc += np.bincount(ft, weights=w_Y(lab, iv), minlength=n_trials)
-            n_frozen += np.bincount(ft, minlength=n_trials)
-            np.maximum.at(sigma, ft, s_hit)
-            if collect_line:
-                fr_trial.append(ft)
-                fr_time.append(s_hit)
-                fr_pos.append(lab)
-        over = (z_acc > censor_weight_mult * threshold) | \
-               (n_frozen > censor_count)
-        if over.any() and len(xi):
-            drop = over[trial]
-            if drop.any():
-                censored |= np.isin(np.arange(n_trials), trial[drop])
-                xi, trial = xi[~drop], trial[~drop]
-
-    if len(xi):
-        hit_zeta[trial] = True
-        sigma[hit_zeta] = zeta
+        chunks, alive = _advance(pool, rules, step * dt, dt, rng)
+        frozen += chunks
+    tr = pool.trials
     out = TrialBatch(
-        n_frozen=n_frozen,
-        Z=z_acc,
-        Y=y_acc,
-        W_y=y * math.exp(-y) * n_frozen,
-        sigma_max=sigma,
-        hit_zeta=hit_zeta,
-        censored=censored,
-        is_breakout=(z_acc > threshold)
-        | (hit_zeta if zeta_breakout else False)
-        | censored,
-    )
+        n_frozen=tr["n_frozen"], Z=tr["Z"], Y=tr["Y"],
+        W_y=y * math.exp(-y) * tr["n_frozen"], sigma_max=tr["sigma_max"],
+        hit_zeta=tr["hit_zeta"], censored=tr["censored"],
+        is_breakout=_is_breakout(rules, tr["Z"], tr["hit_zeta"],
+                                 tr["censored"]))
     if collect_line:
-        out.frozen_trial = (np.concatenate(fr_trial) if fr_trial
-                            else np.empty(0, dtype=np.int64))
-        out.frozen_time = (np.concatenate(fr_time) if fr_time
-                           else np.empty(0))
-        out.frozen_pos = (np.concatenate(fr_pos) if fr_pos
-                          else np.empty(0))
-        line_at_cap = a - y + (1.0 - mu) * zeta
-        out.alive_trial = trial.copy()
-        out.alive_pos = xi + line_at_cap
+        out.frozen_trial, _, out.frozen_time, out.frozen_pos = (
+            np.concatenate(v) for v in zip(*frozen)) if frozen else (
+            np.empty(0, dtype=np.int64), None, np.empty(0), np.empty(0))
+        out.alive_trial, _, _, out.alive_pos = alive if alive is not None \
+            else (np.empty(0, dtype=np.int64), None, None, np.empty(0))
     return out

@@ -502,13 +502,24 @@ def p_taboo(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
 def w_Z(x, iv):
     """Additive martingale weight a e^{mu (x-a)} sin(pi x / a) on [0, a], else 0."""
     iv = _require_interval(iv)
+    a = iv.a
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
     # open-interval support: endpoints are exact zeros, not sin(pi) dust
-    inside = (x_arr > 0.0) & (x_arr < iv.a)
-    xc = np.clip(x_arr, 0.0, iv.a)
-    val = np.where(inside, iv.a * np.exp(iv.mu * (xc - iv.a)) * np.sin(_PI * xc / iv.a), 0.0)
-    val = np.maximum(val, 0.0)
+    inside = (x_arr > 0.0) & (x_arr < a)
+    # a e^{mu (xc - a)} sin(pi xc / a) with xc = x clipped to [0, a], in
+    # place, in the order of the formula
+    xc = np.maximum(x_arr, 0.0)
+    np.minimum(xc, a, out=xc)
+    val = xc - a
+    val *= iv.mu
+    np.exp(val, out=val)
+    val *= a
+    xc *= _PI
+    xc /= a
+    val *= np.sin(xc, out=xc)
+    val[~inside] = 0.0
+    np.maximum(val, 0.0, out=val)
     return float(val[0]) if scalar else val
 
 

@@ -189,10 +189,12 @@ def write_series_csv(path: str | Path, series_list: list[StatsSeries],
     lines = [f"# manifest={manifest_hash}",
              ",".join(["replica", "t"] + cols)]
     for s in series_list:
-        for i, t in enumerate(s.times):
-            row = [str(int(s.replica)), fmt_real(t)]
-            row += [fmt_real(s.columns[c][i]) for c in cols]
-            lines.append(",".join(row))
+        # one format per row, fed Python numbers: the same text as fmt_real
+        # cell by cell, without a numpy scalar per cell
+        row = ",".join([str(int(s.replica))] + [_FMT] * (1 + len(cols)))
+        values = [np.asarray(x).tolist()
+                  for x in [s.times] + [s.columns[c] for c in cols]]
+        lines += map(row.__mod__, zip(*values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -20,13 +20,13 @@ each particle takes its own replica's barrier drift, and per-replica state
 when that replica has something due.  After each step the arrays are
 regrouped by replica with a stable sort, so every per-replica statistic is
 taken on a contiguous slice.  Excursions past the right wall are simulated
-as fugitive trials, one per hit, each step's hits in one batch sorted by
-replica and then hit time; the trials' lineages wait in aligned arrays and
-re-enter the population at their freeze times.  A one-replica run whose
-steps launch at most one trial each is bit-identical to the per-hit
-reference kept in the tests.  Rule evaluation happens at step ends, so
-colour flips and re-entries are placed with O(dt) time resolution; the
-Brownian and branching dynamics themselves are exact within each step.
+as fugitive trials, one per hit, in one `ensemble.TrialPool` that takes one
+segment step per runner step; frozen lineages re-enter the population at
+the end of the step in which they froze.  A one-replica run that never
+hits the wall is bit-identical to the per-hit reference kept in the tests.
+Rule evaluation happens at step ends, so colour flips and re-entries are
+placed with O(dt) time resolution; the Brownian and branching dynamics
+themselves are exact within each step.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from .engine import (CapacityError, ReproductionLaw, SimConfig, hperp_count,
                      rng_stream, sample_offspring)
-from .ensemble import (_branch_slots, breakout_trials, hperp_flat,
-                       step_segments)
+from .ensemble import (TrialPool, _branch_slots, breakout_trials,
+                       hperp_flat, step_segments)
 from .kernels import (IntervalParams, barrier_f, error_envelope_E,
                       sine_exp_density, w_Y, w_Z)
 from .levy import RecenteringConstants, recentering
@@ -341,6 +341,9 @@ class BarrierPath:
                                       (t - piece.t_plus) / self.iv.a ** 2)
 
     def shift(self, t: float) -> float:
+        last = self.pieces[-1]
+        if last.delta is None and t >= last.t_start:  # the open, flat piece
+            return last.base
         return self._value(self._piece_at(t), t)
 
     def install(self, t_break: float, t_plus: float, delta: float) -> float:
@@ -378,8 +381,12 @@ class BarrierPath:
 class BarrierResult:
     """Series and breakout bookkeeping for one barrier-frame replica.
 
-    peak_count is the largest population at a step end (the start
-    included) and max_pop the population cap that raises CapacityError.
+    wall_hits counts the population's hits and the trial lineages that
+    land beyond the wall, each of which launches one of the trials_run.
+    breakout_waits counts the breakouts whose decision waited for an
+    earlier trial, breakout_wait_time their total wait.  peak_count is the
+    largest population at a step end (the start included) and max_pop the
+    population cap that raises CapacityError.
     """
 
     series: StatsSeries
@@ -392,6 +399,8 @@ class BarrierResult:
     reinjected: int
     wall_hits: int
     depth_capped: int = 0
+    breakout_waits: int = 0
+    breakout_wait_time: float = 0.0
     colour_stats: dict = field(default_factory=dict)
     final_positions: np.ndarray | None = None
     peak_count: int | None = None
@@ -517,12 +526,10 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     peak = _sizes(bounds)
 
     reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
-    # each wall hit, a relaunch included, runs one trial
-    wall_hits, reinjected, depth_capped = np.zeros((3, n_rep), dtype=np.int64)
-    # trial lineages waiting to re-enter, in the order they were queued:
-    # entry time, position, colour, expiry, trial depth and replica
-    queue = tuple(np.empty(0, dtype=d) for d in
-                  (float, float, np.int8, float, np.int64, np.int64))
+    # the trials of every replica, and the wall hits of the population; a
+    # wall hit is a population hit or a relaunch, and each runs one trial
+    pool = TrialPool(n_rep)
+    pop_hits, reinjected = np.zeros((2, n_rep), dtype=np.int64)
 
     times = [0.0]
     names = ["count", "Z", "Y", "R_cum", "barrier_shift"]
@@ -533,55 +540,32 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     names += [f"med_{al:g}" for al in cfg.alphas]
     rows: dict[str, list[np.ndarray]] = {k: [] for k in names}
 
-    def record(t_now, pos, col, rep, bounds):
-        # one row per name, one entry per replica; sums and medians are
-        # taken on each replica's slice, as a lone replica would take them
+    def record(pos, col, rep, bounds, shift):
+        # one entry per replica and name; sums are taken on each replica's
+        # slice, as a lone replica would take them, and medians on one
+        # (replica, slot) matrix padded with -inf
         wz, wy = w_Z(pos, iv), w_Y(pos, iv)
-        whites = col == _WHITE
-        row = {k: np.empty(n_rep) for k in names}
-        for r, st in enumerate(reps):
-            lo, hi = bounds[r], bounds[r + 1]
-            row["Z"][r] = wz[lo:hi].sum()
-            row["Y"][r] = wy[lo:hi].sum()
-            row["barrier_shift"][r] = st.path.shift(t_now)
-            seen = pos[lo:hi][whites[lo:hi]] if mode == "bflat" \
-                else pos[lo:hi]
-            for al in cfg.alphas:
-                row[f"med_{al:g}"][r] = med_alpha(seen, al, n_med)
-        row["count"][:] = _sizes(bounds)
-        row["R_cum"][:] = wall_hits
+        spans = list(zip(bounds, bounds[1:]))
+        row = {"count": np.diff(bounds), "R_cum": pop_hits + pool.relaunched,
+               "Z": [wz[lo:hi].sum() for lo, hi in spans],
+               "Y": [wy[lo:hi].sum() for lo, hi in spans],
+               "barrier_shift": shift.copy()}
+        seen, seen_rep = pos, rep
         if mode == "bflat":
-            row["count_white"][:] = np.bincount(rep[whites], minlength=n_rep)
+            whites = col == _WHITE
+            seen, seen_rep = pos[whites], rep[whites]
+            row["count_white"] = np.bincount(seen_rep, minlength=n_rep)
         if sharp:
-            row["count_blue"][:] = np.bincount(rep[col == _BLUE],
-                                               minlength=n_rep)
+            row["count_blue"] = np.bincount(rep[col == _BLUE],
+                                            minlength=n_rep)
+        n_seen = row.get("count_white", row["count"])
+        slots = np.full((n_rep, n_seen.max(initial=0)), -math.inf)
+        first = np.cumsum(n_seen) - n_seen
+        slots[seen_rep, np.arange(len(seen)) - first[seen_rep]] = seen
+        for al in cfg.alphas:
+            row[f"med_{al:g}"] = med_alpha(slots, al, n_med)
         for k in names:
             rows[k].append(row[k])
-
-    def launch(t_hit, c_hit, e_hit, depth, r_hit):
-        """Run one fugitive trial per hit, the hits sorted by replica and
-        then time, and queue the trials' lineages."""
-        nonlocal queue
-        np.add.at(wall_hits, r_hit, 1)
-        batch = breakout_trials(cfg.law, iv, A, eps, y, zeta,
-                                n_trials=len(t_hit), dt=dt, rng=rng,
-                                collect_line=True,
-                                zeta_breakout=cfg.zeta_breakout)
-        # a replica's first breakout not before its open piece's start
-        # takes the response unless one is pending; the rest are suppressed
-        for k in np.flatnonzero(batch.is_breakout).tolist():
-            st, t_k = reps[r_hit[k]], float(t_hit[k])
-            if st.pending is not None or t_k < st.path.pieces[-1].t_start:
-                st.suppressed += 1
-            else:
-                st.pending = (t_k, t_k + float(batch.sigma_max[k]))
-        # frozen lineages enter at their freeze times, survivors at zeta
-        k = np.concatenate([batch.frozen_trial, batch.alive_trial])
-        s = np.concatenate([batch.frozen_time,
-                            np.full(len(batch.alive_trial), zeta)])
-        x = np.concatenate([batch.frozen_pos, batch.alive_pos])
-        queue = tuple(map(np.concatenate, zip(queue, (
-            t_hit[k] + s, x, c_hit[k], e_hit[k], depth[k], r_hit[k]))))
 
     def settle(r: int, p, c, e, t1):
         """Step-end rules of replica r on its own particles."""
@@ -607,12 +591,11 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         while st.freeze_due(t1):
             _, piece_idx = st.theta_queue.pop(0)
             # diagnostic only: whether the strip below the wall and the
-            # trial pipeline had really cleared by the freeze time
+            # trial pool had really cleared by the freeze time
             n_strip = int(np.sum(p > a - y))
             piece = st.pieces[piece_idx]
             piece["in_between_at_theta"] = n_strip
-            piece["outstanding_at_theta"] = n_out = int(
-                np.count_nonzero(queue[5] == r))
+            piece["outstanding_at_theta"] = n_out = pool.lineages_of(r)
             piece["clear_at_theta"] = n_strip == 0 and n_out == 0
             if mode == "bflat":
                 reds = c == _RED
@@ -633,60 +616,58 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 c[np.flatnonzero(whites)[right >= n_flat]] = _RED
         return p, c, e
 
-    record(0.0, pos, col, rep, bounds)
+    # each replica's barrier shift at the step's start and end, evaluated
+    # once per step
+    t_prev, shift1 = 0.0, np.zeros(n_rep)
+    record(pos, col, rep, bounds, shift1)
 
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     for i in range(n_steps):
         t0 = i * dt
         h = min(dt, horizon - t0)
         t1 = t0 + h
-        drift = np.array([-mu - (st.path.shift(t1) - st.path.shift(t0)) / h
-                          for st in reps])
+        shift0 = shift1 if t0 == t_prev else np.array(
+            [st.path.shift(t0) for st in reps])
+        shift1 = np.array([st.path.shift(t1) for st in reps])
+        drift = -mu - (shift1 - shift0) / h
 
         pos, rep, (col, expy), origin, upper, _ = step_segments(
             pos, rep, (col, expy), t0=t0, h=h, drift=drift, law=cfg.law,
             rng=rng, upper=a, origin_ignores=col == _BLUE if sharp else None)
 
-        # one batch of fugitive trials for this step's wall hits, sorted by
-        # replica, then hit time
-        if upper:
-            t_up, r_up, c_up, e_up = (np.concatenate(x) for x in zip(*upper))
-            o = np.lexsort((e_up, c_up, t_up, r_up))
-            launch(t_up[o], c_up[o], e_up[o], np.ones(len(o), dtype=np.int64),
-                   r_up[o])
-
-        # re-entries due by the step end, in rounds: a round takes every due
-        # lineage, by replica, then entry time, then queue order, and
-        # relaunches those frozen beyond the wall as one nested batch, whose
-        # lineages may fall due in the next round
-        due = queue[0] <= t1 + 1e-9
-        while due.any():
-            o = np.flatnonzero(due)
-            o = o[np.lexsort((queue[0][o], queue[5][o]))]
-            t_in, x_in, c_in, e_in, d_in, r_in = (q[o] for q in queue)
-            queue = tuple(q[~due] for q in queue)
-            out = x_in >= a
-            stay = ~out
-            if sharp:
+        # the step's wall hits launch into the trial pool, and the pool
+        # advances through the step
+        if upper or len(pool):
+            up = tuple(map(np.concatenate, zip(*upper))) if upper \
+                else (np.empty(0), np.empty(0, dtype=np.int64),
+                      np.empty(0, dtype=np.int8), np.empty(0))
+            pop_hits += np.bincount(up[1], minlength=n_rep)
+            out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
+                                  n_trials=len(up[0]), dt=h, rng=rng,
+                                  zeta_breakout=cfg.zeta_breakout,
+                                  pool=pool, t0=t0, hits=up)
+            # a replica's first decided breakout not before its open
+            # piece's start takes the response unless one is pending; the
+            # rest are suppressed
+            dec = out.decided
+            for k in np.flatnonzero(dec["is_breakout"]).tolist():
+                st, t_k = reps[dec["replica"][k]], float(dec["launch"][k])
+                if st.pending is not None or t_k < st.path.pieces[-1].t_start:
+                    st.suppressed += 1
+                else:
+                    st.pending = (t_k, t_k + float(dec["sigma_max"][k]))
+            # the lineages that left the pool below the wall re-enter
+            ent = out.reentry
+            x_in, r_in, c_in, e_in = (ent[k] for k in
+                                      ("pos", "replica", "colour", "expiry"))
+            if sharp:  # they lie above the origin: expired blues whiten
                 expired = (c_in == _BLUE) & (e_in <= t1)
-                dead = expired & (x_in < 0.0)
-                _tally(reps, "blue_killed", r_in[dead])
-                _tally(reps, "rewhitened", r_in[expired & ~dead])
+                _tally(reps, "rewhitened", r_in[expired])
                 c_in[expired], e_in[expired] = _WHITE, math.inf
-                stay &= ~dead
-            # a lineage frozen beyond the wall counts as a fresh hit, but
-            # trials within trials stop nesting past depth 3
-            capped = out & (d_in >= 3)
-            np.add.at(depth_capped, r_in[capped], 1)
-            go = out & ~capped
-            if go.any():
-                launch(np.maximum(t_in[go], t0), c_in[go], e_in[go],
-                       d_in[go] + 1, r_in[go])
-            np.add.at(reinjected, r_in[stay], 1)
-            pos, col, expy, rep = (np.concatenate(x) for x in zip(
-                (pos, col, expy, rep),
-                (x_in[stay], c_in[stay], e_in[stay], r_in[stay])))
-            due = queue[0] <= t1 + 1e-9
+            if len(r_in):
+                reinjected += np.bincount(r_in, minlength=n_rep)
+                pos, col, expy, rep = (np.concatenate(x) for x in zip(
+                    (pos, col, expy, rep), (x_in, c_in, e_in, r_in)))
 
         # origin hits of whites live on as blues while their replica has
         # fewer than n_sharp particles right of the origin
@@ -730,6 +711,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 lo, hi = bounds[r], bounds[r + 1]
                 p, c, e = settle(r, pos[lo:hi], col[lo:hi], expy[lo:hi],
                                  t1)
+                # an installed response moves the shift at t1
+                shift1[r] = reps[r].path.shift(t1)
                 parts += [(pos[last:lo], col[last:lo], expy[last:lo],
                            rep[last:lo]), (p, c, e, rep[lo:lo + len(p)])]
                 last = hi
@@ -743,11 +726,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             raise CapacityError(f"replica {r}: population {counts[r]} "
                                 f"exceeds the cap {max_pop}")
         peak = list(map(max, peak, counts))
+        t_prev = t1
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
-            record(t1, pos, col, rep, bounds)
+            record(pos, col, rep, bounds, shift1)
 
-    table = {k: np.array(v) for k, v in rows.items()}
+    table = {k: np.array(v, dtype=float) for k, v in rows.items()}
+    wall_hits = pop_hits + pool.relaunched
     results = []
     for r, st in enumerate(reps):
         columns = {k: table[k][:, r].copy() for k in names}
@@ -761,9 +746,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             colour_stats["period"] = sharp_period
         results.append(BarrierResult(
             series=series, path=st.path, pieces=st.pieces, mode=mode,
-            trials_run=int(wall_hits[r]), suppressed_breakouts=st.suppressed,
+            trials_run=int(pool.launched[r]),
+            suppressed_breakouts=st.suppressed,
             clamped_responses=st.clamped, reinjected=int(reinjected[r]),
-            wall_hits=int(wall_hits[r]), depth_capped=int(depth_capped[r]),
+            wall_hits=int(wall_hits[r]),
+            depth_capped=int(pool.depth_capped[r]),
+            breakout_waits=int(pool.waits[r]),
+            breakout_wait_time=float(pool.wait_time[r]),
             colour_stats=colour_stats,
             final_positions=pos[bounds[r]:bounds[r + 1]].copy(),
             peak_count=peak[r], max_pop=max_pop))
@@ -775,23 +764,28 @@ def run_bbbm(cfg: SimConfig) -> list[BarrierResult]:
     right barrier.
 
     Particles diffuse with drift -mu in the frame of the barrier, whose
-    displacement adds the extra drift -X'(t), linearised within each step.
-    A particle touching the right wall starts a fugitive trial above the
-    stopping line; the trial's frozen descendants re-enter the population at
-    their freeze times.  The first breakout at or after the previous freeze
-    time Theta installs the next barrier response with
+    displacement, evaluated once per step, adds the extra drift -X'(t),
+    linearised within each step.  A particle touching the right wall
+    starts a fugitive trial above the stopping line; the trial's frozen
+    descendants re-enter the population at the end of the step in which
+    they froze, and one landing beyond the wall starts a nested trial, down
+    to depth 3.  The first breakout at or after the previous freeze time
+    Theta installs the next barrier response with
     Delta = log(Z(T+) e^-A), clamped just above -1 when the observed mass
     sits below the e^-A floor.
 
     All cfg.replicas replicas advance together in replica-tagged flat
-    arrays on the one stream rng_stream(seed, 0, barrier lane); each keeps
-    its own barrier path and counters, and a step's wall hits, across
-    replicas, run as one batch of trials.  Of a step's breakouts, a
-    replica's earliest eligible one takes the response unless one is
-    pending; the others count as suppressed.  Every replica's particles
-    are held at once, so memory grows with replicas x population: the
-    population cap (max_pop, reported with each result) bounds each
-    replica, not the batch.
+    arrays on the one stream rng_stream(seed, 0, barrier lane), each with
+    its own barrier path and counters, and their trials share one
+    `TrialPool` that `breakout_trials` steps once per runner step.  A
+    trial's outcome is known when its last lineage leaves the pool, and
+    breakouts are decided in hit-time order per replica: the earliest
+    eligible one takes the response unless one is pending, the others are
+    suppressed, and a finished breakout waits for every earlier trial of
+    its replica (breakout_waits, breakout_wait_time).  A piece's
+    outstanding_at_theta counts its replica's pool lineages at Theta.
+    Memory grows with replicas x population: the population cap (max_pop)
+    bounds each replica, not the batch.
     """
     return _barrier_batch(cfg, "bbbm")
 

@@ -14,6 +14,7 @@ import pytest
 import nbbm
 from nbbm import __version__
 from nbbm.cli import ConfigError, main, parse_config
+from nbbm.selection import run_bbbm
 from nbbm.runio import (
     ExperimentManifest,
     checkpoint_hash,
@@ -245,10 +246,33 @@ def test_simulate_bbbm_runinfo_carries_diagnostics(tmp_path):
     runinfo = json.loads((out / "runinfo.json").read_text())
     row = runinfo["barrier"][0]
     for key in ("trials_run", "wall_hits", "reinjected", "pieces",
-                "depth_capped"):
+                "depth_capped", "breakout_waits", "breakout_wait_time"):
         assert key in row
     h, series = read_series_csv(out / "series.csv")
     assert "barrier_shift" in series[0].columns
+
+
+def test_simulate_bbbm_runinfo_reports_breakout_waits(tmp_path):
+    # every trial breaks out; in this run a replica's breakout ends before
+    # an earlier trial of its replica, and its decision waits for that one
+    text = BBBM_INI.replace("epsilon = 1e9", "epsilon = 1e-6").replace(
+        "zeta_breakout = false", "zeta_breakout = true").replace(
+        "horizon = 10.0", "horizon = 30.0\nreplicas = 4")
+    ini = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    rows = json.loads((out / "runinfo.json").read_text())["barrier"]
+    cfg, _ = parse_config(ini)
+    for row, res in zip(rows, run_bbbm(cfg), strict=True):
+        assert row["breakout_waits"] == res.breakout_waits
+        assert row["breakout_wait_time"] == res.breakout_wait_time
+        assert row["trials_run"] == row["wall_hits"]
+    assert sum(row["breakout_waits"] for row in rows) > 0
+    for row in rows:
+        # a wait ends by the end of the step in which the earlier trial,
+        # launched before the waiting one, reaches zeta
+        assert 0.0 <= row["breakout_wait_time"] \
+            <= (6.0 + 0.05) * row["breakout_waits"]
 
 
 def test_simulate_bbbm_runinfo_reports_capacity_headroom(tmp_path):

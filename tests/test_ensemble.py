@@ -393,6 +393,138 @@ def test_censored_breakout_trials_match_the_reference(monkeypatch, binary_law,
         assert abs(z) <= 4.0, (name, z)
 
 
+# ---------------------------------------------------------------------------
+# the trial pool against stand-alone trials
+#
+# A shallow stopping line close to its wall bound (the nested barrier test's
+# geometry): lineages cut at zeta often land beyond the wall and relaunch,
+# down to the depth cap.  Without the zeta clause about two thirds of the
+# trials break out.
+
+NEST_KW = dict(A=4.0, epsilon=0.02, y=2.0, zeta=2.0, zeta_breakout=False)
+NEST_TRIALS = 3000
+
+
+def _stand_alone_nested(law, iv, n, rng):
+    """n stand-alone trials, nested by hand: the lineages of a depth-d batch
+    cut beyond the wall launch the depth d + 1 batch, down to depth 3.
+    Returns the depth-1 batch, per-family counts of the depth-2 trials,
+    depth-3 trials and capped lineages, and every re-entering lineage's
+    local exit time and lab position."""
+    family = np.arange(n)
+    counts, age, pos = [], [], []
+    for depth in (1, 2, 3):
+        b = breakout_trials(law, iv, **NEST_KW, n_trials=len(family),
+                            dt=0.05, rng=rng, collect_line=True)
+        if depth == 1:
+            first = b
+        else:
+            counts.append(np.bincount(family, minlength=n))
+        beyond = b.alive_pos >= iv.a
+        age += [b.frozen_time,
+                np.full(np.count_nonzero(~beyond), NEST_KW["zeta"])]
+        pos += [b.frozen_pos, b.alive_pos[~beyond]]
+        family = family[b.alive_trial[beyond]]
+    counts.append(np.bincount(family, minlength=n))
+    return first, np.array(counts), np.concatenate(age), np.concatenate(pos)
+
+
+def _pooled(law, iv, n, rng, replicas=4, per_step=150, dt=0.05):
+    """n trials launched into one pool, per_step of them a step at uniform
+    times within it, replicas in turn; the pool steps until it is empty.
+    Returns the pool and the concatenated decided and re-entry arrays."""
+    pool = ensemble.TrialPool(replicas)
+    phase = rng.random(n)
+    decided, reentry = [], []
+    step = 0
+    while step * per_step < n or len(pool):
+        t0 = step * dt
+        j = np.arange(step * per_step, min((step + 1) * per_step, n))
+        hits = (t0 + (1.0 - phase[j]) * dt, j % replicas,
+                np.zeros(len(j), dtype=np.int8), np.full(len(j), math.inf))
+        out = breakout_trials(law, iv, **NEST_KW, n_trials=len(j), dt=dt,
+                              rng=rng, pool=pool, t0=t0, hits=hits)
+        decided.append(out.decided)
+        reentry.append(out.reentry)
+        step += 1
+    return pool, *({k: np.concatenate([d[k] for d in parts])
+                    for k in parts[0]} for parts in (decided, reentry))
+
+
+def test_pooled_trials_agree_in_law_with_stand_alone_trials(binary_law, iv5):
+    """Trials launched mid-step at staggered times into a pool, with their
+    nested relaunches, against stand-alone batches nested by hand: per
+    depth-1 trial the laws of Z, n_frozen and sigma_max (KS) and the
+    breakout share; over every re-entering lineage the laws of the local
+    exit time and the lab position (KS at p > 1e-6, since lineages of one
+    trial are not independent); and the numbers of depth-2 and depth-3
+    trials and of depth-capped lineages."""
+    n = NEST_TRIALS
+    first, counts, age, pos = _stand_alone_nested(
+        binary_law, iv5, n, rng_stream(31, 1, 0))
+    pool, dec, ent = _pooled(binary_law, iv5, n, rng_stream(31, 2, 0))
+    top = dec["depth"] == 1
+    assert np.count_nonzero(top) == n
+    for name in ("Z", "n_frozen", "sigma_max"):
+        p = sps.ks_2samp(dec[name][top], getattr(first, name)).pvalue
+        assert p > 1e-3, (name, p)
+    share = first.is_breakout.mean()
+    assert 0.2 < share < 0.8
+    z = (dec["is_breakout"][top].mean() - share) / math.sqrt(
+        2.0 * share * (1.0 - share) / n)
+    assert abs(z) <= 4.0, ("is_breakout", z)
+    for name, ref in (("age", age), ("pos", pos)):
+        p = sps.ks_2samp(ent[name], ref).pvalue
+        assert p > 1e-6, (name, p)
+    assert np.all(ent["pos"] < iv5.a)
+    depth = (np.count_nonzero(dec["depth"] == 2),
+             np.count_nonzero(dec["depth"] == 3), pool.depth_capped.sum())
+    for name, got, c in zip(("depth 2", "depth 3", "capped"), depth, counts):
+        assert c.sum() > 50, name
+        z = (got - c.sum()) / math.sqrt(2.0 * n * c.var(ddof=1))
+        assert abs(z) <= 4.0, (name, z)
+    assert dec["depth"].max() == 3
+
+
+def test_pool_decides_each_replica_in_hit_order(binary_law, iv5):
+    """Every launched trial is decided once, each replica's in launch
+    order; relaunches count as launches, and a breakout decided after an
+    earlier trial of its replica ran on counts as a wait."""
+    pool, dec, _ = _pooled(binary_law, iv5, 600, rng_stream(37, 0, 0))
+    assert len(dec["launch"]) == pool.launched.sum()
+    assert pool.launched.sum() == 600 + pool.relaunched.sum()
+    for r in range(pool.replicas):
+        assert np.all(np.diff(dec["launch"][dec["replica"] == r]) >= 0.0)
+    assert pool.waits.sum() > 0 and pool.wait_time.sum() > 0.0
+    # a wait ends by the end of the step in which the earlier trial,
+    # launched before the waiting one, reaches zeta
+    assert pool.wait_time.sum() <= pool.waits.sum() * (NEST_KW["zeta"] + 0.05)
+    assert len(pool) == 0 and len(pool.trials["launch"]) == 0
+
+
+def test_per_particle_spans_time_hits_within_each_span(binary_law):
+    """Each particle steps through its own [t0, t0 + h]: a Yule line over
+    h leaves e^(beta0 h) particles on average, and an origin hit falls
+    within its particle's span."""
+    n = 4000
+    rng = rng_stream(41, 0, 0)
+    h = rng.uniform(0.01, 1.0, n)
+    t0 = rng.uniform(0.0, 3.0, n)
+    x, tag, _, lo, _, _ = step_segments(
+        np.zeros(n), np.arange(n), t0=t0, h=h, drift=0.0, law=binary_law,
+        rng=rng, origin_ignores=np.ones(n, dtype=bool))
+    grow = np.exp(binary_law.beta0 * h)
+    z = (len(x) - grow.sum()) / math.sqrt((grow * (grow - 1.0)).sum())
+    assert abs(z) <= 4.0, z
+    assert not lo
+    x, tag, _, lo, _, _ = step_segments(
+        np.full(n, 0.3), np.arange(n), t0=t0, h=h, drift=-1.0,
+        law=binary_law, rng=rng)
+    t_hit, k_hit = (np.concatenate(v) for v in zip(*lo))
+    assert len(t_hit) > n // 4
+    assert np.all(t_hit > t0[k_hit]) and np.all(t_hit <= t0[k_hit] + h[k_hit])
+
+
 def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
     trial_kw = dict(TRIAL_KW, n_trials=10, rng=rng_stream(0, 0, 0))
     killed_kw = dict(drift_rate=-iv5.mu, replicas=1, rng=rng_stream(0, 0, 0),

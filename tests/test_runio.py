@@ -195,6 +195,31 @@ def test_series_csv_errors(tmp_path):
         read_series_csv(bad)
 
 
+def test_series_csv_renders_each_cell_as_fmt_real(tmp_path):
+    # columns rendered whole must give the bytes of the cell-by-cell
+    # rendering: awkward doubles, and integer and boolean columns
+    tiny = np.nextafter(0.0, 1.0)
+    awkward = np.array([-math.inf, math.nan, 0.0, -0.0, tiny, -tiny * 3,
+                        2.2250738585072014e-308 / 7, math.inf, 1.0 / 3.0,
+                        1e300])
+    n = len(awkward)
+    series = [StatsSeries(np.linspace(0.0, 0.9, n), {
+        "med_0.5": awkward,
+        "count": np.arange(n, dtype=np.int64) * (2 ** 40 + 1),
+        "R_cum": np.arange(n) % 3 == 0,
+        "Z": awkward[::-1] * 0.5,
+    }, replica=r) for r in (0, 7)]
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series, "h")
+    cols = series_columns(series[0])
+    want = ["# manifest=h", ",".join(["replica", "t"] + cols)]
+    for s in series:
+        for i, t in enumerate(s.times):
+            want.append(",".join([str(s.replica), fmt_real(t)]
+                                 + [fmt_real(s.columns[c][i]) for c in cols]))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_series_column_order():
     s = StatsSeries(np.array([0.0]), {
         "zebra": np.array([1.0]),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbbm import selection
+from nbbm import ensemble, selection
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
 from nbbm.ensemble import (_branch_slots, breakout_trials, hperp_flat,
                            step_segments)
@@ -442,9 +442,7 @@ def test_only_the_earliest_breakout_of_a_replica_takes_the_response(
         binary_law):
     # A first step long enough for several wall hits per replica, at
     # distinct times, and a threshold so low that every trial breaks out.
-    # The step's trials run as one batch, the hits sorted by replica and
-    # then by time; this replays the first step's draws to name each hit's
-    # trial.
+    # This replays the first step's draws to find each replica's hits.
     kw = dict(BARRIER_GEOM, dt=1.0, A=5.0, epsilon=1e-12, seed=0,
               replicas=5)
     cfg = SimConfig(binary_law, **kw, horizon=1.0)
@@ -460,26 +458,24 @@ def test_only_the_earliest_breakout_of_a_replica_takes_the_response(
     # in step order, some replica's first hit is not its earliest
     assert any(t_hit[r_hit == r][0] > t_hit[r_hit == r].min()
                for r in range(n_rep))
-    order = np.lexsort((t_hit, r_hit))
-    t_hit, r_hit = t_hit[order], r_hit[order]
-    trials = breakout_trials(binary_law, iv, cfg.A, cfg.epsilon, cfg.y,
-                             cfg.zeta, n_trials=len(t_hit), dt=cfg.dt,
-                             rng=rng)
-    assert trials.is_breakout.all()
     hits = np.bincount(r_hit, minlength=n_rep)
     assert hits.min() >= 2
-    first = np.searchsorted(r_hit, np.arange(n_rep))
 
-    # after one step: each replica's later breakouts are suppressed
+    # after one step the trials still run, so nothing is decided yet
     for r, res in enumerate(run_bbbm(cfg)):
         assert res.wall_hits == hits[r]
-        assert res.suppressed_breakouts == hits[r] - 1
-    # the earliest breakout's response installs within zeta of it
+        assert res.suppressed_breakouts == 0 and res.pieces == []
+    # once the first step's trials have all ended, zeta later, the earliest
+    # breakout has the response and the rest of that step's are suppressed;
+    # later steps' breakouts are suppressed too, since the piece's freeze
+    # time lies beyond the horizon
     cfg = SimConfig(binary_law, **kw, horizon=2.0 + cfg.zeta)
     for r, res in enumerate(run_bbbm(cfg)):
-        k = first[r]
-        assert res.pieces[0]["T"] == t_hit[k]
-        assert res.pieces[0]["T_plus"] == t_hit[k] + trials.sigma_max[k]
+        (piece,) = res.pieces
+        assert piece["T"] == t_hit[r_hit == r].min()
+        assert piece["T"] <= piece["T_plus"] <= piece["T"] + cfg.zeta
+        assert res.suppressed_breakouts >= hits[r] - 1
+        assert res.suppressed_breakouts + 1 <= res.trials_run
 
 
 def test_bbbm_piece_annotated_at_freeze_time(binary_law):
@@ -630,14 +626,13 @@ REFERENCE_CASES = [
 ]
 
 
-# Steps that launch two or more trials draw them as one batch, which the
-# per-hit reference does not; the MULTI_LAUNCH cases have such steps, so
-# only the others are compared bit for bit.  The IN_LAW cases, the ones
-# with wall hits, are compared in law at several replicas.
-MULTI_LAUNCH = (2, 5, 6, 7)
-SINGLE_LAUNCH = [i for i in range(len(REFERENCE_CASES))
-                 if i not in MULTI_LAUNCH]
-IN_LAW = (0, 1, 2, 3, 5, 6, 7)
+# Trials advance in a pool on the runner's clock, interleaved with the
+# population's steps, which the per-hit reference does not do; so only the
+# NO_TRIALS cases, whose one replica never hits the wall, are compared bit
+# for bit.  The IN_LAW cases, the ones with wall hits, are compared in law
+# at several replicas.
+NO_TRIALS = (0, 1, 4, 8)
+IN_LAW = (0, 1, 2, 3, 5, 6, 7, 9)
 
 
 def _case_ids(cases):
@@ -652,7 +647,7 @@ def _run_batch(cfg, mode):
     return run_bsharp(cfg, csharp=mode == "csharp")
 
 
-@pytest.mark.parametrize("i", SINGLE_LAUNCH, ids=_case_ids(SINGLE_LAUNCH))
+@pytest.mark.parametrize("i", NO_TRIALS, ids=_case_ids(NO_TRIALS))
 def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, i):
     mode, kw = REFERENCE_CASES[i]
     cfg = SimConfig(binary_law, **kw)
@@ -672,22 +667,43 @@ def test_barrier_batch_matches_the_reference_at_one_replica(binary_law, i):
     assert new.path.pieces == ref.path.pieces
 
 
-def test_single_launch_cases_compare_trials(binary_law, monkeypatch):
-    # the bit-for-bit check reaches the trials only in cases that launch
-    # some; a stream change can leave every case without a wall hit
-    launched = []
-
-    def counting(*args, **kw):
-        launched[-1].append(kw["n_trials"])
-        return breakout_trials(*args, **kw)
-
-    monkeypatch.setattr(selection, "breakout_trials", counting)
-    for i in SINGLE_LAUNCH:
-        launched.append([])
+def test_no_trial_cases_launch_no_trial(binary_law, monkeypatch):
+    # the bit-for-bit cases hold only while their one replica never hits
+    # the wall; a stream change that makes one launch must move it
+    calls = []
+    monkeypatch.setattr(selection, "breakout_trials",
+                        lambda *args, **kw: calls.append(kw["n_trials"]))
+    for i in NO_TRIALS:
         mode, kw = REFERENCE_CASES[i]
         _run_batch(SimConfig(binary_law, **kw), mode)
-    assert all(n == 1 for calls in launched for n in calls), launched
-    assert sum(len(calls) > 0 for calls in launched) >= 2, launched
+    assert calls == []
+
+
+def test_a_runner_step_makes_at_most_two_segment_steps(binary_law,
+                                                      monkeypatch):
+    # one step of the population and one of the trial pool, also while
+    # trials nest; the pool steps through breakout_trials
+    calls = {"population": 0, "pool": 0}
+
+    def counting(name, step):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return step(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(selection, "step_segments",
+                        counting("population", step_segments))
+    monkeypatch.setattr(ensemble, "step_segments",
+                        counting("pool", step_segments))
+    for mode, kw in (REFERENCE_CASES[7], REFERENCE_CASES[2]):
+        kw = dict(kw, horizon=20.0, replicas=4)
+        results = _run_batch(SimConfig(binary_law, **kw), mode)
+        n_steps = round(kw["horizon"] / kw["dt"])
+        assert calls["population"] == n_steps
+        assert 0 < calls["pool"] <= n_steps
+        assert sum(res.trials_run for res in results) > 0
+        calls.update(population=0, pool=0)
+    assert any(res.depth_capped > 0 for res in results)
 
 
 # The reference's replicas 1-48 of each IN_LAW case (stream 0 is the
@@ -737,6 +753,12 @@ REFERENCE_MOMENTS = {
         "Z": (21.8045, 77.7616),
         "wall_hits": (1.4375, 2.71941),
         "reinjected": (3.95833, 31.9131),
+    },
+    "bbbm-kw9": {
+        "count": (3.70833, 349.998),
+        "Z": (1.28754, 47.0292),
+        "wall_hits": (21.8125, 4794.33),
+        "reinjected": (22.5417, 5161.87),
     },
 }
 
@@ -932,6 +954,18 @@ def test_coupled_matches_the_dict_reference_on_tied_plus_siblings(
     kw = dict(horizon=1.5, seed=seed, slack=slack, extra=extra)
     _same_sample_path(run_coupled(law, n_select, **kw),
                       run_coupled_dicts(law, n_select, **kw))
+
+
+@pytest.mark.parametrize("n_select, slack, extra, seed", [
+    (4, 2, 1, 10), (6, 2, 1, 115)])
+def test_coupled_matches_the_dict_reference_on_tied_orphans(
+        mixed_law, n_select, slack, extra, seed):
+    # at these seeds one plus cull orphans two sibling mids at one position
+    # and the re-pairing order shows in the final positions: the later
+    # born is re-paired first, with the leftmost free carrier
+    kw = dict(horizon=3.0, seed=seed, slack=slack, extra=extra)
+    _same_sample_path(run_coupled(mixed_law, n_select, **kw),
+                      run_coupled_dicts(mixed_law, n_select, **kw))
 
 
 def _sound_coupling():
