@@ -6,8 +6,8 @@ flat-array segment step and the runs on it (ensemble), selection rules and barri
 estimator/oracle reports (stats), and the command line front end (cli).
 """
 
-from nbbm.kernels import IntervalParams, KernelAccuracy
+from nbbm.kernels import IntervalParams
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
-__all__ = ["IntervalParams", "KernelAccuracy", "__version__"]
+__all__ = ["IntervalParams", "__version__"]

@@ -83,8 +83,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "interval": {"a"},
-    "bbbm": {"A", "epsilon", "eta", "y", "zeta", "delta_color",
-             "zeta_breakout"},
+    "bbbm": {"A", "epsilon", "y", "zeta", "delta_color", "zeta_breakout"},
     "selection": {"N", "alphas"},
     "run": {"mode", "dt", "horizon", "replicas", "seed", "sample_every"},
 }
@@ -94,6 +93,7 @@ _KNOWN_KEYS = {
 _IGNORED_KEYS = {
     ("run", "threads"): "replicas run on one thread",
     ("bbbm", "c_center"): "no simulation reads it",
+    ("bbbm", "eta"): "no simulation reads it",
     ("run", "max_segments"): "no run has a segment budget",
 }
 
@@ -206,7 +206,6 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         alphas=alphas,
         A=_get_float(cp, "bbbm", "A"),
         epsilon=_get_float(cp, "bbbm", "epsilon"),
-        eta=_get_float(cp, "bbbm", "eta"),
         y=_get_float(cp, "bbbm", "y"),
         zeta=_get_float(cp, "bbbm", "zeta"),
         delta_color=_get_float(cp, "bbbm", "delta_color"),
@@ -367,8 +366,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_levy(args) -> int:
-    params = LevyParams(c=args.c, jump_truncation=args.delta,
-                        refine_small_jumps=not args.no_refine)
+    params = LevyParams(c=args.c, jump_truncation=args.delta)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.samples < 1:
@@ -378,8 +376,7 @@ def _cmd_levy(args) -> int:
     ident = {"schema": "nbbm-levy-manifest-1",
              "code_version": __version__,
              "t": args.t, "samples": args.samples, "seed": args.seed,
-             "delta": params.jump_truncation, "c": params.c,
-             "refine_small_jumps": params.refine_small_jumps}
+             "delta": params.jump_truncation, "c": params.c}
     h = canonical_hash(ident)
     _write_json(outdir / "manifest.json", dict(ident, hash=h))
 
@@ -620,14 +617,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lev.add_argument("--t", type=float, default=1.0,
                      help="time span of each sampled increment")
     lev.add_argument("--delta", type=float, default=1e-3,
-                     help="small-jump truncation level")
+                     help="small-jump truncation level; the jumps below it "
+                          "are always replaced by a Gaussian of their "
+                          "variance")
     lev.add_argument("--c", type=float, default=0.0,
                      help="centering constant")
     lev.add_argument("--seed", type=int, default=0)
     lev.add_argument("--lambdas", type=float, nargs="*", default=(),
                      help="extra CF grid points for the kappa table")
-    lev.add_argument("--no-refine", action="store_true",
-                     help="disable the small-jump Gaussian refinement")
     lev.set_defaults(fn=_cmd_levy)
 
     cpl = sub.add_parser(

@@ -147,7 +147,6 @@ class SimConfig:
     alphas: tuple[float, ...] = (0.5,)
     A: float | None = None
     epsilon: float | None = None
-    eta: float | None = None
     y: float | None = None
     zeta: float | None = None
     delta_color: float | None = None
@@ -170,14 +169,14 @@ class SimConfig:
         if self.n_select is not None and self.n_select < 1:
             raise ValueError(f"n_select must be >= 1, got {self.n_select!r}")
         # these feed exp() and particle counts, so they must be finite too
-        for name in ("A", "epsilon", "eta", "y", "zeta", "delta_color"):
+        for name in ("A", "epsilon", "y", "zeta", "delta_color"):
             val = getattr(self, name)
             if val is not None and not 0.0 < val < math.inf:
                 raise ValueError(
                     f"{name} must be positive and finite, got {val!r}")
 
         warnings: list[str] = []
-        A, eps, eta, y = self.A, self.epsilon, self.eta, self.y
+        A, eps = self.A, self.epsilon
         if A is not None and eps is not None:
             if not eps <= A ** -17:
                 warnings.append(
@@ -187,13 +186,6 @@ class SimConfig:
                 warnings.append(
                     f"epsilon = {eps:g} violates the regime condition "
                     f"epsilon >= e^(-A/6) = {math.exp(-A / 6.0):g}")
-        if A is not None and eta is not None and not eta <= math.exp(-2.0 * A):
-            warnings.append(
-                f"eta = {eta:g} violates the regime condition "
-                f"eta <= e^(-2A) = {math.exp(-2.0 * A):g}")
-        if y is not None and eta is not None and not y >= 1.0 / eta:
-            warnings.append(
-                f"y = {y:g} violates the regime condition y >= 1/eta = {1.0 / eta:g}")
         return warnings
 
 

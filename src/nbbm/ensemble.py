@@ -444,6 +444,10 @@ _TRIAL_COLUMNS = (("launch", float), ("replica", np.int64),
 # beyond the wall is dropped and counted as depth-capped
 _MAX_DEPTH = 3
 
+# a trial whose Z passes this multiple of the breakout threshold epsilon e^A
+# is censored: it counts as a breakout, so its lineages need not run on
+_CENSOR_WEIGHT_MULT = 40.0
+
 
 class TrialPool:
     """Fugitive trials in flight, of every replica of a barrier run.
@@ -729,7 +733,6 @@ def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
 def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                     epsilon: float, y: float, zeta: float, *, n_trials: int,
                     dt: float, rng: np.random.Generator,
-                    censor_weight_mult: float = 40.0,
                     censor_count: int = 20_000,
                     collect_line: bool = False,
                     zeta_breakout: bool = True,
@@ -741,8 +744,9 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     A trial works in line coordinates (drift -1, freeze at 0); the line
     rises at 1 - mu in the lab frame from a - y, so a freeze at local time
     s maps to lab position a - y + (1 - mu) s, and a lineage still running
-    at s = zeta is cut there.  Trials past the censor limits stop early
-    with censored set.  zeta_breakout = False drops the reaching-zeta
+    at s = zeta is cut there.  Trials past the censor limits, Z above
+    _CENSOR_WEIGHT_MULT epsilon e^A or more than censor_count frozen, stop
+    early with censored set.  zeta_breakout = False drops the reaching-zeta
     clause from the breakout classification (weight and censor clauses
     stay).  The trials run in a `TrialPool`, in one of two forms.
 
@@ -785,7 +789,7 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     n_trials = int(n_trials)
     threshold = epsilon * math.exp(A)
     rules = _TrialRules(law, iv, y, zeta, threshold,
-                        censor_weight_mult * threshold, censor_count,
+                        _CENSOR_WEIGHT_MULT * threshold, censor_count,
                         zeta_breakout, max_segments)
     if pool is not None:
         if hits is None or len(hits[0]) != n_trials:

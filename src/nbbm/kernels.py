@@ -7,8 +7,11 @@ right-boundary exit flux, the taboo (doubly-conditioned) kernel, the
 exponential weight functions w_Z and w_Y, the barrier profile built from the
 normalized flux thbar, and the sine-exponential quasi-stationary density.
 
-Series are truncated once the next term bound drops below tol/10; hitting the
-term cap raises RuntimeError instead of returning a silently degraded value.
+Series are truncated by three module constants: once the next term bound
+drops below SERIES_TRUNCATION_TOL / 10, with the image sum below
+REPRESENTATION_SWITCH_T and the spectral series from there on; hitting the
+MAX_TERMS cap raises RuntimeError instead of returning a silently degraded
+value.
 
 scipy loads only inside the quadrature-backed functions (`I_integral`,
 `J_integral` and `selfcheck`), so importing this module and running the
@@ -25,9 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "KernelAccuracy",
     "IntervalParams",
-    "DEFAULT_ACCURACY",
+    "SERIES_TRUNCATION_TOL",
+    "REPRESENTATION_SWITCH_T",
+    "MAX_TERMS",
     "theta",
     "theta_prime",
     "thbar",
@@ -54,36 +58,13 @@ _PI = math.pi
 _PI2 = math.pi * math.pi
 
 
-@dataclass(frozen=True)
-class KernelAccuracy:
-    """Truncation policy for the dual-representation series.
-
-    series_truncation_tol
-        Stop adding terms once the next term bound is below tol/10.
-    representation_switch_t
-        Use the image sum below this time, the spectral series at or above
-        it.  At 0.3 both sides need under a dozen terms at the default
-        tolerance, and the agreement tests straddle the switch.
-    max_terms
-        Hard cap on either series; exceeding it raises RuntimeError.
-    """
-
-    series_truncation_tol: float = 1e-14
-    representation_switch_t: float = 0.3
-    max_terms: int = 512
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.series_truncation_tol < 1e-2):
-            raise ValueError(
-                f"series_truncation_tol must be in (0, 1e-2), got {self.series_truncation_tol!r}"
-            )
-        if not (self.representation_switch_t > 0.0):
-            raise ValueError("representation_switch_t must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-
-
-DEFAULT_ACCURACY = KernelAccuracy()
+# the series truncation of the module docstring; at the switch time 0.3 both
+# representations need under a dozen terms, and the agreement tests
+# straddle it
+SERIES_TRUNCATION_TOL = 1e-14
+REPRESENTATION_SWITCH_T = 0.3
+MAX_TERMS = 512
+_TERM_TOL = SERIES_TRUNCATION_TOL / 10.0
 
 
 @dataclass(frozen=True)
@@ -127,41 +108,39 @@ def _require_interval(iv) -> IntervalParams:
 # theta and its x-derivative, both representations
 
 
-def _spectral_sum(x: np.ndarray, t: float, acc: KernelAccuracy, deriv: int) -> np.ndarray:
-    tol = acc.series_truncation_tol / 10.0
+def _spectral_sum(x: np.ndarray, t: float, deriv: int) -> np.ndarray:
     out = np.full_like(x, 0.5) if deriv == 0 else np.zeros_like(x)
-    for n in range(1, acc.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         damp = math.exp(-_PI2 * n * n * t / 2.0)
         coef = damp if deriv == 0 else _PI * n * damp
-        if coef < tol:
+        if coef < _TERM_TOL:
             return out
         if deriv == 0:
             out += damp * np.cos(_PI * n * x)
         else:
             out -= coef * np.sin(_PI * n * x)
-    raise RuntimeError(f"spectral series did not reach tol within {acc.max_terms} terms (t={t})")
+    raise RuntimeError(f"spectral series did not reach tol within {MAX_TERMS} terms (t={t})")
 
 
-def _gauss_shells_needed(t: float, acc: KernelAccuracy, deriv: int) -> int:
+def _gauss_shells_needed(t: float, deriv: int) -> int:
     # shell k covers image indices n_center +- k, so |x - 2n| >= 2k - 1 there
-    tol = acc.series_truncation_tol / 10.0
     inv = 1.0 / math.sqrt(2.0 * _PI * t)
-    for k in range(1, acc.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         zmin = 2.0 * k - 1.0
         bound = inv * math.exp(-zmin * zmin / (2.0 * t))
         if deriv == 1:
             bound *= (zmin + 2.0) / t
         # geometric bound on the remaining shells
         ratio = math.exp(-4.0 * k / t) * (2.0 if deriv == 1 else 1.0)
-        if ratio < 1.0 and bound / (1.0 - ratio) < tol:
+        if ratio < 1.0 and bound / (1.0 - ratio) < _TERM_TOL:
             return k
-    raise RuntimeError(f"image sum did not reach tol within {acc.max_terms} shells (t={t})")
+    raise RuntimeError(f"image sum did not reach tol within {MAX_TERMS} shells (t={t})")
 
 
-def _gauss_sum(x: np.ndarray, t: float, acc: KernelAccuracy, deriv: int) -> np.ndarray:
+def _gauss_sum(x: np.ndarray, t: float, deriv: int) -> np.ndarray:
     inv = 1.0 / math.sqrt(2.0 * _PI * t)
     n_center = np.round(x / 2.0)
-    shells = _gauss_shells_needed(t, acc, deriv)
+    shells = _gauss_shells_needed(t, deriv)
     out = np.zeros_like(x)
     for k in range(0, shells + 1):
         for off in ((0,) if k == 0 else (-k, k)):
@@ -171,44 +150,44 @@ def _gauss_sum(x: np.ndarray, t: float, acc: KernelAccuracy, deriv: int) -> np.n
     return out
 
 
-def _theta_eval(x, t, acc: KernelAccuracy, method: str, deriv: int):
+def _theta_eval(x, t, method: str, deriv: int):
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"theta requires finite t > 0, got {t!r}")
     if method == "auto":
-        method = "spectral" if t >= acc.representation_switch_t else "gauss"
+        method = "spectral" if t >= REPRESENTATION_SWITCH_T else "gauss"
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     if method == "spectral":
-        out = _spectral_sum(x_arr, t, acc, deriv)
+        out = _spectral_sum(x_arr, t, deriv)
     elif method == "gauss":
-        out = _gauss_sum(x_arr, t, acc, deriv)
+        out = _gauss_sum(x_arr, t, deriv)
     else:
         raise ValueError(f"method must be 'auto', 'spectral' or 'gauss', got {method!r}")
     return float(out[0]) if scalar else out
 
 
-def theta(x, t, acc: KernelAccuracy = DEFAULT_ACCURACY, method: str = "auto"):
+def theta(x, t, method: str = "auto"):
     """Periodized Gaussian theta(x, t) = sum_n (2 pi t)^(-1/2) exp(-(x-2n)^2/(2t)).
 
     Equals 1/2 + sum_{n>=1} exp(-pi^2 n^2 t/2) cos(pi n x) by Poisson
     summation; 2-periodic and even in x, solves d/dt theta = (1/2) d2/dx2.
     x may be a scalar or ndarray, t a positive scalar.
     """
-    return _theta_eval(x, t, acc, method, deriv=0)
+    return _theta_eval(x, t, method, deriv=0)
 
 
-def theta_prime(x, t, acc: KernelAccuracy = DEFAULT_ACCURACY, method: str = "auto"):
+def theta_prime(x, t, method: str = "auto"):
     """d/dx of theta.  Vanishes at x = 0 and x = 1, nonnegative on [-1, 0]."""
-    return _theta_eval(x, t, acc, method, deriv=1)
+    return _theta_eval(x, t, method, deriv=1)
 
 
 # ---------------------------------------------------------------------------
 # thbar and the spectral error envelope
 
 
-def thbar(t, acc: KernelAccuracy = DEFAULT_ACCURACY, method: str = "auto"):
+def thbar(t, method: str = "auto"):
     """Normalized right-exit flux profile (2/pi^2) e^{pi^2 t/2} d/dt theta(1, t).
 
     Rises strictly from 0 at t = 0 to 1 at infinity.  Spectral form
@@ -220,13 +199,12 @@ def thbar(t, acc: KernelAccuracy = DEFAULT_ACCURACY, method: str = "auto"):
     if t <= 0.0:
         return 0.0
     if method == "auto":
-        method = "spectral" if t >= acc.representation_switch_t else "gauss"
-    tol = acc.series_truncation_tol / 10.0
+        method = "spectral" if t >= REPRESENTATION_SWITCH_T else "gauss"
     if method == "spectral":
         out = 0.0
-        for n in range(1, acc.max_terms + 1):
+        for n in range(1, MAX_TERMS + 1):
             coef = n * n * math.exp(-_PI2 * (n * n - 1) * t / 2.0)
-            if coef < tol:
+            if coef < _TERM_TOL:
                 return out
             out += coef if n % 2 == 1 else -coef
         raise RuntimeError(f"thbar spectral series did not converge (t={t})")
@@ -240,16 +218,16 @@ def thbar(t, acc: KernelAccuracy = DEFAULT_ACCURACY, method: str = "auto"):
     inv = 1.0 / math.sqrt(2.0 * _PI * t)
     pref = (2.0 / _PI2) * math.exp(_PI2 * t / 2.0)
     out = 0.0
-    for k in range(1, acc.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         z2 = (2.0 * k - 1.0) ** 2
         term = 2.0 * inv * math.exp(-z2 / (2.0 * t)) * (z2 - t) / (2.0 * t * t)
         out += term
-        if abs(term) * pref < tol and k >= 2:
+        if abs(term) * pref < _TERM_TOL and k >= 2:
             return pref * out
     raise RuntimeError(f"thbar image series did not converge (t={t})")
 
 
-def error_envelope_E(t, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
+def error_envelope_E(t) -> float:
     """Spectral remainder envelope E_t = pi^2 sum_{n>=2} n^2 e^{-pi^2 (n^2-1) t/2}.
 
     Strictly decreasing; E_1 is about 1.47e-5.  Returns +inf for t <= 0 so
@@ -259,12 +237,11 @@ def error_envelope_E(t, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     t = float(t)
     if t <= 0.0:
         return math.inf
-    tol = acc.series_truncation_tol / 10.0
     out = 0.0
-    for n in range(2, acc.max_terms + 2):
+    for n in range(2, MAX_TERMS + 2):
         term = n * n * math.exp(-_PI2 * (n * n - 1) * t / 2.0)
         out += term
-        if _PI2 * term < tol:
+        if _PI2 * term < _TERM_TOL:
             return _PI2 * out
     raise RuntimeError(f"error envelope series did not converge (t={t})")
 
@@ -287,7 +264,7 @@ def _require_in_interval(a, *arrays):
             raise ValueError(f"position {off.flat[0]!r} outside [0, {a}]")
 
 
-def p_killed(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def p_killed(x, y, t, iv):
     """Transition density of driftless BM on (0, a) killed at both endpoints.
 
     p_t^a(x, y) = a^(-1) (theta((x-y)/a, t/a^2) - theta((x+y)/a, t/a^2)).
@@ -300,13 +277,13 @@ def p_killed(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
     x_arr, y_arr, scalar = _broadcast_xy(x, y)
     _require_in_interval(a, x_arr, y_arr)
     tau = t / (a * a)
-    val = (theta((x_arr - y_arr) / a, tau, acc) - theta((x_arr + y_arr) / a, tau, acc)) / a
+    val = (theta((x_arr - y_arr) / a, tau) - theta((x_arr + y_arr) / a, tau)) / a
     inside = (x_arr > 0.0) & (x_arr < a) & (y_arr > 0.0) & (y_arr < a)
     val = np.where(inside, np.maximum(val, 0.0), 0.0)
     return float(val[0]) if scalar else val
 
 
-def p_killed_scaled(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def p_killed_scaled(x, y, t, iv):
     """exp(pi^2 t / (2 a^2)) * p_killed, stable for t >> a^2.
 
     Above the representation switch the n = 1 growth is factored into the
@@ -320,17 +297,16 @@ def p_killed_scaled(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
     tau = t / (a * a)
     x_arr, y_arr, scalar = _broadcast_xy(x, y)
     _require_in_interval(a, x_arr, y_arr)
-    if tau < acc.representation_switch_t:
+    if tau < REPRESENTATION_SWITCH_T:
         val = math.exp(_PI2 * tau / 2.0) * np.atleast_1d(
-            p_killed(x_arr, y_arr, t, a, acc)
+            p_killed(x_arr, y_arr, t, a)
         )
         return float(val[0]) if scalar else val
-    tol = acc.series_truncation_tol / 10.0
     out = np.zeros_like(x_arr, dtype=float)
     converged = False
-    for n in range(1, acc.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         coef = math.exp(-_PI2 * (n * n - 1) * tau / 2.0)
-        if coef < tol:
+        if coef < _TERM_TOL:
             converged = True
             break
         out += coef * np.sin(_PI * n * x_arr / a) * np.sin(_PI * n * y_arr / a)
@@ -354,7 +330,7 @@ def green_killed(x, y, iv):
     return float(val[0]) if scalar else val
 
 
-def exit_density_right(x, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def exit_density_right(x, t, iv):
     """Density in t of the first exit through a, started from x in (0, a).
 
     r_t^a(x) = a^(-2) theta'(x/a - 1, t/a^2).  Integrates to x/a over all t
@@ -366,13 +342,13 @@ def exit_density_right(x, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
         raise ValueError(f"exit_density_right requires t > 0, got {t!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
-    val = theta_prime(x_arr / a - 1.0, t / (a * a), acc) / (a * a)
+    val = theta_prime(x_arr / a - 1.0, t / (a * a)) / (a * a)
     inside = (x_arr > 0.0) & (x_arr < a)
     val = np.where(inside, np.maximum(val, 0.0), 0.0)
     return float(val[0]) if scalar else val
 
 
-def exit_density_right_scaled(x, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def exit_density_right_scaled(x, t, iv):
     """exp(pi^2 t / (2 a^2)) * exit_density_right, stable for t >> a^2.
 
     Spectral form (pi/a^2) sum_n (-1)^(n+1) n e^{-pi^2 (n^2-1) t/(2a^2)}
@@ -385,15 +361,14 @@ def exit_density_right_scaled(x, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
     tau = t / (a * a)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
-    if tau < acc.representation_switch_t:
-        val = math.exp(_PI2 * tau / 2.0) * np.atleast_1d(exit_density_right(x_arr, t, a, acc))
+    if tau < REPRESENTATION_SWITCH_T:
+        val = math.exp(_PI2 * tau / 2.0) * np.atleast_1d(exit_density_right(x_arr, t, a))
         return float(val[0]) if scalar else val
-    tol = acc.series_truncation_tol / 10.0
     out = np.zeros_like(x_arr, dtype=float)
     converged = False
-    for n in range(1, acc.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         coef = n * math.exp(-_PI2 * (n * n - 1) * tau / 2.0)
-        if _PI * coef < tol:
+        if _PI * coef < _TERM_TOL:
             converged = True
             break
         sign = 1.0 if n % 2 == 1 else -1.0
@@ -426,7 +401,7 @@ def _normalize_windows(S):
     return out
 
 
-def I_integral(x, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
+def I_integral(x, S, iv) -> float:
     """Growth-weighted exit flux int_S e^{pi^2 s/(2a^2)} r_s^a(x) ds.
 
     S is a (s0, s1) pair or an iterable of disjoint pairs; the part at s <= 0
@@ -439,7 +414,7 @@ def I_integral(x, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     total = 0.0
     for s0, s1 in _normalize_windows(S):
         val, _err = integrate.quad(
-            lambda s: exit_density_right_scaled(x, s, a, acc),
+            lambda s: exit_density_right_scaled(x, s, a),
             s0,
             s1,
             epsabs=1e-13,
@@ -450,7 +425,7 @@ def I_integral(x, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     return total
 
 
-def J_integral(x, y, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
+def J_integral(x, y, S, iv) -> float:
     """Growth-weighted occupation kernel int_S e^{pi^2 s/(2a^2)} p_s^a(x, y) ds.
 
     Scales as J^a(x, y, S) = a * J^1(x/a, y/a, S/a^2).  The integrand has an
@@ -465,7 +440,7 @@ def J_integral(x, y, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     total = 0.0
     for s0, s1 in _normalize_windows(S):
         val, _err = integrate.quad(
-            lambda s: p_killed_scaled(x, y, s, a, acc),
+            lambda s: p_killed_scaled(x, y, s, a),
             s0,
             s1,
             epsabs=1e-13,
@@ -476,7 +451,7 @@ def J_integral(x, y, S, iv, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     return total
 
 
-def p_taboo(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def p_taboo(x, y, t, iv):
     """Kernel of the motion conditioned to never touch 0 or a.
 
     (sin(pi y/a) / sin(pi x/a)) e^{pi^2 t/(2a^2)} p_t^a(x, y).  Conservative
@@ -490,7 +465,7 @@ def p_taboo(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
         raise ValueError(f"taboo start must be strictly inside (0, {a}), got {x!r}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     scalar = np.asarray(y).ndim == 0
-    val = np.sin(_PI * y_arr / a) / sx * np.atleast_1d(p_killed_scaled(x, y_arr, t, a, acc))
+    val = np.sin(_PI * y_arr / a) / sx * np.atleast_1d(p_killed_scaled(x, y_arr, t, a))
     val = np.maximum(val, 0.0)
     return float(val[0]) if scalar else val
 
@@ -532,7 +507,7 @@ def w_Y(x, iv):
     return float(val[0]) if scalar else val
 
 
-def bbm_density(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
+def bbm_density(x, y, t, iv):
     """First-moment density of branching BM with drift -mu killed at 0 and a.
 
     e^{mu(x-y)} e^{pi^2 t/(2a^2)} p_t^a(x, y): branching at rate 1/(2m) with
@@ -542,12 +517,12 @@ def bbm_density(x, y, t, iv, acc: KernelAccuracy = DEFAULT_ACCURACY):
     iv = _require_interval(iv)
     x_arr, y_arr, scalar = _broadcast_xy(x, y)
     val = np.exp(iv.mu * (x_arr - y_arr)) * np.atleast_1d(
-        p_killed_scaled(x_arr, y_arr, t, iv.a, acc)
+        p_killed_scaled(x_arr, y_arr, t, iv.a)
     )
     return float(val[0]) if scalar else val
 
 
-def barrier_f(shift, t, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
+def barrier_f(shift, t) -> float:
     """Barrier profile f_shift(t) = log(1 + (e^shift - 1) thbar(t)), 0 for t <= 0.
 
     Interpolates from 0 at t = 0 to shift at infinity, monotonically in t.
@@ -560,11 +535,13 @@ def barrier_f(shift, t, acc: KernelAccuracy = DEFAULT_ACCURACY) -> float:
     t = float(t)
     if t <= 0.0:
         return 0.0
-    return math.log1p(math.expm1(shift) * thbar(t, acc))
+    return math.log1p(math.expm1(shift) * thbar(t))
 
 
 # ---------------------------------------------------------------------------
 # sine-exponential density
+
+_CDF_GRID_POINTS = 8193
 
 
 class SineExpDensity:
@@ -573,13 +550,13 @@ class SineExpDensity:
     The normalization is the closed form k (1 + e^{-decay a}) / (decay^2 + k^2)
     with k = pi/a, the exact antiderivative at a, computed once and cached on
     the instance; the same antiderivative gives the CDF, and sampling inverts
-    a tabulated CDF on a fixed grid (inversion bias is O((a/grid)^2), far
-    below Monte Carlo noise at the default resolution).  A normalization
-    that is not finite and positive, or a CDF grid that would overflow (a
-    large negative decay), raises ValueError.
+    a CDF tabulated at _CDF_GRID_POINTS points (inversion bias is
+    O((a/grid)^2), far below Monte Carlo noise at that resolution).  A
+    normalization that is not finite and positive, or a CDF grid that would
+    overflow (a large negative decay), raises ValueError.
     """
 
-    def __init__(self, a: float, decay: float, grid_points: int = 8193):
+    def __init__(self, a: float, decay: float):
         a = float(a)
         decay = float(decay)
         if not (a > 0.0 and math.isfinite(a)):
@@ -599,7 +576,7 @@ class SineExpDensity:
                 and math.isfinite(tail * (abs(decay) + k))):
             raise ValueError(f"sine-exponential normalization is not finite "
                              f"and positive at a = {a!r}, decay = {decay!r}")
-        self._x_grid = np.linspace(0.0, a, grid_points)
+        self._x_grid = np.linspace(0.0, a, _CDF_GRID_POINTS)
         cdf = self._raw_cdf(self._x_grid)
         self._cdf_grid = cdf / cdf[-1]
 
@@ -674,7 +651,7 @@ def _check(name: str, max_abs_err: float, tol: float) -> dict:
     }
 
 
-def selfcheck(acc: KernelAccuracy = DEFAULT_ACCURACY) -> dict:
+def selfcheck() -> dict:
     """Cross-validate the kernels against independent numerics.
 
     Covers: dual-representation agreement for theta and theta', the heat
@@ -693,43 +670,43 @@ def selfcheck(acc: KernelAccuracy = DEFAULT_ACCURACY) -> dict:
     worst_prime = 0.0
     for t in ts:
         worst = max(worst, float(np.max(np.abs(
-            theta(xs, t, acc, method="spectral") - theta(xs, t, acc, method="gauss")))))
+            theta(xs, t, method="spectral") - theta(xs, t, method="gauss")))))
         worst_prime = max(worst_prime, float(np.max(np.abs(
-            theta_prime(xs, t, acc, method="spectral") - theta_prime(xs, t, acc, method="gauss")))))
+            theta_prime(xs, t, method="spectral") - theta_prime(xs, t, method="gauss")))))
     checks.append(_check("theta_dual_representation", worst, 1e-12))
     checks.append(_check("theta_prime_dual_representation", worst_prime, 1e-11))
 
     worst = 0.0
     for t in ts:
-        th = theta(xs, t, acc)
-        worst = max(worst, float(np.max(np.abs(th - theta(-xs, t, acc)))))
-        worst = max(worst, float(np.max(np.abs(th - theta(xs + 2.0, t, acc)))))
+        th = theta(xs, t)
+        worst = max(worst, float(np.max(np.abs(th - theta(-xs, t)))))
+        worst = max(worst, float(np.max(np.abs(th - theta(xs + 2.0, t)))))
     checks.append(_check("theta_even_and_periodic", worst, 1e-12))
 
     ht, hx = 3e-5, 5e-3
     xs_h = np.arange(-0.9, 0.9 + 1e-9, 0.1)
     worst = 0.0
     for t in (0.1, 0.15, 0.25, 0.4, 0.7, 1.2, 2.0):
-        th_t = (theta(xs_h, t + ht, acc) - theta(xs_h, t - ht, acc)) / (2.0 * ht)
+        th_t = (theta(xs_h, t + ht) - theta(xs_h, t - ht)) / (2.0 * ht)
         th_xx = (
-            -theta(xs_h - 2 * hx, t, acc)
-            + 16.0 * theta(xs_h - hx, t, acc)
-            - 30.0 * theta(xs_h, t, acc)
-            + 16.0 * theta(xs_h + hx, t, acc)
-            - theta(xs_h + 2 * hx, t, acc)
+            -theta(xs_h - 2 * hx, t)
+            + 16.0 * theta(xs_h - hx, t)
+            - 30.0 * theta(xs_h, t)
+            + 16.0 * theta(xs_h + hx, t)
+            - theta(xs_h + 2 * hx, t)
         ) / (12.0 * hx * hx)
         worst = max(worst, float(np.max(np.abs(th_t - 0.5 * th_xx))))
     checks.append(_check("theta_heat_equation_fd", worst, 1e-6))
 
     worst = 0.0
     for t in (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0):
-        worst = max(worst, abs(thbar(t, acc, method="spectral") - thbar(t, acc, method="gauss")))
+        worst = max(worst, abs(thbar(t, method="spectral") - thbar(t, method="gauss")))
     checks.append(_check("thbar_dual_representation", worst, 1e-12))
 
     # Green function: quadrature of the kernel vs the closed form, a = 1
-    val01, _ = integrate.quad(lambda s: p_killed(0.3, 0.6, s, 1.0, acc), 0.0, 1.0,
+    val01, _ = integrate.quad(lambda s: p_killed(0.3, 0.6, s, 1.0), 0.0, 1.0,
                               epsabs=1e-11, epsrel=1e-11, limit=200)
-    val16, _ = integrate.quad(lambda s: p_killed(0.3, 0.6, s, 1.0, acc), 1.0, 6.0,
+    val16, _ = integrate.quad(lambda s: p_killed(0.3, 0.6, s, 1.0), 1.0, 6.0,
                               epsabs=1e-11, epsrel=1e-11, limit=200)
     # truncation beyond t = 6 is below 1e-12
     checks.append(_check("green_time_quadrature", abs(val01 + val16 - green_killed(0.3, 0.6, 1.0)), 1e-6))
@@ -737,20 +714,20 @@ def selfcheck(acc: KernelAccuracy = DEFAULT_ACCURACY) -> dict:
 
     # taboo kernel is conservative
     a_tab = 4.0
-    mass, _ = integrate.quad(lambda y: p_taboo(1.3, y, 0.8 * a_tab * a_tab, a_tab, acc),
+    mass, _ = integrate.quad(lambda y: p_taboo(1.3, y, 0.8 * a_tab * a_tab, a_tab),
                              0.0, a_tab, epsabs=1e-11, epsrel=1e-11, limit=200)
     checks.append(_check("taboo_conservation", abs(mass - 1.0), 1e-9))
 
     # total right-exit probability equals x/a
     a_ex = 2.0
     x_ex = 1.3
-    mass, _ = integrate.quad(lambda s: exit_density_right(x_ex, s, a_ex, acc),
+    mass, _ = integrate.quad(lambda s: exit_density_right(x_ex, s, a_ex),
                              0.0, 12.0 * a_ex * a_ex, epsabs=1e-11, epsrel=1e-11, limit=400)
     checks.append(_check("right_exit_mass", abs(mass - x_ex / a_ex), 1e-8))
 
     worst = 0.0
     for t in (0.05, 0.3, 1.0, 5.0):
-        worst = max(worst, abs(theta_prime(0.0, t, acc)), abs(theta_prime(1.0, t, acc)))
+        worst = max(worst, abs(theta_prime(0.0, t)), abs(theta_prime(1.0, t)))
     checks.append(_check("theta_prime_reflection_zeros", worst, 1e-12))
 
     return {

@@ -11,7 +11,7 @@ is a free parameter (default 0) and every comparison uses the same c on both
 sides.
 
 Sampling uses the compound-Poisson truncation at jump size delta plus the
-exact compensator for retained jumps below 1, and by default the standard
+exact compensator for retained jumps below 1, and always adds the standard
 Gaussian refinement for the omitted small jumps (variance
 pi^2 int_0^delta u^2 Lambda(du), about pi^2 delta): without it the truncation
 leaves a characteristic-function bias of order delta that a 1e5-sample
@@ -47,15 +47,15 @@ __all__ = [
 ]
 
 _PI2 = math.pi * math.pi
+_MAX_JUMP_BUFFER = 10_000_000
 
 
 @dataclass(frozen=True)
 class LevyParams:
-    """Free centering c, jump truncation delta, and the small-jump switch."""
+    """Free centering c and jump truncation delta."""
 
     c: float = 0.0
     jump_truncation: float = 1e-3
-    refine_small_jumps: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.jump_truncation < 1.0):
@@ -292,14 +292,14 @@ def sample_jump_sizes(n: int, rng: np.random.Generator,
 
 
 def sample_levy_increment(t: float, size: int, rng: np.random.Generator,
-                          params: LevyParams = LevyParams(),
-                          max_jump_buffer: int = 10_000_000) -> np.ndarray:
+                          params: LevyParams = LevyParams()) -> np.ndarray:
     """Draw `size` independent copies of L_t.
 
     Compound Poisson above the truncation (rate pi^2/(e^delta - 1)), exact
     compensator for retained jumps below 1, deterministic c t, and the
-    Gaussian small-jump refinement unless disabled.  Jump generation is
-    chunked so memory stays bounded for small delta.
+    Gaussian refinement for the jumps below the truncation, which is always
+    applied.  Jump generation is chunked, about _MAX_JUMP_BUFFER jumps at a
+    time, so memory stays bounded for small delta.
     """
     t = float(t)
     if not (t > 0.0):
@@ -310,7 +310,7 @@ def sample_levy_increment(t: float, size: int, rng: np.random.Generator,
     drift = params.c * t - _compensator_rate(delta) * t
 
     out = np.empty(size, dtype=float)
-    chunk = max(1, int(max_jump_buffer / max(rate * t, 1.0)))
+    chunk = max(1, int(_MAX_JUMP_BUFFER / max(rate * t, 1.0)))
     for lo in range(0, size, chunk):
         hi = min(size, lo + chunk)
         counts = rng.poisson(rate * t, hi - lo)
@@ -320,7 +320,6 @@ def sample_levy_increment(t: float, size: int, rng: np.random.Generator,
         ends = np.cumsum(counts)
         out[lo:hi] = csum[ends] - csum[ends - counts]
     out += drift
-    if params.refine_small_jumps:
-        sd = math.sqrt(_small_jump_variance_rate(delta) * t)
-        out += sd * rng.standard_normal(size)
+    sd = math.sqrt(_small_jump_variance_rate(delta) * t)
+    out += sd * rng.standard_normal(size)
     return out

@@ -54,7 +54,6 @@ def _config_to_dict(cfg: SimConfig) -> dict:
         "alphas": list(cfg.alphas),
         "A": cfg.A,
         "epsilon": cfg.epsilon,
-        "eta": cfg.eta,
         "y": cfg.y,
         "zeta": cfg.zeta,
         "delta_color": cfg.delta_color,
@@ -76,7 +75,6 @@ def _config_from_dict(d: dict) -> SimConfig:
         alphas=tuple(d["alphas"]),
         A=d["A"],
         epsilon=d["epsilon"],
-        eta=d["eta"],
         y=d["y"],
         zeta=d["zeta"],
         delta_color=d["delta_color"],
@@ -95,8 +93,9 @@ class ExperimentManifest:
     data files with identical bytes.  created_at stays None unless stamping
     is requested.  Manifests written while the config still had a thread
     count load unchanged: the key is ignored, and the hash never covered it.
-    Older manifests' `c_center` and `max_segments` keys are ignored too, but
-    their hash covered them, so such manifests load only without it.
+    Older manifests' `c_center`, `eta` and `max_segments` keys are ignored
+    too, but their hash covered them, so such manifests load only without
+    it.
     """
 
     config: SimConfig

@@ -186,15 +186,11 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
         n_ext = ks - 1
         if deaths:
             np.maximum(n_ext, 0, out=n_ext)
-        if n_rep > 1:
-            rows = idx // n_sel
-            ext_rows = rows.repeat(n_ext)
-            per_row = np.bincount(ext_rows, minlength=n_rep)
-            n0 = int(rows.searchsorted(1))  # replica 0's branchings
-            c0, wide = int(per_row[0]), int(per_row.max())
-        else:
-            n0 = len(idx)
-            c0 = wide = int(n_ext.sum())
+        rows = idx // n_sel
+        ext_rows = rows.repeat(n_ext)
+        per_row = np.bincount(ext_rows, minlength=n_rep)
+        n0 = int(rows.searchsorted(1))  # replica 0's branchings
+        c0, wide = int(per_row[0]), int(per_row.max())
         if wide > cap:
             grown = max(2 * cap, wide)
             buf = np.concatenate(
@@ -204,7 +200,7 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
                     (np.zeros(grown - cap, dtype=np.int64), parent))
             cap = grown
             slots, flat, shift, base = layout()
-        at = idx + shift[rows] if n_rep > 1 else idx + cap
+        at = idx + shift[rows]
         vals = flat[at]
         ext = vals.repeat(n_ext)
 
@@ -225,7 +221,7 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
 
         # extra children sit just left of their row's slots, the rows with
         # fewer of them padded with -inf; one partition keeps the N rightmost
-        wide1 = int(per_row[1:].max()) if n_rep > 1 else 0
+        wide1 = int(per_row[1:].max(initial=0))
         if wide1:
             buf[1:, cap - wide1:cap] = -math.inf
             flat[(base - per_row.cumsum())[ext_rows]
@@ -473,8 +469,6 @@ def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
 
 def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:
     """Slice bounds of each replica in a replica-sorted id array."""
-    if replicas == 1:
-        return [0, len(rep)]
     return np.searchsorted(rep, np.arange(replicas + 1)).tolist()
 
 
@@ -616,9 +610,10 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 c[np.flatnonzero(whites)[right >= n_flat]] = _RED
         return p, c, e
 
-    # each replica's barrier shift at the step's start and end, evaluated
-    # once per step
-    t_prev, shift1 = 0.0, np.zeros(n_rep)
+    # each replica's barrier shift at the step's end, evaluated once per
+    # step; a step starts from the shift its predecessor ended on, so the
+    # frame displacement telescopes exactly
+    shift1 = np.zeros(n_rep)
     record(pos, col, rep, bounds, shift1)
 
     n_steps = int(math.ceil(horizon / dt - 1e-9))
@@ -626,9 +621,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         t0 = i * dt
         h = min(dt, horizon - t0)
         t1 = t0 + h
-        shift0 = shift1 if t0 == t_prev else np.array(
-            [st.path.shift(t0) for st in reps])
-        shift1 = np.array([st.path.shift(t1) for st in reps])
+        shift0, shift1 = shift1, np.array([st.path.shift(t1) for st in reps])
         drift = -mu - (shift1 - shift0) / h
 
         pos, rep, (col, expy), origin, upper, _ = step_segments(
@@ -687,8 +680,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                  r_lo[blue])))
 
         # regroup by replica; the stable sort keeps each replica's order,
-        # and is skipped when the ids are sorted already (one replica)
-        if n_rep > 1 and (rep[1:] < rep[:-1]).any():
+        # and is skipped when the ids are sorted already
+        if (rep[1:] < rep[:-1]).any():
             order = np.argsort(rep, kind="stable")
             pos, col, expy, rep = (pos[order], col[order], expy[order],
                                    rep[order])
@@ -726,7 +719,6 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             raise CapacityError(f"replica {r}: population {counts[r]} "
                                 f"exceeds the cap {max_pop}")
         peak = list(map(max, peak, counts))
-        t_prev = t1
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
             record(pos, col, rep, bounds, shift1)

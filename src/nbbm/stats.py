@@ -281,11 +281,9 @@ def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
         params = _levy.LevyParams()
     if fit_c:
         base = _levy.increment_mean_rate(
-            _levy.LevyParams(0.0, params.jump_truncation,
-                             params.refine_small_jumps))
+            _levy.LevyParams(0.0, params.jump_truncation))
         c_hat = float(increments.mean() / dt_inc - base)
-        params = _levy.LevyParams(c_hat, params.jump_truncation,
-                                  params.refine_small_jumps)
+        params = _levy.LevyParams(c_hat, params.jump_truncation)
     phi, se = empirical_cf(increments, lams)
     target = np.array([np.exp(dt_inc * _levy.kappa(lam, params))
                        for lam in lams])

@@ -161,18 +161,21 @@ def test_simulate_nbbm_ends_at_a_horizon_off_the_step_grid(tmp_path):
 def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     # the old thread settings are gone: [run] threads is accepted with one
     # warning and changes nothing, NBBM_THREADS is not read, and the
-    # --threads flag no longer exists; [bbbm] c_center, which no simulation
-    # read, and [run] max_segments, whose segment budget is gone, go the
-    # same way
+    # --threads flag no longer exists; [bbbm] c_center and [bbbm] eta, which
+    # no simulation read, and [run] max_segments, whose segment budget is
+    # gone, go the same way.  An ignored key is not parsed, so even a value
+    # that the old parser rejected passes with its warning
     plain = _write(tmp_path, NBBM_INI)
     threaded = _write(tmp_path, NBBM_INI + "threads = 3\n", "threads.ini")
     centred = _write(tmp_path, NBBM_INI + "[bbbm]\nc_center = 0.5\n",
                      "centred.ini")
     budgeted = _write(tmp_path, NBBM_INI + "max_segments = 200\n",
                       "budgeted.ini")
+    regimed = _write(tmp_path, NBBM_INI + "[bbbm]\neta = -1e-5\n",
+                     "regimed.ini")
     outs, errs = [], []
     for name, ini in (("a", plain), ("b", plain), ("c", threaded),
-                      ("d", centred), ("e", budgeted)):
+                      ("d", centred), ("e", budgeted), ("f", regimed)):
         if name == "b":
             monkeypatch.setenv("NBBM_THREADS", "zero")
         out = tmp_path / name
@@ -180,7 +183,7 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
                      str(out)]) == 0
         outs.append((out / "series.csv").read_bytes())
         errs.append(capsys.readouterr().err)
-    assert outs[0] == outs[1] == outs[2] == outs[3] == outs[4]
+    assert outs[0] == outs[1] == outs[2] == outs[3] == outs[4] == outs[5]
     assert "threads" not in errs[0] + errs[1] + errs[3]
     assert errs[2].count("threads") == 1
     assert errs[2].startswith("warning: [run] threads is ignored")
@@ -190,6 +193,9 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     assert "max_segments" not in "".join(errs[:4])
     assert errs[4].count("max_segments") == 1
     assert errs[4].startswith("warning: [run] max_segments is ignored")
+    assert "eta" not in "".join(errs[:5])
+    assert errs[5].count("eta") == 1
+    assert errs[5].startswith("warning: [bbbm] eta is ignored")
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(plain), "--out",
               str(tmp_path / "d"), "--threads", "3"])

@@ -307,7 +307,7 @@ def test_reference_profile_weight_concentrates(iv10):
 
 def test_config_validate_accepts_and_warns(binary_law, iv10):
     cfg = SimConfig(law=binary_law, interval=iv10, A=5.0, epsilon=0.2,
-                    eta=1e-5, y=3.0, zeta=50.0)
+                    y=3.0, zeta=50.0)
     notes = cfg.validate()
     assert any("A^-17" in w for w in notes)
     # regime warnings never raise; desk-scale parameters are the normal case
@@ -317,7 +317,7 @@ def test_config_validate_accepts_and_warns(binary_law, iv10):
 def test_config_validate_quiet_inside_regime(binary_law, iv10):
     # the window e^{-A/6} <= eps <= A^{-17} is nonempty only past A ~ 650
     cfg = SimConfig(law=binary_law, interval=iv10, A=700.0, epsilon=1e-50,
-                    eta=None, y=None, zeta=None)
+                    y=None, zeta=None)
     assert cfg.validate() == []
 
 
@@ -339,7 +339,7 @@ def test_config_validate_rejects_bad_fields(binary_law, iv10):
                 SimConfig(law=binary_law, interval=iv10,
                           **{name: bad}).validate()
     # the barrier parameters feed exp() and particle counts: also finite
-    for name in ("A", "epsilon", "eta", "y", "zeta", "delta_color"):
+    for name in ("A", "epsilon", "y", "zeta", "delta_color"):
         for bad in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(ValueError,
                                match=f"{name} must be positive and finite"):

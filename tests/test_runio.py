@@ -105,6 +105,18 @@ def test_manifest_loads_an_old_config_with_c_center():
     assert ExperimentManifest.from_json_dict(old).hash() == base.hash()
 
 
+def test_manifest_loads_an_old_config_with_eta():
+    # eta fed only two regime warnings; an old manifest that still carries
+    # it loads as one with c_center does, its stored hash aside
+    base = ExperimentManifest(_cfg(), "bbbm")
+    old = base.to_json_dict()
+    old["config"]["eta"] = 1e-5
+    assert "eta" not in base.to_json_dict()["config"]
+    assert _config_from_dict(old["config"]) == base.config
+    del old["hash"]
+    assert ExperimentManifest.from_json_dict(old).hash() == base.hash()
+
+
 def test_manifest_loads_an_old_config_with_max_segments():
     # max_segments bounded only a companion event-log run, which is gone;
     # an old manifest that still carries it loads as one with c_center

@@ -706,6 +706,32 @@ def test_a_runner_step_makes_at_most_two_segment_steps(binary_law,
     assert any(res.depth_capped > 0 for res in results)
 
 
+def test_barrier_shift_is_evaluated_once_per_step_end(binary_law,
+                                                      monkeypatch):
+    # a step starts from the shift its predecessor ended on, so each path is
+    # asked once per step end, and once more where its replica installs a
+    # response; no piece freezes before the horizon here, so installs are
+    # the only step-end rule that moves a shift
+    calls = []
+    shift = BarrierPath.shift
+
+    def counting(self, t):
+        calls.append(t)
+        return shift(self, t)
+
+    monkeypatch.setattr(BarrierPath, "shift", counting)
+    cfg = SimConfig(binary_law, **dict(REFERENCE_CASES[9][1], horizon=40.0,
+                                       replicas=4))
+    results = run_bbbm(cfg)
+    n_steps = round(cfg.horizon / cfg.dt)
+    pieces = [p for res in results for p in res.pieces]
+    assert pieces and all(p["theta"] > cfg.horizon for p in pieces)
+    assert len(calls) == n_steps * cfg.replicas + len(pieces)
+    ends = {i * cfg.dt + min(cfg.dt, cfg.horizon - i * cfg.dt)
+            for i in range(n_steps)}
+    assert set(calls) <= ends
+
+
 # The reference's replicas 1-48 of each IN_LAW case (stream 0 is the
 # batch's), from `barrier_reference.replica_moments`; run that file to
 # recompute them.  The per-hit reference takes about 1.4 s a replica on the

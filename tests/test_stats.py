@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from nbbm import calibrate
 from nbbm.engine import rng_stream
 from nbbm.kernels import error_envelope_E, sine_exp_density
 from nbbm.levy import LevyParams, kappa, sample_levy_increment
@@ -101,6 +102,17 @@ def test_calibration_constants_present():
     cal = load_calibration()
     for key in ("c_i", "c_rt", "c_nexpec"):
         assert isinstance(cal[key], float) and cal[key] > 0.0
+
+
+def test_calibration_matches_the_kernels():
+    # the committed constants were fitted with the kernels' truncation
+    # constants; refitting the two fast ones, rounded as the script writes
+    # them, must give the file's values (c_rt takes over a second)
+    cal = load_calibration()
+    c_nexpec, env = calibrate.fit_c_nexpec()
+    assert round(calibrate.fit_c_i(), 6) == cal["c_i"]
+    assert round(c_nexpec, 6) == cal["c_nexpec"]
+    assert env == cal["fitted_on"]["envelope_at_t_nexpec"]
 
 
 # ---------------------------------------------------------------------------
