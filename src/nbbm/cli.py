@@ -15,6 +15,11 @@ together in one flat array, mode nbbm in one array with a row per replica,
 and mode coupled one after another.
 `simulate --log-events` writes the genealogy `run_nbbm` records for replica
 0, so events.csv and series.csv describe one sample path.
+
+Each on-disk format is defined once: a config key is one row of `_KEYS`,
+runinfo.json's barrier rows take every `BarrierResult` field but the series,
+path, mode and final positions, and every CSV table is written by
+`runio.write_table`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import locale  # noqa: F401  argparse's gettext imports it on the first parse
 import math
 import re
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +39,7 @@ import numpy as np
 
 from nbbm import __version__
 from nbbm.engine import (
+    REQUIRED_FIELDS,
     CapacityError,
     IntervalParams,
     ReproductionLaw,
@@ -45,7 +52,6 @@ from nbbm.runio import (
     MODES,
     ExperimentManifest,
     canonical_hash,
-    fmt_real,
     read_events_csv,
     read_levy_csv,
     read_series_csv,
@@ -53,6 +59,7 @@ from nbbm.runio import (
     write_events_csv,
     write_levy_csv,
     write_series_csv,
+    write_table,
 )
 from nbbm.selection import (
     CouplingError,
@@ -73,6 +80,9 @@ _LANE_LEVY = 5
 
 _CF_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
+# BarrierResult fields runinfo.json leaves out, as files or the run hold them
+_NOT_IN_RUNINFO = ("series", "path", "mode", "final_positions")
+
 
 class ConfigError(ValueError):
     """Configuration problem, message always names the offending key path."""
@@ -81,11 +91,43 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-_KNOWN_KEYS = {
-    "interval": {"a"},
-    "bbbm": {"A", "epsilon", "y", "zeta", "delta_color", "zeta_breakout"},
-    "selection": {"N", "alphas"},
-    "run": {"mode", "dt", "horizon", "replicas", "seed", "sample_every"},
+
+def _mode(raw: str) -> str:
+    if raw not in MODES:
+        raise ValueError(raw)
+    return raw
+
+
+def _boolean(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in re.split(r"[,\s]+", raw.strip()))
+
+
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+
+# (section, key) -> (SimConfig field, or "mode"; parser; what a value must
+# be).  An absent key leaves its field at the SimConfig default.
+_KEYS = {
+    ("interval", "a"): ("interval", lambda raw: IntervalParams(float(raw)),
+                        "a finite number >= pi"),
+    ("bbbm", "A"): ("A", *_NUMBER),
+    ("bbbm", "epsilon"): ("epsilon", *_NUMBER),
+    ("bbbm", "y"): ("y", *_NUMBER),
+    ("bbbm", "zeta"): ("zeta", *_NUMBER),
+    ("bbbm", "delta_color"): ("delta_color", *_NUMBER),
+    ("bbbm", "zeta_breakout"): ("zeta_breakout", _boolean, "a boolean"),
+    ("selection", "N"): ("n_select", *_INTEGER),
+    ("selection", "alphas"): ("alphas", _numbers, "numbers"),
+    ("run", "mode"): ("mode", _mode, f"one of {'|'.join(MODES)}"),
+    ("run", "dt"): ("dt", *_NUMBER),
+    ("run", "horizon"): ("horizon", *_NUMBER),
+    ("run", "replicas"): ("replicas", *_INTEGER),
+    ("run", "seed"): ("seed", *_INTEGER),
+    ("run", "sample_every"): ("sample_every", *_NUMBER),
 }
 
 # settings of older configs that no run reads: accepted, each with one
@@ -98,26 +140,13 @@ _IGNORED_KEYS = {
 }
 
 
-def _get_float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        return default
+def _parse(cp, section: str, key: str, parse, what: str):
     raw = cp.get(section, key)
     try:
-        return float(raw)
-    except ValueError:
+        return parse(raw)
+    except (ValueError, KeyError):
         raise ConfigError(
-            f"[{section}] {key} must be a number, got {raw!r}") from None
-
-
-def _get_int(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} must be an integer, got {raw!r}") from None
+            f"[{section}] {key} must be {what}, got {raw!r}") from None
 
 
 def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
@@ -139,15 +168,13 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     except configparser.Error as e:
         raise ConfigError(f"config syntax: {e}") from None
 
+    known = {(s, k.lower()) for s, k in [*_KEYS, *_IGNORED_KEYS]}
     for section in cp.sections():
-        if section != "law" and section not in _KNOWN_KEYS:
+        if section != "law" and section not in {s for s, _ in known}:
             raise ConfigError(f"unknown section [{section}]")
-        if section != "law":
-            known = {k.lower() for k in _KNOWN_KEYS[section]}
-            known |= {k.lower() for s, k in _IGNORED_KEYS if s == section}
-            for key in cp.options(section):
-                if key not in known:
-                    raise ConfigError(f"unknown key [{section}] {key}")
+        for key in cp.options(section):
+            if section != "law" and (section, key) not in known:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
     if not cp.has_section("law"):
         raise ConfigError("missing required section [law]")
@@ -157,7 +184,7 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
         if not m:
             raise ConfigError(
                 f"unknown key [law] {key}; offspring weights are q0, q1, ...")
-        q[int(m.group(1))] = _get_float(cp, "law", key)
+        q[int(m.group(1))] = _parse(cp, "law", key, *_NUMBER)
     if not q:
         raise ConfigError("[law] must list offspring weights q0, q1, ...")
     try:
@@ -165,53 +192,11 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     except ValueError as e:
         raise ConfigError(f"[law]: {e}") from None
 
-    interval = None
-    a = _get_float(cp, "interval", "a") if cp.has_section("interval") else None
-    if a is not None:
-        try:
-            interval = IntervalParams(a)
-        except ValueError as e:
-            raise ConfigError(f"[interval] a: {e}") from None
-
-    alphas = (0.5,)
-    if cp.has_option("selection", "alphas"):
-        raw = cp.get("selection", "alphas")
-        try:
-            alphas = tuple(float(v) for v in re.split(r"[,\s]+", raw.strip()))
-        except ValueError:
-            raise ConfigError(
-                f"[selection] alphas must be numbers, got {raw!r}") from None
-
-    zeta_breakout = True
-    if cp.has_option("bbbm", "zeta_breakout"):
-        try:
-            zeta_breakout = cp.getboolean("bbbm", "zeta_breakout")
-        except ValueError:
-            raise ConfigError(
-                "[bbbm] zeta_breakout must be a boolean") from None
-
-    mode = cp.get("run", "mode", fallback=None)
-    if mode is not None and mode not in MODES:
-        raise ConfigError(
-            f"[run] mode must be one of {'|'.join(MODES)}, got {mode!r}")
-
-    cfg = SimConfig(
-        law=law,
-        interval=interval,
-        dt=_get_float(cp, "run", "dt", 0.1),
-        horizon=_get_float(cp, "run", "horizon"),
-        replicas=_get_int(cp, "run", "replicas", 1),
-        seed=_get_int(cp, "run", "seed", 0),
-        n_select=_get_int(cp, "selection", "N"),
-        alphas=alphas,
-        A=_get_float(cp, "bbbm", "A"),
-        epsilon=_get_float(cp, "bbbm", "epsilon"),
-        y=_get_float(cp, "bbbm", "y"),
-        zeta=_get_float(cp, "bbbm", "zeta"),
-        delta_color=_get_float(cp, "bbbm", "delta_color"),
-        sample_every=_get_float(cp, "run", "sample_every"),
-        zeta_breakout=zeta_breakout,
-    )
+    values = {name: _parse(cp, section, key, parse, what)
+              for (section, key), (name, parse, what) in _KEYS.items()
+              if cp.has_option(section, key)}
+    mode = values.pop("mode", None)
+    cfg = SimConfig(law=law, **values)
     try:
         cfg.validate()
     except ValueError as e:
@@ -223,21 +208,10 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     return cfg, mode
 
 
-_MODE_NEEDS = {
-    "nbbm": (("n_select", "[selection] N"),),
-    "coupled": (("n_select", "[selection] N"), ("horizon", "[run] horizon")),
-    "bbbm": (("interval", "[interval] a"), ("A", "[bbbm] A"),
-             ("epsilon", "[bbbm] epsilon"), ("y", "[bbbm] y"),
-             ("zeta", "[bbbm] zeta")),
-}
-_MODE_NEEDS["bflat"] = _MODE_NEEDS["bbbm"] + (("delta_color", "[bbbm] delta_color"),)
-_MODE_NEEDS["bsharp"] = _MODE_NEEDS["bflat"]
-_MODE_NEEDS["csharp"] = _MODE_NEEDS["bflat"]
-
-
 def _check_mode_requirements(cfg: SimConfig, mode: str) -> None:
-    missing = [key for attr, key in _MODE_NEEDS[mode]
-               if getattr(cfg, attr) is None]
+    key_of = {name: f"[{s}] {k}" for (s, k), (name, _, _) in _KEYS.items()}
+    missing = [key_of[name] for name in REQUIRED_FIELDS[mode]
+               if getattr(cfg, name) is None]
     if missing:
         raise ConfigError(
             f"mode {mode} requires {', '.join(missing)} (missing)")
@@ -258,6 +232,11 @@ def _json_default(o):
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
+
+
+def _coupled_row(replica: int, res) -> dict:
+    return {"replica": replica, "events": res.events, "checks": res.checks,
+            "dominance_verified": res.dominance_verified}
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +274,7 @@ def _cmd_simulate(args) -> int:
         events = [] if args.log_events else None
         res = run_nbbm(cfg, events)
         series_list = res.series
-        runinfo["n_select"] = res.n_select
-        runinfo["horizon"] = res.horizon
+        runinfo.update(n_select=res.n_select, horizon=res.horizon)
         if res.constants is not None:
             runinfo["a_N"] = res.constants.a_N
             runinfo["mu_N"] = res.constants.mu_N
@@ -309,10 +287,8 @@ def _cmd_simulate(args) -> int:
         results = [run_coupled(cfg.law, cfg.n_select, horizon=cfg.horizon,
                                seed=cfg.seed, replica=r)
                    for r in range(cfg.replicas)]
-        runinfo["coupled"] = [
-            {"replica": r, "events": res.events, "checks": res.checks,
-             "dominance_verified": res.dominance_verified}
-            for r, res in enumerate(results)]
+        runinfo["coupled"] = [_coupled_row(r, res)
+                              for r, res in enumerate(results)]
         final = (results[0].final_mid, cfg.horizon)
     else:
         runner = {"bbbm": run_bbbm, "bflat": run_bflat,
@@ -321,15 +297,8 @@ def _cmd_simulate(args) -> int:
         results = runner(cfg)
         series_list = [res.series for res in results]
         runinfo["barrier"] = [
-            {"replica": r, "trials_run": res.trials_run,
-             "suppressed_breakouts": res.suppressed_breakouts,
-             "clamped_responses": res.clamped_responses,
-             "reinjected": res.reinjected, "wall_hits": res.wall_hits,
-             "depth_capped": res.depth_capped,
-             "breakout_waits": res.breakout_waits,
-             "breakout_wait_time": res.breakout_wait_time,
-             "peak_count": res.peak_count, "max_pop": res.max_pop,
-             "pieces": res.pieces, "colour_stats": res.colour_stats}
+            {"replica": r, **{f.name: getattr(res, f.name) for f in fields(res)
+                              if f.name not in _NOT_IN_RUNINFO}}
             for r, res in enumerate(results)]
         final = (results[0].final_positions, results[0].series.times[-1])
 
@@ -381,11 +350,9 @@ def _cmd_levy(args) -> int:
     _write_json(outdir / "manifest.json", dict(ident, hash=h))
 
     lams = sorted(set(_CF_LAMBDAS) | {la for la in args.lambdas})
-    lines = [f"# manifest={h}", "lam,re_kappa,im_kappa"]
-    for la in lams:
-        k = kappa(la, params)
-        lines.append(f"{fmt_real(la)},{fmt_real(k.real)},{fmt_real(k.imag)}")
-    (outdir / "kappa.csv").write_text("\n".join(lines) + "\n")
+    ks = [kappa(la, params) for la in lams]
+    write_table(outdir / "kappa.csv", h, ["lam", "re_kappa", "im_kappa"],
+                [(la, k.real, k.imag) for la, k in zip(lams, ks)])
 
     rng = rng_stream(args.seed, 0, _LANE_LEVY)
     values = sample_levy_increment(args.t, args.samples, rng, params)
@@ -410,9 +377,7 @@ def _cmd_couple(args) -> int:
                           horizon=args.horizon, seed=args.seed, replica=r,
                           slack=args.slack, extra=args.extra,
                           inject_fault=args.inject_fault)
-        rows.append({"replica": r, "events": res.events,
-                     "checks": res.checks,
-                     "dominance_verified": res.dominance_verified})
+        rows.append(_coupled_row(r, res))
         print(f"replica {r}: {res.events} events, "
               f"{res.checks} checks, dominance "
               f"{'verified' if res.dominance_verified else 'NOT verified'}")
@@ -470,17 +435,13 @@ def _series_verdicts(path: str, burn_in: float | None,
             verdicts.append({"name": "martingale_Z", "verdict": "skipped",
                              "reason": str(e)})
 
-    # plot-ready: replica mean of every column on the common grid
-    mean_lines = [f"# manifest={h}", ",".join(["t"] + cols)]
-    stacks = {c: np.stack([s.columns[c] for s in series_list]) for c in cols}
-    for i, t in enumerate(times):
-        row = [fmt_real(t)]
-        for c in cols:
-            col_i = stacks[c][:, i]
-            row.append(fmt_real(np.mean(col_i) if np.isfinite(col_i).all()
-                                else math.nan))
-        mean_lines.append(",".join(row))
-    (plot_dir / "series_mean.csv").write_text("\n".join(mean_lines) + "\n")
+    # plot-ready: replica mean of every column on the common grid, one
+    # np.mean per cell: a mean along the replica axis sums in another order
+    stacks = [np.stack([s.columns[c] for s in series_list]) for c in cols]
+    write_table(plot_dir / "series_mean.csv", h, ["t"] + cols, (
+        [t] + [np.mean(st[:, i]) if np.isfinite(st[:, i]).all() else math.nan
+               for st in stacks]
+        for i, t in enumerate(times.tolist())))
 
     summary = {"hash": h, "replicas": len(series_list),
                "t_final": float(times[-1]), "columns": cols}
@@ -511,15 +472,15 @@ def _levy_verdicts(path: str, delta: float,
             "n": cmp_.n,
         })
         fitted = LevyParams(c=cmp_.fitted_c, jump_truncation=delta)
-        lines = [f"# manifest={h}",
-                 "lam,emp_re,emp_im,model_re,model_im,deviation,se"]
+        rows = []
         for j, la in enumerate(cmp_.lams):
             phi = np.mean(np.exp(1j * la * values))
             model = np.exp(t_span * kappa(la, fitted))
-            lines.append(",".join(fmt_real(v) for v in (
-                la, phi.real, phi.imag, model.real, model.imag,
-                cmp_.deviation[j], cmp_.se[j])))
-        (plot_dir / "cf_table.csv").write_text("\n".join(lines) + "\n")
+            rows.append((la, phi.real, phi.imag, model.real, model.imag,
+                         cmp_.deviation[j], cmp_.se[j]))
+        write_table(plot_dir / "cf_table.csv", h, [
+            "lam", "emp_re", "emp_im", "model_re", "model_im", "deviation",
+            "se"], rows)
     except ValueError as e:
         verdicts.append({"name": "cf_vs_kappa", "verdict": "skipped",
                          "reason": str(e)})
@@ -528,12 +489,9 @@ def _levy_verdicts(path: str, delta: float,
     if hi > lo:
         dens = empirical_density(values, bins=max(10, min(60, len(values) // 50)),
                                  lo=lo, hi=hi)
-        dlines = [f"# manifest={h}", "bin_lo,bin_hi,mass"]
-        for i in range(len(dens.mass)):
-            dlines.append(",".join(fmt_real(v) for v in (
-                dens.edges[i], dens.edges[i + 1], dens.mass[i])))
-        (plot_dir / "increment_density.csv").write_text(
-            "\n".join(dlines) + "\n")
+        write_table(plot_dir / "increment_density.csv", h,
+                    ["bin_lo", "bin_hi", "mass"],
+                    zip(dens.edges[:-1], dens.edges[1:], dens.mass))
     return verdicts, {"hash": h, "samples": len(values), "t": t_span}
 
 

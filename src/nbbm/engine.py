@@ -24,6 +24,7 @@ __all__ = [
     "ReproductionLaw",
     "sample_offspring",
     "SimConfig",
+    "REQUIRED_FIELDS",
     "hperp_count",
 ]
 
@@ -187,6 +188,18 @@ class SimConfig:
                     f"epsilon = {eps:g} violates the regime condition "
                     f"epsilon >= e^(-A/6) = {math.exp(-A / 6.0):g}")
         return warnings
+
+
+# the SimConfig fields without which each mode cannot run, in the order of
+# the modes the CLI offers
+_BARRIER_FIELDS = ("interval", "A", "epsilon", "y", "zeta")
+REQUIRED_FIELDS = {
+    "nbbm": ("n_select",),
+    "bbbm": _BARRIER_FIELDS,
+    **dict.fromkeys(("bflat", "bsharp", "csharp"),
+                    _BARRIER_FIELDS + ("delta_color",)),
+    "coupled": ("n_select", "horizon"),
+}
 
 
 def hperp_count(A: float, iv: IntervalParams) -> int:

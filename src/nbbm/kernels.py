@@ -251,10 +251,12 @@ def error_envelope_E(t) -> float:
 
 
 def _broadcast_xy(x, y):
+    # x and y at their common shape, so spectral sums sized by x fit y too
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     scalar = x_arr.ndim == 0 and y_arr.ndim == 0
-    return np.atleast_1d(x_arr), np.atleast_1d(y_arr), scalar
+    return (*np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(y_arr)),
+            scalar)
 
 
 def _require_in_interval(a, *arrays):

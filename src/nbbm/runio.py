@@ -1,27 +1,31 @@
-"""Experiment persistence: manifest, CSV logs, binary position checkpoints.
+"""Experiment persistence: manifest, CSV tables, binary position checkpoints.
 
 Every file format here is deterministic: the same manifest produces the
 same bytes, because all randomness is keyed by (seed, replica, lane) and
 the writers render floats at fixed precision.  Data files carry the
 manifest hash in a leading comment line (checkpoints in their header) so
 any output can be traced back to the exact configuration that produced it.
+Every CSV table, the series, event and increment logs here and the report
+tables of `cli`, is written by `write_table` and read by `read_table`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from nbbm import __version__
-from nbbm.engine import IntervalParams, ReproductionLaw, SimConfig
+from nbbm.engine import (REQUIRED_FIELDS, IntervalParams, ReproductionLaw,
+                         SimConfig)
 from nbbm.stats import StatsSeries
 
-MODES = ("nbbm", "bbbm", "bflat", "bsharp", "csharp", "coupled")
+MODES = tuple(REQUIRED_FIELDS)
 
 # float rendering for CSV cells: 17 significant digits round-trip any
 # double exactly through decimal
@@ -43,44 +47,23 @@ def canonical_hash(ident: dict) -> str:
 
 
 def _config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "law": list(cfg.law.probabilities),
-        "interval_a": cfg.interval.a if cfg.interval is not None else None,
-        "dt": cfg.dt,
-        "horizon": cfg.horizon,
-        "replicas": cfg.replicas,
-        "seed": cfg.seed,
-        "n_select": cfg.n_select,
-        "alphas": list(cfg.alphas),
-        "A": cfg.A,
-        "epsilon": cfg.epsilon,
-        "y": cfg.y,
-        "zeta": cfg.zeta,
-        "delta_color": cfg.delta_color,
-        "sample_every": cfg.sample_every,
-        "zeta_breakout": cfg.zeta_breakout,
-    }
+    d = {f.name: getattr(cfg, f.name) for f in fields(SimConfig)}
+    d["law"] = list(cfg.law.probabilities)
+    iv = d.pop("interval")
+    d["interval_a"] = iv.a if iv is not None else None
+    d["alphas"] = list(cfg.alphas)
+    return d
 
 
 def _config_from_dict(d: dict) -> SimConfig:
-    return SimConfig(
-        law=ReproductionLaw(tuple(d["law"])),
-        interval=(IntervalParams(d["interval_a"])
-                  if d.get("interval_a") is not None else None),
-        dt=d["dt"],
-        horizon=d["horizon"],
-        replicas=d["replicas"],
-        seed=d["seed"],
-        n_select=d["n_select"],
-        alphas=tuple(d["alphas"]),
-        A=d["A"],
-        epsilon=d["epsilon"],
-        y=d["y"],
-        zeta=d["zeta"],
-        delta_color=d["delta_color"],
-        sample_every=d["sample_every"],
-        zeta_breakout=d.get("zeta_breakout", True),
-    )
+    """Inverse of `_config_to_dict`; keys that are not fields are ignored,
+    and a field an older manifest lacks takes its default."""
+    kw = {f.name: d[f.name] for f in fields(SimConfig) if f.name in d}
+    kw["law"] = ReproductionLaw(tuple(d["law"]))
+    if d.get("interval_a") is not None:
+        kw["interval"] = IntervalParams(d["interval_a"])
+    kw["alphas"] = tuple(d["alphas"])
+    return SimConfig(**kw)
 
 
 @dataclass
@@ -113,17 +96,18 @@ class ExperimentManifest:
     def seed(self) -> int:
         return self.config.seed
 
-    def to_json_dict(self) -> dict:
+    def _identity(self) -> dict:
         return {
             "schema": "nbbm-manifest-1",
             "mode": self.mode,
             "code_version": self.code_version,
-            "seed": self.seed,
             "config": _config_to_dict(self.config),
-            "outputs": dict(self.outputs),
-            "created_at": self.created_at,
-            "hash": self.hash(),
         }
+
+    def to_json_dict(self) -> dict:
+        return dict(self._identity(), seed=self.seed,
+                    outputs=dict(self.outputs), created_at=self.created_at,
+                    hash=self.hash())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentManifest":
@@ -144,12 +128,7 @@ class ExperimentManifest:
         return m
 
     def hash(self) -> str:
-        return canonical_hash({
-            "schema": "nbbm-manifest-1",
-            "mode": self.mode,
-            "code_version": self.code_version,
-            "config": _config_to_dict(self.config),
-        })
+        return canonical_hash(self._identity())
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -161,7 +140,52 @@ class ExperimentManifest:
 
 
 # ---------------------------------------------------------------------------
-# CSV logs
+# CSV tables
+
+
+def write_table(path: str | Path, manifest_hash: str, header, rows,
+                fmt: str | None = None) -> None:
+    """Write a `# manifest=` line, the header, then one line per row.
+
+    fmt is the %-format of a whole row, applied to each row as a tuple;
+    by default every cell is rendered as `fmt_real` renders it.
+    """
+    if fmt is None:
+        fmt = ",".join([_FMT] * len(header))
+    lines = [f"# manifest={manifest_hash}", ",".join(header)]
+    lines += map(fmt.__mod__, map(tuple, rows))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path: str | Path, kind: str, header=None
+               ) -> tuple[str, list[str], list[list[str]]]:
+    """(manifest hash, header, rows as lists of strings) of a table.
+
+    ValueError naming the path if the manifest line is missing, the header
+    differs from `header` when one is given, or a row's field count differs
+    from the header's.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("# manifest="):
+        raise ValueError(f"{path}: missing manifest header line")
+    head = lines[1] if len(lines) > 1 else ""
+    if header is not None and head != ",".join(header):
+        raise ValueError(f"{path}: unexpected {kind} header {head!r}")
+    cols = head.split(",")
+    rows = [ln.split(",") for ln in lines[2:] if ln]
+    for r in rows:
+        if len(r) != len(cols):
+            raise ValueError(f"{path}: a row has {len(r)} fields, {kind} "
+                             f"rows need {len(cols)} fields")
+    return lines[0].split("=", 1)[1], cols, rows
+
+
+def _columns(header, rows, fmt: str) -> dict[str, np.ndarray]:
+    """Each column of a table's rows as an array, int64 where fmt has %d."""
+    return {name: (np.array([int(r[j]) for r in rows], dtype=np.int64)
+                   if spec == "%d" else np.array([float(r[j]) for r in rows]))
+            for j, (name, spec) in enumerate(zip(header, fmt.split(",")))}
+
 
 _SERIES_ORDER = ("count", "Z", "Y", "R_cum", "barrier_shift",
                  "count_white", "count_blue")
@@ -185,53 +209,47 @@ def write_series_csv(path: str | Path, series_list: list[StatsSeries],
     for s in series_list[1:]:
         if series_columns(s) != cols:
             raise ValueError("series column sets differ between replicas")
-    lines = [f"# manifest={manifest_hash}",
-             ",".join(["replica", "t"] + cols)]
-    for s in series_list:
-        # one format per row, fed Python numbers: the same text as fmt_real
-        # cell by cell, without a numpy scalar per cell
-        row = ",".join([str(int(s.replica))] + [_FMT] * (1 + len(cols)))
-        values = [np.asarray(x).tolist()
-                  for x in [s.times] + [s.columns[c] for c in cols]]
-        lines += map(row.__mod__, zip(*values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one format per row, fed Python numbers: the same text as fmt_real
+    # cell by cell, without a numpy scalar per cell
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(int(s.replica)),
+            *[np.asarray(x).tolist()
+              for x in [s.times] + [s.columns[c] for c in cols]])
+        for s in series_list)
+    write_table(path, manifest_hash, ["replica", "t"] + cols, rows,
+                ",".join(["%d"] + [_FMT] * (1 + len(cols))))
 
 
 def read_series_csv(path: str | Path) -> tuple[str, list[StatsSeries]]:
-    """Manifest hash and one series per replica; ValueError if malformed."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# manifest="):
-        raise ValueError(f"{path}: missing manifest header line")
-    manifest_hash = lines[0].split("=", 1)[1]
-    header = lines[1].split(",") if len(lines) > 1 else []
+    """Manifest hash and one series per replica; ValueError if malformed.
+
+    Every replica must have the same sample times.
+    """
+    manifest_hash, header, rows = read_table(path, "series")
     if header[:2] != ["replica", "t"]:
         raise ValueError(f"{path}: expected replica,t leading columns")
-    cols = header[2:]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     by_rep: dict[int, list[list[float]]] = {}
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: a row has {len(parts)} fields, the "
-                             f"header {len(header)}")
+    for parts in rows:
         by_rep.setdefault(int(parts[0]), []).append(
             [float(v) for v in parts[1:]])
-    if not by_rep:
-        raise ValueError(f"{path}: no data rows")
     out = []
     for rep in sorted(by_rep):
         arr = np.asarray(by_rep[rep])
         out.append(StatsSeries(
             times=arr[:, 0],
-            columns={c: arr[:, j + 1] for j, c in enumerate(cols)},
+            columns={c: arr[:, j + 1] for j, c in enumerate(header[2:])},
             replica=rep,
             meta={"manifest": manifest_hash},
         ))
+    if any(not np.array_equal(s.times, out[0].times) for s in out):
+        raise ValueError(f"{path}: the replicas do not share one time grid")
     return manifest_hash, out
 
 
-_EVENT_HEADER = "time,parent,position,k"
+_EVENT_HEADER = ("time", "parent", "position", "k")
+_EVENT_FMT = f"{_FMT},%d,{_FMT},%d"
 
 
 def write_events_csv(path: str | Path, events, manifest_hash: str) -> None:
@@ -243,32 +261,20 @@ def write_events_csv(path: str | Path, events, manifest_hash: str) -> None:
     genealogy; position is the branch point and k the offspring count,
     0 included.
     """
-    lines = [f"# manifest={manifest_hash}", _EVENT_HEADER]
-    for t, parent, x, k in events:
-        lines.append(f"{fmt_real(t)},{int(parent)},{fmt_real(x)},{int(k)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, manifest_hash, _EVENT_HEADER, events, _EVENT_FMT)
 
 
 def read_events_csv(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
     """Columns time, parent, position and k of an event log, as arrays."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# manifest="):
-        raise ValueError(f"{path}: missing manifest header line")
-    manifest_hash = lines[0].split("=", 1)[1]
-    if lines[1:2] != [_EVENT_HEADER]:
-        raise ValueError(f"{path}: unexpected event header {lines[1:2]!r}")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
-    if any(len(r) != 4 for r in rows):
-        raise ValueError(f"{path}: event rows need 4 fields")
-    parent = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    if np.any(parent >= np.arange(len(rows))):
+    manifest_hash, _, rows = read_table(path, "event", _EVENT_HEADER)
+    cols = _columns(_EVENT_HEADER, rows, _EVENT_FMT)
+    if np.any(cols["parent"] >= np.arange(len(rows))):
         raise ValueError(f"{path}: a parent row does not precede its event")
-    return manifest_hash, {
-        "time": np.array([float(r[0]) for r in rows]),
-        "parent": parent,
-        "position": np.array([float(r[2]) for r in rows]),
-        "k": np.array([int(r[3]) for r in rows], dtype=np.int64),
-    }
+    return manifest_hash, cols
+
+
+_LEVY_HEADER = ("replica", "t", "value", "seed")
+_LEVY_FMT = f"%d,{_FMT},{_FMT},%d"
 
 
 def write_levy_csv(path: str | Path, replica: np.ndarray, t: np.ndarray,
@@ -278,34 +284,17 @@ def write_levy_csv(path: str | Path, replica: np.ndarray, t: np.ndarray,
     value = np.asarray(value, dtype=float)
     if not (len(replica) == len(t) == len(value)):
         raise ValueError("replica, t and value must have equal lengths")
-    lines = [f"# manifest={manifest_hash}", "replica,t,value,seed"]
-    for r, tt, v in zip(replica, t, value):
-        lines.append(f"{int(r)},{fmt_real(tt)},{fmt_real(v)},{int(seed)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, manifest_hash, _LEVY_HEADER,
+                zip(replica.tolist(), t.tolist(), value.tolist(),
+                    itertools.repeat(int(seed))), _LEVY_FMT)
 
 
 def read_levy_csv(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
     """Manifest hash and the increment columns; ValueError if malformed."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# manifest="):
-        raise ValueError(f"{path}: missing manifest header line")
-    manifest_hash = lines[0].split("=", 1)[1]
-    header = lines[1] if len(lines) > 1 else ""
-    if header != "replica,t,value,seed":
-        raise ValueError(f"{path}: unexpected levy header {header!r}")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
+    manifest_hash, _, rows = read_table(path, "levy", _LEVY_HEADER)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    for r in rows:
-        if len(r) != 4:
-            raise ValueError(f"{path}: a row has {len(r)} fields, the "
-                             f"header 4")
-    return manifest_hash, {
-        "replica": np.array([int(r[0]) for r in rows], dtype=np.int64),
-        "t": np.array([float(r[1]) for r in rows]),
-        "value": np.array([float(r[2]) for r in rows]),
-        "seed": np.array([int(r[3]) for r in rows], dtype=np.int64),
-    }
+    return manifest_hash, _columns(_LEVY_HEADER, rows, _LEVY_FMT)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (CapacityError, ReproductionLaw, SimConfig, hperp_count,
-                     rng_stream, sample_offspring)
+from .engine import (REQUIRED_FIELDS, CapacityError, ReproductionLaw,
+                     SimConfig, hperp_count, rng_stream, sample_offspring)
 from .ensemble import (TrialPool, _branch_slots, breakout_trials,
                        hperp_flat, step_segments)
 from .kernels import (IntervalParams, barrier_f, error_envelope_E,
@@ -478,7 +478,7 @@ def _sizes(bounds: list[int]) -> list[int]:
 
 
 def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
-    _require(cfg, "interval", "A", "epsilon", "y", "zeta")
+    _require(cfg, *REQUIRED_FIELDS[mode])
     cfg.validate()
     iv, A, eps = cfg.interval, cfg.A, cfg.epsilon
     y, zeta, dt = cfg.y, cfg.zeta, cfg.dt
@@ -490,11 +490,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             f"zeta = {zeta!r} lets the stopping line reach the wall; "
             f"need zeta < y / (1 - mu) = {y / (1.0 - mu):g}")
 
-    coloured = mode in ("bflat", "bsharp", "csharp")
     sharp = mode in ("bsharp", "csharp")
-    if coloured:
-        _require(cfg, "delta_color")
-    dc = cfg.delta_color if coloured else 0.0
+    dc = cfg.delta_color if "delta_color" in REQUIRED_FIELDS[mode] else 0.0
     wall_count = 2.0 * math.pi / a ** 3 * math.exp(mu * a)
     n_flat = int(wall_count * math.exp(A + dc)) if mode == "bflat" else 0
     n_sharp = int(wall_count * math.exp(A - dc)) if sharp else 0

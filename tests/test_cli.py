@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,18 @@ import pytest
 
 import nbbm
 from nbbm import __version__
-from nbbm.cli import ConfigError, main, parse_config
-from nbbm.selection import run_bbbm
+from nbbm.cli import _CF_LAMBDAS, ConfigError, main, parse_config
+from nbbm.levy import LevyParams, kappa
+from nbbm.selection import BarrierResult, run_bbbm
 from nbbm.runio import (
+    MODES,
     ExperimentManifest,
     checkpoint_hash,
     load_population,
     read_events_csv,
     read_levy_csv,
     read_series_csv,
+    write_levy_csv,
 )
 
 NBBM_INI = """\
@@ -66,6 +70,14 @@ def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _table(path):
+    """Manifest hash, header and the float cells of a CSV table."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0].startswith("# manifest=")
+    cells = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
+    return lines[0].split("=", 1)[1], lines[1].split(","), np.array(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +305,31 @@ def test_simulate_bbbm_runinfo_reports_capacity_headroom(tmp_path):
         assert s.columns["count"].max() <= row["peak_count"] <= row["max_pop"]
 
 
+def test_simulate_bbbm_runinfo_rows_carry_every_result_field(tmp_path):
+    ini = _write(tmp_path, BBBM_INI)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    rows = json.loads((out / "runinfo.json").read_text())["barrier"]
+    want = {"replica"} | {f.name for f in fields(BarrierResult)} \
+        - {"series", "path", "mode", "final_positions"}
+    assert [set(row) for row in rows] == [want]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_simulate_names_every_key_its_mode_needs(tmp_path, capsys, mode):
+    barrier = ["[interval] a", "[bbbm] A", "[bbbm] epsilon", "[bbbm] y",
+               "[bbbm] zeta"]
+    want = {"nbbm": ["[selection] N"],
+            "coupled": ["[selection] N", "[run] horizon"],
+            "bbbm": barrier}.get(mode, barrier + ["[bbbm] delta_color"])
+    ini = _write(tmp_path, "[law]\nq2 = 1.0\n")
+    assert main(["simulate", "--config", str(ini), "--mode", mode,
+                 "--out", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err == {"type": "ConfigError", "message":
+                   f"mode {mode} requires {', '.join(want)} (missing)"}
+
+
 @pytest.mark.parametrize("mode", ["nbbm", "bbbm"])
 @pytest.mark.parametrize("key", ["horizon", "dt", "sample_every"])
 def test_simulate_rejects_non_finite_run_lengths(tmp_path, capsys, mode,
@@ -397,6 +434,21 @@ def test_levy_outputs(tmp_path):
     assert lams == sorted([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.5])
 
 
+def test_levy_kappa_table_holds_the_exponent(tmp_path):
+    out = tmp_path / "levy"
+    assert main(["levy", "--out", str(out), "--samples", "1", "--t", "0.01",
+                 "--c", "0.5", "--lambdas", "3.5", "-0.25", "1.0"]) == 0
+    h, header, cells = _table(out / "kappa.csv")
+    assert h == json.loads((out / "manifest.json").read_text())["hash"]
+    assert header == ["lam", "re_kappa", "im_kappa"]
+    lams = sorted(set(_CF_LAMBDAS) | {3.5, -0.25})
+    assert cells[:, 0].tolist() == lams
+    params = LevyParams(c=0.5, jump_truncation=1e-3)
+    for la, re_k, im_k in cells:
+        k = kappa(la, params)
+        assert (re_k, im_k) == (k.real, k.imag)
+
+
 @pytest.mark.parametrize("flags, needle", [
     (["--samples", "-5"], "--samples"), (["--samples", "0"], "--samples"),
     (["--t", "nan"], "--t"), (["--t", "-1"], "--t"), (["--t", "inf"], "--t"),
@@ -467,6 +519,68 @@ def test_report_on_series_and_events(tmp_path):
     mean = (rep / "series_mean.csv").read_text().splitlines()
     assert mean[1] == "t,med_0.25,med_0.5,count"
     assert len(mean) == 2 + len(read_series_csv(out / "series.csv")[1][0].times)
+
+
+def test_report_series_mean_is_the_mean_of_each_cell(tmp_path):
+    # from 8 replicas on, a mean along the replica axis sums pairwise and
+    # rounds differently from np.mean over one cell's replicas
+    ini = _write(tmp_path, BBBM_INI)
+    out, rep = tmp_path / "run", tmp_path / "rep"
+    assert main(["simulate", "--config", str(ini), "--out", str(out),
+                 "--replicas", "12"]) == 0
+    assert main(["report", "--series", str(out / "series.csv"),
+                 "--out", str(rep)]) == 0
+    h, series = read_series_csv(out / "series.csv")
+    mh, header, mean = _table(rep / "series_mean.csv")
+    assert mh == h and header == ["t"] + series[0].column_names()
+    assert np.array_equal(mean[:, 0], series[0].times)
+    nonfinite = 0
+    for j, col in enumerate(header[1:], start=1):
+        stack = np.stack([s.columns[col] for s in series])
+        for i, cell in enumerate(stack.T):
+            if np.isfinite(cell).all():
+                assert mean[i, j] == np.mean(cell), (col, i)
+            else:
+                assert math.isnan(mean[i, j]), (col, i)
+                nonfinite += 1
+    assert nonfinite > 0
+
+
+@pytest.mark.parametrize("rows", [
+    "0,0.0,1.0\n0,0.5,2.0\n1,0.0,1.5\n",
+    "0,0.0,1.0\n0,0.5,2.0\n1,0.0,1.5\n1,0.25,2.5\n",
+], ids=["unequal-counts", "other-times"])
+def test_report_rejects_replicas_off_one_time_grid(tmp_path, capsys, rows):
+    bad = _write(tmp_path, "# manifest=x\nreplica,t,med_0.5\n" + rows,
+                 "series.csv")
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    assert main(["report", "--series", str(bad), "--out", str(rep)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+    assert str(bad) in err["error"]["message"]
+    assert "time grid" in err["error"]["message"]
+    assert json.loads((rep / "error.json").read_text()) == err
+    assert not (rep / "series_mean.csv").exists()
+
+
+def test_report_levy_tables(tmp_path):
+    rng = np.random.default_rng(5)
+    inc = tmp_path / "increments.csv"
+    write_levy_csv(inc, np.arange(2000), np.full(2000, 0.01),
+                   rng.normal(0.1, 0.5, 2000), 5, "ab")
+    rep = tmp_path / "rep"
+    main(["report", "--levy", str(inc), "--out", str(rep)])
+    h, header, cf = _table(rep / "cf_table.csv")
+    assert h == "ab"
+    assert header == ["lam", "emp_re", "emp_im", "model_re", "model_im",
+                      "deviation", "se"]
+    assert cf[:, 0].tolist() == list(_CF_LAMBDAS)
+    h, header, dens = _table(rep / "increment_density.csv")
+    assert h == "ab" and header == ["bin_lo", "bin_hi", "mass"]
+    assert np.array_equal(dens[1:, 0], dens[:-1, 1])
+    assert np.all(dens[:, 0] < dens[:, 1]) and np.all(dens[:, 2] >= 0.0)
+    assert math.isclose(math.fsum(dens[:, 2]), 1.0, rel_tol=1e-12)
 
 
 # Run in a fresh interpreter: which modules a run loads shows only there.

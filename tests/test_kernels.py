@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nbbm.kernels import (
+    REPRESENTATION_SWITCH_T,
     IntervalParams,
     I_integral,
     J_integral,
@@ -287,6 +288,27 @@ def test_bbm_density_definitional_identity():
     direct = math.exp(iv.mu * (x - y)) * math.exp(PI**2 * t / (2 * iv.a**2)) \
         * p_killed(x, y, t, iv.a)
     assert_close(bbm_density(x, y, t, iv), direct, 1e-12)
+
+
+@pytest.mark.parametrize("t", [5.0, 11.0], ids=["image-sum", "spectral"])
+def test_kernels_broadcast_x_against_y(t):
+    # at a = 6, t = 5 lies below the representation switch and t = 11 above
+    # it, where the spectral sums are sized by the broadcast shape
+    a = 6.0
+    assert 5.0 / a ** 2 < REPRESENTATION_SWITCH_T <= 11.0 / a ** 2
+    ys = np.linspace(0.5, 5.5, 5)
+    for f, iv in ((p_killed, a), (p_killed_scaled, a),
+                  (bbm_density, IntervalParams(a))):
+        for x, y in ((1.3, ys), (ys, 1.3), (ys, ys[::-1])):
+            got = f(x, y, t, iv)
+            assert got.shape == (5,), f.__name__
+            want = [f(xi, yi, t, iv) for xi, yi in np.broadcast(x, y)]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0,
+                                       err_msg=f.__name__)
+    got = p_taboo(1.3, ys, t, a)
+    assert got.shape == (5,)
+    np.testing.assert_allclose(got, [p_taboo(1.3, y, t, a) for y in ys],
+                               rtol=1e-13, atol=0)
 
 
 def test_bbm_density_zero_at_killed_boundary(iv5):

@@ -13,6 +13,7 @@ from nbbm.kernels import IntervalParams
 from nbbm.runio import (
     ExperimentManifest,
     _config_from_dict,
+    _config_to_dict,
     canonical_hash,
     checkpoint_hash,
     fmt_real,
@@ -63,6 +64,36 @@ def _cfg(**kw):
                 A=1.0, epsilon=0.5, y=2.0, zeta=4.0)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _full_cfg():
+    # every SimConfig field set, none at its default
+    return SimConfig(law=ReproductionLaw((0.1, 0.0, 0.6, 0.3)),
+                     interval=IntervalParams(5.0), dt=0.05, horizon=10.0,
+                     replicas=3, seed=7, n_select=40, alphas=(0.25, 0.5),
+                     A=1.2, epsilon=1e-6, y=2.0, zeta=6.0, delta_color=0.5,
+                     sample_every=0.5, zeta_breakout=False)
+
+
+def test_manifest_config_schema_is_pinned():
+    # the manifest's config dict and hash are an on-disk format: a change
+    # to either moves the hash of every manifest
+    assert _config_to_dict(_full_cfg()) == {
+        "law": [0.1, 0.0, 0.6, 0.3], "interval_a": 5.0, "dt": 0.05,
+        "horizon": 10.0, "replicas": 3, "seed": 7, "n_select": 40,
+        "alphas": [0.25, 0.5], "A": 1.2, "epsilon": 1e-06, "y": 2.0,
+        "zeta": 6.0, "delta_color": 0.5, "sample_every": 0.5,
+        "zeta_breakout": False}
+    assert ExperimentManifest(_full_cfg(), "bbbm",
+                              code_version="0.0.0").hash() \
+        == "792c72f884b91680"
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(law=ReproductionLaw.binary()), _full_cfg()],
+    ids=["optional-fields-none", "every-field-set"])
+def test_config_dict_round_trips(cfg):
+    assert _config_from_dict(_config_to_dict(cfg)) == cfg
 
 
 def test_manifest_round_trip(tmp_path):
