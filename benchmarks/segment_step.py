@@ -16,15 +16,15 @@ binary law, h = 0.05, from a fixed state:
 
 The baseline is the reference step of tests/ensemble_reference.py (one
 exponential clock and one uniform per wall for every particle), or, with
---baseline DIR, the `step_segments` of the nbbm package under DIR (another
-checkout's src directory, say), which measures a change to the library step
-itself.  Every call steps the same state, so all calls of a size do the same
-work.  Prints for each kernel the CPU µs per call and the particle-steps per
-CPU second (medians and quartiles over the pairs), then the per-pair ratio
-new/old of the CPU time.
+--baseline DIR, the `step_segments` of the nbbm package in DIR (another
+checkout, or its src directory), which measures a change to the library
+step itself.  Every call steps the same state, so all calls of a size do the
+same work.  Prints for each kernel the CPU µs per call and the particle-steps
+per CPU second (medians and quartiles over the pairs), then the per-pair
+ratio new/old of the CPU time.
 
     PYTHONPATH=src python benchmarks/segment_step.py --pairs 10
-    PYTHONPATH=src python benchmarks/segment_step.py --baseline ../old/src
+    PYTHONPATH=src python benchmarks/segment_step.py --baseline ../old
 """
 
 import argparse
@@ -72,9 +72,14 @@ def cases():
 
 
 def load_step(src: str):
-    """`ensemble.step_segments` of the nbbm package under src, imported
-    under its own package name so that it does not replace this one's."""
-    root = pathlib.Path(src).resolve() / "nbbm"
+    """`ensemble.step_segments` of the nbbm package in src, a directory that
+    holds `nbbm/` or `src/nbbm/`, imported under its own package name so
+    that it does not replace this one's."""
+    base = pathlib.Path(src).resolve()
+    root = next((r for r in (base / "nbbm", base / "src" / "nbbm")
+                 if (r / "__init__.py").is_file()), None)
+    if root is None:
+        sys.exit(f"--baseline {src}: holds neither nbbm/ nor src/nbbm/")
     spec = importlib.util.spec_from_file_location(
         "nbbm_baseline", root / "__init__.py",
         submodule_search_locations=[str(root)])
@@ -94,8 +99,9 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--baseline", metavar="DIR",
-                    help="source tree whose nbbm step is the baseline "
-                         "(default: tests/ensemble_reference.py)")
+                    help="checkout, or its src directory, whose nbbm step "
+                         "is the baseline (default: "
+                         "tests/ensemble_reference.py)")
     args = ap.parse_args()
     law = ReproductionLaw.binary()
     if args.baseline:

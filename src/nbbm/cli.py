@@ -47,7 +47,7 @@ from nbbm.engine import (
     rng_stream,
 )
 from nbbm.kernels import selfcheck
-from nbbm.levy import LevyParams, kappa, sample_levy_increment
+from nbbm.levy import JUMP_TRUNCATION, LevyParams, kappa, sample_levy_increment
 from nbbm.runio import (
     MODES,
     ExperimentManifest,
@@ -179,12 +179,18 @@ def parse_config(path: str | Path) -> tuple[SimConfig, str | None]:
     if not cp.has_section("law"):
         raise ConfigError("missing required section [law]")
     q: dict[int, float] = {}
+    key_of: dict[int, str] = {}
     for key in cp.options("law"):
         m = re.fullmatch(r"q(\d+)", key)
         if not m:
             raise ConfigError(
                 f"unknown key [law] {key}; offspring weights are q0, q1, ...")
-        q[int(m.group(1))] = _parse(cp, "law", key, *_NUMBER)
+        k = int(m.group(1))
+        if k in key_of:
+            raise ConfigError(
+                f"[law] {key_of[k]} and {key} both set the weight of k = {k}")
+        key_of[k] = key
+        q[k] = _parse(cp, "law", key, *_NUMBER)
     if not q:
         raise ConfigError("[law] must list offspring weights q0, q1, ...")
     try:
@@ -335,7 +341,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_levy(args) -> int:
-    params = LevyParams(c=args.c, jump_truncation=args.delta)
+    params = LevyParams(c=args.c)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.samples < 1:
@@ -345,7 +351,7 @@ def _cmd_levy(args) -> int:
     ident = {"schema": "nbbm-levy-manifest-1",
              "code_version": __version__,
              "t": args.t, "samples": args.samples, "seed": args.seed,
-             "delta": params.jump_truncation, "c": params.c}
+             "delta": JUMP_TRUNCATION, "c": params.c}
     h = canonical_hash(ident)
     _write_json(outdir / "manifest.json", dict(ident, hash=h))
 
@@ -448,8 +454,7 @@ def _series_verdicts(path: str, burn_in: float | None,
     return verdicts, summary
 
 
-def _levy_verdicts(path: str, delta: float,
-                   plot_dir: Path) -> tuple[list[dict], dict]:
+def _levy_verdicts(path: str, plot_dir: Path) -> tuple[list[dict], dict]:
     h, table = read_levy_csv(path)
     values, t_grid = table["value"], table["t"]
     t_span = float(t_grid[0])
@@ -459,10 +464,8 @@ def _levy_verdicts(path: str, delta: float,
                          "reason": "mixed increment spans in levy CSV"})
         return verdicts, {"hash": h, "samples": len(values)}
 
-    params = LevyParams(jump_truncation=delta)
     try:
-        cmp_ = increment_vs_levy(values, t_span, _CF_LAMBDAS, params,
-                                 fit_c=True)
+        cmp_ = increment_vs_levy(values, t_span, _CF_LAMBDAS, fit_c=True)
         verdicts.append({
             "name": "cf_vs_kappa",
             "verdict": "pass" if cmp_.passed else "fail",
@@ -471,7 +474,7 @@ def _levy_verdicts(path: str, delta: float,
             "fitted_c": cmp_.fitted_c,
             "n": cmp_.n,
         })
-        fitted = LevyParams(c=cmp_.fitted_c, jump_truncation=delta)
+        fitted = LevyParams(c=cmp_.fitted_c)
         rows = []
         for j, la in enumerate(cmp_.lams):
             phi = np.mean(np.exp(1j * la * values))
@@ -515,7 +518,7 @@ def _cmd_report(args) -> int:
         verdicts += v
         inputs["series"] = s
     if args.levy:
-        v, s = _levy_verdicts(args.levy, args.delta, outdir)
+        v, s = _levy_verdicts(args.levy, outdir)
         verdicts += v
         inputs["levy"] = s
     if args.events:
@@ -574,10 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lev.add_argument("--samples", type=int, default=10_000)
     lev.add_argument("--t", type=float, default=1.0,
                      help="time span of each sampled increment")
-    lev.add_argument("--delta", type=float, default=1e-3,
-                     help="small-jump truncation level; the jumps below it "
-                          "are always replaced by a Gaussian of their "
-                          "variance")
     lev.add_argument("--c", type=float, default=0.0,
                      help="centering constant")
     lev.add_argument("--seed", type=int, default=0)
@@ -610,9 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--burn-in", type=float, default=None,
                      help="burn-in for speed fits (default: quarter of the "
                           "series)")
-    rep.add_argument("--delta", type=float, default=1e-3,
-                     help="truncation level used when the increments were "
-                          "sampled")
     rep.set_defaults(fn=_cmd_report)
     return p
 

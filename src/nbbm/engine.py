@@ -167,6 +167,10 @@ class SimConfig:
             raise ValueError("alphas must be nonempty")
         if any(not (0.0 < al < 1.0) for al in self.alphas):
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas!r}")
+        names = [f"med_{al:g}" for al in self.alphas]  # series columns
+        if len(set(names)) < len(names):
+            raise ValueError(f"alphas {self.alphas!r} name one series "
+                             f"column twice: {', '.join(names)}")
         if self.n_select is not None and self.n_select < 1:
             raise ValueError(f"n_select must be >= 1, got {self.n_select!r}")
         # these feed exp() and particle counts, so they must be finite too

@@ -66,8 +66,13 @@ def bridge_hit_prob(x1, x2, seg, wall):
                    dtype=float)
     e *= -2.0
     e /= seg
-    # the upper clip folds the sure-hit case (exponent >= 0) into the formula
-    np.clip(e, _EXPONENT_FLOOR, 0.0, out=e)
+    np.maximum(e, _EXPONENT_FLOOR, out=e)
+    return _hit_prob(e)
+
+
+def _hit_prob(e: np.ndarray) -> np.ndarray:
+    # exp(min(e, 0)) in place; the cap makes a straddle (e >= 0) a sure hit
+    np.minimum(e, 0.0, out=e)
     return np.exp(e, out=e)
 
 
@@ -90,10 +95,7 @@ def _wall_hits(d1, d2, k, br, k_br, rng: np.random.Generator,
         cand = cand[~exempt[cand]]
     if not len(cand):
         return cand
-    p = e[cand]
-    np.minimum(p, 0.0, out=p)
-    np.exp(p, out=p)
-    return cand[rng.random(len(cand)) < p]
+    return cand[rng.random(len(cand)) < _hit_prob(e[cand])]
 
 
 def _branch_slots(size: int, rate: float,

@@ -262,14 +262,15 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
     Free space, no drift: the front travels at its selection-limited speed,
     read off the alpha-medians.  Default horizon is 20 ln^3 N, the relaxation
     scale of the system.  Steps are dt long, except the last, which ends at
-    the horizon.  Branching within a step is Bernoulli with the exact
-    single-event probability; multiple branchings of one particle within one
-    step are a second-order effect absorbed by the step error.  A particle
-    with k = 0 children dies, so under such a law the count may fall below
-    n_select.  All replicas step together on the one stream
-    rng_stream(seed, 0, nbbm lane).  With a `branches` list, replica 0
-    appends an events.csv row per branching (`runio.write_events_csv`),
-    k = 0 included, without changing the draws.
+    the horizon.  A particle branches at most once per step, with probability
+    1 - e^(-beta0 h), so mean growth per step is 1 + m (1 - e^(-beta0 h)), not
+    e^(h/2): a first-order bias (ROADMAP item 15) that puts the binary law's
+    speed at 0.929 at h = 0.1, against about 0.951 with exact family sizes.  A
+    particle with k = 0 children dies, so the count may fall below n_select.
+    All replicas step together on the one stream rng_stream(seed, 0, nbbm
+    lane).  With a `branches` list, replica 0 appends an events.csv row per
+    branching (`runio.write_events_csv`), k = 0 included, without changing
+    the draws.
     """
     if cfg.n_select is None or cfg.n_select < 2:
         raise ValueError("run_nbbm needs n_select >= 2")

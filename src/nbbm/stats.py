@@ -263,7 +263,7 @@ class CFComparison:
 
 
 def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
-                      params: _levy.LevyParams | None = None,
+                      params: _levy.LevyParams = _levy.LevyParams(),
                       fit_c: bool = True) -> CFComparison:
     """Compare increment samples to the limit process at a grid of lambdas.
 
@@ -277,13 +277,9 @@ def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
         raise ValueError(
             f"refusing a CF verdict on {len(increments)} increments; the "
             "per-lambda standard errors are unreliable below 200")
-    if params is None:
-        params = _levy.LevyParams()
     if fit_c:
-        base = _levy.increment_mean_rate(
-            _levy.LevyParams(0.0, params.jump_truncation))
-        c_hat = float(increments.mean() / dt_inc - base)
-        params = _levy.LevyParams(c_hat, params.jump_truncation)
+        c_hat = float(increments.mean() / dt_inc - _levy.increment_mean_rate())
+        params = _levy.LevyParams(c_hat)
     phi, se = empirical_cf(increments, lams)
     target = np.array([np.exp(dt_inc * _levy.kappa(lam, params))
                        for lam in lams])

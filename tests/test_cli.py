@@ -113,6 +113,7 @@ def test_parse_full_config(tmp_path):
     ("[law]\nq2 = 1.0\n[interval]\na = 2.0\n", "[interval] a"),
     ("[law]\nq2 = 1.0\n[run]\ndt = -0.1\n", "dt"),
     ("[law]\nqq = 1.0\n", "unknown key [law]"),
+    ("[law]\nq2 = 0.5\nq02 = 1.0\n", "[law] q2 and q02"),
 ])
 def test_parse_errors_name_the_key(tmp_path, text, needle):
     with pytest.raises(ConfigError, match=None) as err:
@@ -369,6 +370,26 @@ def test_simulate_rejects_non_finite_barrier_parameters(tmp_path, capsys,
     assert not (out / "series.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["nbbm", "bbbm"])
+@pytest.mark.parametrize("alphas", ["0.5, 0.5", "0.1234567, 0.1234568"])
+def test_simulate_rejects_alphas_that_share_a_column(tmp_path, capsys, mode,
+                                                     alphas):
+    # both alphas print as the same med_{alpha:g} series column
+    if mode == "nbbm":
+        text = NBBM_INI.replace("alphas = 0.25, 0.5", f"alphas = {alphas}")
+    else:
+        text = BBBM_INI.replace(
+            "[run]\n", f"[selection]\nalphas = {alphas}\n\n[run]\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert "alphas" in err["error"]["message"]
+    assert not (out / "series.csv").exists()
+
+
 def test_simulate_mode_requirements(tmp_path, capsys):
     ini = _write(tmp_path, "[law]\nq2 = 1.0\n")
     assert main(["simulate", "--config", str(ini), "--mode", "bbbm",
@@ -443,7 +464,7 @@ def test_levy_kappa_table_holds_the_exponent(tmp_path):
     assert header == ["lam", "re_kappa", "im_kappa"]
     lams = sorted(set(_CF_LAMBDAS) | {3.5, -0.25})
     assert cells[:, 0].tolist() == lams
-    params = LevyParams(c=0.5, jump_truncation=1e-3)
+    params = LevyParams(c=0.5)
     for la, re_k, im_k in cells:
         k = kappa(la, params)
         assert (re_k, im_k) == (k.real, k.imag)

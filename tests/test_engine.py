@@ -16,7 +16,8 @@ from nbbm.engine import (
     rng_stream,
     sample_offspring,
 )
-from nbbm.ensemble import bridge_hit_prob, hperp_flat, step_segments
+from nbbm.ensemble import (
+    _wall_hits, bridge_hit_prob, hperp_flat, step_segments)
 from nbbm.kernels import w_Z
 
 from conftest import assert_close
@@ -174,6 +175,22 @@ def test_bridge_hit_prob_certain_when_endpoint_crosses():
 def test_bridge_hit_prob_symmetric_in_endpoints():
     assert_close(bridge_hit_prob(0.3, 0.8, 0.5, 0.0),
                  bridge_hit_prob(0.8, 0.3, 0.5, 0.0), 1e-15)
+
+
+def test_wall_hits_draw_against_bridge_hit_prob():
+    # the step's wall test and bridge_hit_prob share one probability: each
+    # particle whose exponent is above the floor draws one uniform, in index
+    # order, and hits iff it falls below bridge_hit_prob
+    d1 = rng_stream(6, 0, 0).uniform(-0.2, 2.0, 3000)
+    d2 = d1 + 0.3 * rng_stream(6, 1, 0).standard_normal(3000)
+    seg = 0.05
+    hits = _wall_hits(d1, d2, -2.0 / seg, np.empty(0, dtype=np.int64), None,
+                      rng_stream(7, 0, 0), None)
+    cand = (d1 * d2 * (-2.0 / seg) > -40.0).nonzero()[0]
+    u = rng_stream(7, 0, 0).random(len(cand))
+    p = bridge_hit_prob(d1, d2, seg, 0.0)
+    assert np.array_equal(hits, cand[u < p[cand]])
+    assert 0 < len(hits) < len(cand) < len(d1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,14 +3,21 @@ quadrature route, the jump-measure tail identity, sampler consistency, the
 quantile solver, and the recentering constants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+import nbbm
 from nbbm.engine import rng_stream
 from nbbm.levy import (
     LevyParams,
+    _compensator_rate,
+    _small_jump_variance_rate,
     c_prime,
     increment_mean_rate,
     increment_var_rate,
@@ -140,10 +147,20 @@ def test_sampled_jump_tail_frequency():
 # increment sampler
 
 
-def test_increment_mean_rate_ignores_cutoff():
-    r1 = increment_mean_rate(LevyParams(jump_truncation=1e-3))
-    r2 = increment_mean_rate(LevyParams(jump_truncation=1e-4))
-    assert_close(r1, r2, 1e-10)
+def test_closed_form_rates_match_quadrature():
+    def quad(f, lo, hi):
+        return PI**2 * integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13,
+                                      limit=400)[0]
+
+    mean_tail = quad(lambda u: u * jump_density(u), 1.0, 60.0)
+    assert_close(increment_mean_rate(), mean_tail, 1e-11)
+    for delta in (1e-3, 1e-2, 1e-1):
+        assert_close(_compensator_rate(delta),
+                     quad(lambda u: u * jump_density(u), delta, 1.0), 1e-11,
+                     f"compensator at {delta}")
+        assert_close(_small_jump_variance_rate(delta),
+                     quad(lambda u: u * u * jump_density(u), 0.0, delta),
+                     1e-13, f"small-jump variance at {delta}")
 
 
 def test_increment_var_rate_closed_form():
@@ -154,17 +171,12 @@ def test_increment_var_rate_closed_form():
     assert_close(increment_var_rate(), PI**4 / 3.0, 1e-10)
 
 
-# distributional properties below hold for any cutoff; the coarse one keeps
-# the jump buffers small (the fine-cutoff CF gate runs in the acceptance set)
-COARSE = LevyParams(jump_truncation=1e-2)
-
-
 def test_increment_mean_linear_in_t():
     rng = rng_stream(21, 0, 0)
     n = 10000
     means, ses = {}, {}
     for t in (1.0, 2.0, 4.0):
-        inc = sample_levy_increment(t, n, rng, COARSE)
+        inc = sample_levy_increment(t, n, rng)
         means[t] = float(np.mean(inc)) / t
         ses[t] = float(np.std(inc, ddof=1)) / math.sqrt(n) / t
     for t in (2.0, 4.0):
@@ -175,17 +187,17 @@ def test_increment_mean_linear_in_t():
 def test_increment_mean_matches_rate():
     rng = rng_stream(22, 0, 0)
     n = 20000
-    inc = sample_levy_increment(1.0, n, rng, COARSE)
+    inc = sample_levy_increment(1.0, n, rng)
     se = float(np.std(inc, ddof=1)) / math.sqrt(n)
-    assert abs(float(np.mean(inc)) - increment_mean_rate(COARSE)) <= 3.0 * se
+    assert abs(float(np.mean(inc)) - increment_mean_rate()) <= 3.0 * se
 
 
 def test_increment_additivity_two_sample():
     # L_2 vs sum of two independent L_1 draws, Kolmogorov-Smirnov at 1%
     n = 10000
-    l2 = sample_levy_increment(2.0, n, rng_stream(31, 0, 0), COARSE)
-    l1a = sample_levy_increment(1.0, n, rng_stream(31, 1, 0), COARSE)
-    l1b = sample_levy_increment(1.0, n, rng_stream(31, 2, 0), COARSE)
+    l2 = sample_levy_increment(2.0, n, rng_stream(31, 0, 0))
+    l1a = sample_levy_increment(1.0, n, rng_stream(31, 1, 0))
+    l1b = sample_levy_increment(1.0, n, rng_stream(31, 2, 0))
     ks = sps.ks_2samp(l2, l1a + l1b)
     assert ks.pvalue > 0.01, f"KS p = {ks.pvalue:g}"
 
@@ -206,6 +218,27 @@ def test_increment_sampler_deterministic_per_stream():
     a = sample_levy_increment(1.0, 100, rng_stream(5, 3, 0))
     b = sample_levy_increment(1.0, 100, rng_stream(5, 3, 0))
     assert np.array_equal(a, b)
+
+
+_SCIPY_FREE_SAMPLING = """\
+import sys
+from nbbm.engine import rng_stream
+from nbbm.levy import LevyParams, sample_levy_increment
+
+sample_levy_increment(0.5, 200, rng_stream(1, 0, 0), LevyParams(c=0.3))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_sampling_never_imports_scipy():
+    env = dict(os.environ)
+    src = str(Path(nbbm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SAMPLING],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_increment_rejects_bad_time():

@@ -271,7 +271,7 @@ def test_increment_comparison_zero_increments():
 
 def test_increment_comparison_keeps_a_frozen_center():
     rng = rng_stream(42, 0, 0)
-    params = LevyParams(c=4.5, jump_truncation=1e-2)
+    params = LevyParams(c=4.5)
     inc = sample_levy_increment(1e-3, 400, rng, params)
     rep = increment_vs_levy(inc, 1e-3, LAMS, params=params, fit_c=False)
     assert rep.fitted_c == 4.5
