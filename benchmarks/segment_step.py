@@ -28,7 +28,6 @@ ratio new/old of the CPU time.
 """
 
 import argparse
-import importlib.util
 import pathlib
 import sys
 import time
@@ -37,6 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
+from baseline import load_baseline  # noqa: E402
 from nbbm.engine import ReproductionLaw, rng_stream  # noqa: E402
 from nbbm.ensemble import hperp_flat, step_segments  # noqa: E402
 from nbbm.kernels import IntervalParams  # noqa: E402
@@ -45,6 +45,7 @@ H = 0.05
 TRIAL_SIZES = (1, 50, 1000)
 KILLED_A, KILLED_WIDTH, KILLED_REPLICAS = 4.0, 8.0, 32
 POOL_SIZE = 50
+BASELINE = "ensemble.step_segments"  # what --baseline DIR loads
 # calls per timed sample, so each sample runs for at least a few ms
 CALLS = {1: 2000, 50: 1000, 1000: 200}
 
@@ -71,24 +72,6 @@ def cases():
                 upper=None, t0=t0, h=1.0 + H - t0))
 
 
-def load_step(src: str):
-    """`ensemble.step_segments` of the nbbm package in src, a directory that
-    holds `nbbm/` or `src/nbbm/`, imported under its own package name so
-    that it does not replace this one's."""
-    base = pathlib.Path(src).resolve()
-    root = next((r for r in (base / "nbbm", base / "src" / "nbbm")
-                 if (r / "__init__.py").is_file()), None)
-    if root is None:
-        sys.exit(f"--baseline {src}: holds neither nbbm/ nor src/nbbm/")
-    spec = importlib.util.spec_from_file_location(
-        "nbbm_baseline", root / "__init__.py",
-        submodule_search_locations=[str(root)])
-    pkg = importlib.util.module_from_spec(spec)
-    sys.modules["nbbm_baseline"] = pkg
-    spec.loader.exec_module(pkg)
-    return importlib.import_module("nbbm_baseline.ensemble").step_segments
-
-
 def quartiles(values) -> str:
     q = np.percentile(values, [25, 50, 75])
     return f"median {q[1]:.4g}, quartiles {q[0]:.4g}-{q[2]:.4g}"
@@ -105,7 +88,7 @@ def main() -> None:
     args = ap.parse_args()
     law = ReproductionLaw.binary()
     if args.baseline:
-        old = load_step(args.baseline)
+        old = load_baseline(args.baseline, BASELINE)
     else:
         import ensemble_reference
         old = ensemble_reference.step_segments

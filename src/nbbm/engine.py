@@ -9,6 +9,7 @@ Stepping lives in `ensemble.step_segments` and N-BBM's in `run_nbbm`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -90,11 +91,13 @@ class ReproductionLaw:
             raise ValueError(
                 f"mean offspring increment must be > 0, got m = {self.m!r}"
             )
-        # inverse-CDF table for sample_offspring; not a field, so equality,
-        # hashing and repr see only the probabilities
+        # inverse-CDF table for sample_offspring, as an array and as floats
+        # for its one-draw path; not fields, so equality, hashing and repr
+        # see only the probabilities
         cdf = np.cumsum(q)
         cdf.flags.writeable = False
         object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cdf_floats", tuple(cdf.tolist()))
 
     @functools.cached_property  # read once per segment step
     def m(self) -> float:
@@ -124,9 +127,19 @@ class ReproductionLaw:
 
 def sample_offspring(law: ReproductionLaw, size: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Offspring counts by inverse-CDF lookup."""
+    """Offspring counts by inverse-CDF lookup.
+
+    A count past the table's end (a uniform at or above a last CDF entry
+    that rounds below 1) is clamped to the largest count.  size = 1 draws
+    one `rng.random()` and bisects the table, which skips the array
+    overhead and gives the array path's count from the same uniform.
+    """
+    k_max = len(law.probabilities) - 1
+    if size == 1:
+        k = bisect.bisect_right(law._cdf_floats, rng.random())
+        return np.array((min(k, k_max),), dtype=np.int64)
     k = np.searchsorted(law._cdf, rng.random(int(size)), side="right")
-    return np.minimum(k, len(law.probabilities) - 1).astype(np.int64)
+    return np.minimum(k, k_max).astype(np.int64)
 
 
 @dataclass

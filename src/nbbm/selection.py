@@ -858,18 +858,25 @@ def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
     """
     _check_pairing(m_car, len(p_x), "mid-to-plus")
     _check_pairing(w_car, len(m_car), "minus-to-mid")
-    m = p_x[m_car] - m_off
-    w = m[w_car] - w_off  # before m is sorted in place
-    p = p_x.copy()
-    p.sort()
+    # lower positions and the 1e-12 slack applied in place; subtracting a
+    # constant keeps sorted order, so it may follow the sort
+    m = p_x[m_car]
+    m -= m_off
+    w = m[w_car]  # before m is sorted in place
+    w -= w_off
+    p = np.sort(p_x)
     m.sort()
     w.sort()
+    w -= 1e-12
     nm, nw = len(m), len(w)
-    # count_nonzero(b) < len(b) is not b.all(), at a third of the cost
-    if (len(p) < nm
-            or np.count_nonzero(p[len(p) - nm:] >= m - 1e-12) < nm):
+    # count_nonzero(b) < len(b) is not b.all(), at a third of the cost;
+    # mid vs minus is judged before m takes its slack, raised after plus
+    # vs mid
+    mid_over_minus = nm >= nw and np.count_nonzero(m[nm - nw:] >= w) == nw
+    m -= 1e-12
+    if len(p) < nm or np.count_nonzero(p[len(p) - nm:] >= m) < nm:
         raise CouplingError("domination order violated (plus vs mid)")
-    if nm < nw or np.count_nonzero(m[nm - nw:] >= w - 1e-12) < nw:
+    if not mid_over_minus:
         raise CouplingError("domination order violated (mid vs minus)")
     if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
         raise CouplingError("negative pairing offset")
@@ -898,9 +905,19 @@ def _rider(car: np.ndarray, i: int) -> int:
     return -1
 
 
-def _without(a: np.ndarray, i: int, *born) -> np.ndarray:
-    """a without entry i, then the newborn entries: birth order is kept."""
-    return np.concatenate((a[:i], a[i + 1:], *born))
+def _delete(a: np.ndarray, n: int, i: int) -> None:
+    """Drop entry i of a[:n] in place: the tail shifts left, so birth order
+    is kept."""
+    a[i:n - 1] = a[i + 1:n]
+
+
+def _branch(a: np.ndarray, n: int, i: int, k: int, born=None) -> int:
+    """Replace entry i of a[:n] in place by k newborn entries at the end,
+    copies of it unless `born` is given; returns the new length."""
+    x = a[i] if born is None else born
+    _delete(a, n, i)
+    a[n - 1:n - 1 + k] = x
+    return n - 1 + k
 
 
 def _leftmost_free(x: np.ndarray, car: np.ndarray, at: float,
@@ -936,8 +953,11 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     The state is five flat arrays: the plus positions and, for the mid and
     the minus system, each particle's carrier (an index into the system
     above) and offset; a lower position is its carrier's minus its offset.
-    Every array is in birth order: a branching particle is deleted, its
-    children are appended, and carrier indices past a deleted one shift
+    Each array, like the cull's working positions, is the head of a
+    capacity array allocated once, room for the largest system plus one
+    event's births, and is edited in place.  Every array is in birth order:
+    a branching particle is deleted by shifting the tail left, its children
+    are written at the end, and carrier indices past a deleted one shift
     down.  Birth order breaks every tie in the kill and re-pairing rules;
     positions tie only between siblings, whose birth order is their
     genealogical order.  Each system drops its doomed particles one
@@ -962,29 +982,34 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     rng = rng_stream(seed, replica, _LANE_COUPLED)
     if init_positions is None:
         init_positions = _initial_front(n_select, rng)
-    p_x = np.array(init_positions, dtype=float)
-    if len(p_x) != n_select:
+    init = np.array(init_positions, dtype=float)
+    if len(init) != n_select:
         raise ValueError("init_positions must hold exactly n_select values")
-    if not np.isfinite(p_x).all():
+    if not np.isfinite(init).all():
         raise ValueError("init_positions must be finite")
-    m_car = np.arange(n_select)
-    m_off = np.zeros(n_select)
-    w_car = np.arange(n_select)
-    w_off = np.zeros(n_select)
+    # capacity arrays in capitals, their live heads in lower case: between
+    # events plus holds at most n_select + slack particles and the lower
+    # systems at most n_select, and an event adds at most k_max - 1, where
+    # k_max = len(law.probabilities) - 1 is the largest offspring count
+    cap = n_select + slack + len(law.probabilities) - 2
+    P = np.empty(cap)
+    P[:n_select] = init
+    MC, WC = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+    MC[:n_select] = WC[:n_select] = np.arange(n_select)
+    MO, WO = np.zeros(cap), np.zeros(cap)
+    MX, WX = np.empty(cap), np.empty(cap)  # the culls' working positions
+    n_p = n_m = n_w = n_select
 
     t = 0.0
     events = checks = 0
     beta0 = law.beta0
     fault_done = not inject_fault
 
-    while True:
-        n = len(p_x)
-        if n == 0:
-            break
-        wait = rng.exponential(1.0 / (beta0 * n))
+    while n_p:
+        wait = rng.exponential(1.0 / (beta0 * n_p))
         step = min(wait, horizon - t)
         if step > 0.0:
-            p_x += rng.normal(0.0, math.sqrt(step), n)
+            P[:n_p] += rng.normal(0.0, math.sqrt(step), n_p)
         t += step
         if wait >= horizon - (t - step):
             break
@@ -992,74 +1017,85 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
 
         if not fault_done and t >= horizon / 2.0:
             fault_done = True
-            m_off[0] = -0.5  # the oldest mid particle
+            MO[:n_m][0] = -0.5  # the oldest mid particle
 
         # branching cascade: the chosen plus particle and its riders branch
         # together with a common offspring count
-        v = int(rng.integers(n))
+        v = int(rng.integers(n_p))
         k = int(sample_offspring(law, 1, rng)[0])
-        p_x = _without(p_x, v, (p_x[v],) * k)
+        n_p = _branch(P, n_p, v, k)
+        m_car = MC[:n_m]
         u = _rider(m_car, v)
         m_car -= m_car > v
         if u >= 0:
-            nm = len(m_car)
-            m_car = _without(m_car, u, np.arange(n - 1, n - 1 + k))
-            m_off = _without(m_off, u, (m_off[u],) * k)
+            _branch(MC, n_m, u, k, np.arange(n_p - k, n_p))
+            n_m = _branch(MO, n_m, u, k)
+            w_car = WC[:n_w]
             w = _rider(w_car, u)
             w_car -= w_car > u
             if w >= 0:
-                w_car = _without(w_car, w, np.arange(nm - 1, nm - 1 + k))
-                w_off = _without(w_off, w, (w_off[w],) * k)
+                _branch(WC, n_w, w, k, np.arange(n_m - k, n_m))
+                n_w = _branch(WO, n_w, w, k)
 
         # kill rules, lowest system first; each system drops its leftmost
         # particle one at a time, the earliest born on a tie (argmin takes
         # the first index, as a stable argsort would)
-        m_x = p_x[m_car] - m_off
-        if len(w_car) > n_select:
-            w_x = m_x[w_car] - w_off
-            for _ in range(len(w_car) - (n_select - extra)):
+        p_x = P[:n_p]
+        m_x = np.subtract(p_x[MC[:n_m]], MO[:n_m], out=MX[:n_m])
+        if n_w > n_select:
+            w_x = np.subtract(m_x[WC[:n_w]], WO[:n_w], out=WX[:n_w])
+            while n_w > n_select - extra:
                 j = int(w_x.argmin())
-                w_car = _without(w_car, j)
-                w_off = _without(w_off, j)
-                w_x = _without(w_x, j)
+                _delete(WC, n_w, j)
+                _delete(WO, n_w, j)
+                _delete(WX, n_w, j)
+                n_w -= 1
+                w_x = WX[:n_w]
 
-        while len(m_car) > n_select:
+        w_car = WC[:n_w]
+        while n_m > n_select:
             u = int(m_x.argmin())
             w = _rider(w_car, u)
             if w >= 0:
                 # re-paired before u goes: w_car[w] = u keeps u taken
-                orphan_x = m_x[u] - w_off[w]
+                orphan_x = m_x[u] - WO[w]
                 b = _leftmost_free(m_x, w_car, orphan_x, "mid")
                 w_car[w] = b
-                w_off[w] = m_x[b] - orphan_x
-            m_car = _without(m_car, u)
-            m_off = _without(m_off, u)
-            m_x = _without(m_x, u)
+                WO[w] = m_x[b] - orphan_x
+            _delete(MC, n_m, u)
+            _delete(MO, n_m, u)
+            _delete(MX, n_m, u)
+            n_m -= 1
+            m_x = MX[:n_m]
             w_car -= w_car > u
 
         # an orphan of the plus cull waits at carrier -1 until all doomed
         # particles are gone
+        m_car = MC[:n_m]
         orphans = []
-        for _ in range(len(p_x) - (n_select + slack)):
+        for _ in range(n_p - (n_select + slack)):
             i = int(p_x.argmin())
             u = _rider(m_car, i)
             if u >= 0:
                 orphans.append((m_x[u], u))
                 m_car[u] = -1
-            p_x = _without(p_x, i)
+            _delete(P, n_p, i)
+            n_p -= 1
+            p_x = P[:n_p]
             m_car -= m_car > i
         # re-pair the rightmost orphan first, the later born on a tie
         for orphan_x, u in sorted(orphans, reverse=True):
             b = _leftmost_free(p_x, m_car, orphan_x, "plus")
             m_car[u] = b
-            m_off[u] = p_x[b] - orphan_x
+            MO[u] = p_x[b] - orphan_x
 
-        check_coupling(p_x, m_car, m_off, w_car, w_off)
+        check_coupling(p_x, m_car, MO[:n_m], WC[:n_w], WO[:n_w])
         checks += 1
 
-    m_x = p_x[m_car] - m_off
+    p_x = P[:n_p]
+    m_x = p_x[MC[:n_m]] - MO[:n_m]
     return CoupledResult(events=events, checks=checks, horizon=horizon,
                          n_select=n_select, slack=slack, extra=extra,
                          final_plus=np.sort(p_x)[::-1],
                          final_mid=np.sort(m_x)[::-1],
-                         final_minus=np.sort(m_x[w_car] - w_off)[::-1])
+                         final_minus=np.sort(m_x[WC[:n_w]] - WO[:n_w])[::-1])

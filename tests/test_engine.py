@@ -73,6 +73,50 @@ def test_offspring_sampler_keeps_the_inverse_cdf_draw(mixed_law):
     assert repr(twin) == "ReproductionLaw(probabilities=(0.2, 0.0, 0.5, 0.3))"
 
 
+class _TableStream:
+    """A generator stand-in whose uniforms hit the CDF table: every third
+    one is its last entry, every third one after that its second, and the
+    rest come from a seeded stream."""
+
+    def __init__(self, cdf: np.ndarray, seed: int) -> None:
+        u = rng_stream(seed, 0, 0).random(2000)
+        u[::3] = cdf[-1]
+        u[1::3] = cdf[1]
+        self._u, self._i = u, 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        u = self._u[self._i:self._i + n]
+        self._i += n
+        return float(u[0]) if size is None else u.copy()
+
+
+@pytest.mark.parametrize("probabilities, last_below_one", [
+    ((0.0, 0.0, 1.0), False), ((0.1, 0.0, 0.6, 0.3), False),
+    ((0.2, 0.0, 0.7, 0.1), True)])
+def test_offspring_sampler_one_draw_path_matches_the_array_path(
+        probabilities, last_below_one):
+    # the size-1 path (one random() and a bisect) must give the array
+    # path's count from the same uniform; the coupled runners and the
+    # reference lanes draw through it
+    law = ReproductionLaw(probabilities)
+    one, many = rng_stream(5, 0, 0), rng_stream(5, 0, 0)
+    singles = [sample_offspring(law, 1, one) for _ in range(2000)]
+    assert all(k.shape == (1,) and k.dtype == np.int64 for k in singles)
+    assert np.array_equal(np.concatenate(singles),
+                          sample_offspring(law, 2000, many))
+    # a uniform equal to a table entry counts as above it, and one at the
+    # last entry lands past the table: both paths clamp it to the largest
+    # count.  Where that entry rounds below 1, random() itself can reach it.
+    assert (law._cdf[-1] < 1.0) == last_below_one
+    one, many = _TableStream(law._cdf, 5), _TableStream(law._cdf, 5)
+    singles = np.concatenate([sample_offspring(law, 1, one)
+                              for _ in range(2000)])
+    assert np.array_equal(singles, sample_offspring(law, 2000, many))
+    assert np.all(singles[::3] == len(probabilities) - 1)
+    assert np.all(singles[1::3] == 2)
+
+
 def test_offspring_sampler_matches_moments(mixed_law, rng):
     ks = sample_offspring(mixed_law, 10**6, rng)
     n = len(ks)

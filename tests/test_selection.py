@@ -994,6 +994,19 @@ def test_coupled_matches_the_dict_reference_on_tied_orphans(
                       run_coupled_dicts(mixed_law, n_select, **kw))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_coupled_runs_that_die_out_match_the_dict_reference(seed):
+    # q(0) = 0.45 at N = 4: every system dies out well before the horizon,
+    # so the runner checks its last events on empty heads of its arrays
+    law = ReproductionLaw((0.45, 0.0, 0.55))
+    kw = dict(horizon=50.0, seed=seed, slack=1, extra=1)
+    res = run_coupled(law, 4, **kw)
+    _same_sample_path(res, run_coupled_dicts(law, 4, **kw))
+    assert res.dominance_verified and res.events > 0
+    assert len(res.final_plus) == len(res.final_mid) \
+        == len(res.final_minus) == 0
+
+
 def _sound_coupling():
     # plus at 3, 2, 1; mids ride plus 0 and 2 (at 2.5 and 1); minuses ride
     # mid 1 and mid 0 (at 0.75 and 2)
@@ -1022,6 +1035,31 @@ def test_check_coupling_accepts_a_sound_state():
 def test_check_coupling_rejects_each_corruption(array, entry, value, match):
     state = _sound_coupling()
     state[array][entry] = value
+    with pytest.raises(CouplingError, match=match):
+        check_coupling(*state)
+
+
+def test_check_coupling_accepts_empty_systems():
+    empty, no_car = np.empty(0), np.empty(0, dtype=np.int64)
+    check_coupling(empty, no_car, empty, no_car, empty)
+    # plus particles only: the lower systems died out
+    check_coupling(np.array([2.0, -1.0]), no_car, empty, no_car, empty)
+
+
+@pytest.mark.parametrize("array, entry, value, match", [
+    (1, 0, 3, "mid-to-plus pairing points at a dead carrier"),
+    (3, 0, 2, "minus-to-mid pairing points at a dead carrier"),
+    (2, 0, -0.5, r"domination order violated \(plus vs mid\)"),
+    (4, 0, -2.0, r"domination order violated \(mid vs minus\)"),
+])
+def test_check_coupling_reports_in_its_stated_order(array, entry, value,
+                                                    match):
+    # each corruption of test_check_coupling_rejects_each_corruption, plus
+    # the negative offset that the second mid alone survives: the carrier
+    # and the domination checks come first
+    state = _sound_coupling()
+    state[array][entry] = value
+    state[2][1] = -0.5
     with pytest.raises(CouplingError, match=match):
         check_coupling(*state)
 
