@@ -194,6 +194,15 @@ class SimConfig:
                     f"{name} must be positive and finite, got {val!r}")
 
         warnings: list[str] = []
+        # the runners record every max(1, round(sample_every / dt)) steps
+        every = self.sample_every
+        if every is not None:
+            steps = max(1, round(every / self.dt))
+            if abs(every - steps * self.dt) > 1e-9 * max(1.0, every):
+                warnings.append(
+                    f"sample_every = {every:g} is not a whole number of "
+                    f"steps of dt = {self.dt:g}; series are recorded every "
+                    f"{steps} step(s), every {steps * self.dt:g}")
         A, eps = self.A, self.epsilon
         if A is not None and eps is not None:
             if not eps <= A ** -17:

@@ -46,6 +46,7 @@ __all__ = [
     "p_taboo",
     "w_Z",
     "w_Y",
+    "w_ZY",
     "bbm_density",
     "barrier_f",
     "SineExpDensity",
@@ -507,6 +508,33 @@ def w_Y(x, iv):
     scalar = np.asarray(x).ndim == 0
     val = np.exp(iv.mu * (x_arr - iv.a))
     return float(val[0]) if scalar else val
+
+
+def w_ZY(x, iv):
+    """(w_Z(x, iv), w_Y(x, iv)) from one exponential, bit for bit.
+
+    On (0, a) w_Z's exponential is w_Y's, so w_Z is taken as w_Y times
+    a sin(pi xc / a), xc = x clipped to [0, a], in w_Z's order; outside it
+    is an exact zero, as there.
+    """
+    iv = _require_interval(iv)
+    a = iv.a
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    scalar = np.asarray(x).ndim == 0
+    wy = w_Y(x_arr, iv)
+    inside = (x_arr > 0.0) & (x_arr < a)
+    # the clip keeps sin off +-inf, whose w_Y is inf or 0
+    xc = np.maximum(x_arr, 0.0)
+    np.minimum(xc, a, out=xc)
+    val = wy * a
+    xc *= _PI
+    xc /= a
+    val *= np.sin(xc, out=xc)
+    val[~inside] = 0.0
+    np.maximum(val, 0.0, out=val)
+    if scalar:
+        return float(val[0]), float(wy[0])
+    return val, wy
 
 
 def bbm_density(x, y, t, iv):

@@ -12,10 +12,11 @@ three systems with shared noise and per-event domination checks.
 (replicas, N) array of slots, a dead slot holding -inf, on the one stream
 rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
 barrier runners advance all replicas of a run together in flat arrays:
-positions, colour codes and blue expiry times, each particle tagged with its
-replica id, stepped by `ensemble.step_segments` as the killed ensemble is.
-One generator, rng_stream(seed, 0, barrier lane), serves the whole batch;
-each particle takes its own replica's barrier drift, and per-replica state
+positions, each particle tagged with its replica id, and colour codes and
+blue expiry times in the coloured modes only, stepped by
+`ensemble.step_segments` as the killed ensemble is.  One generator,
+rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
+takes its own replica's barrier drift, and per-replica state
 (barrier path, pending breakout, freeze-time queue, pieces) is touched only
 when that replica has something due.  After each step the arrays are
 regrouped by replica with a stable sort, so every per-replica statistic is
@@ -41,7 +42,7 @@ from .engine import (REQUIRED_FIELDS, CapacityError, ReproductionLaw,
 from .ensemble import (TrialPool, _branch_slots, breakout_trials,
                        hperp_flat, step_segments)
 from .kernels import (IntervalParams, barrier_f, error_envelope_E,
-                      sine_exp_density, w_Y, w_Z)
+                      sine_exp_density, w_Z, w_ZY)
 from .levy import RecenteringConstants, recentering
 from .stats import StatsSeries
 
@@ -478,6 +479,11 @@ def _sizes(bounds: list[int]) -> list[int]:
     return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _joined(*parts):
+    """Concatenate aligned tuples of arrays field by field."""
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
 def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     _require(cfg, *REQUIRED_FIELDS[mode])
     cfg.validate()
@@ -512,8 +518,10 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     n_rep = cfg.replicas
     rng = rng_stream(cfg.seed, 0, _LANE_BARRIER)
     pos, rep = hperp_flat(A, iv, n_rep, rng)
-    col = np.zeros(len(pos), dtype=np.int8)
-    expy = np.full(len(pos), math.inf)
+    # colour codes and blue expiry times ride along only where a rule reads
+    # them; bbbm carries none
+    cols = ((np.zeros(len(pos), dtype=np.int8), np.full(len(pos), math.inf))
+            if mode != "bbbm" else ())
     bounds = _replica_bounds(rep, n_rep)
     peak = _sizes(bounds)
 
@@ -532,39 +540,41 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     names += [f"med_{al:g}" for al in cfg.alphas]
     rows: dict[str, list[np.ndarray]] = {k: [] for k in names}
 
-    def record(pos, col, rep, bounds, shift):
-        # one entry per replica and name; sums are taken on each replica's
-        # slice, as a lone replica would take them, and medians on one
-        # (replica, slot) matrix padded with -inf
-        wz, wy = w_Z(pos, iv), w_Y(pos, iv)
+    def record(pos, rep, cols, bounds, shift):
+        # one entry per replica and name, each taken on the replica's own
+        # slice as a lone replica would take it; the medians on a
+        # (replica, slot) matrix padded with -inf, one slice copy a row
+        # (of the whites' slices in bflat)
+        wz, wy = w_ZY(pos, iv)
         spans = list(zip(bounds, bounds[1:]))
         row = {"count": np.diff(bounds), "R_cum": pop_hits + pool.relaunched,
-               "Z": [wz[lo:hi].sum() for lo, hi in spans],
-               "Y": [wy[lo:hi].sum() for lo, hi in spans],
+               "Z": [np.add.reduce(wz[lo:hi]) for lo, hi in spans],
+               "Y": [np.add.reduce(wy[lo:hi]) for lo, hi in spans],
                "barrier_shift": shift.copy()}
-        seen, seen_rep = pos, rep
+        seen = pos
         if mode == "bflat":
-            whites = col == _WHITE
-            seen, seen_rep = pos[whites], rep[whites]
-            row["count_white"] = np.bincount(seen_rep, minlength=n_rep)
+            whites = cols[0] == _WHITE
+            seen = pos[whites]
+            row["count_white"] = np.bincount(rep[whites], minlength=n_rep)
+            ends = np.cumsum(row["count_white"]).tolist()
+            spans = list(zip([0, *ends], ends))
         if sharp:
-            row["count_blue"] = np.bincount(rep[col == _BLUE],
+            row["count_blue"] = np.bincount(rep[cols[0] == _BLUE],
                                             minlength=n_rep)
-        n_seen = row.get("count_white", row["count"])
-        slots = np.full((n_rep, n_seen.max(initial=0)), -math.inf)
-        first = np.cumsum(n_seen) - n_seen
-        slots[seen_rep, np.arange(len(seen)) - first[seen_rep]] = seen
+        slots = np.full((n_rep, max(hi - lo for lo, hi in spans)), -math.inf)
+        for r, (lo, hi) in enumerate(spans):
+            slots[r, :hi - lo] = seen[lo:hi]
         for al in cfg.alphas:
             row[f"med_{al:g}"] = med_alpha(slots, al, n_med)
         for k in names:
             rows[k].append(row[k])
 
-    def settle(r: int, p, c, e, t1):
-        """Step-end rules of replica r on its own particles."""
+    def settle(r: int, p, cs, t1):
+        """Step-end rules of replica r on its own particles and colours."""
         st = reps[r]
         if sharp:
-            p, c, e = _sharp_expire(p, c, e, t1, n_sharp, mode == "csharp",
-                                    st.stats)
+            p, *cs = _sharp_expire(p, *cs, t1, n_sharp, mode == "csharp",
+                                   st.stats)
 
         if st.response_due(t1):
             t_break, t_plus = st.pending
@@ -590,14 +600,15 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             piece["outstanding_at_theta"] = n_out = pool.lineages_of(r)
             piece["clear_at_theta"] = n_strip == 0 and n_out == 0
             if mode == "bflat":
-                reds = c == _RED
+                reds = cs[0] == _RED
                 st.stats["red_killed"] += int(reds.sum())
-                p, c, e = p[~reds], c[~reds], e[~reds]
+                p, cs = p[~reds], [c[~reds] for c in cs]
             if sharp:
-                p, c, e = _sharp_expire(p, c, e, math.inf, n_sharp,
-                                        mode == "csharp", st.stats)
+                p, *cs = _sharp_expire(p, *cs, math.inf, n_sharp,
+                                       mode == "csharp", st.stats)
 
         if mode == "bflat":
+            c, e = cs
             whites = c == _WHITE
             n_white = int(whites.sum())
             if n_white > n_flat:
@@ -606,13 +617,14 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 right = n_white - np.searchsorted(srt, wpos, side="right")
                 c = c.copy()
                 c[np.flatnonzero(whites)[right >= n_flat]] = _RED
-        return p, c, e
+            cs = (c, e)
+        return p, cs
 
     # each replica's barrier shift at the step's end, evaluated once per
     # step; a step starts from the shift its predecessor ended on, so the
     # frame displacement telescopes exactly
     shift1 = np.zeros(n_rep)
-    record(pos, col, rep, bounds, shift1)
+    record(pos, rep, cols, bounds, shift1)
 
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     for i in range(n_steps):
@@ -622,21 +634,24 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         shift0, shift1 = shift1, np.array([st.path.shift(t1) for st in reps])
         drift = -mu - (shift1 - shift0) / h
 
-        pos, rep, (col, expy), origin, upper, _ = step_segments(
-            pos, rep, (col, expy), t0=t0, h=h, drift=drift, law=cfg.law,
-            rng=rng, upper=a, origin_ignores=col == _BLUE if sharp else None)
+        pos, rep, cols, origin, upper, _ = step_segments(
+            pos, rep, cols, t0=t0, h=h, drift=drift, law=cfg.law, rng=rng,
+            upper=a, origin_ignores=cols[0] == _BLUE if sharp else None)
 
         # the step's wall hits launch into the trial pool, and the pool
-        # advances through the step
+        # advances through the step; a colourless hit launches white
         if upper or len(pool):
-            up = tuple(map(np.concatenate, zip(*upper))) if upper \
-                else (np.empty(0), np.empty(0, dtype=np.int64),
-                      np.empty(0, dtype=np.int8), np.empty(0))
-            pop_hits += np.bincount(up[1], minlength=n_rep)
+            # no hits: one empty chunk, the population's dtypes
+            t_up, r_up, *c_up = map(np.concatenate, zip(*(
+                upper or [(pos[:0], rep[:0], *(c[:0] for c in cols))])))
+            if not c_up:
+                c_up = (np.zeros(len(t_up), dtype=np.int8),
+                        np.full(len(t_up), math.inf))
+            pop_hits += np.bincount(r_up, minlength=n_rep)
             out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
-                                  n_trials=len(up[0]), dt=h, rng=rng,
+                                  n_trials=len(t_up), dt=h, rng=rng,
                                   zeta_breakout=cfg.zeta_breakout,
-                                  pool=pool, t0=t0, hits=up)
+                                  pool=pool, t0=t0, hits=(t_up, r_up, *c_up))
             # a replica's first decided breakout not before its open
             # piece's start takes the response unless one is pending; the
             # rest are suppressed
@@ -649,16 +664,17 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                     st.pending = (t_k, t_k + float(dec["sigma_max"][k]))
             # the lineages that left the pool below the wall re-enter
             ent = out.reentry
-            x_in, r_in, c_in, e_in = (ent[k] for k in
-                                      ("pos", "replica", "colour", "expiry"))
+            r_in = ent["replica"]
+            c_in = (ent["colour"], ent["expiry"])[:len(cols)]
             if sharp:  # they lie above the origin: expired blues whiten
-                expired = (c_in == _BLUE) & (e_in <= t1)
+                col_in, exp_in = c_in
+                expired = (col_in == _BLUE) & (exp_in <= t1)
                 _tally(reps, "rewhitened", r_in[expired])
-                c_in[expired], e_in[expired] = _WHITE, math.inf
+                col_in[expired], exp_in[expired] = _WHITE, math.inf
             if len(r_in):
                 reinjected += np.bincount(r_in, minlength=n_rep)
-                pos, col, expy, rep = (np.concatenate(x) for x in zip(
-                    (pos, col, expy, rep), (x_in, c_in, e_in, r_in)))
+                pos, rep, *cols = _joined((pos, rep, *cols),
+                                          (ent["pos"], r_in, *c_in))
 
         # origin hits of whites live on as blues while their replica has
         # fewer than n_sharp particles right of the origin
@@ -671,44 +687,43 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             _tally(reps, "blue_created", r_lo[blue])
             _tally(reps, "white_killed_at_origin", r_lo[~blue])
             n_blue = int(blue.sum())
-            pos, col, expy, rep = (np.concatenate(x) for x in zip(
-                (pos, col, expy, rep),
-                (np.zeros(n_blue), np.full(n_blue, _BLUE, dtype=np.int8),
-                 (np.floor(t_lo[blue] / sharp_period) + 2.0) * sharp_period,
-                 r_lo[blue])))
+            pos, rep, *cols = _joined(
+                (pos, rep, *cols),
+                (np.zeros(n_blue), r_lo[blue],
+                 np.full(n_blue, _BLUE, dtype=np.int8),
+                 (np.floor(t_lo[blue] / sharp_period) + 2.0) * sharp_period))
 
         # regroup by replica; the stable sort keeps each replica's order,
         # and is skipped when the ids are sorted already
         if (rep[1:] < rep[:-1]).any():
             order = np.argsort(rep, kind="stable")
-            pos, col, expy, rep = (pos[order], col[order], expy[order],
-                                   rep[order])
+            pos, rep, *cols = (x[order] for x in (pos, rep, *cols))
         bounds = _replica_bounds(rep, n_rep)
 
         # step-end rules, only on the replicas that have one due
         due = {r for r, st in enumerate(reps)
                if st.response_due(t1) or st.freeze_due(t1)}
         if sharp:
-            due.update(rep[_blue_due(col, expy, t1)].tolist())
+            due.update(rep[_blue_due(*cols, t1)].tolist())
         if mode == "bflat":
             # only a replica with more than N_flat whites has a white
             # seeing N_flat whites to its right
-            white = np.bincount(rep[col == _WHITE], minlength=n_rep)
+            white = np.bincount(rep[cols[0] == _WHITE], minlength=n_rep)
             due.update(np.flatnonzero(white > n_flat).tolist())
         if due:
             # the runs of replicas in between are carried over as they are
             parts, last = [], 0
             for r in sorted(due):
                 lo, hi = bounds[r], bounds[r + 1]
-                p, c, e = settle(r, pos[lo:hi], col[lo:hi], expy[lo:hi],
-                                 t1)
+                p, cs = settle(r, pos[lo:hi], [c[lo:hi] for c in cols], t1)
                 # an installed response moves the shift at t1
                 shift1[r] = reps[r].path.shift(t1)
-                parts += [(pos[last:lo], col[last:lo], expy[last:lo],
-                           rep[last:lo]), (p, c, e, rep[lo:lo + len(p)])]
+                parts += [(pos[last:lo], rep[last:lo],
+                           *(c[last:lo] for c in cols)),
+                          (p, rep[lo:lo + len(p)], *cs)]
                 last = hi
-            parts.append((pos[last:], col[last:], expy[last:], rep[last:]))
-            pos, col, expy, rep = (np.concatenate(x) for x in zip(*parts))
+            parts.append((pos[last:], rep[last:], *(c[last:] for c in cols)))
+            pos, rep, *cols = _joined(*parts)
             bounds = _replica_bounds(rep, n_rep)
 
         counts = _sizes(bounds)
@@ -719,7 +734,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         peak = list(map(max, peak, counts))
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
-            record(pos, col, rep, bounds, shift1)
+            record(pos, rep, cols, bounds, shift1)
 
     table = {k: np.array(v, dtype=float) for k, v in rows.items()}
     wall_hits = pop_hits + pool.relaunched

@@ -429,6 +429,18 @@ def test_simulate_prints_regime_warnings(tmp_path, capsys):
     assert "regime condition" in capsys.readouterr().err
 
 
+def test_simulate_warns_of_a_sample_cadence_off_the_step_grid(tmp_path,
+                                                              capsys):
+    # dt = 0.05 records every 0.05, not every 0.07 as asked
+    out = tmp_path / "out"
+    ini = _write(tmp_path, NBBM_INI + "sample_every = 0.07\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert "series are recorded every 1 step(s), every 0.05" \
+        in capsys.readouterr().err
+    _, series = read_series_csv(out / "series.csv")
+    assert np.allclose(np.diff(series[0].times), 0.05, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # other subcommands
 

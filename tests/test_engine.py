@@ -382,6 +382,29 @@ def test_config_validate_quiet_inside_regime(binary_law, iv10):
     assert cfg.validate() == []
 
 
+@pytest.mark.parametrize("every, dt, used", [
+    (0.07, 0.05, "every 1 step(s), every 0.05"),
+    (0.02, 0.05, "every 1 step(s), every 0.05"),
+    (0.26, 0.1, "every 3 step(s), every 0.3"),
+])
+def test_config_validate_names_the_sample_cadence_used(binary_law, every,
+                                                       dt, used):
+    # the runners round sample_every to whole steps, so the series step
+    # differs from the one asked for
+    cfg = SimConfig(law=binary_law, dt=dt, sample_every=every)
+    (note,) = cfg.validate()
+    assert f"sample_every = {every:g}" in note and note.endswith(used)
+
+
+@pytest.mark.parametrize("every, dt", [(None, 0.05), (0.1, 0.05),
+                                       (0.3, 0.1), (0.5, 0.5)])
+def test_config_validate_quiet_on_whole_step_cadence(binary_law, every, dt):
+    # 0.3 / 0.1 falls just below 3, within the tolerance; None asks for
+    # the default cadence, horizon / 256, which is rounded without a note
+    assert SimConfig(law=binary_law, dt=dt, sample_every=every).validate() \
+        == []
+
+
 def test_config_validate_rejects_bad_fields(binary_law, iv10):
     with pytest.raises(ValueError):
         SimConfig(law=binary_law, interval=iv10, dt=0.0).validate()

@@ -3,6 +3,7 @@ boundary behaviour, and the envelope inequalities the estimators lean on."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from nbbm.kernels import (
     theta_prime,
     w_Y,
     w_Z,
+    w_ZY,
 )
 from nbbm.stats import load_calibration
 
@@ -280,6 +282,37 @@ def test_weight_functions_at_reference_points(iv10):
     assert_close(w_Z(5.0, iv10), 10.0 * math.exp(-iv10.mu * 5.0), 1e-12)
     assert w_Z(-1.0, iv10) == 0.0  # clamped outside [0, a]
     assert w_Z(11.0, iv10) == 0.0
+
+
+@pytest.mark.parametrize("a", [PI, 5.0, 8.0, 10.0])
+def test_joint_weights_equal_the_separate_ones_bit_for_bit(a):
+    # the barrier runner's record takes both sums from w_ZY; a bit of
+    # difference would move every Z it writes
+    iv = IntervalParams(a)
+    x = np.concatenate((
+        [0.0, a, np.nextafter(0.0, 1.0), np.nextafter(a, 0.0), -1e-300,
+         -1.0, -50.0, np.nextafter(a, 2 * a), a + 1.0, 2.0 * a, 40.0,
+         math.inf, -math.inf, math.nan],
+        np.random.default_rng(3).uniform(-a, 2.0 * a, 500)))
+    # w_ZY warns only where w_Z or w_Y does: at a = pi, mu = 0 and w_Y's
+    # 0 * inf at x = +-inf is invalid; at the other widths neither warns
+    seen = []
+    for joint in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if joint:
+                got = w_ZY(x, iv)
+                scalar = w_ZY(0.3 * a, iv)
+                empty = w_ZY(np.empty(0), iv)
+            else:
+                want = w_Z(x, iv), w_Y(x, iv)
+        seen.append({str(w.message) for w in caught})
+    assert seen[1] <= seen[0] and (a == PI or not seen[0])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+    assert scalar == (w_Z(0.3 * a, iv), w_Y(0.3 * a, iv))
+    assert all(type(v) is float for v in scalar)
+    assert [len(v) for v in empty] == [0, 0]
 
 
 def test_bbm_density_definitional_identity():

@@ -12,7 +12,7 @@ from nbbm import ensemble, selection
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
 from nbbm.ensemble import (_branch_slots, breakout_trials, hperp_flat,
                            step_segments)
-from nbbm.kernels import IntervalParams, barrier_f
+from nbbm.kernels import IntervalParams, barrier_f, w_Y, w_Z
 from nbbm.levy import recentering
 from nbbm.selection import (
     _BLUE,
@@ -816,11 +816,34 @@ def test_barrier_batch_keeps_each_replica_consistent(binary_law):
         cols = res.series.columns
         shifts = [res.path.shift(t) for t in res.series.times]
         assert np.array_equal(cols["barrier_shift"], shifts)
-        assert cols["count"][-1] == len(res.final_positions)
         assert np.all(res.final_positions < 8.0)
         assert cols["count"].max() <= res.peak_count <= res.max_pop
+        # the last row is taken on this replica's own particles, bit for bit
+        _assert_last_row_of(res, "count", "Z", "Y", "med_0.5")
     # the replicas are distinct sample paths
     assert len({r.series.columns["Z"][-1] for r in results}) == 4
+
+
+def _assert_last_row_of(res, *names):
+    """The named columns' last entries against the final positions."""
+    x, iv = res.final_positions, res.path.iv
+    want = {"count": len(x), "Z": w_Z(x, iv).sum(), "Y": w_Y(x, iv).sum(),
+            "med_0.5": med_alpha(x, 0.5, res.series.meta["n_med"])}
+    for name in names:
+        assert res.series.columns[name][-1] == want[name], name
+
+
+def test_bflat_batch_records_each_replica_from_its_own_particles(
+        binary_law):
+    # the medians and white counts see whites only, which the result does
+    # not keep; count, Z and Y see every particle, reds included
+    cfg = SimConfig(binary_law, **BENCH_GEOM, seed=5, replicas=4,
+                    delta_color=0.005)
+    results = run_bflat(cfg)
+    assert any(res.series.columns["count_white"][-1]
+               < res.series.columns["count"][-1] for res in results)
+    for res in results:
+        _assert_last_row_of(res, "count", "Z", "Y")
 
 
 def test_barrier_batch_records_a_dead_replica_as_empty(binary_law):
