@@ -194,10 +194,9 @@ class SimConfig:
                     f"{name} must be positive and finite, got {val!r}")
 
         warnings: list[str] = []
-        # the runners record every max(1, round(sample_every / dt)) steps
         every = self.sample_every
-        if every is not None:
-            steps = max(1, round(every / self.dt))
+        if every is not None:  # then the horizon does not set the cadence
+            steps = self.steps(every)[1]
             if abs(every - steps * self.dt) > 1e-9 * max(1.0, every):
                 warnings.append(
                     f"sample_every = {every:g} is not a whole number of "
@@ -214,6 +213,14 @@ class SimConfig:
                     f"epsilon = {eps:g} violates the regime condition "
                     f"epsilon >= e^(-A/6) = {math.exp(-A / 6.0):g}")
         return warnings
+
+    def steps(self, horizon: float) -> tuple[int, int]:
+        """The runners' number of steps of dt to `horizon`, and how many
+        steps apart they record: max(1, round(sample_every / dt)), with
+        sample_every = horizon / 256 when unset."""
+        every = self.sample_every or horizon / 256.0
+        return (int(math.ceil(horizon / self.dt - 1e-9)),
+                max(1, round(every / self.dt)))
 
 
 # the SimConfig fields without which each mode cannot run, in the order of

@@ -128,8 +128,7 @@ class NbbmResult:
         return self.series[0].times
 
 
-def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
-                branches: list | None):
+def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
     """Step every replica together; returns (series, final positions), one
     of each per replica.
 
@@ -154,7 +153,7 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, sample_steps: int,
         parent = np.empty(cap + n_sel, dtype=np.int64)
         parent[cap:] = -1 - np.arange(n_sel)
     z = np.empty((n_rep, n_sel))
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
+    n_steps, sample_steps = cfg.steps(horizon)
 
     def layout():
         # the slots as an (R, N) view, the buffer as a flat view, what turns
@@ -279,9 +278,7 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
     constants = recentering(cfg.n_select) if cfg.n_select >= 16 else None
     horizon = cfg.horizon if cfg.horizon is not None \
         else 20.0 * math.log(cfg.n_select) ** 3
-    sample_steps = max(1, round((cfg.sample_every or horizon / 256.0) / cfg.dt))
-
-    series, final = _nbbm_batch(cfg, horizon, sample_steps, branches)
+    series, final = _nbbm_batch(cfg, horizon, branches)
     return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt,
                       final_positions=final)
 
@@ -511,7 +508,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
 
     horizon = cfg.horizon if cfg.horizon is not None \
         else 1.5 * math.exp(A) * a ** 2
-    sample_steps = max(1, round((cfg.sample_every or horizon / 256.0) / dt))
+    n_steps, sample_steps = cfg.steps(horizon)
     n_med = hperp_count(A, iv)
     max_pop = max(200_000, 100 * n_med)
 
@@ -626,7 +623,6 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     shift1 = np.zeros(n_rep)
     record(pos, rep, cols, bounds, shift1)
 
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
     for i in range(n_steps):
         t0 = i * dt
         h = min(dt, horizon - t0)

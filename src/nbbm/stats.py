@@ -92,14 +92,10 @@ class OracleReport:
         return self.deviation <= self.margin
 
     def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
+        status, op = ("pass", "<=") if self.passed else ("FAIL", ">")
         return (f"{status} {self.name}: |{self.estimate:.6g} - "
                 f"{self.analytic:.6g}| = {self.deviation:.3g} "
-                f"<= {self.slack:.3g} + 3*{self.se:.3g} = {self.margin:.3g}"
-                if self.passed else
-                f"{status} {self.name}: |{self.estimate:.6g} - "
-                f"{self.analytic:.6g}| = {self.deviation:.3g} "
-                f"> {self.slack:.3g} + 3*{self.se:.3g} = {self.margin:.3g}")
+                f"{op} {self.slack:.3g} + 3*{self.se:.3g} = {self.margin:.3g}")
 
 
 @dataclass(frozen=True)

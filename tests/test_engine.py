@@ -405,6 +405,18 @@ def test_config_validate_quiet_on_whole_step_cadence(binary_law, every, dt):
         == []
 
 
+@pytest.mark.parametrize("horizon, dt, every, steps", [
+    (10.0, 0.05, None, (200, 1)),     # horizon / 256 is below one step
+    (200.0, 0.1, None, (2000, 8)),    # 0.78125 / 0.1 rounds to 8
+    (0.3, 0.1, 0.3, (3, 3)),          # 0.3 / 0.1 falls just below 3
+    (1.01, 0.1, 0.26, (11, 3)),       # a last, shorter step
+])
+def test_config_steps_to_horizon_and_between_records(binary_law, horizon,
+                                                     dt, every, steps):
+    assert SimConfig(law=binary_law, dt=dt,
+                     sample_every=every).steps(horizon) == steps
+
+
 def test_config_validate_rejects_bad_fields(binary_law, iv10):
     with pytest.raises(ValueError):
         SimConfig(law=binary_law, interval=iv10, dt=0.0).validate()
