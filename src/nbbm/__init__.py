@@ -6,7 +6,7 @@ flat-array segment step and the runs on it (ensemble), selection rules and barri
 estimator/oracle reports (stats), and the command line front end (cli).
 """
 
-from nbbm.kernels import IntervalParams
+from .kernels import IntervalParams
 
 __version__ = "0.11.0"
 

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nbbm import __version__
-from nbbm.engine import (
+from . import __version__
+from .engine import (
     REQUIRED_FIELDS,
     CapacityError,
     IntervalParams,
@@ -46,9 +46,9 @@ from nbbm.engine import (
     SimConfig,
     rng_stream,
 )
-from nbbm.kernels import selfcheck
-from nbbm.levy import JUMP_TRUNCATION, LevyParams, kappa, sample_levy_increment
-from nbbm.runio import (
+from .kernels import selfcheck
+from .levy import JUMP_TRUNCATION, LevyParams, kappa, sample_levy_increment
+from .runio import (
     MODES,
     ExperimentManifest,
     canonical_hash,
@@ -61,7 +61,7 @@ from nbbm.runio import (
     write_series_csv,
     write_table,
 )
-from nbbm.selection import (
+from .selection import (
     CouplingError,
     run_bbbm,
     run_bflat,
@@ -69,7 +69,7 @@ from nbbm.selection import (
     run_coupled,
     run_nbbm,
 )
-from nbbm.stats import (
+from .stats import (
     empirical_density,
     increment_vs_levy,
     oracle_Z,
@@ -381,8 +381,7 @@ def _cmd_couple(args) -> int:
     for r in range(args.replicas):
         res = run_coupled(ReproductionLaw.binary(), args.n,
                           horizon=args.horizon, seed=args.seed, replica=r,
-                          slack=args.slack, extra=args.extra,
-                          inject_fault=args.inject_fault)
+                          slack=args.slack, extra=args.extra)
         rows.append(_coupled_row(r, res))
         print(f"replica {r}: {res.events} events, "
               f"{res.checks} checks, dominance "
@@ -474,16 +473,11 @@ def _levy_verdicts(path: str, plot_dir: Path) -> tuple[list[dict], dict]:
             "fitted_c": cmp_.fitted_c,
             "n": cmp_.n,
         })
-        fitted = LevyParams(c=cmp_.fitted_c)
-        rows = []
-        for j, la in enumerate(cmp_.lams):
-            phi = np.mean(np.exp(1j * la * values))
-            model = np.exp(t_span * kappa(la, fitted))
-            rows.append((la, phi.real, phi.imag, model.real, model.imag,
-                         cmp_.deviation[j], cmp_.se[j]))
         write_table(plot_dir / "cf_table.csv", h, [
             "lam", "emp_re", "emp_im", "model_re", "model_im", "deviation",
-            "se"], rows)
+            "se"], zip(cmp_.lams, cmp_.phi.real, cmp_.phi.imag,
+                       cmp_.model.real, cmp_.model.imag, cmp_.deviation,
+                       cmp_.se))
     except ValueError as e:
         verdicts.append({"name": "cf_vs_kappa", "verdict": "skipped",
                          "reason": str(e)})
@@ -596,8 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cpl.add_argument("--extra", type=int, default=0,
                      help="lower system over-culls to n - extra")
     cpl.add_argument("--out", help="optional directory for runinfo.json")
-    cpl.add_argument("--inject-fault", action="store_true",
-                     help=argparse.SUPPRESS)
     cpl.set_defaults(fn=_cmd_couple)
 
     rep = sub.add_parser(

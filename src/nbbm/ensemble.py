@@ -432,22 +432,23 @@ class TrialBatch:
     alive_pos: np.ndarray | None = None
 
 
-# per-trial columns of a pool: launch time, replica, colour and expiry of
-# the particle that launched it, nesting depth, the accumulators, and the
-# step end by which its last lineage left (nan while it runs)
+# per-trial columns of a pool: launch time, replica, nesting depth, the
+# accumulators, and the step end by which its last lineage left (nan while
+# it runs)
 _TRIAL_COLUMNS = (("launch", float), ("replica", np.int64),
-                  ("colour", np.int8), ("expiry", float), ("depth", np.int64),
-                  ("Z", float), ("Y", float), ("n_frozen", np.int64),
-                  ("sigma_max", float), ("censored", bool),
-                  ("hit_zeta", bool), ("done_at", float))
+                  ("depth", np.int64), ("Z", float), ("Y", float),
+                  ("n_frozen", np.int64), ("sigma_max", float),
+                  ("censored", bool), ("hit_zeta", bool), ("done_at", float))
 
 # nested trials stop at this depth: a lineage of a depth-3 trial that lands
 # beyond the wall is dropped and counted as depth-capped
 _MAX_DEPTH = 3
 
-# a trial whose Z passes this multiple of the breakout threshold epsilon e^A
-# is censored: it counts as a breakout, so its lineages need not run on
+# a trial whose Z passes this multiple of the breakout threshold epsilon e^A,
+# or with more than this many frozen lineages, is censored: it counts as a
+# breakout, so its lineages need not run on
 _CENSOR_WEIGHT_MULT = 40.0
+_CENSOR_COUNT = 20_000
 
 
 class TrialPool:
@@ -456,7 +457,9 @@ class TrialPool:
     Lineages live in three aligned arrays: the line-frame position `xi`,
     the index of their trial in `trials`, and `clock`, the time each has
     been advanced to.  `trials` holds one array per `_TRIAL_COLUMNS` name,
-    one entry per trial not yet decided.  Per replica the pool counts the
+    one entry per trial not yet decided, and `payload` the launching
+    particle's payload columns, aligned with `trials`, as many as the first
+    launch carried (None before it).  Per replica the pool counts the
     trials launched, the relaunches (lineages that landed beyond the wall
     and started a nested trial), the depth-capped lineages, and the
     breakouts whose decision waited for an earlier trial of their replica
@@ -470,6 +473,7 @@ class TrialPool:
         self.trial = np.empty(0, dtype=np.int64)
         self.clock = np.empty(0)
         self.trials = {k: np.empty(0, dtype=d) for k, d in _TRIAL_COLUMNS}
+        self.payload = None
         self.launched, self.relaunched, self.depth_capped, self.waits = \
             np.zeros((4, replicas), dtype=np.int64)
         self.wait_time = np.zeros(replicas)
@@ -486,16 +490,20 @@ class TrialPool:
         return int(np.count_nonzero(
             self.trials["replica"][self.trial] == replica))
 
-    def _launch(self, t, replica, colour, expiry, depth, y: float) -> None:
+    def _launch(self, t, replica, depth, y: float, payload=()) -> None:
+        if self.payload is None:
+            self.payload = tuple(v[:0] for v in payload)
         n = len(t)
         if not n:
             return
-        given = dict(launch=t, replica=replica, colour=colour, expiry=expiry,
-                     depth=depth, done_at=np.full(n, math.nan))
+        given = dict(launch=t, replica=replica, depth=depth,
+                     done_at=np.full(n, math.nan))
         first = len(self.trials["launch"])
         self.trials = {k: np.concatenate((v, given[k] if k in given
                                           else np.zeros(n, dtype=v.dtype)))
                        for k, v in self.trials.items()}
+        self.payload = tuple(np.concatenate(v) for v in
+                             zip(self.payload, payload, strict=True))
         self.xi = np.concatenate((self.xi, np.full(n, float(y))))
         self.trial = np.concatenate(
             (self.trial, np.arange(first, first + n, dtype=np.int64)))
@@ -513,7 +521,6 @@ class _TrialRules:
     zeta: float
     threshold: float
     censor_weight: float
-    censor_count: int
     zeta_breakout: bool
     max_segments: int
 
@@ -601,7 +608,7 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
     left_pool = bool(frozen) or rules.law.probabilities[0] > 0.0
     if frozen:
         over = (tr["Z"] > rules.censor_weight) | \
-               (tr["n_frozen"] > rules.censor_count)
+               (tr["n_frozen"] > _CENSOR_COUNT)
         if over.any() and len(k):
             drop = over[k]
             if drop.any():
@@ -638,10 +645,11 @@ class PoolStep:
     """What one runner step of a trial pool hands back.
 
     reentry: the lineages that left the pool below the wall, frozen on
-    their line or cut at zeta, as arrays `pos` (lab position), `replica`,
-    `colour`, `expiry` and `age` (local time at exit).  decided: the trials
-    whose outcome is settled, in hit-time order within each replica, as
-    the pool's trial columns plus `is_breakout`.
+    their line or cut at zeta, as arrays `pos` (lab position), `replica`
+    and `age` (local time at exit), and `payload`, the tuple of their
+    trial's payload columns in the order the hits gave them.  decided: the
+    trials whose outcome is settled, in hit-time order within each
+    replica, as the pool's trial columns plus `is_breakout`.
     """
 
     reentry: dict[str, np.ndarray]
@@ -651,10 +659,11 @@ class PoolStep:
 def _pool_step(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
                rng: np.random.Generator, hits) -> PoolStep:
     t1 = t0 + h
-    if len(hits[0]):  # launched by replica, then hit time
-        o = np.lexsort((hits[0], hits[1]))
-        pool._launch(*(v[o] for v in hits), np.ones(len(o), dtype=np.int64),
-                     rules.y)
+    t, r, *payload = hits
+    if len(t):  # launched by replica, then hit time
+        o = np.lexsort((t, r))
+        t, r, payload = t[o], r[o], [v[o] for v in payload]
+    pool._launch(t, r, np.ones(len(t), dtype=np.int64), rules.y, payload)
     exits = []
     if len(pool):
         exits, alive = _advance(pool, rules, t0, h, rng)
@@ -675,12 +684,12 @@ def _pool_step(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
                                              minlength=pool.replicas)
             go = ~capped
             pool.relaunched += np.bincount(r_o[go], minlength=pool.replicas)
-            pool._launch(t_o[go], r_o[go], tr["colour"][k_o[go]],
-                         tr["expiry"][k_o[go]], d_o[go] + 1, rules.y)
+            k_go = k_o[go]
+            pool._launch(t_o[go], r_o[go], d_o[go] + 1, rules.y,
+                         [v[k_go] for v in pool.payload])
             k, s, lab = k[~out], s[~out], lab[~out]
-    tr = pool.trials
-    reentry = dict(pos=lab, replica=tr["replica"][k], colour=tr["colour"][k],
-                   expiry=tr["expiry"][k], age=s)
+    reentry = dict(pos=lab, replica=pool.trials["replica"][k], age=s,
+                   payload=tuple(v[k] for v in pool.payload))
     return PoolStep(reentry, _decide(pool, rules, t1))
 
 
@@ -719,6 +728,7 @@ def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
         keep = np.ones(len(order), dtype=bool)
         keep[take] = False
         pool.trials = {k: v[keep] for k, v in tr.items()}
+        pool.payload = tuple(v[keep] for v in pool.payload)
         pool.trial = (np.cumsum(keep) - 1)[pool.trial]
     return decided
 
@@ -726,7 +736,6 @@ def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
 def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
                     epsilon: float, y: float, zeta: float, *, n_trials: int,
                     dt: float, rng: np.random.Generator,
-                    censor_count: int = 20_000,
                     collect_line: bool = False,
                     zeta_breakout: bool = True,
                     max_segments: int = 2_000_000_000,
@@ -738,7 +747,7 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     rises at 1 - mu in the lab frame from a - y, so a freeze at local time
     s maps to lab position a - y + (1 - mu) s, and a lineage still running
     at s = zeta is cut there.  Trials past the censor limits, Z above
-    _CENSOR_WEIGHT_MULT epsilon e^A or more than censor_count frozen, stop
+    _CENSOR_WEIGHT_MULT epsilon e^A or more than _CENSOR_COUNT frozen, stop
     early with censored set.  zeta_breakout = False drops the reaching-zeta
     clause from the breakout classification (weight and censor clauses
     stay).  The trials run in a `TrialPool`, in one of two forms.
@@ -750,17 +759,20 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
 
     With a pool, one call is one runner step [t0, t0 + dt].  It launches
     the step's n_trials wall hits, given as hits = (times, replicas,
-    colours, expiries) with the times in (t0, t0 + dt], by replica and then
-    hit time, then advances every lineage of the pool once, to
-    min(t0 + dt, launch + zeta), through one `step_segments` call.  A
-    lineage that leaves the pool beyond the wall relaunches as a nested
-    trial one level deeper at its exit time, up to depth 3; deeper ones
-    are dropped and counted as depth-capped.  The result is a `PoolStep`:
-    the lineages that re-enter below the wall, and the trials decided this
-    step in hit-time order per replica.  A trial's outcome is known when
-    its last lineage leaves; a breakout waits until every earlier trial of
-    its replica is decided, and the pool counts such waits and their
-    length per replica.
+    *payload) with the times in (t0, t0 + dt], by replica and then hit
+    time, then advances every lineage of the pool once, to
+    min(t0 + dt, launch + zeta), through one `step_segments` call.  The
+    payload, any number of per-hit arrays (as many in every call on one
+    pool), is the runner's own: the pool keeps it per trial and hands it
+    back unchanged with the trial's re-entering lineages and its nested
+    trials.  A lineage that leaves the pool beyond the wall relaunches as a
+    nested trial one level deeper at its exit time, up to depth 3; deeper
+    ones are dropped and counted as depth-capped.  The result is a
+    `PoolStep`: the lineages that re-enter below the wall, and the trials
+    decided this step in hit-time order per replica.  A trial's outcome is
+    known when its last lineage leaves; a breakout waits until every
+    earlier trial of its replica is decided, and the pool counts such waits
+    and their length per replica.
     """
     if not (0.0 < y < math.inf and 0.0 < zeta < math.inf):
         raise ValueError(f"y and zeta must be positive and finite, got "
@@ -782,8 +794,8 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     n_trials = int(n_trials)
     threshold = epsilon * math.exp(A)
     rules = _TrialRules(law, iv, y, zeta, threshold,
-                        _CENSOR_WEIGHT_MULT * threshold, censor_count,
-                        zeta_breakout, max_segments)
+                        _CENSOR_WEIGHT_MULT * threshold, zeta_breakout,
+                        max_segments)
     if pool is not None:
         if hits is None or len(hits[0]) != n_trials:
             raise ValueError("a pool step needs one hit per trial")
@@ -791,8 +803,6 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
 
     pool = TrialPool()
     pool._launch(np.zeros(n_trials), np.zeros(n_trials, dtype=np.int64),
-                 np.zeros(n_trials, dtype=np.int8),
-                 np.full(n_trials, math.inf),
                  np.ones(n_trials, dtype=np.int64), y)
     frozen, alive = [], None
     for step in range(int(math.ceil(zeta / dt - 1e-9))):

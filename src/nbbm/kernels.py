@@ -483,21 +483,15 @@ def w_Z(x, iv):
     a = iv.a
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
-    # open-interval support: endpoints are exact zeros, not sin(pi) dust
-    inside = (x_arr > 0.0) & (x_arr < a)
-    # a e^{mu (xc - a)} sin(pi xc / a) with xc = x clipped to [0, a], in
-    # place, in the order of the formula
+    # a e^{mu (xc - a)} with xc = x clipped to [0, a], in place: w_Y's
+    # exponential inside, and no overflow outside
     xc = np.maximum(x_arr, 0.0)
     np.minimum(xc, a, out=xc)
     val = xc - a
     val *= iv.mu
     np.exp(val, out=val)
     val *= a
-    xc *= _PI
-    xc /= a
-    val *= np.sin(xc, out=xc)
-    val[~inside] = 0.0
-    np.maximum(val, 0.0, out=val)
+    val = _times_sine(val, xc, a)
     return float(val[0]) if scalar else val
 
 
@@ -511,30 +505,36 @@ def w_Y(x, iv):
 
 
 def w_ZY(x, iv):
-    """(w_Z(x, iv), w_Y(x, iv)) from one exponential, bit for bit.
-
-    On (0, a) w_Z's exponential is w_Y's, so w_Z is taken as w_Y times
-    a sin(pi xc / a), xc = x clipped to [0, a], in w_Z's order; outside it
-    is an exact zero, as there.
-    """
+    """(w_Z(x, iv), w_Y(x, iv)) from one exponential, bit for bit."""
     iv = _require_interval(iv)
-    a = iv.a
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
+    a = iv.a
     wy = w_Y(x_arr, iv)
-    inside = (x_arr > 0.0) & (x_arr < a)
-    # the clip keeps sin off +-inf, whose w_Y is inf or 0
     xc = np.maximum(x_arr, 0.0)
     np.minimum(xc, a, out=xc)
-    val = wy * a
+    val = _times_sine(wy * a, xc, a)
+    if scalar:
+        return float(val[0]), float(wy[0])
+    return val, wy
+
+
+def _times_sine(val, xc, a):
+    """val times sin(pi xc / a) in place, for xc = x clipped to [0, a].
+
+    The one statement of w_Z's sine factor and support: on the open
+    interval 0 < x < a, where the endpoints are exact zeros rather than
+    sin(pi) dust, and an exact zero outside it.  The clip keeps sin off
+    +-inf; xc is overwritten.
+    """
+    inside = xc > 0.0
+    inside &= xc < a
     xc *= _PI
     xc /= a
     val *= np.sin(xc, out=xc)
     val[~inside] = 0.0
     np.maximum(val, 0.0, out=val)
-    if scalar:
-        return float(val[0]), float(wy[0])
-    return val, wy
+    return val
 
 
 def bbm_density(x, y, t, iv):

@@ -185,22 +185,6 @@ class RecenteringConstants:
     speed_cutoff: float
     speed_expanded: float
 
-    def window(self, A: float | None = None) -> float:
-        """Centering window: a_N, or a_N - A for runs tied to a mass level.
-
-        Both centerings describe the same process; subtracting A aligns the
-        window with the barrier geometry, where the typical weight is e^A.
-        The shifted window must stay above pi for the drift to remain real.
-        """
-        if A is None:
-            return self.a_N
-        shifted = self.a_N - A
-        if not shifted > math.pi:
-            raise ValueError(
-                f"a_N - A = {shifted:g} must exceed pi; got A = {A!r} "
-                f"against a_N = {self.a_N:g}")
-        return shifted
-
 
 def recentering(n: int) -> RecenteringConstants:
     """a_N = ln N + 3 ln ln N and mu_N = sqrt(1 - pi^2 / a_N^2).

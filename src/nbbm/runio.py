@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from nbbm import __version__
-from nbbm.engine import (REQUIRED_FIELDS, IntervalParams, ReproductionLaw,
-                         SimConfig)
-from nbbm.stats import StatsSeries
+from . import __version__
+from .engine import (REQUIRED_FIELDS, IntervalParams, ReproductionLaw,
+                     SimConfig)
+from .stats import StatsSeries
 
 MODES = tuple(REQUIRED_FIELDS)
 
@@ -324,23 +324,15 @@ def save_population(path: str | Path, positions, time: float,
         + pos.tobytes())
 
 
-def checkpoint_hash(path: str | Path) -> str:
-    """Manifest hash recorded in a checkpoint header ('' if unstamped)."""
-    with open(path, "rb") as f:
-        head = f.read(26)
-    if head[:8] != _MAGIC:
-        raise ValueError(f"{path}: not a population checkpoint")
-    return head[10:26].rstrip(b"\x00").decode("ascii")
-
-
-def load_population(path: str | Path) -> tuple[float, np.ndarray]:
-    """(time, positions) of a checkpoint written by `save_population`."""
+def load_population(path: str | Path) -> tuple[str, float, np.ndarray]:
+    """(manifest hash, time, positions) of a checkpoint written by
+    `save_population`; the hash is '' if the checkpoint is unstamped."""
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ValueError(f"{path}: not a population checkpoint")
     if len(blob) < _HEAD.size:
         raise ValueError(f"{path}: truncated checkpoint")
-    _, version, _, count, time = _HEAD.unpack_from(blob)
+    _, version, h, count, time = _HEAD.unpack_from(blob)
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     size = _HEAD.size + 8 * count
@@ -352,4 +344,4 @@ def load_population(path: str | Path) -> tuple[float, np.ndarray]:
                         offset=_HEAD.size).astype(float)
     if not np.all(np.isfinite(pos)):
         raise ValueError(f"{path}: non-finite particle position")
-    return time, pos
+    return h.rstrip(b"\x00").decode("ascii"), time, pos

@@ -634,15 +634,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             pos, rep, cols, t0=t0, h=h, drift=drift, law=cfg.law, rng=rng,
             upper=a, origin_ignores=cols[0] == _BLUE if sharp else None)
 
-        # the step's wall hits launch into the trial pool, and the pool
-        # advances through the step; a colourless hit launches white
+        # the step's wall hits launch into the trial pool, with their
+        # colours where the mode has them, and the pool advances through
+        # the step
         if upper or len(pool):
             # no hits: one empty chunk, the population's dtypes
             t_up, r_up, *c_up = map(np.concatenate, zip(*(
                 upper or [(pos[:0], rep[:0], *(c[:0] for c in cols))])))
-            if not c_up:
-                c_up = (np.zeros(len(t_up), dtype=np.int8),
-                        np.full(len(t_up), math.inf))
             pop_hits += np.bincount(r_up, minlength=n_rep)
             out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
                                   n_trials=len(t_up), dt=h, rng=rng,
@@ -660,8 +658,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                     st.pending = (t_k, t_k + float(dec["sigma_max"][k]))
             # the lineages that left the pool below the wall re-enter
             ent = out.reentry
-            r_in = ent["replica"]
-            c_in = (ent["colour"], ent["expiry"])[:len(cols)]
+            r_in, c_in = ent["replica"], ent["payload"]
             if sharp:  # they lie above the origin: expired blues whiten
                 col_in, exp_in = c_in
                 expired = (col_in == _BLUE) & (exp_in <= t1)
@@ -947,8 +944,7 @@ def _leftmost_free(x: np.ndarray, car: np.ndarray, at: float,
 
 def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
                 seed: int = 0, replica: int = 0, slack: int = 0,
-                extra: int = 0, init_positions=None,
-                inject_fault: bool = False) -> CoupledResult:
+                extra: int = 0) -> CoupledResult:
     """Drive three selection systems on shared noise and verify domination.
 
     The plus system trims to n_select + slack only when it exceeds that,
@@ -991,20 +987,13 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
         raise ValueError(f"horizon must be positive and finite, "
                          f"got {horizon!r}")
     rng = rng_stream(seed, replica, _LANE_COUPLED)
-    if init_positions is None:
-        init_positions = _initial_front(n_select, rng)
-    init = np.array(init_positions, dtype=float)
-    if len(init) != n_select:
-        raise ValueError("init_positions must hold exactly n_select values")
-    if not np.isfinite(init).all():
-        raise ValueError("init_positions must be finite")
     # capacity arrays in capitals, their live heads in lower case: between
     # events plus holds at most n_select + slack particles and the lower
     # systems at most n_select, and an event adds at most k_max - 1, where
     # k_max = len(law.probabilities) - 1 is the largest offspring count
     cap = n_select + slack + len(law.probabilities) - 2
     P = np.empty(cap)
-    P[:n_select] = init
+    P[:n_select] = _initial_front(n_select, rng)
     MC, WC = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
     MC[:n_select] = WC[:n_select] = np.arange(n_select)
     MO, WO = np.zeros(cap), np.zeros(cap)
@@ -1014,7 +1003,6 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     t = 0.0
     events = checks = 0
     beta0 = law.beta0
-    fault_done = not inject_fault
 
     while n_p:
         wait = rng.exponential(1.0 / (beta0 * n_p))
@@ -1025,10 +1013,6 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
         if wait >= horizon - (t - step):
             break
         events += 1
-
-        if not fault_done and t >= horizon / 2.0:
-            fault_done = True
-            MO[:n_m][0] = -0.5  # the oldest mid particle
 
         # branching cascade: the chosen plus particle and its riders branch
         # together with a common offspring count

@@ -241,13 +241,19 @@ def empirical_cf(samples: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CFComparison:
-    """Empirical CF of increments versus the limit exponent, per lambda."""
+    """Empirical CF of increments versus the limit exponent, per lambda:
+    phi the empirical CF, model e^(dt kappa(lambda)) at the centering used."""
 
     lams: np.ndarray
-    deviation: np.ndarray
+    phi: np.ndarray
+    model: np.ndarray
     se: np.ndarray
     fitted_c: float
     n: int
+
+    @property
+    def deviation(self) -> np.ndarray:
+        return np.abs(self.phi - self.model)
 
     @property
     def passed(self) -> bool:
@@ -277,9 +283,9 @@ def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
         c_hat = float(increments.mean() / dt_inc - _levy.increment_mean_rate())
         params = _levy.LevyParams(c_hat)
     phi, se = empirical_cf(increments, lams)
-    target = np.array([np.exp(dt_inc * _levy.kappa(lam, params))
-                       for lam in lams])
-    return CFComparison(lams=lams, deviation=np.abs(phi - target), se=se,
+    model = np.array([np.exp(dt_inc * _levy.kappa(lam, params))
+                      for lam in lams])
+    return CFComparison(lams=lams, phi=phi, model=model, se=se,
                         fitted_c=params.c, n=len(increments))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nbbm import selection
 from nbbm.engine import IntervalParams, ReproductionLaw, rng_stream
 
 
@@ -28,6 +29,22 @@ def iv10():
 @pytest.fixture(scope="session")
 def iv15():
     return IntervalParams(15.0)
+
+
+@pytest.fixture()
+def faulty_check(monkeypatch):
+    """Make `run_coupled`'s per-event check see a fault from the 20th event
+    on: the oldest mid particle's offset set to -0.5, moving it right of its
+    carrier."""
+    check, calls = selection.check_coupling, []
+
+    def faulty(p_x, m_car, m_off, *minus):
+        calls.append(None)
+        if len(calls) >= 20:
+            m_off[0] = -0.5
+        check(p_x, m_car, m_off, *minus)
+    monkeypatch.setattr(selection, "check_coupling", faulty)
+    return calls
 
 
 @pytest.fixture()

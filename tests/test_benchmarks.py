@@ -65,6 +65,13 @@ def test_nbbm_lane_baseline_is_a_checkout_or_its_src(where):
     assert _resolves_every_function("nbbm", where) == {"selection.run_nbbm"}
 
 
+def test_baseline_io_and_cli_run_on_the_baselines_own_classes():
+    # a baseline's runio and cli must not reach back into the library's nbbm
+    for name in ("runio.write_series_csv", "cli.main"):
+        module = sys.modules[ab.load(name, str(ROOT)).__module__]
+        assert module.SimConfig.__module__ == "nbbm_baseline.engine", name
+
+
 def _elsewhere_names_the_path(layer, where):
     for _, name, _ in ab.LAYERS[layer][2]:
         with pytest.raises(SystemExit) as exc:

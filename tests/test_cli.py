@@ -20,7 +20,6 @@ from nbbm.selection import BarrierResult, run_bbbm
 from nbbm.runio import (
     MODES,
     ExperimentManifest,
-    checkpoint_hash,
     load_population,
     read_events_csv,
     read_levy_csv,
@@ -148,9 +147,8 @@ def test_simulate_nbbm_outputs(tmp_path):
     assert runinfo["manifest"] == h
     assert runinfo["n_select"] == 20
 
-    assert checkpoint_hash(out / "final.ckpt") == h
-    time, pos = load_population(out / "final.ckpt")
-    assert len(pos) == 20 and time == 2.0
+    h_ckpt, time, pos = load_population(out / "final.ckpt")
+    assert h_ckpt == h and len(pos) == 20 and time == 2.0
     assert manifest.outputs["checkpoint"] == "final.ckpt"
 
 
@@ -163,7 +161,7 @@ def test_simulate_nbbm_ends_at_a_horizon_off_the_step_grid(tmp_path):
                  "--checkpoint", "--log-events"]) == 0
     _, series = read_series_csv(out / "series.csv")
     runinfo = json.loads((out / "runinfo.json").read_text())
-    time, _ = load_population(out / "final.ckpt")
+    _, time, _ = load_population(out / "final.ckpt")
     assert all(s.times[-1] == 1.05 for s in series)
     assert runinfo["horizon"] == 1.05 and time == 1.05
     events = read_events_csv(out / "events.csv")[1]
@@ -516,9 +514,8 @@ def test_couple_verifies_dominance(tmp_path, capsys):
     assert all(r["dominance_verified"] for r in rows)
 
 
-def test_couple_fault_injection_fails(capsys):
-    assert main(["couple", "--n", "25", "--horizon", "3.0",
-                 "--inject-fault"]) == 1
+def test_couple_fault_injection_fails(capsys, faulty_check):
+    assert main(["couple", "--n", "25", "--horizon", "3.0"]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "CouplingError"
 

@@ -171,9 +171,10 @@ def test_trials_zeta_clause_toggle(binary_law, iv10):
     assert flipped.any(), "no trial reached zeta; toggle unexercised"
 
 
-def test_trials_censoring_counts_as_breakout(binary_law, iv10):
+def test_trials_censoring_counts_as_breakout(monkeypatch, binary_law, iv10):
+    monkeypatch.setattr(ensemble, "_CENSOR_COUNT", 1)
     b = breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=200,
-                        dt=0.05, rng=rng_stream(19, 0, 0), censor_count=1)
+                        dt=0.05, rng=rng_stream(19, 0, 0))
     assert b.censored.any()
     assert np.all(b.is_breakout[b.censored])
 
@@ -384,8 +385,9 @@ def test_censored_breakout_trials_match_the_reference(monkeypatch, binary_law,
     def run(lane):
         return ensemble.breakout_trials(
             binary_law, iv10, **TRIAL_KW, n_trials=600, dt=0.05,
-            rng=rng_stream(19, lane, 0), censor_count=1, collect_line=True)
+            rng=rng_stream(19, lane, 0), collect_line=True)
 
+    monkeypatch.setattr(ensemble, "_CENSOR_COUNT", 1)
     new, ref = _on_both_steps(monkeypatch, run)
     assert ref.censored.any()
     for name in ("censored", "is_breakout", "n_frozen"):
@@ -429,10 +431,13 @@ def _stand_alone_nested(law, iv, n, rng):
     return first, np.array(counts), np.concatenate(age), np.concatenate(pos)
 
 
-def _pooled(law, iv, n, rng, replicas=4, per_step=150, dt=0.05):
+def _pooled(law, iv, n, rng, replicas=4, per_step=150, dt=0.05,
+            payload=lambda j: ()):
     """n trials launched into one pool, per_step of them a step at uniform
-    times within it, replicas in turn; the pool steps until it is empty.
-    Returns the pool and the concatenated decided and re-entry arrays."""
+    times within it, replicas in turn, each hit with the payload columns
+    payload(j) of its trial numbers j; the pool steps until it is empty.
+    Returns the pool and the concatenated decided and re-entry arrays, the
+    re-entering payload columns as `payload0`, `payload1`, ..."""
     pool = ensemble.TrialPool(replicas)
     phase = rng.random(n)
     decided, reentry = [], []
@@ -440,12 +445,14 @@ def _pooled(law, iv, n, rng, replicas=4, per_step=150, dt=0.05):
     while step * per_step < n or len(pool):
         t0 = step * dt
         j = np.arange(step * per_step, min((step + 1) * per_step, n))
-        hits = (t0 + (1.0 - phase[j]) * dt, j % replicas,
-                np.zeros(len(j), dtype=np.int8), np.full(len(j), math.inf))
+        hits = (t0 + (1.0 - phase[j]) * dt, j % replicas, *payload(j))
         out = breakout_trials(law, iv, **NEST_KW, n_trials=len(j), dt=dt,
                               rng=rng, pool=pool, t0=t0, hits=hits)
         decided.append(out.decided)
-        reentry.append(out.reentry)
+        ent = dict(out.reentry)
+        for i, col in enumerate(ent.pop("payload")):
+            ent[f"payload{i}"] = col
+        reentry.append(ent)
         step += 1
     return pool, *({k: np.concatenate([d[k] for d in parts])
                     for k in parts[0]} for parts in (decided, reentry))
@@ -500,6 +507,53 @@ def test_pool_decides_each_replica_in_hit_order(binary_law, iv5):
     # launched before the waiting one, reaches zeta
     assert pool.wait_time.sum() <= pool.waits.sum() * (NEST_KW["zeta"] + 0.05)
     assert len(pool) == 0 and len(pool.trials["launch"]) == 0
+
+
+def test_pool_hands_each_launch_payload_back_unchanged(binary_law, iv5):
+    """A payload given with the hits comes back as given, column for column
+    and dtype for dtype, with every re-entering lineage, also with those of
+    the nested trials, which inherit their parent's payload; a pool without
+    payload hands back none."""
+    def payload(j):
+        return j, (j % 7).astype(np.int8), j * 0.5
+    pool, dec, ent = _pooled(binary_law, iv5, 600, rng_stream(43, 0, 0),
+                             payload=payload)
+    assert np.count_nonzero(dec["depth"] >= 2) > 0 and len(ent["pos"]) > 0
+    j = ent["payload0"]
+    for col, want in zip((ent["payload1"], ent["payload2"]), payload(j)[1:]):
+        assert col.dtype == want.dtype and np.array_equal(col, want)
+    # lineages re-enter from nested trials too, and keep their hit's replica
+    assert np.array_equal(ent["replica"], j % pool.replicas)
+    assert "colour" not in dec and "expiry" not in dec
+    assert len(pool.payload) == 3 and all(len(v) == 0 for v in pool.payload)
+    _, _, ent = _pooled(binary_law, iv5, 60, rng_stream(43, 1, 0))
+    assert set(ent) == {"pos", "replica", "age"}
+
+
+def test_pool_payload_survives_a_depth_2_relaunch(binary_law, iv5):
+    """One trial's lineage that relaunches at depth 2 carries its parent's
+    payload into the nested trial, and its re-entering lineages hand it
+    back."""
+    pool = ensemble.TrialPool(1)
+    rng = rng_stream(47, 0, 0)
+    mark = np.array([12345], dtype=np.int64)
+    out = breakout_trials(binary_law, iv5, **NEST_KW, n_trials=1, dt=0.05,
+                          rng=rng, pool=pool, t0=0.0,
+                          hits=(np.array([0.05]), np.zeros(1, np.int64), mark))
+    back, step, nested = [out.reentry["payload"][0]], 1, False
+    empty = (np.empty(0), np.empty(0, np.int64), mark[:0])
+    while len(pool):
+        deep = pool.trials["depth"] == 2
+        nested |= bool(deep.any())
+        assert np.all(pool.payload[0][deep] == mark)
+        out = breakout_trials(binary_law, iv5, **NEST_KW, n_trials=0,
+                              dt=0.05, rng=rng, pool=pool, t0=step * 0.05,
+                              hits=empty)
+        back.append(out.reentry["payload"][0])
+        step += 1
+    assert nested and pool.relaunched[0] >= 1
+    back = np.concatenate(back)
+    assert len(back) and back.dtype == mark.dtype and np.all(back == mark)
 
 
 def test_per_particle_spans_time_hits_within_each_span(binary_law):

@@ -284,6 +284,17 @@ def test_weight_functions_at_reference_points(iv10):
     assert w_Z(11.0, iv10) == 0.0
 
 
+def _w_Z_reference(x, iv):
+    # a e^{mu (xc - a)} sin(pi xc / a), xc = x clipped to [0, a], zero off
+    # the open interval (0, a): the formula written out once, apart from
+    # the kernels' shared sine factor
+    x = np.asarray(x, dtype=float)
+    xc = np.minimum(np.maximum(x, 0.0), iv.a)
+    val = iv.a * np.exp((xc - iv.a) * iv.mu) * np.sin(xc * PI / iv.a)
+    val[~((x > 0.0) & (x < iv.a))] = 0.0
+    return np.maximum(val, 0.0)
+
+
 @pytest.mark.parametrize("a", [PI, 5.0, 8.0, 10.0])
 def test_joint_weights_equal_the_separate_ones_bit_for_bit(a):
     # the barrier runner's record takes both sums from w_ZY; a bit of
@@ -308,7 +319,9 @@ def test_joint_weights_equal_the_separate_ones_bit_for_bit(a):
                 want = w_Z(x, iv), w_Y(x, iv)
         seen.append({str(w.message) for w in caught})
     assert seen[1] <= seen[0] and (a == PI or not seen[0])
-    for g, w in zip(got, want):
+    # both Z forms against a separate statement of the formula
+    ref = _w_Z_reference(x, iv)
+    for g, w in ((got[0], ref), (want[0], ref), (got[1], want[1])):
         assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
     assert scalar == (w_Z(0.3 * a, iv), w_Y(0.3 * a, iv))
     assert all(type(v) is float for v in scalar)

@@ -301,11 +301,3 @@ def test_recentering_rejects_small_populations():
     with pytest.raises(ValueError):
         recentering(15)
     recentering(16)  # boundary is allowed
-
-
-def test_recentering_window_offsets():
-    r = recentering(10**4)
-    assert r.window() == r.a_N
-    assert_close(r.window(3.0), r.a_N - 3.0, 1e-15)
-    with pytest.raises(ValueError):
-        r.window(r.a_N - 1.0)  # would leave less than pi of room

@@ -15,7 +15,6 @@ from nbbm.runio import (
     _config_from_dict,
     _config_to_dict,
     canonical_hash,
-    checkpoint_hash,
     fmt_real,
     load_population,
     read_events_csv,
@@ -341,9 +340,8 @@ _POS = np.array([0.5, -1.25, 1e-12])
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "pop.bin"
     save_population(path, _POS, 3.25, "feedfacefeedface")
-    assert checkpoint_hash(path) == "feedfacefeedface"
-    time, pos = load_population(path)
-    assert time == 3.25
+    h, time, pos = load_population(path)
+    assert h == "feedfacefeedface" and time == 3.25
     assert np.array_equal(pos, _POS) and pos.dtype == np.float64
     # header, count and time, then eight bytes per position
     assert len(path.read_bytes()) == 42 + 8 * len(_POS)
@@ -352,7 +350,16 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_unstamped_hash_is_empty(tmp_path):
     path = tmp_path / "pop.bin"
     save_population(path, _POS, 0.0)
-    assert checkpoint_hash(path) == ""
+    assert load_population(path)[0] == ""
+
+
+@pytest.mark.parametrize("cut", [8, 12, 20])
+def test_checkpoint_refuses_a_truncated_header(tmp_path, cut):
+    path = tmp_path / "pop.bin"
+    save_population(path, _POS, 3.25, "abcdef0123456789")
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_population(path)
 
 
 def test_checkpoint_corruption_errors(tmp_path):
@@ -364,8 +371,6 @@ def test_checkpoint_corruption_errors(tmp_path):
     bad.write_bytes(b"NOTAPOP!" + bytes(blob[8:]))
     with pytest.raises(ValueError, match="not a population checkpoint"):
         load_population(bad)
-    with pytest.raises(ValueError, match="not a population checkpoint"):
-        checkpoint_hash(bad)
 
     versioned = bytearray(blob)
     versioned[8] = 99

@@ -679,6 +679,27 @@ def test_no_trial_cases_launch_no_trial(binary_law, monkeypatch):
     assert calls == []
 
 
+def test_the_trial_pool_carries_the_modes_own_payload(binary_law,
+                                                      monkeypatch):
+    # a hit hands the pool what its particle carries: bbbm's particles
+    # carry nothing, bflat's a colour and an expiry
+    arity = []
+
+    def recording(*args, **kw):
+        if kw["n_trials"]:
+            arity.append(len(kw["hits"]))
+        return breakout_trials(*args, **kw)
+
+    monkeypatch.setattr(selection, "breakout_trials", recording)
+    for mode, i, horizon, want in (("bbbm", 2, 10.0, 2),
+                                   ("bflat", 4, 30.0, 4)):
+        assert REFERENCE_CASES[i][0] == mode
+        arity.clear()
+        kw = dict(REFERENCE_CASES[i][1], horizon=horizon, replicas=2)
+        _run_batch(SimConfig(binary_law, **kw), mode)
+        assert arity and set(arity) == {want}, (mode, arity)
+
+
 def test_a_runner_step_makes_at_most_two_segment_steps(binary_law,
                                                       monkeypatch):
     # one step of the population and one of the trial pool, also while
@@ -937,9 +958,10 @@ def test_coupled_slack_systems_dominate(binary_law):
     assert np.all(res.final_mid[:nw] >= res.final_minus - 1e-12)
 
 
-def test_coupled_detects_an_injected_fault(binary_law):
+def test_coupled_detects_an_injected_fault(binary_law, faulty_check):
     with pytest.raises(CouplingError):
-        run_coupled(binary_law, 30, horizon=4.0, seed=5, inject_fault=True)
+        run_coupled(binary_law, 30, horizon=4.0, seed=5)
+    assert len(faulty_check) == 20
 
 
 def test_coupled_is_deterministic(binary_law):
@@ -957,13 +979,6 @@ def test_coupled_validation(binary_law):
         run_coupled(binary_law, 10, horizon=1.0, extra=10)
     with pytest.raises(ValueError):
         run_coupled(binary_law, 10, horizon=1.0, slack=-1)
-    with pytest.raises(ValueError):
-        run_coupled(binary_law, 10, horizon=1.0,
-                    init_positions=np.zeros(4))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            run_coupled(binary_law, 10, horizon=1.0,
-                        init_positions=np.r_[np.arange(9.0), bad])
     for horizon in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(ValueError):
             run_coupled(binary_law, 10, horizon=horizon)

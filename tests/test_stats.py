@@ -283,7 +283,8 @@ def test_increment_comparison_refuses_small_samples():
 
 
 def test_worst_ratio_matches_deviations():
-    rep = CFComparison(np.array([0.5, 1.0]), np.array([0.3, 0.8]),
-                       np.array([0.1, 0.1]), 0.0, 300)
+    rep = CFComparison(np.array([0.5, 1.0]), phi=np.array([0.3, 0.8]),
+                       model=np.zeros(2), se=np.array([0.1, 0.1]),
+                       fitted_c=0.0, n=300)
     assert rep.worst_ratio == 8.0
     assert not rep.passed
