@@ -348,6 +348,8 @@ def _cmd_levy(args) -> int:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if not 0.0 < args.t < math.inf:
         raise ValueError(f"--t must be positive and finite, got {args.t!r}")
+    if not all(map(math.isfinite, args.lambdas)):
+        raise ValueError(f"--lambdas must be finite, got {args.lambdas!r}")
     ident = {"schema": "nbbm-levy-manifest-1",
              "code_version": __version__,
              "t": args.t, "samples": args.samples, "seed": args.seed,
@@ -355,10 +357,10 @@ def _cmd_levy(args) -> int:
     h = canonical_hash(ident)
     _write_json(outdir / "manifest.json", dict(ident, hash=h))
 
-    lams = sorted(set(_CF_LAMBDAS) | {la for la in args.lambdas})
-    ks = [kappa(la, params) for la in lams]
+    lams = sorted(set(_CF_LAMBDAS) | set(args.lambdas))
+    ks = kappa(lams, params)
     write_table(outdir / "kappa.csv", h, ["lam", "re_kappa", "im_kappa"],
-                [(la, k.real, k.imag) for la, k in zip(lams, ks)])
+                zip(lams, ks.real, ks.imag))
 
     rng = rng_stream(args.seed, 0, _LANE_LEVY)
     values = sample_levy_increment(args.t, args.samples, rng, params)

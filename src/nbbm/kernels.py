@@ -13,9 +13,9 @@ REPRESENTATION_SWITCH_T and the spectral series from there on; hitting the
 MAX_TERMS cap raises RuntimeError instead of returning a silently degraded
 value.
 
-scipy loads only inside the quadrature-backed functions (`I_integral`,
-`J_integral` and `selfcheck`), so importing this module and running the
-simulation lanes never pays for it.
+scipy loads only inside the quadrature-backed functions (`I_integral` and
+`selfcheck`), so importing this module and running the simulation lanes
+never pays for it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "exit_density_right",
     "exit_density_right_scaled",
     "I_integral",
-    "J_integral",
     "p_taboo",
     "w_Z",
     "w_Y",
@@ -418,32 +417,6 @@ def I_integral(x, S, iv) -> float:
     for s0, s1 in _normalize_windows(S):
         val, _err = integrate.quad(
             lambda s: exit_density_right_scaled(x, s, a),
-            s0,
-            s1,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=400,
-        )
-        total += val
-    return total
-
-
-def J_integral(x, y, S, iv) -> float:
-    """Growth-weighted occupation kernel int_S e^{pi^2 s/(2a^2)} p_s^a(x, y) ds.
-
-    Scales as J^a(x, y, S) = a * J^1(x/a, y/a, S/a^2).  The integrand has an
-    integrable 1/sqrt(s) spike at s = 0 when x = y; quadrature handles it but
-    windows away from 0 converge much faster.
-    """
-    from scipy import integrate
-
-    a = _interval_length(iv)
-    x = float(x)
-    y = float(y)
-    total = 0.0
-    for s0, s1 in _normalize_windows(S):
-        val, _err = integrate.quad(
-            lambda s: p_killed_scaled(x, y, s, a),
             s0,
             s1,
             epsabs=1e-13,

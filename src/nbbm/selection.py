@@ -12,8 +12,8 @@ three systems with shared noise and per-event domination checks.
 (replicas, N) array of slots, a dead slot holding -inf, on the one stream
 rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
 barrier runners advance all replicas of a run together in flat arrays:
-positions, each particle tagged with its replica id, and colour codes and
-blue expiry times in the coloured modes only, stepped by
+positions, each particle tagged with its replica id, colour codes in the
+coloured modes and blue expiry times in the sharp modes only, stepped by
 `ensemble.step_segments` as the killed ensemble is.  One generator,
 rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
 takes its own replica's barrier drift, and per-replica state
@@ -515,10 +515,11 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     n_rep = cfg.replicas
     rng = rng_stream(cfg.seed, 0, _LANE_BARRIER)
     pos, rep = hperp_flat(A, iv, n_rep, rng)
-    # colour codes and blue expiry times ride along only where a rule reads
-    # them; bbbm carries none
-    cols = ((np.zeros(len(pos), dtype=np.int8), np.full(len(pos), math.inf))
-            if mode != "bbbm" else ())
+    # per-particle state rides along only where a rule reads it: colour
+    # codes in bflat and the sharp modes, blue expiry times only in the
+    # sharp modes, nothing in bbbm
+    cols = (np.zeros(len(pos), dtype=np.int8),
+            np.full(len(pos), math.inf))[:(mode != "bbbm") + sharp]
     bounds = _replica_bounds(rep, n_rep)
     peak = _sizes(bounds)
 
@@ -605,7 +606,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                                        mode == "csharp", st.stats)
 
         if mode == "bflat":
-            c, e = cs
+            c, = cs
             whites = c == _WHITE
             n_white = int(whites.sum())
             if n_white > n_flat:
@@ -614,7 +615,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 right = n_white - np.searchsorted(srt, wpos, side="right")
                 c = c.copy()
                 c[np.flatnonzero(whites)[right >= n_flat]] = _RED
-            cs = (c, e)
+            cs = [c]
         return p, cs
 
     # each replica's barrier shift at the step's end, evaluated once per

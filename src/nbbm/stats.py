@@ -283,8 +283,7 @@ def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
         c_hat = float(increments.mean() / dt_inc - _levy.increment_mean_rate())
         params = _levy.LevyParams(c_hat)
     phi, se = empirical_cf(increments, lams)
-    model = np.array([np.exp(dt_inc * _levy.kappa(lam, params))
-                      for lam in lams])
+    model = np.exp(dt_inc * _levy.kappa(lams, params))
     return CFComparison(lams=lams, phi=phi, model=model, se=se,
                         fitted_c=params.c, n=len(increments))
 

@@ -483,6 +483,8 @@ def test_levy_kappa_table_holds_the_exponent(tmp_path):
 @pytest.mark.parametrize("flags, needle", [
     (["--samples", "-5"], "--samples"), (["--samples", "0"], "--samples"),
     (["--t", "nan"], "--t"), (["--t", "-1"], "--t"), (["--t", "inf"], "--t"),
+    (["--lambdas", "nan"], "--lambdas"),
+    (["--lambdas", "1", "inf"], "--lambdas"),
 ])
 def test_levy_rejects_bad_samples_and_span_before_writing(tmp_path, capsys,
                                                           flags, needle):
@@ -633,9 +635,9 @@ runs = {
                tmp + "/couple"],
     "report": ["report", "--series", tmp + "/nbbm/series.csv", "--out",
                tmp + "/report"],
-    "kernels-selfcheck": ["kernels-selfcheck"],
     "levy": ["levy", "--samples", "200", "--t", "0.5", "--out",
              tmp + "/levy"],
+    "kernels-selfcheck": ["kernels-selfcheck"],
 }
 for name, argv in runs.items():
     report[name] = (main(argv), scipy_loaded())
@@ -658,10 +660,13 @@ def test_runs_never_import_scipy(tmp_path):
     assert report.pop("import") == []
     for name in ("nbbm", "bbbm", "coupled", "couple", "report"):
         assert report[name] == [0, []], name
-    # the quadrature-backed commands still work, loading scipy on demand
-    for name in ("kernels-selfcheck", "levy"):
-        code, loaded = report[name]
-        assert code == 0 and "scipy.integrate" in loaded, name
+    # levy loads only scipy.special, for psi; the quadrature-backed
+    # selfcheck loads scipy.integrate on demand
+    code, loaded = report["levy"]
+    assert code == 0 and "scipy.special" in loaded, loaded
+    assert "scipy.integrate" not in loaded, loaded
+    code, loaded = report["kernels-selfcheck"]
+    assert code == 0 and "scipy.integrate" in loaded
 
 
 def test_report_passes_true_increments(tmp_path):

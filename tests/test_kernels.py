@@ -15,7 +15,6 @@ from nbbm.kernels import (
     REPRESENTATION_SWITCH_T,
     IntervalParams,
     I_integral,
-    J_integral,
     SineExpDensity,
     barrier_f,
     bbm_density,
@@ -246,16 +245,6 @@ def test_I_integral_scaling_exact():
     u, S, a = 0.4, (0.5, 1.5), 3.0
     scaled = I_integral(a * u, (S[0] * a * a, S[1] * a * a), a)
     assert_close(scaled, I_integral(u, S, 1.0), 1e-10)
-
-
-def test_J_integral_scaling_exact():
-    u, v, S, a = 0.4, 0.3, (0.5, 1.5), 3.0
-    scaled = J_integral(a * u, a * v, (S[0] * a * a, S[1] * a * a), a)
-    assert_close(scaled, a * J_integral(u, v, S, 1.0), 1e-10)
-
-
-def test_J_integral_zero_at_killed_endpoint():
-    assert J_integral(0.4, 0.0, (0.5, 1.5), 1.0) == 0.0
 
 
 def test_I_integral_window_flux_estimate():

@@ -1,11 +1,13 @@
-"""Limit-process checks: the characteristic exponent against an independent
-quadrature route, the jump-measure tail identity, sampler consistency, the
-quantile solver, and the recentering constants."""
+"""Limit-process checks: the characteristic exponent's closed form against an
+independent quadrature route and the mean rate, the jump-measure tail
+identity, sampler consistency, the quantile solver, and the recentering
+constants."""
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +73,46 @@ def test_kappa_conjugate_symmetry():
 
 
 def test_kappa_matches_independent_quadrature_route():
-    for lam in (0.5, 1.0, 2.0):
-        assert abs(kappa(lam) - kappa_by_u_quadrature(lam)) <= 1e-9
+    for size in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
+        for lam in (size, -size):
+            assert abs(kappa(lam) - kappa_by_u_quadrature(lam)) <= 1e-9, lam
+
+
+def test_kappa_slope_at_origin_is_the_mean_rate():
+    # -i kappa'(0) = E[L_1]; the closed form gives c + pi^2 (1 - c')
+    h = 1e-5
+    for c in (0.0, 0.7):
+        params = LevyParams(c=c)
+        slope = (kappa(h, params) - kappa(-h, params)) / (2.0 * h)
+        assert_close(slope.real, 0.0, 1e-12)
+        assert_close(slope.imag, increment_mean_rate(params), 1e-8)
+        assert_close(increment_mean_rate(params),
+                     c + PI**2 * (1.0 - c_prime()), 1e-12)
+
+
+def test_kappa_finite_and_silent_at_large_lambda():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (200.0, -200.0):
+            k = kappa(lam)
+            assert math.isfinite(k.real) and math.isfinite(k.imag), lam
+
+
+def test_kappa_array_call_equals_the_scalar_calls_bit_for_bit():
+    sizes = np.geomspace(1e-6, 200.0, 40)
+    lams = np.concatenate([-sizes[::-1], [0.0], sizes])
+    params = LevyParams(c=0.3)
+    arr = kappa(lams, params)
+    one = np.array([kappa(float(lam), params) for lam in lams])
+    assert isinstance(kappa(1.0), complex) and arr.shape == lams.shape
+    assert arr.view(np.uint64).tolist() == one.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf,
+                                 [1.0, math.nan]])
+def test_kappa_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        kappa(lam)
 
 
 def test_kappa_drift_term_linear():

@@ -682,7 +682,7 @@ def test_no_trial_cases_launch_no_trial(binary_law, monkeypatch):
 def test_the_trial_pool_carries_the_modes_own_payload(binary_law,
                                                       monkeypatch):
     # a hit hands the pool what its particle carries: bbbm's particles
-    # carry nothing, bflat's a colour and an expiry
+    # carry nothing, bflat's a colour (no expiry: no bflat rule reads one)
     arity = []
 
     def recording(*args, **kw):
@@ -692,7 +692,7 @@ def test_the_trial_pool_carries_the_modes_own_payload(binary_law,
 
     monkeypatch.setattr(selection, "breakout_trials", recording)
     for mode, i, horizon, want in (("bbbm", 2, 10.0, 2),
-                                   ("bflat", 4, 30.0, 4)):
+                                   ("bflat", 4, 30.0, 3)):
         assert REFERENCE_CASES[i][0] == mode
         arity.clear()
         kw = dict(REFERENCE_CASES[i][1], horizon=horizon, replicas=2)
