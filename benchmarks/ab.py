@@ -19,7 +19,12 @@ LAYER is one of the cases tables below, each at fixed sizes, binary law:
   (a = 8, A = 3, epsilon = 0.01, y = 3, zeta = 6, dt = 0.05, 24 replicas,
   T = 10), and `selection.run_bflat` in tests/test_selection.py's
   REFERENCE_CASES kw4 geometry (a = 5, A = 0.5, epsilon = 1e-6, y = 2,
-  zeta = 6, delta_color = 0.005, dt = 0.05, T = 60) at 4 replicas.
+  zeta = 6, delta_color = 0.005, dt = 0.05, T = 60) at 4 replicas, and
+  `selection.run_bsharp` in the kw5 geometry (a = 5, A = 2, epsilon = 1e9,
+  y = 2, zeta = 6, delta_color = 0.005, no breakout at zeta, dt = 0.05,
+  T = 12) at 4 replicas, whose origin hits make blues and whose trials
+  carry two payload columns.  No blue expires before T = 12: at desk scale
+  the first expiry is two cells of the sharp grid away (see run_bsharp).
 - nbbm: `selection.run_nbbm`, dt = 0.1, T = 200, at (N, replicas) =
   (1000, 1), (1000, 4) and (100, 32).
 
@@ -151,7 +156,11 @@ LAYERS = {
               epsilon=0.01, y=3.0, zeta=6.0)),
         ("bflat, 4 replicas, T = 60", "selection.run_bflat",
          dict(a=5.0, dt=0.05, horizon=60.0, replicas=4, A=0.5,
-              epsilon=1e-6, y=2.0, zeta=6.0, delta_color=0.005))]),
+              epsilon=1e-6, y=2.0, zeta=6.0, delta_color=0.005)),
+        ("bsharp, 4 replicas, T = 12", "selection.run_bsharp",
+         dict(a=5.0, dt=0.05, horizon=12.0, replicas=4, A=2.0,
+              epsilon=1e9, y=2.0, zeta=6.0, delta_color=0.005,
+              zeta_breakout=False))]),
     "nbbm": ("particle-step", simulate, [
         (f"N = {n}, {r} replicas, T = 200", "selection.run_nbbm",
          dict(n_select=n, replicas=r, dt=0.1, horizon=200.0))

@@ -58,7 +58,9 @@ __all__ = [
 
 _PI2 = math.pi * math.pi
 JUMP_TRUNCATION = 0.01
-# jumps per sampler chunk: 8 MB arrays (10x larger ones page-fault more)
+# expected jumps per chunk of samples; the chunks fix the order of draws
+_JUMPS_PER_CHUNK = 1_000_000
+# jumps drawn at once: 8 MB arrays (10x larger ones page-fault more)
 _MAX_JUMP_BUFFER = 1_000_000
 
 
@@ -241,8 +243,8 @@ def sample_levy_increment(t: float, size: int, rng: np.random.Generator,
 
     Compound Poisson above JUMP_TRUNCATION (rate pi^2/(e^delta - 1)), exact
     compensator for retained jumps below 1, deterministic c t, and the
-    Gaussian for the jumps below the truncation.  Jump generation is
-    chunked, about _MAX_JUMP_BUFFER jumps at a time, so memory stays bounded.
+    Gaussian for the jumps below the truncation.  Jumps are drawn at most
+    _MAX_JUMP_BUFFER at a time, so memory beside the output stays bounded.
     """
     t = float(t)
     if not (t > 0.0):
@@ -253,15 +255,21 @@ def sample_levy_increment(t: float, size: int, rng: np.random.Generator,
     drift = params.c * t - _compensator_rate(delta) * t
 
     out = np.empty(size, dtype=float)
-    chunk = max(1, int(_MAX_JUMP_BUFFER / max(rate * t, 1.0)))
+    chunk = max(1, int(_JUMPS_PER_CHUNK / max(rate * t, 1.0)))
     for lo in range(0, size, chunk):
         hi = min(size, lo + chunk)
-        counts = rng.poisson(rate * t, hi - lo)
-        total = int(counts.sum())
-        csum = np.zeros(total + 1)
-        np.cumsum(sample_jump_sizes(total, rng, delta), out=csum[1:])
-        ends = np.cumsum(counts)
-        out[lo:hi] = csum[ends] - csum[ends - counts]
+        ends = np.cumsum(rng.poisson(rate * t, hi - lo))
+        # the running jump sum at each sample's last jump; each piece starts
+        # from the sum before it, so the sums are one cumsum's over the chunk
+        sums, carry = np.zeros(hi - lo), 0.0
+        for k0 in range(0, int(ends[-1]), _MAX_JUMP_BUFFER):
+            csum = sample_jump_sizes(min(_MAX_JUMP_BUFFER, ends[-1] - k0),
+                                     rng, delta)
+            csum[0] += carry
+            carry = np.cumsum(csum, out=csum)[-1]
+            i0, i1 = np.searchsorted(ends, (k0, k0 + len(csum)), side="right")
+            sums[i0:i1] = csum[ends[i0:i1] - k0 - 1]
+        out[lo:hi] = np.diff(sums, prepend=0.0)
     out += drift
     sd = math.sqrt(_small_jump_variance_rate(delta) * t)
     out += sd * rng.standard_normal(size)

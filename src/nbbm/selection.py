@@ -11,23 +11,22 @@ three systems with shared noise and per-event domination checks.
 `run_nbbm`, the one N-BBM step lane, steps all replicas together in one
 (replicas, N) array of slots, a dead slot holding -inf, on the one stream
 rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
-barrier runners advance all replicas of a run together in flat arrays:
-positions, each particle tagged with its replica id, colour codes in the
-coloured modes and blue expiry times in the sharp modes only, stepped by
-`ensemble.step_segments` as the killed ensemble is.  One generator,
-rng_stream(seed, 0, barrier lane), serves the whole batch; each particle
-takes its own replica's barrier drift, and per-replica state
-(barrier path, pending breakout, freeze-time queue, pieces) is touched only
-when that replica has something due.  After each step the arrays are
-regrouped by replica with a stable sort, so every per-replica statistic is
-taken on a contiguous slice.  Excursions past the right wall are simulated
-as fugitive trials, one per hit, in one `ensemble.TrialPool` that takes one
-segment step per runner step; frozen lineages re-enter the population at
-the end of the step in which they froze.  A one-replica run that never
-hits the wall is bit-identical to the per-hit reference kept in the tests.
-Rule evaluation happens at step ends, so colour flips and re-entries are
-placed with O(dt) time resolution; the Brownian and branching dynamics
-themselves are exact within each step.
+barrier runners advance all replicas of a run together in one tuple of flat
+arrays: positions, replica ids, colour codes in the coloured modes and blue
+expiry times in the sharp modes only, on one stream rng_stream(seed, 0,
+barrier lane).  A step runs in named phases, in order: one
+`ensemble.step_segments` call moves each particle with its own replica's
+barrier drift; `launch_trials` starts one fugitive trial per wall hit in one
+`ensemble.TrialPool`, steps the pool once, decides its breakouts and
+re-enters the lineages that froze in the step; `land_blues` (sharp modes)
+keeps origin hits alive as blues; `regroup` sorts by replica, stably, so
+every per-replica statistic is taken on a contiguous slice; `settle_due`
+applies the step-end rules (responses, freezes, colour flips, expiries) to
+the replicas that have one due; `record` takes the series.  A one-replica
+run that never hits the wall is bit-identical to the per-hit reference kept
+in the tests.  Rule evaluation happens at step ends, so colour flips and
+re-entries are placed with O(dt) time resolution; the Brownian and
+branching dynamics themselves are exact within each step.
 """
 
 from __future__ import annotations
@@ -362,11 +361,6 @@ class BarrierPath:
         self.pieces.append(BarrierPiece(t_start=theta, base=frozen))
         return theta
 
-    def jumps(self) -> list[tuple[float, float]]:
-        """(Theta_n, frozen level) for each completed piece."""
-        return [(p.t_end, self.pieces[i + 1].base)
-                for i, p in enumerate(self.pieces[:-1])]
-
 
 # ---------------------------------------------------------------------------
 # barrier runners
@@ -442,8 +436,8 @@ class _Replica:
 
     path: BarrierPath
     pending: tuple[float, float] | None = None
-    theta_queue: list[tuple[float, int]] = field(default_factory=list)
     pieces: list[dict] = field(default_factory=list)
+    frozen: int = 0  # the index in pieces of the next piece to freeze
     stats: dict = field(default_factory=lambda: dict.fromkeys(
         ("red_killed", "blue_created", "blue_killed", "rewhitened",
          "white_killed_at_origin"), 0))
@@ -455,8 +449,10 @@ class _Replica:
         return self.pending is not None and self.pending[1] <= t1 + 1e-9
 
     def freeze_due(self, t1: float) -> bool:
-        """Whether the earliest queued freeze time falls by t1."""
-        return bool(self.theta_queue) and self.theta_queue[0][0] <= t1 + 1e-9
+        """Whether the next piece to freeze does so by t1; pieces install
+        in the order of their freeze times."""
+        return (self.frozen < len(self.pieces)
+                and self.pieces[self.frozen]["theta"] <= t1 + 1e-9)
 
 
 def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
@@ -469,11 +465,6 @@ def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
 def _replica_bounds(rep: np.ndarray, replicas: int) -> list[int]:
     """Slice bounds of each replica in a replica-sorted id array."""
     return np.searchsorted(rep, np.arange(replicas + 1)).tolist()
-
-
-def _sizes(bounds: list[int]) -> list[int]:
-    """Population of each replica from its slice bounds."""
-    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _joined(*parts):
@@ -499,12 +490,10 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     wall_count = 2.0 * math.pi / a ** 3 * math.exp(mu * a)
     n_flat = int(wall_count * math.exp(A + dc)) if mode == "bflat" else 0
     n_sharp = int(wall_count * math.exp(A - dc)) if sharp else 0
-    sharp_period = math.inf
-    if sharp:
-        k_env = 1
-        while error_envelope_E(float(k_env)) > dc / 10.0:
-            k_env += 1
-        sharp_period = (k_env + 3.0) * a ** 2
+    k_env = 1
+    while sharp and error_envelope_E(float(k_env)) > dc / 10.0:
+        k_env += 1
+    sharp_period = (k_env + 3.0) * a ** 2 if sharp else math.inf
 
     horizon = cfg.horizon if cfg.horizon is not None \
         else 1.5 * math.exp(A) * a ** 2
@@ -515,13 +504,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     n_rep = cfg.replicas
     rng = rng_stream(cfg.seed, 0, _LANE_BARRIER)
     pos, rep = hperp_flat(A, iv, n_rep, rng)
-    # per-particle state rides along only where a rule reads it: colour
-    # codes in bflat and the sharp modes, blue expiry times only in the
-    # sharp modes, nothing in bbbm
-    cols = (np.zeros(len(pos), dtype=np.int8),
-            np.full(len(pos), math.inf))[:(mode != "bbbm") + sharp]
+    # the particles travel as one tuple (pos, rep, *colours), and a colour
+    # rides along only where a rule reads it: colour codes in bflat and the
+    # sharp modes, blue expiry times only in the sharp modes, none in bbbm
+    parts = (pos, rep, np.zeros(len(pos), dtype=np.int8),
+             np.full(len(pos), math.inf))[:2 + (mode != "bbbm") + sharp]
     bounds = _replica_bounds(rep, n_rep)
-    peak = _sizes(bounds)
+    peak = np.diff(bounds).tolist()
 
     reps = [_Replica(BarrierPath(iv, A)) for _ in range(n_rep)]
     # the trials of every replica, and the wall hits of the population; a
@@ -530,83 +519,137 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
     pop_hits, reinjected = np.zeros((2, n_rep), dtype=np.int64)
 
     times = [0.0]
-    names = ["count", "Z", "Y", "R_cum", "barrier_shift"]
-    if mode == "bflat":
-        names.append("count_white")
-    if sharp:
-        names.append("count_blue")
-    names += [f"med_{al:g}" for al in cfg.alphas]
-    rows: dict[str, list[np.ndarray]] = {k: [] for k in names}
+    rows: dict[str, list[np.ndarray]] = {}  # record's columns, in order
 
-    def record(pos, rep, cols, bounds, shift):
-        # one entry per replica and name, each taken on the replica's own
-        # slice as a lone replica would take it; the medians on a
-        # (replica, slot) matrix padded with -inf, one slice copy a row
-        # (of the whites' slices in bflat)
-        wz, wy = w_ZY(pos, iv)
-        spans = list(zip(bounds, bounds[1:]))
-        row = {"count": np.diff(bounds), "R_cum": pop_hits + pool.relaunched,
-               "Z": [np.add.reduce(wz[lo:hi]) for lo, hi in spans],
-               "Y": [np.add.reduce(wy[lo:hi]) for lo, hi in spans],
-               "barrier_shift": shift.copy()}
-        seen = pos
-        if mode == "bflat":
-            whites = cols[0] == _WHITE
-            seen = pos[whites]
-            row["count_white"] = np.bincount(rep[whites], minlength=n_rep)
-            ends = np.cumsum(row["count_white"]).tolist()
-            spans = list(zip([0, *ends], ends))
+    def launch_trials(parts, upper, t0, h):
+        """The step's wall hits launch into the trial pool with their
+        colours, the pool advances through the step, its decided breakouts
+        become responses or are suppressed, and the lineages that left it
+        below the wall re-enter."""
+        if not (upper or len(pool)):
+            return parts
+        # no hits: one empty chunk, the population's dtypes
+        hits = tuple(map(np.concatenate,
+                         zip(*(upper or [tuple(x[:0] for x in parts)]))))
+        pop_hits[:] += np.bincount(hits[1], minlength=n_rep)
+        out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
+                              n_trials=len(hits[1]), dt=h, rng=rng,
+                              zeta_breakout=cfg.zeta_breakout,
+                              pool=pool, t0=t0, hits=hits)
+        # a replica's first decided breakout not before its open piece's
+        # start takes the response unless one is pending; the rest are
+        # suppressed
+        dec = out.decided
+        for k in np.flatnonzero(dec["is_breakout"]).tolist():
+            st, t_k = reps[dec["replica"][k]], float(dec["launch"][k])
+            if st.pending is not None or t_k < st.path.pieces[-1].t_start:
+                st.suppressed += 1
+            else:
+                st.pending = (t_k, t_k + float(dec["sigma_max"][k]))
+        ent = out.reentry
+        r_in, c_in = ent["replica"], ent["payload"]
+        if sharp:  # they lie above the origin: expired blues whiten
+            col_in, exp_in = c_in
+            expired = (col_in == _BLUE) & (exp_in <= t0 + h)
+            _tally(reps, "rewhitened", r_in[expired])
+            col_in[expired], exp_in[expired] = _WHITE, math.inf
+        if len(r_in):
+            reinjected[:] += np.bincount(r_in, minlength=n_rep)
+            parts = _joined(parts, (ent["pos"], r_in, *c_in))
+        return parts
+
+    def land_blues(parts, origin):
+        """Origin hits of whites live on as blues at the origin while their
+        replica has fewer than n_sharp particles right of it."""
+        t_lo, r_lo, _, _ = (np.concatenate(x) for x in zip(*origin))
+        order = np.lexsort((t_lo, r_lo))
+        t_lo, r_lo = t_lo[order], r_lo[order]
+        n_right = np.bincount(parts[1][parts[0] > 0.0], minlength=n_rep)
+        blue = n_right[r_lo] < n_sharp
+        _tally(reps, "blue_created", r_lo[blue])
+        _tally(reps, "white_killed_at_origin", r_lo[~blue])
+        n_blue = int(blue.sum())
+        return _joined(parts, (
+            np.zeros(n_blue), r_lo[blue], np.full(n_blue, _BLUE, dtype=np.int8),
+            (np.floor(t_lo[blue] / sharp_period) + 2.0) * sharp_period))
+
+    def regroup(parts):
+        """Sort by replica; the stable sort keeps each replica's order, and
+        is skipped when the ids are sorted already."""
+        rep = parts[1]
+        if (rep[1:] < rep[:-1]).any():
+            order = np.argsort(rep, kind="stable")
+            parts = tuple(x[order] for x in parts)
+        return parts
+
+    def settle_due(parts, t1, shift1):
+        """`settle` on the replicas that have a step-end rule due, each on
+        its own slice; the runs of replicas in between are carried over as
+        they are.  An installed response moves the replica's shift1 at t1."""
+        rep = parts[1]
+        due = {r for r, st in enumerate(reps)
+               if st.response_due(t1) or st.freeze_due(t1)}
         if sharp:
-            row["count_blue"] = np.bincount(rep[cols[0] == _BLUE],
-                                            minlength=n_rep)
-        slots = np.full((n_rep, max(hi - lo for lo, hi in spans)), -math.inf)
-        for r, (lo, hi) in enumerate(spans):
-            slots[r, :hi - lo] = seen[lo:hi]
-        for al in cfg.alphas:
-            row[f"med_{al:g}"] = med_alpha(slots, al, n_med)
-        for k in names:
-            rows[k].append(row[k])
+            due.update(rep[_blue_due(*parts[2:], t1)].tolist())
+        if mode == "bflat":
+            # only a replica with more than N_flat whites has a white
+            # seeing N_flat whites to its right
+            white = np.bincount(rep[parts[2] == _WHITE], minlength=n_rep)
+            due.update(np.flatnonzero(white > n_flat).tolist())
+        if not due:
+            return parts
+        bounds = _replica_bounds(rep, n_rep)
+        kept, last = [], 0
+        for r in sorted(due):
+            lo, hi = bounds[r], bounds[r + 1]
+            own = settle(r, tuple(x[lo:hi] for x in parts[:1] + parts[2:]),
+                         t1)
+            shift1[r] = reps[r].path.shift(t1)
+            kept += [tuple(x[last:lo] for x in parts),
+                     (own[0], rep[lo:lo + len(own[0])], *own[1:])]
+            last = hi
+        kept.append(tuple(x[last:] for x in parts))
+        return _joined(*kept)
 
-    def settle(r: int, p, cs, t1):
-        """Step-end rules of replica r on its own particles and colours."""
+    def settle(r: int, own, t1):
+        """Step-end rules of replica r on its own (pos, *colours)."""
         st = reps[r]
         if sharp:
-            p, *cs = _sharp_expire(p, *cs, t1, n_sharp, mode == "csharp",
-                                   st.stats)
+            own = _sharp_expire(*own, t1, n_sharp, mode == "csharp",
+                                st.stats)
 
         if st.response_due(t1):
             t_break, t_plus = st.pending
-            z_now = float(np.sum(w_Z(p, iv)))
+            z_now = float(np.sum(w_Z(own[0], iv)))
             delta_raw = math.log(z_now) - A if z_now > 0.0 else -math.inf
             delta = max(delta_raw, -1.0 + 1e-9)
             if delta != delta_raw:
                 st.clamped += 1
             theta = st.path.install(t_break, t_plus, delta)
-            st.theta_queue.append((theta, len(st.pieces)))
             st.pieces.append({"T": t_break, "T_plus": t_plus, "Z": z_now,
                               "delta_raw": delta_raw, "delta": delta,
                               "theta": theta})
             st.pending = None
 
         while st.freeze_due(t1):
-            _, piece_idx = st.theta_queue.pop(0)
+            piece = st.pieces[st.frozen]
+            st.frozen += 1
             # diagnostic only: whether the strip below the wall and the
             # trial pool had really cleared by the freeze time
-            n_strip = int(np.sum(p > a - y))
-            piece = st.pieces[piece_idx]
+            n_strip = int(np.sum(own[0] > a - y))
             piece["in_between_at_theta"] = n_strip
             piece["outstanding_at_theta"] = n_out = pool.lineages_of(r)
             piece["clear_at_theta"] = n_strip == 0 and n_out == 0
             if mode == "bflat":
-                reds = cs[0] == _RED
+                reds = own[1] == _RED
                 st.stats["red_killed"] += int(reds.sum())
-                p, cs = p[~reds], [c[~reds] for c in cs]
+                own = tuple(x[~reds] for x in own)
             if sharp:
-                p, *cs = _sharp_expire(p, *cs, math.inf, n_sharp,
-                                       mode == "csharp", st.stats)
+                own = _sharp_expire(*own, math.inf, n_sharp,
+                                    mode == "csharp", st.stats)
 
         if mode == "bflat":
-            c, = cs
+            p, c = own
             whites = c == _WHITE
             n_white = int(whites.sum())
             if n_white > n_flat:
@@ -615,112 +658,62 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
                 right = n_white - np.searchsorted(srt, wpos, side="right")
                 c = c.copy()
                 c[np.flatnonzero(whites)[right >= n_flat]] = _RED
-            cs = [c]
-        return p, cs
+                own = (p, c)
+        return own
+
+    def record(parts, bounds, shift):
+        # one entry per replica and name, each taken on the replica's own
+        # slice as a lone replica would take it; the medians on a
+        # (replica, slot) matrix padded with -inf, one slice copy a row
+        # (of the whites' slices in bflat)
+        pos, rep = parts[:2]
+        wz, wy = w_ZY(pos, iv)
+        spans = list(zip(bounds, bounds[1:]))
+        row = {"count": np.diff(bounds),
+               "Z": [np.add.reduce(wz[lo:hi]) for lo, hi in spans],
+               "Y": [np.add.reduce(wy[lo:hi]) for lo, hi in spans],
+               "R_cum": pop_hits + pool.relaunched,
+               "barrier_shift": shift.copy()}
+        seen = pos
+        if mode == "bflat":
+            whites = parts[2] == _WHITE
+            seen = pos[whites]
+            row["count_white"] = np.bincount(rep[whites], minlength=n_rep)
+            ends = np.cumsum(row["count_white"]).tolist()
+            spans = list(zip([0, *ends], ends))
+        if sharp:
+            row["count_blue"] = np.bincount(rep[parts[2] == _BLUE],
+                                            minlength=n_rep)
+        slots = np.full((n_rep, max(hi - lo for lo, hi in spans)), -math.inf)
+        for r, (lo, hi) in enumerate(spans):
+            slots[r, :hi - lo] = seen[lo:hi]
+        for al in cfg.alphas:
+            row[f"med_{al:g}"] = med_alpha(slots, al, n_med)
+        for k, v in row.items():
+            rows.setdefault(k, []).append(v)
 
     # each replica's barrier shift at the step's end, evaluated once per
     # step; a step starts from the shift its predecessor ended on, so the
     # frame displacement telescopes exactly
     shift1 = np.zeros(n_rep)
-    record(pos, rep, cols, bounds, shift1)
+    record(parts, bounds, shift1)
 
     for i in range(n_steps):
         t0 = i * dt
         h = min(dt, horizon - t0)
         t1 = t0 + h
         shift0, shift1 = shift1, np.array([st.path.shift(t1) for st in reps])
-        drift = -mu - (shift1 - shift0) / h
-
         pos, rep, cols, origin, upper, _ = step_segments(
-            pos, rep, cols, t0=t0, h=h, drift=drift, law=cfg.law, rng=rng,
-            upper=a, origin_ignores=cols[0] == _BLUE if sharp else None)
-
-        # the step's wall hits launch into the trial pool, with their
-        # colours where the mode has them, and the pool advances through
-        # the step
-        if upper or len(pool):
-            # no hits: one empty chunk, the population's dtypes
-            t_up, r_up, *c_up = map(np.concatenate, zip(*(
-                upper or [(pos[:0], rep[:0], *(c[:0] for c in cols))])))
-            pop_hits += np.bincount(r_up, minlength=n_rep)
-            out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
-                                  n_trials=len(t_up), dt=h, rng=rng,
-                                  zeta_breakout=cfg.zeta_breakout,
-                                  pool=pool, t0=t0, hits=(t_up, r_up, *c_up))
-            # a replica's first decided breakout not before its open
-            # piece's start takes the response unless one is pending; the
-            # rest are suppressed
-            dec = out.decided
-            for k in np.flatnonzero(dec["is_breakout"]).tolist():
-                st, t_k = reps[dec["replica"][k]], float(dec["launch"][k])
-                if st.pending is not None or t_k < st.path.pieces[-1].t_start:
-                    st.suppressed += 1
-                else:
-                    st.pending = (t_k, t_k + float(dec["sigma_max"][k]))
-            # the lineages that left the pool below the wall re-enter
-            ent = out.reentry
-            r_in, c_in = ent["replica"], ent["payload"]
-            if sharp:  # they lie above the origin: expired blues whiten
-                col_in, exp_in = c_in
-                expired = (col_in == _BLUE) & (exp_in <= t1)
-                _tally(reps, "rewhitened", r_in[expired])
-                col_in[expired], exp_in[expired] = _WHITE, math.inf
-            if len(r_in):
-                reinjected += np.bincount(r_in, minlength=n_rep)
-                pos, rep, *cols = _joined((pos, rep, *cols),
-                                          (ent["pos"], r_in, *c_in))
-
-        # origin hits of whites live on as blues while their replica has
-        # fewer than n_sharp particles right of the origin
+            *parts[:2], parts[2:], t0=t0, h=h,
+            drift=-mu - (shift1 - shift0) / h, law=cfg.law, rng=rng,
+            upper=a, origin_ignores=parts[2] == _BLUE if sharp else None)
+        parts = launch_trials((pos, rep, *cols), upper, t0, h)
         if sharp and origin:
-            t_lo, r_lo, _, _ = (np.concatenate(x) for x in zip(*origin))
-            order = np.lexsort((t_lo, r_lo))
-            t_lo, r_lo = t_lo[order], r_lo[order]
-            n_right = np.bincount(rep[pos > 0.0], minlength=n_rep)
-            blue = n_right[r_lo] < n_sharp
-            _tally(reps, "blue_created", r_lo[blue])
-            _tally(reps, "white_killed_at_origin", r_lo[~blue])
-            n_blue = int(blue.sum())
-            pos, rep, *cols = _joined(
-                (pos, rep, *cols),
-                (np.zeros(n_blue), r_lo[blue],
-                 np.full(n_blue, _BLUE, dtype=np.int8),
-                 (np.floor(t_lo[blue] / sharp_period) + 2.0) * sharp_period))
+            parts = land_blues(parts, origin)
+        parts = settle_due(regroup(parts), t1, shift1)
 
-        # regroup by replica; the stable sort keeps each replica's order,
-        # and is skipped when the ids are sorted already
-        if (rep[1:] < rep[:-1]).any():
-            order = np.argsort(rep, kind="stable")
-            pos, rep, *cols = (x[order] for x in (pos, rep, *cols))
-        bounds = _replica_bounds(rep, n_rep)
-
-        # step-end rules, only on the replicas that have one due
-        due = {r for r, st in enumerate(reps)
-               if st.response_due(t1) or st.freeze_due(t1)}
-        if sharp:
-            due.update(rep[_blue_due(*cols, t1)].tolist())
-        if mode == "bflat":
-            # only a replica with more than N_flat whites has a white
-            # seeing N_flat whites to its right
-            white = np.bincount(rep[cols[0] == _WHITE], minlength=n_rep)
-            due.update(np.flatnonzero(white > n_flat).tolist())
-        if due:
-            # the runs of replicas in between are carried over as they are
-            parts, last = [], 0
-            for r in sorted(due):
-                lo, hi = bounds[r], bounds[r + 1]
-                p, cs = settle(r, pos[lo:hi], [c[lo:hi] for c in cols], t1)
-                # an installed response moves the shift at t1
-                shift1[r] = reps[r].path.shift(t1)
-                parts += [(pos[last:lo], rep[last:lo],
-                           *(c[last:lo] for c in cols)),
-                          (p, rep[lo:lo + len(p)], *cs)]
-                last = hi
-            parts.append((pos[last:], rep[last:], *(c[last:] for c in cols)))
-            pos, rep, *cols = _joined(*parts)
-            bounds = _replica_bounds(rep, n_rep)
-
-        counts = _sizes(bounds)
+        bounds = _replica_bounds(parts[1], n_rep)
+        counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         if max(counts) > max_pop:
             r = counts.index(max(counts))
             raise CapacityError(f"replica {r}: population {counts[r]} "
@@ -728,13 +721,13 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         peak = list(map(max, peak, counts))
         if (i + 1) % sample_steps == 0 or i == n_steps - 1:
             times.append(t1)
-            record(pos, rep, cols, bounds, shift1)
+            record(parts, bounds, shift1)
 
     table = {k: np.array(v, dtype=float) for k, v in rows.items()}
     wall_hits = pop_hits + pool.relaunched
     results = []
     for r, st in enumerate(reps):
-        columns = {k: table[k][:, r].copy() for k in names}
+        columns = {k: v[:, r].copy() for k, v in table.items()}
         series = StatsSeries(np.array(times), columns, replica=r,
                              meta={"mode": mode, "n_med": n_med})
         colour_stats = dict(st.stats)
@@ -753,7 +746,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             breakout_waits=int(pool.waits[r]),
             breakout_wait_time=float(pool.wait_time[r]),
             colour_stats=colour_stats,
-            final_positions=pos[bounds[r]:bounds[r + 1]].copy(),
+            final_positions=parts[0][bounds[r]:bounds[r + 1]].copy(),
             peak_count=peak[r], max_pop=max_pop))
     return results
 

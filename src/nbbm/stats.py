@@ -60,9 +60,6 @@ class StatsSeries:
                     f"times has {self.times.shape}")
             self.columns[name] = col
 
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
 
 @dataclass(frozen=True)
 class OracleReport:

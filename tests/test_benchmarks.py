@@ -57,7 +57,8 @@ def test_coupled_per_event_baseline_is_a_checkout_or_its_src(where):
 @pytest.mark.parametrize("where", [".", "src"])
 def test_barrier_step_baseline_is_a_checkout_or_its_src(where):
     assert _resolves_every_function("barrier", where) \
-        == {"selection.run_bbbm", "selection.run_bflat"}
+        == {"selection.run_bbbm", "selection.run_bflat",
+            "selection.run_bsharp"}
 
 
 @pytest.mark.parametrize("where", [".", "src"])

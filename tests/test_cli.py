@@ -139,7 +139,7 @@ def test_simulate_nbbm_outputs(tmp_path):
     h, series = read_series_csv(out / "series.csv")
     assert h == manifest.hash()
     assert len(series) == 2
-    assert series[0].column_names() == ["med_0.25", "med_0.5", "count"]
+    assert list(series[0].columns) == ["med_0.25", "med_0.5", "count"]
     assert np.all(series[0].columns["count"] == 20.0)
     assert series[0].times[-1] == 2.0
 
@@ -564,7 +564,7 @@ def test_report_series_mean_is_the_mean_of_each_cell(tmp_path):
                  "--out", str(rep)]) == 0
     h, series = read_series_csv(out / "series.csv")
     mh, header, mean = _table(rep / "series_mean.csv")
-    assert mh == h and header == ["t"] + series[0].column_names()
+    assert mh == h and header == ["t"] + list(series[0].columns)
     assert np.array_equal(mean[:, 0], series[0].times)
     nonfinite = 0
     for j, col in enumerate(header[1:], start=1):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from scipy import integrate, stats as sps
 
 import nbbm
+from nbbm import levy
 from nbbm.engine import rng_stream
 from nbbm.levy import (
     LevyParams,
@@ -258,6 +260,23 @@ def test_increment_sampler_deterministic_per_stream():
     a = sample_levy_increment(1.0, 100, rng_stream(5, 3, 0))
     b = sample_levy_increment(1.0, 100, rng_stream(5, 3, 0))
     assert np.array_equal(a, b)
+
+
+def test_increment_sampler_bounds_its_jump_buffer(monkeypatch):
+    # a sample at t = 5 has about 4,900 jumps, one at t = 50 about 49,000
+    # (390 KB as one array); drawn in pieces of 1,000 they give the same
+    # bits, and the peak memory follows the pieces, not the sample
+    want = sample_levy_increment(5.0, 4, rng_stream(3, 0, 0))
+    monkeypatch.setattr(levy, "_MAX_JUMP_BUFFER", 1_000)
+    got = sample_levy_increment(5.0, 4, rng_stream(3, 0, 0))
+    assert got.tobytes() == want.tobytes()
+    tracemalloc.start()
+    try:
+        sample_levy_increment(50.0, 2, rng_stream(3, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 _SCIPY_FREE_SAMPLING = """\

@@ -319,7 +319,7 @@ def test_nbbm_speed_agrees_with_the_reference_lane(law_name, request):
 def test_fresh_path_is_flat(iv5):
     path = BarrierPath(iv5, 1.0)
     assert [path.shift(t) for t in (0.0, 3.0, 100.0)] == [0.0, 0.0, 0.0]
-    assert path.jumps() == []
+    assert len(path.pieces) == 1  # one open piece, nothing frozen
     with pytest.raises(ValueError):
         path.shift(-1.0)
     with pytest.raises(ValueError):
@@ -339,7 +339,9 @@ def test_install_freeze_time_and_continuity(iv5):
     frozen = barrier_f(0.5, (theta - 3.0) / 25.0)
     assert_close(path.shift(theta), frozen, 1e-12)
     assert_close(path.shift(theta + 50.0), frozen, 1e-12)
-    assert path.jumps() == [(theta, path.shift(theta))]
+    # one frozen piece, ending at theta, and the next opening at its level
+    frozen, opened = path.pieces
+    assert (frozen.t_end, opened.base) == (theta, path.shift(theta))
 
 
 def test_late_response_sets_the_freeze_time(iv5):
@@ -356,7 +358,7 @@ def test_path_accumulates_deltas(iv15):
     t = 0.0
     for d in deltas:
         t = path.install(t + 1.0, t + 2.0, d)
-    levels = [lev for _, lev in path.jumps()]
+    levels = [piece.base for piece in path.pieces[1:]]
     assert len(levels) == 3
     assert all(b > a for a, b in zip(levels, levels[1:]))
     assert_close(levels[-1], sum(deltas), 1e-3)
@@ -601,8 +603,11 @@ BENCH_GEOM = dict(interval=IntervalParams(8.0), dt=0.05, y=3.0, zeta=6.0,
                   A=3.0, epsilon=0.01, horizon=10.0)
 
 # the barrier tests' geometries and seeds above, the nested run cut short
-# (it still reaches the depth cap by T = 40), the benchmark geometry, and
-# the breakout geometry at seed 4, which launches trials one per step
+# (it still reaches the depth cap by T = 40), the benchmark geometry, the
+# breakout geometry at seed 4, which launches trials one per step, and two
+# runs that fire a colour rule: a bflat run that turns whites red and a
+# bsharp run that creates blues.  The seed of each of the last two is the
+# lowest in 0-11 whose replica 0 launches no trial and fires its rule.
 REFERENCE_CASES = [
     ("bbbm", dict(BARRIER_GEOM, horizon=30.0, seed=0, A=1.2, epsilon=1e9,
                   zeta_breakout=False)),
@@ -623,6 +628,10 @@ REFERENCE_CASES = [
     ("bbbm", dict(BENCH_GEOM, seed=1)),
     ("bbbm", dict(BARRIER_GEOM, horizon=120.0, seed=4, A=1.2,
                   epsilon=1e-6)),
+    ("bflat", dict(BARRIER_GEOM, horizon=20.0, seed=3, A=1.0, epsilon=1e9,
+                   zeta_breakout=False, delta_color=0.005)),
+    ("bsharp", dict(BARRIER_GEOM, horizon=12.0, seed=5, A=2.0, epsilon=1e9,
+                    zeta_breakout=False, delta_color=0.005)),
 ]
 
 
@@ -631,7 +640,7 @@ REFERENCE_CASES = [
 # NO_TRIALS cases, whose one replica never hits the wall, are compared bit
 # for bit.  The IN_LAW cases, the ones with wall hits, are compared in law
 # at several replicas.
-NO_TRIALS = (0, 1, 4, 8)
+NO_TRIALS = (0, 1, 4, 8, 10, 11)
 IN_LAW = (0, 1, 2, 3, 5, 6, 7, 9)
 
 

@@ -38,7 +38,7 @@ def test_series_rejects_misaligned_columns():
         StatsSeries(np.arange(5.0), {"count": np.arange(4.0)})
     s = StatsSeries(np.arange(5.0), {"count": np.arange(5.0),
                                      "Z": np.ones(5)})
-    assert s.column_names() == ["count", "Z"]
+    assert list(s.columns) == ["count", "Z"]
 
 
 def test_report_verdict_boundary():
