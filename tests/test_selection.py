@@ -2,6 +2,7 @@
 coupled triple."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1078,6 +1079,10 @@ def test_check_coupling_accepts_a_sound_state():
     (2, 0, -0.5, r"domination order violated \(plus vs mid\)"),
     # the first minus at 3 sits above every mid
     (4, 0, -2.0, r"domination order violated \(mid vs minus\)"),
+    # NaN positions compare false: a NaN offset fails the certificate and
+    # the sorted comparison, and so does a NaN plus that carries no mid
+    (4, 1, math.nan, r"domination order violated \(mid vs minus\)"),
+    (0, 1, math.nan, r"domination order violated \(plus vs mid\)"),
 ])
 def test_check_coupling_rejects_each_corruption(array, entry, value, match):
     state = _sound_coupling()
@@ -1109,6 +1114,117 @@ def test_check_coupling_reports_in_its_stated_order(array, entry, value,
     state[2][1] = -0.5
     with pytest.raises(CouplingError, match=match):
         check_coupling(*state)
+
+
+@pytest.mark.parametrize("state, message", [
+    pytest.param([np.array([3.0, 2.0, 1.0]), np.array([0, 2]),
+                  np.array([-0.0, -0.0]), np.array([1, 0]),
+                  np.array([-0.0, -0.0])], None, id="offsets-all-minus-zero"),
+    pytest.param([np.array([1.0]), np.array([0]), np.array([0.0]),
+                  np.array([0]), np.array([-1e-13])], None,
+                 id="minus-offset-minus-1e-13"),
+    # the minus lands 1e-12 right of its mid, and fl(w - 1e-12) stays
+    # above m: the certificate refuses it and the sorted rule rejects it
+    pytest.param([np.array([1.0]), np.array([0]), np.array([6.92281708e-13]),
+                  np.array([0]), np.array([-1e-12])],
+                 "domination order violated (mid vs minus)",
+                 id="minus-offset-minus-1e-12-rounds-over"),
+    # inf - inf puts the mid at NaN, which no plus dominates
+    pytest.param([np.array([math.inf]), np.array([0]), np.array([math.inf]),
+                  np.array([], dtype=np.int64), np.array([])],
+                 "domination order violated (plus vs mid)",
+                 id="plus-at-inf-carries-at-inf"),
+])
+def test_check_coupling_at_the_certificates_edge(state, message):
+    # offsets at and just below zero, and positions that are not finite,
+    # decide between the certificate and the sorted rule
+    with np.errstate(invalid="ignore"):
+        assert _sorted_rule(*state) == message
+        if message is None:
+            check_coupling(*state)
+        else:
+            with pytest.raises(CouplingError, match=re.escape(message)):
+                check_coupling(*state)
+
+
+def _sorted_rule(p_x, m_car, m_off, w_car, w_off):
+    """The message check_coupling raises on a state, or None, by the
+    sorted rule alone: pairings, ranked domination with 1e-12 slack after
+    sorting all three systems, then offsets."""
+    for car, n, name in ((m_car, len(p_x), "mid-to-plus"),
+                         (w_car, len(m_car), "minus-to-mid")):
+        if len(car) and (car.min() < 0 or car.max() >= n):
+            return f"{name} pairing points at a dead carrier"
+        if len(set(car.tolist())) < len(car):
+            return f"{name} pairing lost injectivity"
+    m = p_x[m_car] - m_off
+    w = np.sort(m[w_car] - w_off)
+    p, m = np.sort(p_x), np.sort(m)
+    if len(p) < len(m) or not np.all(p[len(p) - len(m):] >= m - 1e-12):
+        return "domination order violated (plus vs mid)"
+    if len(m) < len(w) or not np.all(m[len(m) - len(w):] >= w - 1e-12):
+        return "domination order violated (mid vs minus)"
+    if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
+        return "negative pairing offset"
+    return None
+
+
+_OFFSET_ATOMS = np.array([0.0, -0.0, 1e-13, -1e-13, -1e-12, -2e-12, 0.3,
+                          -0.5, math.inf, math.nan])
+
+
+def _random_couplings(n_states, rng, width=4):
+    """n_states small coupled states: up to `width` plus particles with
+    repeated, infinite and NaN positions; sound pairings, or one entry made
+    shared, dead or negative.  A system's offsets in a state are one atom
+    of _OFFSET_ATOMS or |N(0, 1)| times one scale of 0, 1e-12 or 1, at
+    even odds per entry."""
+    rows, cols = np.arange(n_states)[:, None], np.arange(width)
+    # repeats, and the binade edges where offsets of 1e-12 round
+    x = np.where(rng.random((n_states, width)) < 0.7,
+                 rng.choice([-1.0, 0.0, 0.5, 1.0], (n_states, width)),
+                 rng.normal(size=(n_states, width)))
+    special = rng.random((n_states, width)) < 0.06
+    x[special] = rng.choice([math.inf, -math.inf, math.nan],
+                            np.count_nonzero(special))
+    n_p = rng.integers(0, width + 1, n_states)
+    n_m = rng.integers(0, n_p + 1)
+    n_w = rng.integers(0, n_m + 1)
+    systems = []
+    for n_car, n in ((n_p, n_m), (n_m, n_w)):
+        # a random injective pairing: the first n of a permutation of the
+        # carriers, then one entry corrupted in a quarter of the states
+        keys = np.where(cols < n_car[:, None], rng.random((n_states, width)),
+                        2.0)
+        car = np.argsort(keys, axis=1)
+        j = (rng.random(n_states) * n).astype(np.int64)[:, None]
+        kind = rng.integers(0, 12, n_states)[:, None]
+        shared = car[rows, (j + 1) % np.maximum(n, 1)[:, None]]
+        car = np.where((cols == j) & (kind == 0), shared, car)
+        car = np.where((cols == j) & (kind == 1), n_car[:, None], car)
+        car = np.where((cols == j) & (kind == 2), -1, car)
+        scale = rng.choice([0.0, 1e-12, 1.0], (n_states, 1))
+        off = np.where(rng.random((n_states, width)) < 0.5,
+                       rng.choice(_OFFSET_ATOMS, (n_states, 1)),
+                       np.abs(rng.normal(size=(n_states, width))) * scale)
+        systems.append((car, off))
+    (m_car, m_off), (w_car, w_off) = systems
+    for i in range(n_states):
+        yield (x[i, :n_p[i]], m_car[i, :n_m[i]], m_off[i, :n_m[i]],
+               w_car[i, :n_w[i]], w_off[i, :n_w[i]])
+
+
+def test_check_coupling_agrees_with_the_sorted_rule():
+    # the certificate skips the sorts on sound states only: every verdict
+    # and message is the sorted rule's
+    with np.errstate(invalid="ignore"):  # inf - inf, on both sides
+        for state in _random_couplings(20_000, np.random.default_rng(5)):
+            try:
+                check_coupling(*state)
+                got = None
+            except CouplingError as err:
+                got = str(err)
+            assert got == _sorted_rule(*state), state
 
 
 def test_leftmost_free_carrier_or_an_error():
