@@ -3,7 +3,8 @@
     PYTHONPATH=src python benchmarks/ab.py LAYER [--baseline DIR] [--pairs P]
         [--seed S]
 
-LAYER is one of the cases tables below, each at fixed sizes, binary law:
+LAYER is one of the cases tables below, each at fixed sizes, binary law
+unless a case names another:
 
 - segment: `ensemble.step_segments`, h = 0.05, on fixed states: n = 1, 50
   and 1,000 trial particles at height 3 with drift -1 and the origin as
@@ -14,7 +15,10 @@ LAYER is one of the cases tables below, each at fixed sizes, binary law:
   within the step, 4 relaunched a step earlier).  Every call steps the
   same state.
 - coupled: `selection.run_coupled`, N = 400 and 1000, each with
-  slack = extra = 0 (the exact event-driven N-BBM) and 4, horizon 4.
+  slack = extra = 0 (the exact event-driven N-BBM) and 4, horizon 4; and
+  N = 400, slack = extra = 4 under the law q = (0.2, 0, 0.5, 0.3) of the
+  tests' `mixed_law`, whose deaths (k = 0) and three-child families make
+  culls kill several particles in one event.
 - barrier: `selection.run_bbbm` in the perfbench barrier-breakout geometry
   (a = 8, A = 3, epsilon = 0.01, y = 3, zeta = 6, dt = 0.05, 24 replicas,
   T = 10), and `selection.run_bflat` in tests/test_selection.py's
@@ -95,9 +99,10 @@ def segment(step, seed: int, calls: int, **kw):
     return sample
 
 
-def coupled(run, seed: int, n: int, **kw):
-    """One coupled run; units: events."""
-    law = _module(run, "engine").ReproductionLaw.binary()
+def coupled(run, seed: int, n: int, q=None, **kw):
+    """One coupled run under the law q, binary if None; units: events."""
+    law_cls = _module(run, "engine").ReproductionLaw
+    law = law_cls.binary() if q is None else law_cls(q)
 
     def sample():
         out = run(law, n, seed=seed, **kw)
@@ -149,7 +154,11 @@ LAYERS = {
     "coupled": ("event", coupled, [
         (f"N = {n}, slack = extra = {s}", "selection.run_coupled",
          dict(n=n, horizon=4.0, slack=s, extra=s))
-        for n in (400, 1000) for s in (0, 4)]),
+        for n in (400, 1000) for s in (0, 4)] + [
+        ("N = 400, slack = extra = 4, q = (0.2, 0, 0.5, 0.3)",
+         "selection.run_coupled",
+         dict(n=400, q=(0.2, 0.0, 0.5, 0.3), horizon=4.0, slack=4,
+              extra=4))]),
     "barrier": ("particle-step", simulate, [
         ("bbbm, 24 replicas, T = 10", "selection.run_bbbm",
          dict(a=8.0, dt=0.05, horizon=10.0, replicas=24, A=3.0,

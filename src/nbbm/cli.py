@@ -377,6 +377,9 @@ def _cmd_levy(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    if args.out:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
     if args.replicas < 1:
         raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     rows = []
@@ -389,8 +392,6 @@ def _cmd_couple(args) -> int:
               f"{res.checks} checks, dominance "
               f"{'verified' if res.dominance_verified else 'NOT verified'}")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "runinfo.json",
                     {"coupled": rows, "n": args.n, "horizon": args.horizon,
                      "slack": args.slack, "extra": args.extra,

@@ -850,9 +850,10 @@ def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
                    w_car: np.ndarray, w_off: np.ndarray) -> None:
     """Raise CouplingError unless a coupled three-system state is sound.
 
-    The state is the one `run_coupled` keeps: the plus positions p_x; each
-    mid particle's plus carrier (an index into p_x) and offset; each minus
-    particle's mid carrier (an index into m_car) and offset.  A lower
+    The state is the one `run_coupled` derives from its slots after every
+    event: the plus positions p_x; each mid particle's plus carrier (an
+    index into p_x) and offset; each minus particle's mid carrier (an index
+    into m_car) and offset.  A lower
     particle sits at its carrier's position minus its offset.  Checked in
     this order: every carrier index names a live particle, both pairings
     are injective, plus dominates mid and mid dominates minus in ranked
@@ -911,42 +912,41 @@ def _check_pairing(car: np.ndarray, n_carriers: int, name: str) -> None:
         raise CouplingError(f"{name} pairing lost injectivity")
 
 
-def _rider(car: np.ndarray, i: int) -> int:
-    """Index of the particle whose carrier is i, or -1 if there is none."""
-    if len(car):
-        j = int((car == i).argmax())
-        if car[j] == i:
-            return j
-    return -1
-
-
-def _delete(a: np.ndarray, n: int, i: int) -> None:
-    """Drop entry i of a[:n] in place: the tail shifts left, so birth order
+def _delete(s: np.ndarray, n: int, i: int) -> None:
+    """Drop slot i of s[:, :n] in place: the tail shifts left, so slot order
     is kept."""
-    a[i:n - 1] = a[i + 1:n]
+    s[:, i:n - 1] = s[:, i + 1:n]
 
 
-def _branch(a: np.ndarray, n: int, i: int, k: int, born=None) -> int:
-    """Replace entry i of a[:n] in place by k newborn entries at the end,
-    copies of it unless `born` is given; returns the new length."""
-    x = a[i] if born is None else born
-    _delete(a, n, i)
-    a[n - 1:n - 1 + k] = x
-    return n - 1 + k
+def _branch(s: np.ndarray, n: int, i: int, k: int) -> int:
+    """Replace slot i of s[:, :n] in place by k copies of it at the end,
+    written past slot n - 1 before slot i goes; returns the new length."""
+    s[:, n:n + k] = s[:, i:i + 1]
+    _delete(s, n + k, i)
+    return n + k - 1
 
 
-def _leftmost_free(x: np.ndarray, car: np.ndarray, at: float,
+def _leftmost_free(x: np.ndarray, taken: np.ndarray, at: float,
                    system: str) -> int:
-    """Index of the leftmost particle at x >= at - 1e-12 that no entry of
-    car names; the earliest born wins a tie.  car may hold the sentinel -1
-    for particles that have no carrier yet."""
+    """Slot of the leftmost particle at x >= at - 1e-12 whose slot `taken`
+    does not mark; the lowest slot wins a tie."""
     y = np.where(x >= at - 1e-12, x, np.inf)
-    y[car[car >= 0]] = np.inf
+    y[taken] = np.inf
     b = int(y.argmin())
     if y[b] == np.inf:
         raise CouplingError(f"no free {system} carrier weakly right of an "
                             f"orphaned particle")
     return b
+
+
+def _carriers(P: np.ndarray, MO: np.ndarray, WO: np.ndarray, n: int):
+    """The state `check_coupling` takes, derived from the first n slots:
+    plus positions, then each mid's plus slot and offset, then each minus's
+    mid (an index into the mids) and offset."""
+    m_car = (MO[:n] > -np.inf).nonzero()[0]
+    wo = WO[m_car]
+    w_car = (wo > -np.inf).nonzero()[0]
+    return P[:n], m_car, MO[m_car], w_car, wo[w_car]
 
 
 def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
@@ -964,26 +964,36 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     particle with the leftmost free carrier weakly to its right; the
     coupling argument guarantees one exists.
 
-    The state is five flat arrays: the plus positions and, for the mid and
-    the minus system, each particle's carrier (an index into the system
-    above) and offset; a lower position is its carrier's minus its offset.
-    Each array, like the cull's working positions, is the head of a
-    capacity array allocated once, room for the largest system plus one
-    event's births, and is edited in place.  Every array is in birth order:
-    a branching particle is deleted by shifting the tail left, its children
-    are written at the end, and carrier indices past a deleted one shift
-    down.  Birth order breaks every tie in the kill and re-pairing rules;
-    positions tie only between siblings, whose birth order is their
-    genealogical order.  Each system drops its doomed particles one
-    leftmost particle at a time, the earliest born on a tie.  A mid kill
-    re-pairs its orphan at once.  A plus cull first removes all its doomed
-    particles, then re-pairs their orphans, rightmost first and the later
-    born on a tie.  After every event `check_coupling` verifies the
-    carriers, the injectivity of both pairings, domination and the offset
-    signs, and raises CouplingError on any violation.  Valid pairings at
-    nonnegative offsets below finite plus positions certify domination
-    without a sort; only a state that fails this certificate has its three
-    systems sorted and compared in ranked order.
+    The state is one slot per plus particle, in three rows of one array:
+    P[i] is plus particle i, MO[i] the offset of the mid that rides it and
+    WO[i] the offset of the minus that rides that mid, -inf where there is
+    none.  The mid sits at P[i] - MO[i] and the minus WO[i] left of it.
+    The counts of the three systems are kept as ints.  The array is the
+    head of a capacity array allocated once, room for the largest plus
+    system plus the copies of one branch, and is edited in place.  A
+    branching slot is deleted by shifting the tail left and its k copies,
+    riders included, are written at the end; a death (k = 0) drops the
+    slot and its riders.  A plus kill deletes its slot, a mid or minus
+    kill sets its offset to -inf, and a re-pairing moves the orphan's
+    offset (a mid takes its minus's offset along) to the free slot it
+    finds.
+
+    Slot order breaks every tie in the kill and re-pairing rules.
+    Positions tie only between siblings born in the current event; they
+    sit in consecutive slots in sibling order across all three rows, and
+    no re-pairing moves one before the choices among them are made, so
+    the lowest slot is the earliest born in each system.  Each system
+    drops its doomed particles one leftmost particle at a time, the lowest
+    slot on a tie.  A mid kill re-pairs its orphan at once.  A plus cull
+    first removes all its doomed particles, then re-pairs their orphans,
+    rightmost first and the later deleted on a tie: tied orphans ride
+    tied plus siblings, which die in birth order, so that is the later
+    born.  After every event `check_coupling` verifies the carriers
+    derived from the slots, the injectivity of both pairings, domination
+    and the offset signs, and raises CouplingError on any violation.
+    Valid pairings at nonnegative offsets below finite plus positions
+    certify domination without a sort; only a state that fails this
+    certificate has its three systems sorted and compared in ranked order.
 
     With slack = extra = 0 the three systems coincide sample-path-wise.
     Event-driven and exact: no time discretisation enters.
@@ -998,17 +1008,16 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
                          f"got {horizon!r}")
     rng = rng_stream(seed, replica, _LANE_COUPLED)
     # capacity arrays in capitals, their live heads in lower case: between
-    # events plus holds at most n_select + slack particles and the lower
-    # systems at most n_select, and an event adds at most k_max - 1, where
+    # events plus holds at most n_select + slack particles, and a branch
+    # writes k_max copies before it drops its slot, where
     # k_max = len(law.probabilities) - 1 is the largest offspring count
-    cap = n_select + slack + len(law.probabilities) - 2
-    P = np.empty(cap)
+    cap = n_select + slack + len(law.probabilities) - 1
+    S = np.zeros((3, cap))
+    P, MO, WO = S
     P[:n_select] = _initial_front(n_select, rng)
-    MC, WC = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
-    MC[:n_select] = WC[:n_select] = np.arange(n_select)
-    MO, WO = np.zeros(cap), np.zeros(cap)
     MX, WX = np.empty(cap), np.empty(cap)  # the culls' working positions
     n_p = n_m = n_w = n_select
+    inf, none = math.inf, -math.inf  # none: the offset where no rider is
 
     t = 0.0
     events = checks = 0
@@ -1028,79 +1037,57 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
         # together with a common offspring count
         v = int(rng.integers(n_p))
         k = int(sample_offspring(law, 1, rng)[0])
-        n_p = _branch(P, n_p, v, k)
-        m_car = MC[:n_m]
-        u = _rider(m_car, v)
-        m_car -= m_car > v
-        if u >= 0:
-            _branch(MC, n_m, u, k, np.arange(n_p - k, n_p))
-            n_m = _branch(MO, n_m, u, k)
-            w_car = WC[:n_w]
-            w = _rider(w_car, u)
-            w_car -= w_car > u
-            if w >= 0:
-                _branch(WC, n_w, w, k, np.arange(n_m - k, n_m))
-                n_w = _branch(WO, n_w, w, k)
+        if MO[v] > none:
+            n_m += k - 1
+            if WO[v] > none:
+                n_w += k - 1
+        n_p = _branch(S, n_p, v, k)
 
         # kill rules, lowest system first; each system drops its leftmost
-        # particle one at a time, the earliest born on a tie (argmin takes
-        # the first index, as a stable argsort would)
+        # particle one at a time, the lowest slot on a tie (argmin takes
+        # the first index).  A slot without a mid holds m_x = inf, and one
+        # without a minus w_x = inf
         p_x = P[:n_p]
-        m_x = np.subtract(p_x[MC[:n_m]], MO[:n_m], out=MX[:n_m])
+        m_x = np.subtract(p_x, MO[:n_p], out=MX[:n_p])
         if n_w > n_select:
-            w_x = np.subtract(m_x[WC[:n_w]], WO[:n_w], out=WX[:n_w])
+            w_x = np.subtract(m_x, WO[:n_p], out=WX[:n_p])
             while n_w > n_select - extra:
                 j = int(w_x.argmin())
-                _delete(WC, n_w, j)
-                _delete(WO, n_w, j)
-                _delete(WX, n_w, j)
+                WO[j], w_x[j] = none, inf
                 n_w -= 1
-                w_x = WX[:n_w]
 
-        w_car = WC[:n_w]
         while n_m > n_select:
             u = int(m_x.argmin())
-            w = _rider(w_car, u)
-            if w >= 0:
-                # re-paired before u goes: w_car[w] = u keeps u taken
-                orphan_x = m_x[u] - WO[w]
-                b = _leftmost_free(m_x, w_car, orphan_x, "mid")
-                w_car[w] = b
-                WO[w] = m_x[b] - orphan_x
-            _delete(MC, n_m, u)
-            _delete(MO, n_m, u)
-            _delete(MX, n_m, u)
+            if WO[u] > none:
+                # re-paired before u goes: WO[u] keeps u taken
+                orphan_x = m_x[u] - WO[u]
+                b = _leftmost_free(m_x, WO[:n_p] > none, orphan_x, "mid")
+                WO[b] = m_x[b] - orphan_x
+            MO[u], WO[u], m_x[u] = none, none, inf
             n_m -= 1
-            m_x = MX[:n_m]
-            w_car -= w_car > u
 
-        # an orphan of the plus cull waits at carrier -1 until all doomed
-        # particles are gone
-        m_car = MC[:n_m]
+        # an orphan of the plus cull waits, with its minus offset, until
+        # all doomed particles are gone; its position is the m_x it had
         orphans = []
-        for _ in range(n_p - (n_select + slack)):
+        for order in range(n_p - (n_select + slack)):
             i = int(p_x.argmin())
-            u = _rider(m_car, i)
-            if u >= 0:
-                orphans.append((m_x[u], u))
-                m_car[u] = -1
-            _delete(P, n_p, i)
+            if MO[i] > none:
+                orphans.append((p_x[i] - MO[i], order, WO[i]))
+            _delete(S, n_p, i)
             n_p -= 1
             p_x = P[:n_p]
-            m_car -= m_car > i
-        # re-pair the rightmost orphan first, the later born on a tie
-        for orphan_x, u in sorted(orphans, reverse=True):
-            b = _leftmost_free(p_x, m_car, orphan_x, "plus")
-            m_car[u] = b
-            MO[u] = p_x[b] - orphan_x
+        # re-pair the rightmost orphan first, the later deleted on a tie
+        for orphan_x, _, wo in sorted(orphans, reverse=True):
+            b = _leftmost_free(p_x, MO[:n_p] > none, orphan_x, "plus")
+            MO[b], WO[b] = p_x[b] - orphan_x, wo
 
-        check_coupling(p_x, m_car, MO[:n_m], WC[:n_w], WO[:n_w])
+        check_coupling(*_carriers(P, MO, WO, n_p))
         checks += 1
 
-    p_x = P[:n_p]
-    m_x = p_x[MC[:n_m]] - MO[:n_m]
+    p_x, m_car, m_off, w_car, w_off = _carriers(P, MO, WO, n_p)
+    m_x = p_x[m_car] - m_off
     return CoupledResult(events=events, checks=checks, horizon=horizon,
                          n_select=n_select, slack=slack, extra=extra,
                          final_plus=np.sort(p_x)[::-1],
                          final_mid=np.sort(m_x)[::-1],
-                         final_minus=np.sort(m_x[WC[:n_w]] - WO[:n_w])[::-1])
+                         final_minus=np.sort(m_x[w_car] - w_off)[::-1])

@@ -34,7 +34,8 @@ def iv15():
 @pytest.fixture()
 def faulty_check(monkeypatch):
     """Make `run_coupled`'s per-event check see a fault from the 20th event
-    on: the oldest mid particle's offset set to -0.5, moving it right of its
+    on: the offset of the first mid it is given, the one that rides the
+    lowest plus slot carrying a mid, set to -0.5, moving it right of its
     carrier."""
     check, calls = selection.check_coupling, []
 

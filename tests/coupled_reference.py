@@ -4,8 +4,9 @@ This is the dict-based `run_coupled` that `nbbm.selection.run_coupled`
 replaced with flat arrays, kept unchanged as the reference lane: the
 cross-lane tests require the array runner to reproduce its events, checks
 and final positions bit for bit.  Every particle carries a genealogical
-label, and (position, label, id) breaks ties; the array runner uses birth
-order instead, which agrees with label order wherever a tie can occur.
+label, and (position, label, id) breaks ties; the array runner uses the
+order of its plus-aligned slots instead, which agrees with label order
+wherever a tie can occur: between siblings born in the current event.
 """
 
 from __future__ import annotations

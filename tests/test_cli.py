@@ -522,6 +522,17 @@ def test_couple_fault_injection_fails(capsys, faulty_check):
     assert err["error"]["type"] == "CouplingError"
 
 
+def test_couple_leaves_an_error_record_when_a_check_fails(tmp_path, capsys,
+                                                          faulty_check):
+    out = tmp_path / "couple"
+    assert main(["couple", "--n", "25", "--horizon", "3.0",
+                 "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "CouplingError"
+
+
 @pytest.mark.parametrize("flags", [["--horizon", "nan"],
                                    ["--horizon", "-1"],
                                    ["--horizon", "3.0", "--replicas", "0"]])

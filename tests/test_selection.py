@@ -1042,6 +1042,29 @@ def test_coupled_matches_the_dict_reference_on_tied_orphans(
                       run_coupled_dicts(mixed_law, n_select, **kw))
 
 
+# each seed is the lowest at which the final positions show the choice: the
+# lowest seed >= 0 whose final positions change when that one choice alone
+# takes the later-born of the tied siblings
+@pytest.mark.parametrize("law_name, n_select, slack, extra, horizon, seed", [
+    pytest.param("binary_law", 30, 3, 2, 1.5, 14, id="mid-cull-binary"),
+    pytest.param("mixed_law", 6, 2, 1, 3.0, 3, id="mid-cull-mixed"),
+    pytest.param("binary_law", 30, 3, 2, 1.5, 32, id="minus-cull-binary"),
+    pytest.param("mixed_law", 6, 2, 1, 3.0, 2, id="minus-cull-mixed"),
+    pytest.param("binary_law", 30, 3, 2, 1.5, 5, id="minus-orphan-binary"),
+    pytest.param("mixed_law", 6, 2, 1, 3.0, 4, id="minus-orphan-mixed"),
+])
+def test_coupled_matches_the_dict_reference_on_tied_lower_siblings(
+        law_name, n_select, slack, extra, horizon, seed, request):
+    # at these seeds the mid cull kills among tied newborn mid siblings
+    # (mid-cull), the minus cull among tied minus siblings (minus-cull), or
+    # a minus orphan is re-paired among tied free mid siblings
+    # (minus-orphan); in each the earliest born is chosen
+    law = request.getfixturevalue(law_name)
+    kw = dict(horizon=horizon, seed=seed, slack=slack, extra=extra)
+    _same_sample_path(run_coupled(law, n_select, **kw),
+                      run_coupled_dicts(law, n_select, **kw))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_coupled_runs_that_die_out_match_the_dict_reference(seed):
     # q(0) = 0.45 at N = 4: every system dies out well before the horizon,
@@ -1228,16 +1251,21 @@ def test_check_coupling_agrees_with_the_sorted_rule():
 
 
 def test_leftmost_free_carrier_or_an_error():
-    # the two particles at 1 tie; the earliest born wins; -1 marks an
-    # orphan that has no carrier yet and takes nothing
+    # the two particles at 1 tie; the lowest slot wins; a taken slot is
+    # never chosen
     x = np.array([3.0, 1.0, 2.0, 1.0])
-    assert _leftmost_free(x, np.array([0, -1]), 0.5, "plus") == 1
-    assert _leftmost_free(x, np.array([1, -1]), 0.5, "plus") == 3
-    assert _leftmost_free(x, np.array([1, 3]), 1.5, "plus") == 2
-    assert _leftmost_free(x, np.array([-1]), 3.0 + 1e-13, "mid") == 0
+
+    def taken(*slots):
+        mask = np.zeros(len(x), dtype=bool)
+        mask[list(slots)] = True
+        return mask
+    assert _leftmost_free(x, taken(0), 0.5, "plus") == 1
+    assert _leftmost_free(x, taken(1), 0.5, "plus") == 3
+    assert _leftmost_free(x, taken(1, 3), 1.5, "plus") == 2
+    assert _leftmost_free(x, taken(), 3.0 + 1e-13, "mid") == 0
     with pytest.raises(CouplingError, match="no free plus carrier weakly "
                                             "right of an orphaned particle"):
-        _leftmost_free(x, np.array([0, 2, -1]), 1.5, "plus")
+        _leftmost_free(x, taken(0, 2), 1.5, "plus")
     with pytest.raises(CouplingError, match="no free mid carrier weakly "
                                             "right of an orphaned particle"):
-        _leftmost_free(x, np.array([-1]), 3.5, "mid")
+        _leftmost_free(x, taken(), 3.5, "mid")
