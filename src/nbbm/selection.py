@@ -824,7 +824,7 @@ def run_bsharp(cfg: SimConfig, csharp: bool = False) -> list[BarrierResult]:
 
 
 class CouplingError(RuntimeError):
-    """A coupling invariant failed: domination, injectivity or an offset."""
+    """A coupling invariant failed: a pairing, domination or an offset."""
 
 
 @dataclass
@@ -846,40 +846,44 @@ class CoupledResult:
         return self.checks == self.events
 
 
-def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
-                   w_car: np.ndarray, w_off: np.ndarray) -> None:
+def check_coupling(p_x: np.ndarray, m_off: np.ndarray,
+                   w_off: np.ndarray) -> None:
     """Raise CouplingError unless a coupled three-system state is sound.
 
-    The state is the one `run_coupled` derives from its slots after every
-    event: the plus positions p_x; each mid particle's plus carrier (an
-    index into p_x) and offset; each minus particle's mid carrier (an index
-    into m_car) and offset.  A lower
-    particle sits at its carrier's position minus its offset.  Checked in
-    this order: every carrier index names a live particle, both pairings
-    are injective, plus dominates mid and mid dominates minus in ranked
-    order, and every offset is nonnegative, each up to 1e-12.
+    The state is the live head of `run_coupled`'s three slot rows: p_x[i]
+    is plus particle i, m_off[i] the offset of the mid that rides it and
+    w_off[i] the offset of the minus that rides that mid, -inf where there
+    is no rider.  The mid sits at fl(p_x[i] - m_off[i]) and the minus at
+    fl(that - w_off[i]).  Any other offset, NaN included, is a rider.  A
+    slot holds at most one rider per row, so both pairings are injective
+    and every mid's carrier is live by construction.  Checked in this
+    order: no slot holds a minus without a mid (the one structural guard),
+    plus dominates mid and mid dominates minus in ranked order, and every
+    offset is nonnegative, each up to 1e-12.
 
-    The pairing checks and the offsets form a certificate: with both
-    pairings valid, every offset >= 0 (a NaN offset is not) and every plus
-    position finite, each lower particle sits at fl(x - d) <= x, never NaN,
-    weakly left of its own carrier at x.  An injective pairing to carriers
-    weakly right puts the k-th rightmost lower particle weakly left of the
-    k-th rightmost carrier, so both ranked dominations hold without their
-    slack, the offset clause holds, and nothing is sorted.  Every other
-    state is decided by the sorted comparison and the offset clause.
+    The certificate: with every offset >= 0 (a NaN offset is not) and
+    every plus position finite, each lower particle sits at fl(x - d) <= x,
+    never NaN, weakly left of its own carrier at x.  An injective pairing
+    to carriers weakly right puts the k-th rightmost lower particle weakly
+    left of the k-th rightmost carrier, so both ranked dominations hold
+    without their slack, the offset clause holds, and nothing is sorted.
+    Every other state is decided by the sorted comparison and the offset
+    clause.
     """
-    _check_pairing(m_car, len(p_x), "mid-to-plus")
-    _check_pairing(w_car, len(m_car), "minus-to-mid")
+    m_live, w_live = m_off != -np.inf, w_off != -np.inf
+    if np.count_nonzero(w_live > m_live):
+        raise CouplingError("minus-to-mid pairing points at a dead carrier")
     # the certificate
-    if (m_off.min(initial=0.0) >= 0.0 and w_off.min(initial=0.0) >= 0.0
+    if (np.count_nonzero(m_off >= 0.0) == np.count_nonzero(m_live)
+            and np.count_nonzero(w_off >= 0.0) == np.count_nonzero(w_live)
             and np.isfinite(p_x).all()):
         return
     # lower positions and the 1e-12 slack applied in place; subtracting a
     # constant keeps sorted order, so it may follow the sort
-    m = p_x[m_car]
-    m -= m_off
-    w = m[w_car]  # before m is sorted in place
-    w -= w_off
+    mo, wo = m_off[m_live], w_off[w_live]
+    m = p_x[m_live] - mo
+    w = p_x[w_live] - m_off[w_live]
+    w -= wo
     p = np.sort(p_x)
     m.sort()
     w.sort()
@@ -894,22 +898,8 @@ def check_coupling(p_x: np.ndarray, m_car: np.ndarray, m_off: np.ndarray,
         raise CouplingError("domination order violated (plus vs mid)")
     if not mid_over_minus:
         raise CouplingError("domination order violated (mid vs minus)")
-    if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
+    if min(mo.min(initial=0.0), wo.min(initial=0.0)) < -1e-12:
         raise CouplingError("negative pairing offset")
-
-
-def _check_pairing(car: np.ndarray, n_carriers: int, name: str) -> None:
-    if len(car) == 0:
-        return
-    dead = f"{name} pairing points at a dead carrier"
-    try:
-        riders = np.bincount(car, minlength=n_carriers)
-    except ValueError:  # bincount refuses a negative entry
-        raise CouplingError(dead) from None
-    if len(riders) > n_carriers:
-        raise CouplingError(dead)
-    if np.count_nonzero(riders) < len(car):  # a carrier with two riders
-        raise CouplingError(f"{name} pairing lost injectivity")
 
 
 def _delete(s: np.ndarray, n: int, i: int) -> None:
@@ -937,16 +927,6 @@ def _leftmost_free(x: np.ndarray, taken: np.ndarray, at: float,
         raise CouplingError(f"no free {system} carrier weakly right of an "
                             f"orphaned particle")
     return b
-
-
-def _carriers(P: np.ndarray, MO: np.ndarray, WO: np.ndarray, n: int):
-    """The state `check_coupling` takes, derived from the first n slots:
-    plus positions, then each mid's plus slot and offset, then each minus's
-    mid (an index into the mids) and offset."""
-    m_car = (MO[:n] > -np.inf).nonzero()[0]
-    wo = WO[m_car]
-    w_car = (wo > -np.inf).nonzero()[0]
-    return P[:n], m_car, MO[m_car], w_car, wo[w_car]
 
 
 def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
@@ -988,12 +968,15 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
     first removes all its doomed particles, then re-pairs their orphans,
     rightmost first and the later deleted on a tie: tied orphans ride
     tied plus siblings, which die in birth order, so that is the later
-    born.  After every event `check_coupling` verifies the carriers
-    derived from the slots, the injectivity of both pairings, domination
-    and the offset signs, and raises CouplingError on any violation.
-    Valid pairings at nonnegative offsets below finite plus positions
-    certify domination without a sort; only a state that fails this
-    certificate has its three systems sorted and compared in ranked order.
+    born.  After every event `check_coupling` judges the live heads of
+    the three rows, and raises CouplingError on any violation.  The slots
+    make both pairings injective and every mid's carrier live, so one
+    structural guard is left: no minus in a slot without a mid.  Then
+    nonnegative offsets below finite plus positions certify domination
+    without a sort; only a state that fails this certificate has its
+    three systems sorted and compared in ranked order, and its offset
+    signs checked.  The final positions are taken from the slots with the
+    check's float operations, the minus at fl(fl(P[i] - MO[i]) - WO[i]).
 
     With slack = extra = 0 the three systems coincide sample-path-wise.
     Event-driven and exact: no time discretisation enters.
@@ -1081,13 +1064,14 @@ def run_coupled(law: ReproductionLaw, n_select: int, *, horizon: float,
             b = _leftmost_free(p_x, MO[:n_p] > none, orphan_x, "plus")
             MO[b], WO[b] = p_x[b] - orphan_x, wo
 
-        check_coupling(*_carriers(P, MO, WO, n_p))
+        check_coupling(P[:n_p], MO[:n_p], WO[:n_p])
         checks += 1
 
-    p_x, m_car, m_off, w_car, w_off = _carriers(P, MO, WO, n_p)
-    m_x = p_x[m_car] - m_off
+    p_x, m_off, w_off = S[:, :n_p]
+    m_x = p_x - m_off  # inf where no mid rides
+    w_x = m_x - w_off
     return CoupledResult(events=events, checks=checks, horizon=horizon,
                          n_select=n_select, slack=slack, extra=extra,
                          final_plus=np.sort(p_x)[::-1],
-                         final_mid=np.sort(m_x)[::-1],
-                         final_minus=np.sort(m_x[w_car] - w_off)[::-1])
+                         final_mid=np.sort(m_x[m_off > none])[::-1],
+                         final_minus=np.sort(w_x[w_off > none])[::-1])

@@ -34,16 +34,17 @@ def iv15():
 @pytest.fixture()
 def faulty_check(monkeypatch):
     """Make `run_coupled`'s per-event check see a fault from the 20th event
-    on: the offset of the first mid it is given, the one that rides the
-    lowest plus slot carrying a mid, set to -0.5, moving it right of its
-    carrier."""
+    on: a copy of its mid offsets with the first live one, that of the mid
+    in the lowest slot carrying one, set to -0.5, moving that mid right of
+    its carrier."""
     check, calls = selection.check_coupling, []
 
-    def faulty(p_x, m_car, m_off, *minus):
+    def faulty(p_x, m_off, w_off):
         calls.append(None)
         if len(calls) >= 20:
-            m_off[0] = -0.5
-        check(p_x, m_car, m_off, *minus)
+            m_off = m_off.copy()
+            m_off[np.argmax(m_off != -np.inf)] = -0.5
+        check(p_x, m_off, w_off)
     monkeypatch.setattr(selection, "check_coupling", faulty)
     return calls
 

@@ -1,0 +1,150 @@
+"""A catalogue of mutants of the nbbm sources, each beside the tests that
+should catch it.  pytest does not collect this file; run it as
+
+    python tests/mutants.py [NAME ...]
+
+For each entry, all of them or the ones named, the script copies src/ to a
+temporary directory and there replaces the entry's old text, which must
+occur exactly once in its file, by its new text.  It then runs each test
+the entry names on the copy, one pytest process after another, and prints
+caught (the test failed) or survived, with the wall time.  It stops before
+running anything if an anchor does not match exactly once, and exits
+nonzero if a named test survived or could not run.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+_SEL = "nbbm/selection.py"
+_T = "tests/test_selection.py::"
+_TIED = _T + "test_coupled_matches_the_dict_reference_on_tied_lower_siblings"
+_EDGE = _T + "test_check_coupling_at_the_certificates_edge"
+_SORTED = _T + "test_check_coupling_agrees_with_the_sorted_rule"
+_CORRUPT = _T + "test_check_coupling_rejects_each_corruption"
+_NAN_ORPHAN = _T + "test_check_coupling_rejects_a_nan_mid_and_an_orphan_minus"
+_BENCH = _T + "test_coupled_matches_the_dict_reference_at_benchmark_size"
+
+CATALOGUE = [
+    # run_coupled on plus-aligned slots
+    Mutant("mid-cull-tie-last-first", _SEL,
+           "u = int(m_x.argmin())",
+           "u = n_p - 1 - int(m_x[::-1].argmin())",
+           (_TIED + "[mid-cull-binary]", _TIED + "[mid-cull-mixed]")),
+    Mutant("minus-cull-tie-last-first", _SEL,
+           "j = int(w_x.argmin())",
+           "j = n_p - 1 - int(w_x[::-1].argmin())",
+           (_TIED + "[minus-cull-binary]", _TIED + "[minus-cull-mixed]")),
+    Mutant("minus-orphan-tie-last-first", _SEL,
+           'b = _leftmost_free(m_x, WO[:n_p] > none, orphan_x, "mid")',
+           "b = n_p - 1 - _leftmost_free(m_x[::-1], WO[:n_p][::-1] > none,"
+           ' orphan_x, "mid")',
+           (_TIED + "[minus-orphan-binary]", _TIED + "[minus-orphan-mixed]")),
+    Mutant("re-paired-mid-leaves-its-minus", _SEL,
+           "MO[b], WO[b] = p_x[b] - orphan_x, wo",
+           "MO[b] = p_x[b] - orphan_x",
+           (_BENCH,)),
+    Mutant("death-keeps-its-riders", _SEL,
+           "n_p = _branch(S, n_p, v, k)",
+           "n_p = _branch(S, n_p, v, k) if k else _branch(S[:1], n_p, v, k)",
+           (_T + "test_coupled_runs_that_die_out_match_the_dict_reference",)),
+    Mutant("n_m-not-updated-on-a-branch", _SEL,
+           "n_m += k - 1",
+           "pass",
+           (_T + "test_coupled_matches_the_dict_reference",
+            "tests/test_cli.py::test_couple_verifies_dominance")),
+    # check_coupling
+    Mutant("certificate-offset-guard-loosened", _SEL,
+           "np.count_nonzero(m_off >= 0.0) == np.count_nonzero(m_live)\n"
+           "            and np.count_nonzero(w_off >= 0.0)",
+           "np.count_nonzero(m_off >= -1e-12) == np.count_nonzero(m_live)\n"
+           "            and np.count_nonzero(w_off >= -1e-12)",
+           (_EDGE + "[minus-offset-minus-1e-12-rounds-over]", _SORTED)),
+    Mutant("certificate-finiteness-guard-dropped", _SEL,
+           "\n            and np.isfinite(p_x).all()):",
+           "):",
+           (_EDGE + "[plus-at-inf-carries-at-inf]", _CORRUPT, _SORTED)),
+    Mutant("orphan-minus-guard-dropped", _SEL,
+           "if np.count_nonzero(w_live > m_live):",
+           "if False:",
+           (_NAN_ORPHAN, _CORRUPT, _SORTED)),
+    Mutant("liveness-written-greater-than", _SEL,
+           "m_live, w_live = m_off != -np.inf, w_off != -np.inf",
+           "m_live, w_live = m_off > -np.inf, w_off > -np.inf",
+           (_NAN_ORPHAN, _CORRUPT, _SORTED)),
+]
+
+
+def anchor_count(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file under src/."""
+    return (SRC / mutant.file).read_text().count(mutant.old)
+
+
+def run(mutant: Mutant) -> int:
+    """Apply the mutant to a copy of src/, run its tests there, print one
+    line per test; returns how many of them did not catch it."""
+    print(f"{mutant.name} ({mutant.file})")
+    missed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns(
+            "__pycache__", "*.egg-info"))
+        path = copy / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        outer = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(copy)] + ([outer] if outer else [])))
+        where = subprocess.run(
+            [sys.executable, "-c", "import nbbm; print(nbbm.__file__)"],
+            env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(copy)):
+            sys.exit(f"the mutated copy is not the nbbm imported: {where!r}")
+        for test in mutant.tests:
+            t0 = time.perf_counter()
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", test],
+                cwd=ROOT, env=env, capture_output=True).returncode
+            verdict = {0: "survived", 1: "caught"}.get(code,
+                                                      f"error ({code})")
+            missed += verdict != "caught"
+            print(f"  {verdict:<9} {time.perf_counter() - t0:6.1f} s  "
+                  f"{test}", flush=True)
+    return missed
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        sys.exit(f"no such mutant: {', '.join(sorted(unknown))}")
+    chosen = [m for m in CATALOGUE if not names or m.name in names]
+    stale = [f"{m.name}: {anchor_count(m)} matches" for m in chosen
+             if anchor_count(m) != 1]
+    if stale:
+        sys.exit("anchors that do not match exactly once:\n  "
+                 + "\n  ".join(stale))
+    missed = sum(run(m) for m in chosen)
+    print(f"{len(chosen)} mutants; {missed} named test runs did not catch "
+          f"theirs")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1079,82 +1079,90 @@ def test_coupled_runs_that_die_out_match_the_dict_reference(seed):
 
 
 def _sound_coupling():
-    # plus at 3, 2, 1; mids ride plus 0 and 2 (at 2.5 and 1); minuses ride
-    # mid 1 and mid 0 (at 0.75 and 2)
-    return [np.array([3.0, 2.0, 1.0]),
-            np.array([0, 2]), np.array([0.5, 0.0]),
-            np.array([1, 0]), np.array([0.25, 0.5])]
+    # slots of plus at 3, 2, 1; mids ride slots 0 and 2 (at 2.5 and 1) and
+    # minuses ride both mids (at 2 and 0.75); slot 1 carries no rider
+    none = -math.inf
+    return [np.array([3.0, 2.0, 1.0]), np.array([0.5, none, 0.0]),
+            np.array([0.5, none, 0.25])]
 
 
 def test_check_coupling_accepts_a_sound_state():
     check_coupling(*_sound_coupling())
 
 
-@pytest.mark.parametrize("array, entry, value, match", [
-    (1, 1, 0, "mid-to-plus pairing lost injectivity"),
-    (1, 0, 3, "mid-to-plus pairing points at a dead carrier"),
-    (1, 0, -1, "mid-to-plus pairing points at a dead carrier"),
-    (3, 0, 2, "minus-to-mid pairing points at a dead carrier"),
-    (3, 1, 1, "minus-to-mid pairing lost injectivity"),
+@pytest.mark.parametrize("row, slot, value, match", [
+    (2, 1, 0.5, "minus-to-mid pairing points at a dead carrier"),
     # the second mid at 1.5 stays dominated; only its offset is wrong
-    (2, 1, -0.5, "negative pairing offset"),
+    (1, 2, -0.5, "negative pairing offset"),
     # the first mid at 3.5 sits above its carrier, the rightmost plus
-    (2, 0, -0.5, r"domination order violated \(plus vs mid\)"),
-    # the first minus at 3 sits above every mid
-    (4, 0, -2.0, r"domination order violated \(mid vs minus\)"),
+    (1, 0, -0.5, r"domination order violated \(plus vs mid\)"),
+    # the second minus at 3 sits above every mid
+    (2, 2, -2.0, r"domination order violated \(mid vs minus\)"),
     # NaN positions compare false: a NaN offset fails the certificate and
     # the sorted comparison, and so does a NaN plus that carries no mid
-    (4, 1, math.nan, r"domination order violated \(mid vs minus\)"),
+    (2, 0, math.nan, r"domination order violated \(mid vs minus\)"),
     (0, 1, math.nan, r"domination order violated \(plus vs mid\)"),
 ])
-def test_check_coupling_rejects_each_corruption(array, entry, value, match):
+def test_check_coupling_rejects_each_corruption(row, slot, value, match):
     state = _sound_coupling()
-    state[array][entry] = value
+    state[row][slot] = value
     with pytest.raises(CouplingError, match=match):
         check_coupling(*state)
 
 
-def test_check_coupling_accepts_empty_systems():
-    empty, no_car = np.empty(0), np.empty(0, dtype=np.int64)
-    check_coupling(empty, no_car, empty, no_car, empty)
-    # plus particles only: the lower systems died out
-    check_coupling(np.array([2.0, -1.0]), no_car, empty, no_car, empty)
-
-
-@pytest.mark.parametrize("array, entry, value, match", [
-    (1, 0, 3, "mid-to-plus pairing points at a dead carrier"),
-    (3, 0, 2, "minus-to-mid pairing points at a dead carrier"),
-    (2, 0, -0.5, r"domination order violated \(plus vs mid\)"),
-    (4, 0, -2.0, r"domination order violated \(mid vs minus\)"),
+@pytest.mark.parametrize("m_off, w_off, match", [
+    # a NaN mid offset is a rider at NaN, which no plus dominates
+    ([math.nan, -math.inf], [-math.inf, -math.inf],
+     r"domination order violated \(plus vs mid\)"),
+    # a minus at 5.5, right of every mid, in a slot that carries no mid
+    ([0.0, -math.inf], [-math.inf, -5.0],
+     "minus-to-mid pairing points at a dead carrier"),
 ])
-def test_check_coupling_reports_in_its_stated_order(array, entry, value,
-                                                    match):
+def test_check_coupling_rejects_a_nan_mid_and_an_orphan_minus(m_off, w_off,
+                                                              match):
+    with pytest.raises(CouplingError, match=match):
+        check_coupling(np.array([1.0, 0.5]), np.array(m_off),
+                       np.array(w_off))
+
+
+def test_check_coupling_accepts_empty_systems():
+    empty, none = np.empty(0), np.full(2, -math.inf)
+    check_coupling(empty, empty, empty)
+    # plus particles only: the lower systems died out
+    check_coupling(np.array([2.0, -1.0]), none, none)
+
+
+@pytest.mark.parametrize("row, slot, value, match", [
+    (2, 1, 0.5, "minus-to-mid pairing points at a dead carrier"),
+    (1, 0, -0.5, r"domination order violated \(plus vs mid\)"),
+    (2, 2, -2.0, r"domination order violated \(mid vs minus\)"),
+])
+def test_check_coupling_reports_in_its_stated_order(row, slot, value, match):
     # each corruption of test_check_coupling_rejects_each_corruption, plus
-    # the negative offset that the second mid alone survives: the carrier
-    # and the domination checks come first
+    # the negative offset that the second mid alone survives: the orphan
+    # guard and the domination checks come first
     state = _sound_coupling()
-    state[array][entry] = value
-    state[2][1] = -0.5
+    state[row][slot] = value
+    state[1][2] = -0.5
     with pytest.raises(CouplingError, match=match):
         check_coupling(*state)
 
 
 @pytest.mark.parametrize("state, message", [
-    pytest.param([np.array([3.0, 2.0, 1.0]), np.array([0, 2]),
-                  np.array([-0.0, -0.0]), np.array([1, 0]),
-                  np.array([-0.0, -0.0])], None, id="offsets-all-minus-zero"),
-    pytest.param([np.array([1.0]), np.array([0]), np.array([0.0]),
-                  np.array([0]), np.array([-1e-13])], None,
-                 id="minus-offset-minus-1e-13"),
+    pytest.param([np.array([3.0, 2.0, 1.0]), np.array([-0.0, -math.inf, -0.0]),
+                  np.array([-0.0, -math.inf, -0.0])], None,
+                 id="offsets-all-minus-zero"),
+    pytest.param([np.array([1.0]), np.array([0.0]), np.array([-1e-13])],
+                 None, id="minus-offset-minus-1e-13"),
     # the minus lands 1e-12 right of its mid, and fl(w - 1e-12) stays
     # above m: the certificate refuses it and the sorted rule rejects it
-    pytest.param([np.array([1.0]), np.array([0]), np.array([6.92281708e-13]),
-                  np.array([0]), np.array([-1e-12])],
+    pytest.param([np.array([1.0]), np.array([6.92281708e-13]),
+                  np.array([-1e-12])],
                  "domination order violated (mid vs minus)",
                  id="minus-offset-minus-1e-12-rounds-over"),
     # inf - inf puts the mid at NaN, which no plus dominates
-    pytest.param([np.array([math.inf]), np.array([0]), np.array([math.inf]),
-                  np.array([], dtype=np.int64), np.array([])],
+    pytest.param([np.array([math.inf]), np.array([math.inf]),
+                  np.array([-math.inf])],
                  "domination order violated (plus vs mid)",
                  id="plus-at-inf-carries-at-inf"),
 ])
@@ -1170,24 +1178,21 @@ def test_check_coupling_at_the_certificates_edge(state, message):
                 check_coupling(*state)
 
 
-def _sorted_rule(p_x, m_car, m_off, w_car, w_off):
-    """The message check_coupling raises on a state, or None, by the
-    sorted rule alone: pairings, ranked domination with 1e-12 slack after
-    sorting all three systems, then offsets."""
-    for car, n, name in ((m_car, len(p_x), "mid-to-plus"),
-                         (w_car, len(m_car), "minus-to-mid")):
-        if len(car) and (car.min() < 0 or car.max() >= n):
-            return f"{name} pairing points at a dead carrier"
-        if len(set(car.tolist())) < len(car):
-            return f"{name} pairing lost injectivity"
-    m = p_x[m_car] - m_off
-    w = np.sort(m[w_car] - w_off)
-    p, m = np.sort(p_x), np.sort(m)
+def _sorted_rule(p_x, m_off, w_off):
+    """The message check_coupling raises on a slot state, or None, by the
+    sorted rule alone: a minus in a slot without a mid, ranked domination
+    with 1e-12 slack after sorting all three systems, then offsets."""
+    mids, minuses = m_off != -math.inf, w_off != -math.inf
+    if np.any(minuses & ~mids):
+        return "minus-to-mid pairing points at a dead carrier"
+    w = np.sort(p_x[minuses] - m_off[minuses] - w_off[minuses])
+    p, m = np.sort(p_x), np.sort(p_x[mids] - m_off[mids])
     if len(p) < len(m) or not np.all(p[len(p) - len(m):] >= m - 1e-12):
         return "domination order violated (plus vs mid)"
     if len(m) < len(w) or not np.all(m[len(m) - len(w):] >= w - 1e-12):
         return "domination order violated (mid vs minus)"
-    if min(m_off.min(initial=0.0), w_off.min(initial=0.0)) < -1e-12:
+    offsets = np.concatenate([m_off[mids], w_off[minuses], [0.0]])
+    if offsets.min() < -1e-12:
         return "negative pairing offset"
     return None
 
@@ -1197,12 +1202,11 @@ _OFFSET_ATOMS = np.array([0.0, -0.0, 1e-13, -1e-13, -1e-12, -2e-12, 0.3,
 
 
 def _random_couplings(n_states, rng, width=4):
-    """n_states small coupled states: up to `width` plus particles with
-    repeated, infinite and NaN positions; sound pairings, or one entry made
-    shared, dead or negative.  A system's offsets in a state are one atom
-    of _OFFSET_ATOMS or |N(0, 1)| times one scale of 0, 1e-12 or 1, at
-    even odds per entry."""
-    rows, cols = np.arange(n_states)[:, None], np.arange(width)
+    """n_states small slot states: up to `width` plus particles with
+    repeated, infinite and NaN positions.  A row's offsets in a state are
+    one atom of _OFFSET_ATOMS or |N(0, 1)| times one scale of 0, 1e-12 or
+    1, at even odds per slot, and then -inf ("no rider") at even odds per
+    slot, so some states leave a minus in a slot with no mid."""
     # repeats, and the binade edges where offsets of 1e-12 round
     x = np.where(rng.random((n_states, width)) < 0.7,
                  rng.choice([-1.0, 0.0, 0.5, 1.0], (n_states, width)),
@@ -1211,30 +1215,17 @@ def _random_couplings(n_states, rng, width=4):
     x[special] = rng.choice([math.inf, -math.inf, math.nan],
                             np.count_nonzero(special))
     n_p = rng.integers(0, width + 1, n_states)
-    n_m = rng.integers(0, n_p + 1)
-    n_w = rng.integers(0, n_m + 1)
-    systems = []
-    for n_car, n in ((n_p, n_m), (n_m, n_w)):
-        # a random injective pairing: the first n of a permutation of the
-        # carriers, then one entry corrupted in a quarter of the states
-        keys = np.where(cols < n_car[:, None], rng.random((n_states, width)),
-                        2.0)
-        car = np.argsort(keys, axis=1)
-        j = (rng.random(n_states) * n).astype(np.int64)[:, None]
-        kind = rng.integers(0, 12, n_states)[:, None]
-        shared = car[rows, (j + 1) % np.maximum(n, 1)[:, None]]
-        car = np.where((cols == j) & (kind == 0), shared, car)
-        car = np.where((cols == j) & (kind == 1), n_car[:, None], car)
-        car = np.where((cols == j) & (kind == 2), -1, car)
+    rows = []
+    for _ in range(2):
         scale = rng.choice([0.0, 1e-12, 1.0], (n_states, 1))
         off = np.where(rng.random((n_states, width)) < 0.5,
                        rng.choice(_OFFSET_ATOMS, (n_states, 1)),
                        np.abs(rng.normal(size=(n_states, width))) * scale)
-        systems.append((car, off))
-    (m_car, m_off), (w_car, w_off) = systems
+        off[rng.random((n_states, width)) < 0.5] = -math.inf
+        rows.append(off)
+    m_off, w_off = rows
     for i in range(n_states):
-        yield (x[i, :n_p[i]], m_car[i, :n_m[i]], m_off[i, :n_m[i]],
-               w_car[i, :n_w[i]], w_off[i, :n_w[i]])
+        yield x[i, :n_p[i]], m_off[i, :n_p[i]], w_off[i, :n_p[i]]
 
 
 def test_check_coupling_agrees_with_the_sorted_rule():
