@@ -10,8 +10,8 @@ The comparison estimates carry constants that theory leaves unspecified:
             <= E_{t/a^2} + c_nexpec ((1 + r) / a)^2.
 
 Each is fitted as 1.5 times the supremum of the left side over the right
-side's shape on a deterministic grid of exact quadrature evaluations, so the
-inequalities hold with headroom on the fitted geometry.  Run
+side's shape on a deterministic grid of Gauss-Legendre quadratures
+(`kernels._gauss_legendre`), so the inequalities hold with headroom.  Run
 
     python3 -m nbbm.calibrate
 
@@ -26,10 +26,8 @@ import math
 import sys
 from pathlib import Path
 
-from scipy import integrate
-
-from .kernels import (IntervalParams, I_integral, bbm_density,
-                      error_envelope_E, w_Y, w_Z)
+from .kernels import (IntervalParams, I_integral, _gauss_legendre,
+                      bbm_density, error_envelope_E, w_Y, w_Z)
 
 GRID_X_UNIT = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 GRID_WINDOWS = [(0.25, 0.5), (0.25, 1.25), (0.5, 1.0), (0.5, 2.5),
@@ -86,9 +84,8 @@ def fit_c_nexpec() -> tuple[float, float]:
                   * math.exp(iv.mu * (CAL_A - r)) / CAL_A ** 3)
         for x in GRID_X_WIDE:
             pred = factor * w_Z(x, iv)
-            val, _ = integrate.quad(lambda yy: bbm_density(x, yy, t, iv),
-                                    r, CAL_A, epsabs=1e-13, epsrel=1e-11,
-                                    limit=300)
+            val = _gauss_legendre(lambda yy: bbm_density(x, yy, t, iv),
+                                  r, CAL_A)
             dev = abs(val / pred - 1.0)
             excess = max(0.0, dev - env)
             worst = max(worst, excess / ((1.0 + r) / CAL_A) ** 2)

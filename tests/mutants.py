@@ -41,6 +41,11 @@ _SORTED = _T + "test_check_coupling_agrees_with_the_sorted_rule"
 _CORRUPT = _T + "test_check_coupling_rejects_each_corruption"
 _NAN_ORPHAN = _T + "test_check_coupling_rejects_a_nan_mid_and_an_orphan_minus"
 _BENCH = _T + "test_coupled_matches_the_dict_reference_at_benchmark_size"
+_ONE = _T + "test_barrier_batch_matches_the_reference_at_one_replica"
+_LEVY, _KER = "nbbm/levy.py", "nbbm/kernels.py"
+_MPMATH = "tests/test_levy.py::test_digamma_and_kappa_match_mpmath"
+_TK = "tests/test_kernels.py::"
+_ADAPTIVE = _TK + "test_I_integral_matches_adaptive_quadrature"
 
 CATALOGUE = [
     # run_coupled on plus-aligned slots
@@ -89,6 +94,33 @@ CATALOGUE = [
            "m_live, w_live = m_off != -np.inf, w_off != -np.inf",
            "m_live, w_live = m_off > -np.inf, w_off > -np.inf",
            (_NAN_ORPHAN, _CORRUPT, _SORTED)),
+    # barrier colour thresholds
+    Mutant("bflat-red-threshold-strict", _SEL,
+           "[right >= n_flat]",
+           "[right > n_flat]",
+           (_ONE + "[bflat-kw10]",)),
+    Mutant("bsharp-blue-threshold-inclusive", _SEL,
+           "blue = n_right[r_lo] < n_sharp",
+           "blue = n_right[r_lo] <= n_sharp",
+           (_ONE + "[bsharp-kw11]",)),
+    # levy._digamma
+    Mutant("digamma-b14-sign-flipped", _LEVY,
+           "(1 / 12, -691 / 32760",
+           "(-1 / 12, -691 / 32760",
+           (_MPMATH,)),
+    Mutant("digamma-half-reciprocal-sign-flipped", _LEVY,
+           "np.log(x) - 0.5 * r - tail",
+           "np.log(x) + 0.5 * r - tail",
+           (_MPMATH,)),
+    # kernels._gauss_legendre
+    Mutant("quadrature-panels-uniform", _KER,
+           "edges = lo + (hi - lo) * np.exp2(np.arange(-panels, 1.0))",
+           "edges = np.linspace(lo, hi, panels + 1)",
+           (_TK + "test_selfcheck_passes", _ADAPTIVE)),
+    Mutant("I_integral-panels-not-refined-near-the-wall", _KER,
+           "max(s0, (a - x) ** 2) / 16.0",
+           "math.inf",
+           (_ADAPTIVE,)),
 ]
 
 

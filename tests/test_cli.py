@@ -626,17 +626,24 @@ def test_report_levy_tables(tmp_path):
     assert math.isclose(math.fsum(dens[:, 2]), 1.0, rel_tol=1e-12)
 
 
-# Run in a fresh interpreter: which modules a run loads shows only there.
+# Run in a fresh interpreter, where no scipy module is loaded yet and a
+# finder at the head of sys.meta_path makes every scipy import raise.
 # argv: the nbbm config, the bbbm config, the scratch directory.
 _SCIPY_FREE_RUNS = """\
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+import nbbm.calibrate
 from nbbm.cli import main
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 nbbm_ini, bbbm_ini, tmp = sys.argv[1:]
-report = {"import": scipy_loaded()}
+report = {"polynomial": sorted(m for m in sys.modules
+                               if m.startswith("numpy.polynomial"))}
 runs = {
     "nbbm": ["simulate", "--config", nbbm_ini, "--out", tmp + "/nbbm"],
     "bbbm": ["simulate", "--config", bbbm_ini, "--out", tmp + "/bbbm"],
@@ -648,10 +655,17 @@ runs = {
                tmp + "/report"],
     "levy": ["levy", "--samples", "200", "--t", "0.5", "--out",
              tmp + "/levy"],
+    "report-levy": ["report", "--levy", tmp + "/levy/increments.csv",
+                    "--out", tmp + "/report-levy"],
     "kernels-selfcheck": ["kernels-selfcheck"],
 }
 for name, argv in runs.items():
-    report[name] = (main(argv), scipy_loaded())
+    report[name] = main(argv)
+try:
+    import scipy.special
+    report["blocked"] = False
+except ImportError:
+    report["blocked"] = True
 print(json.dumps(report))
 """
 
@@ -668,16 +682,12 @@ def test_runs_never_import_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report.pop("import") == []
-    for name in ("nbbm", "bbbm", "coupled", "couple", "report"):
-        assert report[name] == [0, []], name
-    # levy loads only scipy.special, for psi; the quadrature-backed
-    # selfcheck loads scipy.integrate on demand
-    code, loaded = report["levy"]
-    assert code == 0 and "scipy.special" in loaded, loaded
-    assert "scipy.integrate" not in loaded, loaded
-    code, loaded = report["kernels-selfcheck"]
-    assert code == 0 and "scipy.integrate" in loaded
+    # importing the package leaves the quadrature's numpy.polynomial unloaded
+    assert report.pop("polynomial") == []
+    assert report.pop("blocked") is True
+    assert report == dict.fromkeys(
+        ["nbbm", "bbbm", "coupled", "couple", "report", "levy", "report-levy",
+         "kernels-selfcheck"], 0), report
 
 
 def test_report_passes_true_increments(tmp_path):

@@ -20,6 +20,7 @@ from nbbm.kernels import (
     bbm_density,
     error_envelope_E,
     exit_density_right,
+    exit_density_right_scaled,
     green_killed,
     meta_density,
     p_killed,
@@ -151,6 +152,8 @@ def test_p_killed_rejects_out_of_range_positions():
         p_killed(-0.1, 0.4, 1.0, 1.0)
     with pytest.raises(ValueError):
         p_killed(0.4, 1.2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="nan"):
+        p_killed(math.nan, 0.4, 1.0, 1.0)
 
 
 def test_p_killed_chapman_kolmogorov():
@@ -259,6 +262,28 @@ def test_I_integral_window_flux_estimate():
             lhs = abs(I_integral(x, (s0, s1), 1.0) - PI * (s1 - s0) * math.sin(PI * x))
             rhs = c_i * min(x, env * math.sin(PI * x))
             assert lhs <= rhs, (x, s0, s1, lhs, rhs)
+
+
+@pytest.mark.parametrize("x, S, a", [
+    (0.9999, (0.0, 1.0), 1.0),    # the flux peaks near s = 3e-9
+    (9.9, (0.0, 35.0), 10.0),     # the calibration grid's steepest case
+    (0.99, (1e-3, 10.0), 1.0),
+    (0.5, (0.0, 100.0), 1.0),
+])
+def test_I_integral_matches_adaptive_quadrature(x, S, a):
+    want, err = integrate.quad(lambda s: exit_density_right_scaled(x, s, a),
+                               *S, epsabs=1e-13, epsrel=1e-12, limit=400)
+    assert err < 1e-11
+    assert_close(I_integral(x, S, a), want, 1e-12)
+
+
+@pytest.mark.parametrize("x, S", [
+    (1.5, (0.1, 0.5)), (-0.1, (0.1, 0.5)), (math.nan, (0.1, 0.5)),
+    (0.5, (math.nan, 0.5)), (0.5, (0.1, math.inf)),
+])
+def test_I_integral_rejects_a_start_off_the_interval_or_an_open_window(x, S):
+    with pytest.raises(ValueError):
+        I_integral(x, S, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,18 @@
 """Limit-process checks: the characteristic exponent's closed form against an
-independent quadrature route and the mean rate, the jump-measure tail
+independent quadrature route, 40-digit mpmath and the mean rate, the
+jump-measure tail
 identity, sampler consistency, the quantile solver, and the recentering
 constants."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
-import nbbm
 from nbbm import levy
 from nbbm.engine import rng_stream
 from nbbm.levy import (
@@ -117,6 +114,28 @@ def test_kappa_rejects_non_finite_lambda(lam):
         kappa(lam)
 
 
+def test_digamma_and_kappa_match_mpmath():
+    # 450 lambdas in +-[1e-6, 200] against 40-digit references: psi(1 - i lam)
+    # to 1.5e-15 relative (scipy's psi: 1.45e-15), kappa to 1.2e-15
+    sizes = np.geomspace(1e-6, 200.0, 225)
+    lams = np.concatenate([-sizes[::-1], sizes])
+    psi = levy._digamma(1.0 - 1j * lams)
+    kap = kappa(lams, LevyParams(c=0.3))
+    worst_psi = worst_kappa = 0.0
+    with mpmath.workdps(40):
+        shift = (mpmath.euler + 1 - 1 / (mpmath.e - 1)
+                 + mpmath.log(1 - 1 / mpmath.e) - 1)
+        for lam, got_psi, got_kappa in zip(lams.tolist(), psi, kap):
+            ref = mpmath.digamma(mpmath.mpc(1, -lam))
+            ref_kappa = 1j * lam * (mpmath.mpf("0.3")
+                                    - mpmath.pi ** 2 * (ref + shift))
+            worst_psi = max(worst_psi, float(abs(got_psi - ref) / abs(ref)))
+            worst_kappa = max(worst_kappa, float(abs(got_kappa - ref_kappa)
+                                                 / abs(ref_kappa)))
+    assert worst_psi <= 1.5e-15 and worst_kappa <= 1.2e-15, (worst_psi,
+                                                             worst_kappa)
+
+
 def test_kappa_drift_term_linear():
     lam = 1.3
     base = kappa(lam, LevyParams(c=0.0))
@@ -159,6 +178,13 @@ def test_jump_tail_identity_matches_density_quadrature():
         mass, _ = integrate.quad(jump_density, u, 60.0,
                                  epsabs=1e-12, epsrel=1e-12, limit=400)
         assert_close(jump_tail(u), mass, 1e-10)
+
+
+@pytest.mark.parametrize("fn", [jump_tail, jump_density])
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan, [1.0, math.nan]])
+def test_jump_measure_rejects_u_that_is_not_positive(fn, u):
+    with pytest.raises(ValueError, match="u > 0"):
+        fn(u)
 
 
 def test_jump_tail_behaves_like_reciprocal_for_small_u():
@@ -277,27 +303,6 @@ def test_increment_sampler_bounds_its_jump_buffer(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
-
-
-_SCIPY_FREE_SAMPLING = """\
-import sys
-from nbbm.engine import rng_stream
-from nbbm.levy import LevyParams, sample_levy_increment
-
-sample_levy_increment(0.5, 200, rng_stream(1, 0, 0), LevyParams(c=0.3))
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-
-
-def test_sampling_never_imports_scipy():
-    env = dict(os.environ)
-    src = str(Path(nbbm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SAMPLING],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 def test_increment_rejects_bad_time():
