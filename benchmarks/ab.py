@@ -30,7 +30,11 @@ unless a case names another:
   carry two payload columns.  No blue expires before T = 12: at desk scale
   the first expiry is two cells of the sharp grid away (see run_bsharp).
 - nbbm: `selection.run_nbbm`, dt = 0.1, T = 200, at (N, replicas) =
-  (1000, 1), (1000, 4) and (100, 32).
+  (1000, 1), (1000, 4), (1000, 8) and (100, 32), and at (1000, 4) with one
+  record at the horizon, where only the lane's branching budget bounds a
+  block of steps.  Since 0.14.0 the lane draws a block's branchings before
+  its steps' normals, so against a 0.13.0 or older baseline its results
+  are no longer identical; they agree in law.
 
 With --baseline DIR (another checkout, or its src directory) the same
 function of the nbbm package in DIR runs in alternating pairs with the
@@ -173,7 +177,10 @@ LAYERS = {
     "nbbm": ("particle-step", simulate, [
         (f"N = {n}, {r} replicas, T = 200", "selection.run_nbbm",
          dict(n_select=n, replicas=r, dt=0.1, horizon=200.0))
-        for n, r in ((1000, 1), (1000, 4), (100, 32))]),
+        for n, r in ((1000, 1), (1000, 4), (1000, 8), (100, 32))] + [
+        ("N = 1000, 4 replicas, T = 200, one record", "selection.run_nbbm",
+         dict(n_select=1000, replicas=4, dt=0.1, horizon=200.0,
+              sample_every=200.0))]),
 }
 
 

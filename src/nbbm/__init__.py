@@ -8,6 +8,6 @@ estimator/oracle reports (stats), and the command line front end (cli).
 
 from .kernels import IntervalParams
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = ["IntervalParams", "__version__"]

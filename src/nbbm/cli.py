@@ -280,7 +280,9 @@ def _cmd_simulate(args) -> int:
         events = [] if args.log_events else None
         res = run_nbbm(cfg, events)
         series_list = res.series
-        runinfo.update(n_select=res.n_select, horizon=res.horizon)
+        runinfo.update(n_select=res.n_select, horizon=res.horizon,
+                       buffer_growths=res.buffer_growths,
+                       peak_extras=res.peak_extras, cap=res.cap)
         if res.constants is not None:
             runinfo["a_N"] = res.constants.a_N
             runinfo["mu_N"] = res.constants.mu_N

@@ -121,31 +121,39 @@ def _spectral_sum(x: np.ndarray, t: float, deriv: int) -> np.ndarray:
     raise RuntimeError(f"spectral series did not reach tol within {MAX_TERMS} terms (t={t})")
 
 
-def _gauss_shells_needed(t: float, deriv: int) -> int:
-    # shell k covers image indices n_center +- k, so |x - 2n| >= 2k - 1 there
-    inv = 1.0 / math.sqrt(2.0 * _PI * t)
+def _gauss_shells_needed(t, deriv: int) -> np.ndarray:
+    # shell k covers image indices n_center +- k, so |x - 2n| >= 2k - 1
+    # there; one count per entry of t
+    t = np.asarray(t, dtype=float)
+    inv = 1.0 / np.sqrt(2.0 * _PI * t)
+    shells = np.zeros(t.shape, dtype=int)
     for k in range(1, MAX_TERMS + 1):
         zmin = 2.0 * k - 1.0
-        bound = inv * math.exp(-zmin * zmin / (2.0 * t))
+        bound = inv * np.exp(-zmin * zmin / (2.0 * t))
         if deriv == 1:
             bound *= (zmin + 2.0) / t
         # geometric bound on the remaining shells
-        ratio = math.exp(-4.0 * k / t) * (2.0 if deriv == 1 else 1.0)
-        if ratio < 1.0 and bound / (1.0 - ratio) < _TERM_TOL:
-            return k
+        ratio = np.exp(-4.0 * k / t) * (2.0 if deriv == 1 else 1.0)
+        shells[(shells == 0) & (ratio < 1.0)
+               & (bound / (1.0 - ratio) < _TERM_TOL)] = k
+        if shells.all():
+            return shells
     raise RuntimeError(f"image sum did not reach tol within {MAX_TERMS} shells (t={t})")
 
 
-def _gauss_sum(x: np.ndarray, t: float, deriv: int) -> np.ndarray:
-    inv = 1.0 / math.sqrt(2.0 * _PI * t)
+def _gauss_sum(x: np.ndarray, t, deriv: int) -> np.ndarray:
+    # t is one time, or an array of x's shape that gives each entry its own;
+    # an entry takes only the shells its time needs
+    inv = 1.0 / np.sqrt(2.0 * _PI * t)
     n_center = np.round(x / 2.0)
     shells = _gauss_shells_needed(t, deriv)
     out = np.zeros_like(x)
-    for k in range(0, shells + 1):
+    for k in range(0, shells.max() + 1):
         for off in ((0,) if k == 0 else (-k, k)):
             z = x - 2.0 * (n_center + off)
             g = inv * np.exp(-z * z / (2.0 * t))
-            out += g if deriv == 0 else (-z / t) * g
+            out += np.where(k <= shells, g if deriv == 0 else (-z / t) * g,
+                            0.0)
     return out
 
 
@@ -353,31 +361,36 @@ def exit_density_right_scaled(x, t, iv):
     """exp(pi^2 t / (2 a^2)) * exit_density_right, stable for t >> a^2.
 
     Spectral form (pi/a^2) sum_n (-1)^(n+1) n e^{-pi^2 (n^2-1) t/(2a^2)}
-    sin(pi n x / a) above the switch.
+    sin(pi n x / a) above the switch, the image sum of exit_density_right
+    below it.  x and t broadcast, so one call serves many starts at one
+    time or one start at many times, each time in the form it selects.
     """
     a = _interval_length(iv)
-    t = float(t)
-    if not (t > 0.0):
+    x_arr, t_arr, scalar = _broadcast_xy(x, t)
+    if not np.all(t_arr > 0.0):
         raise ValueError(f"exit_density_right_scaled requires t > 0, got {t!r}")
-    tau = t / (a * a)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 0
-    if tau < REPRESENTATION_SWITCH_T:
-        val = math.exp(_PI2 * tau / 2.0) * np.atleast_1d(exit_density_right(x_arr, t, a))
-        return float(val[0]) if scalar else val
-    out = np.zeros_like(x_arr, dtype=float)
-    converged = False
-    for n in range(1, MAX_TERMS + 1):
-        coef = n * math.exp(-_PI2 * (n * n - 1) * tau / 2.0)
-        if _PI * coef < _TERM_TOL:
-            converged = True
-            break
-        sign = 1.0 if n % 2 == 1 else -1.0
-        out += sign * coef * np.sin(_PI * n * x_arr / a)
-    if not converged:
-        raise RuntimeError(f"scaled exit series did not converge (t={t}, a={a})")
-    inside = (x_arr > 0.0) & (x_arr < a)
-    val = np.where(inside, np.maximum((_PI / (a * a)) * out, 0.0), 0.0)
+    tau = t_arr / (a * a)
+    val = np.zeros_like(tau)
+    gauss = tau < REPRESENTATION_SWITCH_T
+    if gauss.any():
+        tg = tau[gauss]
+        flux = _gauss_sum(x_arr[gauss] / a - 1.0, tg, 1) / (a * a)
+        val[gauss] = np.exp(_PI2 * tg / 2.0) * np.maximum(flux, 0.0)
+    spectral = ~gauss
+    if spectral.any():
+        xs, ts = x_arr[spectral], tau[spectral]
+        out = np.zeros_like(ts)
+        for n in range(1, MAX_TERMS + 1):
+            coef = n * np.exp(-_PI2 * (n * n - 1) * ts / 2.0)
+            live = _PI * coef >= _TERM_TOL
+            if not live.any():
+                break
+            sign = 1.0 if n % 2 == 1 else -1.0
+            out += np.where(live, sign * coef * np.sin(_PI * n * xs / a), 0.0)
+        else:
+            raise RuntimeError(f"scaled exit series did not converge (t={t}, a={a})")
+        val[spectral] = np.maximum((_PI / (a * a)) * out, 0.0)
+    val = np.where((x_arr > 0.0) & (x_arr < a), val, 0.0)
     return float(val[0]) if scalar else val
 
 
@@ -420,7 +433,7 @@ def I_integral(x, S, iv) -> float:
         return 0.0
     # the flux rises from an essential zero at s ~ (a - x)^2, then varies like s
     return _gauss_legendre(
-        lambda s: [exit_density_right_scaled(x, si, a) for si in s], s0, s1,
+        lambda s: exit_density_right_scaled(x, s, a), s0, s1,
         max(s0, (a - x) ** 2) / 16.0)
 
 

@@ -10,7 +10,11 @@ three systems with shared noise and per-event domination checks.
 
 `run_nbbm`, the one N-BBM step lane, steps all replicas together in one
 (replicas, N) array of slots, a dead slot holding -inf, on the one stream
-rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  The
+rng_stream(seed, 0, nbbm lane), and can record replica 0's genealogy.  It
+runs its steps in blocks: per block it draws the branching slots, then the
+offspring counts, of all the block's steps; per step, the normals.  A slot
+branches independently of its position and of the slot arrangement, so
+the order of the draws leaves the law as it was.  The
 barrier runners advance all replicas of a run together in one tuple of flat
 arrays: positions, replica ids, colour codes in the coloured modes and blue
 expiry times in the sharp modes only, on one stream rng_stream(seed, 0,
@@ -69,6 +73,10 @@ _LANE_COUPLED = 3
 
 _WHITE, _RED, _BLUE = 0, 1, 2
 
+# the expected branchings one block of N-BBM steps draws at once, which
+# bounds the block's index arrays whatever the record spacing
+_BLOCK_BRANCHINGS = 4096
+
 
 def med_alpha(positions, alpha: float, n_select: int):
     """Level below which fewer than alpha * n_select particles remain above.
@@ -116,6 +124,11 @@ class NbbmResult:
     horizon: float
     dt: float
     final_positions: list[np.ndarray] = field(default_factory=list)
+    # the room for extra children: how often it grew, the most extras one
+    # replica took in one step, and the room at the end
+    buffer_growths: int = 0
+    peak_extras: int = 0
+    cap: int = 0
 
     def med_matrix(self, alpha: float) -> np.ndarray:
         """Stack one alpha-median column across replicas, shape (R, T)."""
@@ -127,13 +140,32 @@ class NbbmResult:
         return self.series[0].times
 
 
+def _block_plan(n_steps: int, per_step: float,
+                budget: float) -> list[tuple[int, int]]:
+    """The (start, stop) step ranges of `_nbbm_batch`'s blocks.
+
+    The blocks tile range(n_steps) in order.  The last step, whose length
+    may differ, is a block of its own; the others run in blocks of as many
+    steps as keep the expected branchings, per_step a step, within budget,
+    and of one step when one step alone exceeds it.
+    """
+    size = max(1, int(budget // per_step)) if per_step > 0.0 else n_steps
+    cuts = [*range(0, n_steps - 1, size), n_steps - 1, n_steps]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
-    """Step every replica together; returns (series, final positions), one
-    of each per replica.
+    """Step every replica together; returns (series, final positions,
+    counters): one series and one array of positions per replica, and the
+    buffer's growths, the most extra children one row took in one step and
+    the final room for extras.
 
     Replica r owns row r of one buffer: its slots are the last N columns,
     and the `cap` columns left of them take the extra children of a step,
-    so that one partition per row keeps the N rightmost.
+    so that one partition per row keeps the N rightmost.  The steps run in
+    blocks (`_block_plan`): a block draws the branching slots and offspring
+    counts of all its steps at once and works out where each extra child
+    goes, so a step draws its normals and then only moves values.
     """
     n_sel, n_rep, law, dt = cfg.n_select, cfg.replicas, cfg.law, cfg.dt
     size = n_rep * n_sel
@@ -142,6 +174,7 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
     deaths = q[0] > 0.0
     extra_mean = sum((k - 1) * p for k, p in enumerate(q) if k > 1)
     cap = 32 + 2 * int(n_sel * -math.expm1(-law.beta0 * dt) * extra_mean)
+    growths = peak = 0
     buf = np.full((n_rep, cap + n_sel), -math.inf)
     for r in range(n_rep):
         buf[r, cap:] = _initial_front(n_sel, rng)
@@ -171,25 +204,26 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
     times = [0.0]
     meds = {al: [med_alpha(slots, al, n_sel)] for al in cfg.alphas}
     counts = [counts_now()]
-    for i in range(n_steps):
-        if i < n_steps - 1:
-            h, t1 = dt, (i + 1) * dt
-        else:  # the last step ends at the horizon
-            h, t1 = horizon - i * dt, horizon
-        rng.standard_normal(out=z)
-        z *= math.sqrt(h)
-        slots += z
-
-        idx = _branch_slots(size, law.beta0 * h, rng)
+    plan = _block_plan(n_steps, size * -math.expm1(-law.beta0 * dt),
+                       _BLOCK_BRANCHINGS)
+    for start, stop in plan:
+        # the last block is the last step, which ends at the horizon
+        h = dt if stop < n_steps else horizon - start * dt
+        n_blk = stop - start
+        idx = _branch_slots(n_blk * size, law.beta0 * h, rng)
         ks = sample_offspring(law, len(idx), rng)
+        step, idx = np.divmod(idx, size)
         n_ext = ks - 1
         if deaths:
             np.maximum(n_ext, 0, out=n_ext)
         rows = idx // n_sel
-        ext_rows = rows.repeat(n_ext)
-        per_row = np.bincount(ext_rows, minlength=n_rep)
-        n0 = int(rows.searchsorted(1))  # replica 0's branchings
-        c0, wide = int(per_row[0]), int(per_row.max())
+        # the branchings sorted by (step, row) group, and the extra children
+        # of each group
+        group = step * n_rep + rows
+        ext_group = group.repeat(n_ext)
+        per = np.bincount(ext_group, minlength=n_blk * n_rep)
+        wide = int(per.max(initial=0))
+        peak = max(peak, wide)
         if wide > cap:
             grown = max(2 * cap, wide)
             buf = np.concatenate(
@@ -198,50 +232,76 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
                 parent = np.concatenate(
                     (np.zeros(grown - cap, dtype=np.int64), parent))
             cap = grown
+            growths += 1
             slots, flat, shift, base = layout()
         at = idx + shift[rows]
-        vals = flat[at]
-        ext = vals.repeat(n_ext)
-
-        if logged and n0:
-            # rows only for live slots: a dead slot's branching is no event
-            live = vals[:n0] > -math.inf
-            slot = at[:n0][live]  # replica 0's offsets index parent too
-            k0 = ks[:n0][live]
-            row = len(branches)
-            branches.extend(zip([t1] * len(k0), parent[slot].tolist(),
-                                vals[:n0][live].tolist(), k0.tolist()))
-            born = np.full(n0, -1, dtype=np.int64)
-            born[live] = np.arange(row, row + len(k0))
-            parent[slot] = born[live]
-            parent[cap - c0:cap] = born.repeat(n_ext[:n0])
+        # each extra child is a copy of its parent's slot, placed just left
+        # of its row's slots; a step's extras run from ext_cuts[s]
+        ends = per.cumsum()
+        src = at.repeat(n_ext)
+        dst = (np.tile(base, n_blk) - ends)[ext_group] + np.arange(len(src))
+        ext_cuts = [0, *ends[n_rep - 1::n_rep].tolist()]
+        per = per.reshape(n_blk, n_rep)
+        c0s = per[:, 0].tolist()
+        wide1s = per[:, 1:].max(axis=1, initial=0).tolist()
+        if logged:
+            # where replica 0's branchings of each step start and end
+            lo0, hi0 = group.searchsorted(
+                np.arange(n_blk) * n_rep + [[0], [1]]).tolist()
         if deaths:
-            flat[at[ks == 0]] = -math.inf
+            gone = ks == 0
+            dead = at[gone]
+            dead_cuts = step[gone].searchsorted(
+                np.arange(n_blk + 1)).tolist()
+        scale = math.sqrt(h)
+        for s in range(n_blk):
+            i = start + s
+            t1 = horizon if i == n_steps - 1 else (i + 1) * dt
+            rng.standard_normal(out=z)
+            z *= scale
+            slots += z
 
-        # extra children sit just left of their row's slots, the rows with
-        # fewer of them padded with -inf; one partition keeps the N rightmost
-        wide1 = int(per_row[1:].max(initial=0))
-        if wide1:
-            buf[1:, cap - wide1:cap] = -math.inf
-            flat[(base - per_row.cumsum())[ext_rows]
-                 + np.arange(len(ext))] = ext
-            buf[1:, cap - wide1:].partition(wide1, axis=1)
-        else:
-            buf[0, cap - c0:cap] = ext
-        if c0:
-            # replica 0 selects through argpartition, logged or not, so its
-            # genealogy rides along without changing the arrangement
-            span = buf[0, cap - c0:]
-            keep = span.argpartition(c0)[c0:]
-            buf[0, cap:] = span[keep]
-            if logged:
-                parent[cap:] = parent[cap - c0:][keep]
+            c0, wide1 = c0s[s], wide1s[s]
+            if logged and hi0[s] > lo0[s]:
+                # rows only for live slots: a dead slot's branching is no
+                # event; replica 0's offsets index parent too
+                b = slice(lo0[s], hi0[s])
+                vals = flat[at[b]]
+                live = vals > -math.inf
+                slot = at[b][live]
+                k0 = ks[b][live]
+                row = len(branches)
+                branches.extend(zip([t1] * len(k0), parent[slot].tolist(),
+                                    vals[live].tolist(), k0.tolist()))
+                born = np.full(len(vals), -1, dtype=np.int64)
+                born[live] = np.arange(row, row + len(k0))
+                parent[slot] = born[live]
+                parent[cap - c0:cap] = born.repeat(n_ext[b])
+            if deaths:
+                flat[dead[dead_cuts[s]:dead_cuts[s + 1]]] = -math.inf
 
-        if (i + 1) % sample_steps == 0 or i == n_steps - 1:
-            times.append(t1)
-            counts.append(counts_now())
-            for al in cfg.alphas:
-                meds[al].append(med_alpha(slots, al, n_sel))
+            # the rows with fewer extras than the widest are padded with
+            # -inf; one partition keeps the N rightmost
+            if wide1:
+                buf[1:, cap - wide1:cap] = -math.inf
+            e0, e1 = ext_cuts[s], ext_cuts[s + 1]
+            flat[dst[e0:e1]] = flat[src[e0:e1]]
+            if wide1:
+                buf[1:, cap - wide1:].partition(wide1, axis=1)
+            if c0:
+                # replica 0 selects through argpartition, logged or not, so
+                # its genealogy rides along without changing the arrangement
+                span = buf[0, cap - c0:]
+                keep = span.argpartition(c0)[c0:]
+                buf[0, cap:] = span[keep]
+                if logged:
+                    parent[cap:] = parent[cap - c0:][keep]
+
+            if (i + 1) % sample_steps == 0 or i == n_steps - 1:
+                times.append(t1)
+                counts.append(counts_now())
+                for al in cfg.alphas:
+                    meds[al].append(med_alpha(slots, al, n_sel))
 
     count_table = np.asarray(counts, dtype=float)
     med_table = {al: np.asarray(meds[al]) for al in cfg.alphas}
@@ -252,7 +312,7 @@ def _nbbm_batch(cfg: SimConfig, horizon: float, branches: list | None):
             columns[f"med_{al:g}"] = med_table[al][:, r].copy()
         series.append(StatsSeries(np.asarray(times), columns, replica=r))
         final.append(slots[r][slots[r] > -math.inf])
-    return series, final
+    return series, final, (growths, peak, cap)
 
 
 def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
@@ -267,9 +327,16 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
     speed at 0.929 at h = 0.1, against about 0.951 with exact family sizes.  A
     particle with k = 0 children dies, so the count may fall below n_select.
     All replicas step together on the one stream rng_stream(seed, 0, nbbm
-    lane).  With a `branches` list, replica 0 appends an events.csv row per
+    lane), in blocks of steps: per block, the branching slots and then the
+    offspring counts of all its steps; per step, one normal per slot.  The
+    last step is a block of its own, and a block's expected branchings stay
+    within a fixed budget unless one step alone exceeds it.  A slot branches
+    independently of where its particle is, so drawing ahead changes only
+    the order of the draws (0.14.0), not the law, the bias above included.
+    With a `branches` list, replica 0 appends an events.csv row per
     branching (`runio.write_events_csv`), k = 0 included, without changing
-    the draws.
+    the draws.  The result counts the buffer's growths, the most extra
+    children one replica took in one step and the final room for them.
     """
     if cfg.n_select is None or cfg.n_select < 2:
         raise ValueError("run_nbbm needs n_select >= 2")
@@ -277,9 +344,9 @@ def run_nbbm(cfg: SimConfig, branches: list | None = None) -> NbbmResult:
     constants = recentering(cfg.n_select) if cfg.n_select >= 16 else None
     horizon = cfg.horizon if cfg.horizon is not None \
         else 20.0 * math.log(cfg.n_select) ** 3
-    series, final = _nbbm_batch(cfg, horizon, branches)
-    return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt,
-                      final_positions=final)
+    series, final, counters = _nbbm_batch(cfg, horizon, branches)
+    return NbbmResult(series, cfg.n_select, constants, horizon, cfg.dt, final,
+                      *counters)
 
 
 # ---------------------------------------------------------------------------

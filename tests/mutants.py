@@ -42,6 +42,9 @@ _CORRUPT = _T + "test_check_coupling_rejects_each_corruption"
 _NAN_ORPHAN = _T + "test_check_coupling_rejects_a_nan_mid_and_an_orphan_minus"
 _BENCH = _T + "test_coupled_matches_the_dict_reference_at_benchmark_size"
 _ONE = _T + "test_barrier_batch_matches_the_reference_at_one_replica"
+_SPEED = _T + "test_nbbm_speed_agrees_with_the_reference_lane"
+_BINOMIAL = _T + "test_nbbm_block_branchings_are_binomial"
+_LAST = _T + "test_nbbm_last_step_ends_at_the_horizon"
 _LEVY, _KER = "nbbm/levy.py", "nbbm/kernels.py"
 _MPMATH = "tests/test_levy.py::test_digamma_and_kappa_match_mpmath"
 _TK = "tests/test_kernels.py::"
@@ -94,6 +97,31 @@ CATALOGUE = [
            "m_live, w_live = m_off != -np.inf, w_off != -np.inf",
            "m_live, w_live = m_off > -np.inf, w_off > -np.inf",
            (_NAN_ORPHAN, _CORRUPT, _SORTED)),
+    # run_nbbm's block path
+    Mutant("nbbm-branch-rate-1.2x", _SEL,
+           "idx = _branch_slots(n_blk * size, law.beta0 * h, rng)",
+           "idx = _branch_slots(n_blk * size, 1.2 * law.beta0 * h, rng)",
+           (_BINOMIAL, _LAST, _SPEED + "[binary_law]",
+            _SPEED + "[mixed_law]")),
+    Mutant("nbbm-last-step-full-length", _SEL,
+           "h = dt if stop < n_steps else horizon - start * dt",
+           "h = dt",
+           (_BINOMIAL, _LAST)),
+    Mutant("nbbm-extras-not-padded", _SEL,
+           "buf[1:, cap - wide1:cap] = -math.inf",
+           "pass",
+           (_SPEED + "[mixed_law]",)),
+    Mutant("nbbm-no-k0-deaths", _SEL,
+           "flat[dead[dead_cuts[s]:dead_cuts[s + 1]]] = -math.inf",
+           "pass",
+           (_T + "test_nbbm_count_falls_below_n_under_deaths",
+            _T + "test_nbbm_extinct_replica_stays_extinct",
+            _SPEED + "[mixed_law]")),
+    Mutant("nbbm-growth-sized-from-the-first-step", _SEL,
+           "wide = int(per.max(initial=0))",
+           "wide = int(per[:n_rep].max(initial=0))",
+           (_T + "test_nbbm_heavy_offspring_widens_the_buffer",
+            "tests/test_cli.py::test_simulate_nbbm_outputs")),
     # barrier colour thresholds
     Mutant("bflat-red-threshold-strict", _SEL,
            "[right >= n_flat]",

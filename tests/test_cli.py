@@ -146,6 +146,9 @@ def test_simulate_nbbm_outputs(tmp_path):
     runinfo = json.loads((out / "runinfo.json").read_text())
     assert runinfo["manifest"] == h
     assert runinfo["n_select"] == 20
+    # the room for extra children: binary law at N = 20 never outgrows it
+    assert runinfo["buffer_growths"] == 0
+    assert 0 < runinfo["peak_extras"] <= runinfo["cap"]
 
     h_ckpt, time, pos = load_population(out / "final.ckpt")
     assert h_ckpt == h and len(pos) == 20 and time == 2.0

@@ -244,6 +244,20 @@ def test_right_exit_mass_equals_x_over_a():
     assert_close(mass, 0.4, 1e-8)
 
 
+def test_exit_density_right_scaled_takes_an_array_of_times():
+    # one start at many times, on both sides of the representation switch
+    # (t / a^2 = 0.3), gives each time's scalar value within 2 ulp
+    a, x = 5.0, 3.7
+    t = np.concatenate((np.geomspace(0.05, 200.0, 60), [0.3 * a * a]))
+    many = exit_density_right_scaled(x, t, a)
+    one = np.array([exit_density_right_scaled(x, ti, a) for ti in t])
+    assert many.shape == t.shape and np.all(one > 0.0)
+    assert np.all(np.abs(many - one) <= 2.0 * np.spacing(one))
+    assert np.array_equal(exit_density_right_scaled(0.0, t, a), 0.0 * t)
+    with pytest.raises(ValueError):
+        exit_density_right_scaled(x, np.array([1.0, 0.0]), a)
+
+
 def test_I_integral_scaling_exact():
     u, S, a = 0.4, (0.5, 1.5), 3.0
     scaled = I_integral(a * u, (S[0] * a * a, S[1] * a * a), a)

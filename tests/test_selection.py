@@ -224,6 +224,50 @@ def test_nbbm_last_step_ends_at_the_horizon(binary_law):
         assert abs(fired - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
+@pytest.mark.parametrize("n_steps, per_step, budget", [
+    (1, 5.0, 100.0), (2, 5.0, 100.0), (57, 5.0, 100.0), (57, 30.0, 100.0),
+    (57, 500.0, 100.0), (41, 10.0, 100.0), (10, 0.0, 100.0)])
+def test_block_plan_tiles_the_steps_within_the_budget(n_steps, per_step,
+                                                      budget):
+    plan = selection._block_plan(n_steps, per_step, budget)
+    # every step once, in order, and the last step, which may be short,
+    # alone
+    assert [i for a, b in plan for i in range(a, b)] == list(range(n_steps))
+    assert plan[-1] == (n_steps - 1, n_steps)
+    for a, b in plan[:-1]:
+        # within the budget, unless one step alone exceeds it; and only the
+        # block before the last step may stop short of it
+        assert (b - a) * per_step <= budget or b - a == 1
+        assert b == n_steps - 1 or (b - a + 1) * per_step > budget
+
+
+def test_nbbm_block_branchings_are_binomial():
+    # N = 50 to horizon 10.5 at dt = 1: ten full steps in one block, then the
+    # short last step alone.  Replica 0's log counts the branchings of each
+    # step; at the first, a middle and the last step of the block, and at
+    # the short last step, they are Binomial(N, 1 - e^(-beta0 h)) over 200
+    # seeds.  A sweep of 60 other sets of 200 seeds put |z| at most 2.3 for
+    # the mean and 3.4 for the variance.
+    law, n, runs = ReproductionLaw.binary(), 50, 200
+    per_step = n * -math.expm1(-law.beta0)
+    assert selection._block_plan(11, per_step, selection._BLOCK_BRANCHINGS) \
+        == [(0, 10), (10, 11)]
+    fired = {1.0: [], 5.0: [], 10.0: [], 10.5: []}
+    for seed in range(runs):
+        branches = []
+        run_nbbm(SimConfig(law, dt=1.0, horizon=10.5, seed=seed, n_select=n),
+                 branches)
+        time = np.array([row[0] for row in branches])
+        for t1, counts in fired.items():
+            counts.append(np.count_nonzero(time == t1))
+    for t1, counts in fired.items():
+        p = -math.expm1(-law.beta0 * (0.5 if t1 == 10.5 else 1.0))
+        var = n * p * (1.0 - p)
+        assert abs(np.mean(counts) - n * p) <= 5.0 * math.sqrt(var / runs), t1
+        assert abs(np.var(counts, ddof=1) - var) <= \
+            4.0 * var * math.sqrt(2.0 / (runs - 1)), t1
+
+
 @pytest.mark.parametrize("size, rate", [(40, 0.3), (7, 2.5), (500, 0.002)])
 def test_branch_slots_are_independent_bernoulli_trials(size, rate):
     # each slot branches with probability p = 1 - e^-rate, independently:
@@ -297,6 +341,11 @@ def test_nbbm_heavy_offspring_widens_the_buffer():
     assert np.array_equal(logged.med_matrix(0.5), plain.med_matrix(0.5))
     for a, b in zip(logged.final_positions, plain.final_positions):
         assert np.array_equal(a, b) and len(a) == 100
+    # the counters see it too, and do not depend on the log
+    assert logged.buffer_growths >= 1 and logged.peak_extras > 40
+    assert logged.peak_extras <= logged.cap
+    assert (logged.buffer_growths, logged.peak_extras, logged.cap) == \
+        (plain.buffer_growths, plain.peak_extras, plain.cap)
 
 
 @pytest.mark.parametrize("law_name", ["binary_law", "mixed_law"])
@@ -307,10 +356,20 @@ def test_nbbm_speed_agrees_with_the_reference_lane(law_name, request):
     law = request.getfixturevalue(law_name)
     cfg = SimConfig(law, dt=0.1, horizon=150.0, replicas=12, seed=7,
                     n_select=64)
+    runs = run_nbbm(cfg), run_nbbm_reference(cfg)
     speeds = [speed_estimate(res.times, res.med_matrix(0.5), 30.0)
-              for res in (run_nbbm(cfg), run_nbbm_reference(cfg))]
+              for res in runs]
     (v_new, se_new), (v_ref, se_ref) = speeds
     assert abs(v_new - v_ref) <= 4.0 * math.hypot(se_new, se_ref), speeds
+    # so must their per-replica mean counts, which k = 0 deaths hold below
+    # N; a particle that selection cut and that came back would close the
+    # gap (|z| at most 2.0 over seeds 10-33 at this size)
+    counts = [np.array([s.columns["count"][1:].mean() for s in res.series])
+              for res in runs]
+    (c_new, c_ref) = ((c.mean(), c.std(ddof=1) / math.sqrt(len(c)))
+                      for c in counts)
+    assert abs(c_new[0] - c_ref[0]) <= 4.0 * math.hypot(c_new[1], c_ref[1]), \
+        (c_new, c_ref)
 
 
 # ---------------------------------------------------------------------------
