@@ -7,6 +7,9 @@ right-boundary exit flux, the taboo (doubly-conditioned) kernel, the
 exponential weight functions w_Z and w_Y, the barrier profile built from the
 normalized flux thbar, and the sine-exponential quasi-stationary density.
 
+theta, theta', the killed density and the right-exit flux, plain and
+growth-scaled, all rest on one evaluator, `_theta_series`.  Their positions
+and times broadcast together, and each entry picks its own representation.
 Series are truncated by three module constants: once the next term bound
 drops below SERIES_TRUNCATION_TOL / 10, with the image sum below
 REPRESENTATION_SWITCH_T and the spectral series from there on; hitting the
@@ -107,24 +110,32 @@ def _require_interval(iv) -> IntervalParams:
 # theta and its x-derivative, both representations
 
 
-def _spectral_sum(x: np.ndarray, t: float, deriv: int) -> np.ndarray:
-    out = np.full_like(x, 0.5) if deriv == 0 else np.zeros_like(x)
+def _spectral_sum(x: np.ndarray, t: np.ndarray, deriv: int,
+                  scaled: bool) -> np.ndarray:
+    # x and t of one shape; an entry keeps the terms whose bound, coef, is
+    # at least _TERM_TOL.  scaled folds e^{pi^2 t/2} into each exponent and
+    # drops theta's constant term
+    out = np.zeros_like(x) if deriv or scaled else np.full_like(x, 0.5)
+    # math.exp once per distinct time, not np.exp per entry: the two differ
+    # in the last bit for a few percent of arguments, and near the walls
+    # p_killed, a difference of two thetas, makes one ulp of theta hundreds
+    times, at = np.unique(t, return_inverse=True)
+    times = times.tolist()
     for n in range(1, MAX_TERMS + 1):
-        damp = math.exp(-_PI2 * n * n * t / 2.0)
+        lead = -_PI2 * (n * n - 1) if scaled else -_PI2 * n * n
+        damp = np.array([math.exp(lead * s / 2.0) for s in times])[at]
         coef = damp if deriv == 0 else _PI * n * damp
-        if coef < _TERM_TOL:
+        live = coef >= _TERM_TOL
+        if not live.any():
             return out
-        if deriv == 0:
-            out += damp * np.cos(_PI * n * x)
-        else:
-            out -= coef * np.sin(_PI * n * x)
-    raise RuntimeError(f"spectral series did not reach tol within {MAX_TERMS} terms (t={t})")
+        term = coef * np.cos(_PI * n * x) if deriv == 0 else -coef * np.sin(_PI * n * x)
+        out += np.where(live, term, 0.0)
+    raise RuntimeError(f"spectral series did not reach tol within {MAX_TERMS} terms")
 
 
-def _gauss_shells_needed(t, deriv: int) -> np.ndarray:
+def _gauss_shells_needed(t: np.ndarray, deriv: int) -> np.ndarray:
     # shell k covers image indices n_center +- k, so |x - 2n| >= 2k - 1
     # there; one count per entry of t
-    t = np.asarray(t, dtype=float)
     inv = 1.0 / np.sqrt(2.0 * _PI * t)
     shells = np.zeros(t.shape, dtype=int)
     for k in range(1, MAX_TERMS + 1):
@@ -138,12 +149,11 @@ def _gauss_shells_needed(t, deriv: int) -> np.ndarray:
                & (bound / (1.0 - ratio) < _TERM_TOL)] = k
         if shells.all():
             return shells
-    raise RuntimeError(f"image sum did not reach tol within {MAX_TERMS} shells (t={t})")
+    raise RuntimeError(f"image sum did not reach tol within {MAX_TERMS} shells")
 
 
-def _gauss_sum(x: np.ndarray, t, deriv: int) -> np.ndarray:
-    # t is one time, or an array of x's shape that gives each entry its own;
-    # an entry takes only the shells its time needs
+def _gauss_sum(x: np.ndarray, t: np.ndarray, deriv: int) -> np.ndarray:
+    # x and t of one shape; an entry takes only the shells its time needs
     inv = 1.0 / np.sqrt(2.0 * _PI * t)
     n_center = np.round(x / 2.0)
     shells = _gauss_shells_needed(t, deriv)
@@ -157,21 +167,46 @@ def _gauss_sum(x: np.ndarray, t, deriv: int) -> np.ndarray:
     return out
 
 
-def _theta_eval(x, t, method: str, deriv: int):
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"theta requires finite t > 0, got {t!r}")
+def _broadcast(*args):
+    # the arguments as float arrays of their common shape, at least 1-d,
+    # then whether all of them were scalars
+    arrs = [np.asarray(v, dtype=float) for v in args]
+    scalar = all(arr.ndim == 0 for arr in arrs)
+    return (*np.broadcast_arrays(*map(np.atleast_1d, arrs)), scalar)
+
+
+def _require_times(t: np.ndarray) -> None:
+    bad = ~((t > 0.0) & np.isfinite(t))
+    if np.any(bad):
+        raise ValueError(f"times must be finite and > 0, got {float(t[bad].flat[0])!r}")
+
+
+def _theta_series(x, t, deriv: int, scaled: bool = False, method: str = "auto"):
+    """theta (deriv 0) or theta' (deriv 1) at x and t broadcast together.
+
+    scaled gives e^{pi^2 t/2} (theta - 1/2) or e^{pi^2 t/2} theta', whose
+    spectral series stay bounded as t grows.  Under method "auto" each entry
+    takes the image sum below REPRESENTATION_SWITCH_T and the spectral
+    series from there on.  A float for scalar arguments, else an array.
+    """
+    x_arr, t_arr, scalar = _broadcast(x, t)
+    _require_times(t_arr)
     if method == "auto":
-        method = "spectral" if t >= REPRESENTATION_SWITCH_T else "gauss"
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if method == "spectral":
-        out = _spectral_sum(x_arr, t, deriv)
-    elif method == "gauss":
-        out = _gauss_sum(x_arr, t, deriv)
+        spectral = t_arr >= REPRESENTATION_SWITCH_T
+    elif method in ("spectral", "gauss"):
+        spectral = np.full(t_arr.shape, method == "spectral")
     else:
         raise ValueError(f"method must be 'auto', 'spectral' or 'gauss', got {method!r}")
+    out = np.empty_like(x_arr)
+    if spectral.any():
+        out[spectral] = _spectral_sum(x_arr[spectral], t_arr[spectral], deriv, scaled)
+    image = ~spectral
+    if image.any():
+        ti = t_arr[image]
+        val = _gauss_sum(x_arr[image], ti, deriv)
+        if scaled:
+            val = (val - 0.5 if deriv == 0 else val) * np.exp(_PI2 * ti / 2.0)
+        out[image] = val
     return float(out[0]) if scalar else out
 
 
@@ -180,14 +215,15 @@ def theta(x, t, method: str = "auto"):
 
     Equals 1/2 + sum_{n>=1} exp(-pi^2 n^2 t/2) cos(pi n x) by Poisson
     summation; 2-periodic and even in x, solves d/dt theta = (1/2) d2/dx2.
-    x may be a scalar or ndarray, t a positive scalar.
+    x and t (finite, > 0) are scalars or arrays that broadcast together,
+    each entry in the representation its time selects.
     """
-    return _theta_eval(x, t, method, deriv=0)
+    return _theta_series(x, t, 0, method=method)
 
 
 def theta_prime(x, t, method: str = "auto"):
     """d/dx of theta.  Vanishes at x = 0 and x = 1, nonnegative on [-1, 0]."""
-    return _theta_eval(x, t, method, deriv=1)
+    return _theta_series(x, t, 1, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +293,6 @@ def error_envelope_E(t) -> float:
 # killed kernel family
 
 
-def _broadcast_xy(x, y):
-    # x and y at their common shape, so spectral sums sized by x fit y too
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    scalar = x_arr.ndim == 0 and y_arr.ndim == 0
-    return (*np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(y_arr)),
-            scalar)
-
-
 def _require_in_interval(a, *arrays):
     for arr in arrays:
         off = ~((arr >= 0.0) & (arr <= a))
@@ -273,57 +300,39 @@ def _require_in_interval(a, *arrays):
             raise ValueError(f"position {arr[off].flat[0]!r} outside [0, {a}]")
 
 
+def _killed(x, y, t, iv, scaled: bool):
+    # a^(-1) (theta((x-y)/a, t/a^2) - theta((x+y)/a, t/a^2)), clipped at 0;
+    # the constant term the scaled form drops cancels in the difference
+    a = _interval_length(iv)
+    x_arr, y_arr, t_arr, scalar = _broadcast(x, y, t)
+    _require_times(t_arr)
+    _require_in_interval(a, x_arr, y_arr)
+    tau = t_arr / (a * a)
+    val = (_theta_series((x_arr - y_arr) / a, tau, 0, scaled)
+           - _theta_series((x_arr + y_arr) / a, tau, 0, scaled)) / a
+    inside = (x_arr > 0.0) & (x_arr < a) & (y_arr > 0.0) & (y_arr < a)
+    val = np.where(inside, np.maximum(val, 0.0), 0.0)
+    return float(val[0]) if scalar else val
+
+
 def p_killed(x, y, t, iv):
     """Transition density of driftless BM on (0, a) killed at both endpoints.
 
     p_t^a(x, y) = a^(-1) (theta((x-y)/a, t/a^2) - theta((x+y)/a, t/a^2)).
-    Boundary positions give 0; positions outside [0, a] are rejected.
+    x, y and t broadcast.  Boundary positions give 0; positions outside
+    [0, a] are rejected.
     """
-    a = _interval_length(iv)
-    t = float(t)
-    if not (t > 0.0):
-        raise ValueError(f"p_killed requires t > 0, got {t!r}")
-    x_arr, y_arr, scalar = _broadcast_xy(x, y)
-    _require_in_interval(a, x_arr, y_arr)
-    tau = t / (a * a)
-    val = (theta((x_arr - y_arr) / a, tau) - theta((x_arr + y_arr) / a, tau)) / a
-    inside = (x_arr > 0.0) & (x_arr < a) & (y_arr > 0.0) & (y_arr < a)
-    val = np.where(inside, np.maximum(val, 0.0), 0.0)
-    return float(val[0]) if scalar else val
+    return _killed(x, y, t, iv, scaled=False)
 
 
 def p_killed_scaled(x, y, t, iv):
     """exp(pi^2 t / (2 a^2)) * p_killed, stable for t >> a^2.
 
     Above the representation switch the n = 1 growth is factored into the
-    sine series (2/a) sum_n e^{-pi^2 (n^2-1) t/(2a^2)} sin(pi n x/a)
-    sin(pi n y/a), so no overflow occurs; below it the plain product is safe.
+    series, (2/a) sum_n e^{-pi^2 (n^2-1) t/(2a^2)} sin(pi n x/a) sin(pi n y/a),
+    so no overflow occurs; below it the image sum is scaled.
     """
-    a = _interval_length(iv)
-    t = float(t)
-    if not (t > 0.0):
-        raise ValueError(f"p_killed_scaled requires t > 0, got {t!r}")
-    tau = t / (a * a)
-    x_arr, y_arr, scalar = _broadcast_xy(x, y)
-    _require_in_interval(a, x_arr, y_arr)
-    if tau < REPRESENTATION_SWITCH_T:
-        val = math.exp(_PI2 * tau / 2.0) * np.atleast_1d(
-            p_killed(x_arr, y_arr, t, a)
-        )
-        return float(val[0]) if scalar else val
-    out = np.zeros_like(x_arr, dtype=float)
-    converged = False
-    for n in range(1, MAX_TERMS + 1):
-        coef = math.exp(-_PI2 * (n * n - 1) * tau / 2.0)
-        if coef < _TERM_TOL:
-            converged = True
-            break
-        out += coef * np.sin(_PI * n * x_arr / a) * np.sin(_PI * n * y_arr / a)
-    if not converged:
-        raise RuntimeError(f"scaled kernel series did not converge (t={t}, a={a})")
-    inside = (x_arr > 0.0) & (x_arr < a) & (y_arr > 0.0) & (y_arr < a)
-    val = np.where(inside, np.maximum((2.0 / a) * out, 0.0), 0.0)
-    return float(val[0]) if scalar else val
+    return _killed(x, y, t, iv, scaled=True)
 
 
 def green_killed(x, y, iv):
@@ -333,65 +342,40 @@ def green_killed(x, y, iv):
     quadrature of p_killed in the self-check suite.
     """
     a = _interval_length(iv)
-    x_arr, y_arr, scalar = _broadcast_xy(x, y)
+    x_arr, y_arr, scalar = _broadcast(x, y)
     _require_in_interval(a, x_arr, y_arr)
     val = 2.0 * np.minimum(x_arr, y_arr) * (a - np.maximum(x_arr, y_arr)) / a
+    return float(val[0]) if scalar else val
+
+
+def _exit_right(x, t, iv, scaled: bool):
+    # a^(-2) theta'(x/a - 1, t/a^2) on (0, a), clipped at 0, else 0
+    a = _interval_length(iv)
+    x_arr, t_arr, scalar = _broadcast(x, t)
+    _require_times(t_arr)
+    val = _theta_series(x_arr / a - 1.0, t_arr / (a * a), 1, scaled) / (a * a)
+    val = np.where((x_arr > 0.0) & (x_arr < a), np.maximum(val, 0.0), 0.0)
     return float(val[0]) if scalar else val
 
 
 def exit_density_right(x, t, iv):
     """Density in t of the first exit through a, started from x in (0, a).
 
-    r_t^a(x) = a^(-2) theta'(x/a - 1, t/a^2).  Integrates to x/a over all t
-    (the harmonic exit probability through the right endpoint).
+    r_t^a(x) = a^(-2) theta'(x/a - 1, t/a^2), x and t broadcast.  Integrates
+    to x/a over all t (the harmonic exit probability through the right
+    endpoint).
     """
-    a = _interval_length(iv)
-    t = float(t)
-    if not (t > 0.0):
-        raise ValueError(f"exit_density_right requires t > 0, got {t!r}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 0
-    val = theta_prime(x_arr / a - 1.0, t / (a * a)) / (a * a)
-    inside = (x_arr > 0.0) & (x_arr < a)
-    val = np.where(inside, np.maximum(val, 0.0), 0.0)
-    return float(val[0]) if scalar else val
+    return _exit_right(x, t, iv, scaled=False)
 
 
 def exit_density_right_scaled(x, t, iv):
     """exp(pi^2 t / (2 a^2)) * exit_density_right, stable for t >> a^2.
 
-    Spectral form (pi/a^2) sum_n (-1)^(n+1) n e^{-pi^2 (n^2-1) t/(2a^2)}
-    sin(pi n x / a) above the switch, the image sum of exit_density_right
-    below it.  x and t broadcast, so one call serves many starts at one
-    time or one start at many times, each time in the form it selects.
+    Above the switch the series is (pi/a^2) sum_n (-1)^(n+1) n
+    e^{-pi^2 (n^2-1) t/(2a^2)} sin(pi n x / a); below it the image sum is
+    scaled.  x and t broadcast.
     """
-    a = _interval_length(iv)
-    x_arr, t_arr, scalar = _broadcast_xy(x, t)
-    if not np.all(t_arr > 0.0):
-        raise ValueError(f"exit_density_right_scaled requires t > 0, got {t!r}")
-    tau = t_arr / (a * a)
-    val = np.zeros_like(tau)
-    gauss = tau < REPRESENTATION_SWITCH_T
-    if gauss.any():
-        tg = tau[gauss]
-        flux = _gauss_sum(x_arr[gauss] / a - 1.0, tg, 1) / (a * a)
-        val[gauss] = np.exp(_PI2 * tg / 2.0) * np.maximum(flux, 0.0)
-    spectral = ~gauss
-    if spectral.any():
-        xs, ts = x_arr[spectral], tau[spectral]
-        out = np.zeros_like(ts)
-        for n in range(1, MAX_TERMS + 1):
-            coef = n * np.exp(-_PI2 * (n * n - 1) * ts / 2.0)
-            live = _PI * coef >= _TERM_TOL
-            if not live.any():
-                break
-            sign = 1.0 if n % 2 == 1 else -1.0
-            out += np.where(live, sign * coef * np.sin(_PI * n * xs / a), 0.0)
-        else:
-            raise RuntimeError(f"scaled exit series did not converge (t={t}, a={a})")
-        val[spectral] = np.maximum((_PI / (a * a)) * out, 0.0)
-    val = np.where((x_arr > 0.0) & (x_arr < a), val, 0.0)
-    return float(val[0]) if scalar else val
+    return _exit_right(x, t, iv, scaled=True)
 
 
 # nodes per panel and the fewest panels; panel widths halve towards the lower
@@ -449,9 +433,8 @@ def p_taboo(x, y, t, iv):
     sx = math.sin(_PI * x / a)
     if not (0.0 < x < a) or sx <= 0.0:
         raise ValueError(f"taboo start must be strictly inside (0, {a}), got {x!r}")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.asarray(y).ndim == 0
-    val = np.sin(_PI * y_arr / a) / sx * np.atleast_1d(p_killed_scaled(x, y_arr, t, a))
+    y_arr, t_arr, scalar = _broadcast(y, t)
+    val = np.sin(_PI * y_arr / a) / sx * p_killed_scaled(x, y_arr, t_arr, a)
     val = np.maximum(val, 0.0)
     return float(val[0]) if scalar else val
 
@@ -528,10 +511,8 @@ def bbm_density(x, y, t, iv):
     n = 1 eigenvalue, which is what makes w_Z a martingale weight.
     """
     iv = _require_interval(iv)
-    x_arr, y_arr, scalar = _broadcast_xy(x, y)
-    val = np.exp(iv.mu * (x_arr - y_arr)) * np.atleast_1d(
-        p_killed_scaled(x_arr, y_arr, t, iv.a)
-    )
+    x_arr, y_arr, t_arr, scalar = _broadcast(x, y, t)
+    val = np.exp(iv.mu * (x_arr - y_arr)) * p_killed_scaled(x_arr, y_arr, t_arr, iv.a)
     return float(val[0]) if scalar else val
 
 
@@ -606,15 +587,6 @@ class SineExpDensity:
     def norm(self) -> float:
         return self._norm
 
-    @property
-    def mode(self) -> float:
-        """Peak location (a/pi) atan(pi / (a decay)) for decay > 0, a/2 at 0."""
-        if self.decay == 0.0:
-            return self.a / 2.0
-        if self.decay < 0.0:
-            return self.a - (self.a / _PI) * math.atan(_PI / (-self.a * self.decay))
-        return (self.a / _PI) * math.atan(_PI / (self.a * self.decay))
-
     def pdf(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         scalar = np.asarray(x).ndim == 0
@@ -677,39 +649,30 @@ def selfcheck() -> dict:
     t0 = time.perf_counter()
     checks = []
 
-    xs = np.arange(-2.0, 2.0 + 1e-9, 0.05)
+    # x down the rows, t along the columns, each entry in its own form
+    xs = np.arange(-2.0, 2.0 + 1e-9, 0.05)[:, None]
     ts = np.geomspace(0.05, 5.0, 25)
-    worst = 0.0
-    worst_prime = 0.0
-    for t in ts:
-        worst = max(worst, float(np.max(np.abs(
-            theta(xs, t, method="spectral") - theta(xs, t, method="gauss")))))
-        worst_prime = max(worst_prime, float(np.max(np.abs(
-            theta_prime(xs, t, method="spectral") - theta_prime(xs, t, method="gauss")))))
-    checks.append(_check("theta_dual_representation", worst, 1e-12))
-    checks.append(_check("theta_prime_dual_representation", worst_prime, 1e-11))
+    for f, tol in ((theta, 1e-12), (theta_prime, 1e-11)):
+        worst = np.max(np.abs(f(xs, ts, method="spectral") - f(xs, ts, method="gauss")))
+        checks.append(_check(f"{f.__name__}_dual_representation", worst, tol))
 
-    worst = 0.0
-    for t in ts:
-        th = theta(xs, t)
-        worst = max(worst, float(np.max(np.abs(th - theta(-xs, t)))))
-        worst = max(worst, float(np.max(np.abs(th - theta(xs + 2.0, t)))))
+    th = theta(xs, ts)
+    worst = max(np.max(np.abs(th - theta(-xs, ts))),
+                np.max(np.abs(th - theta(xs + 2.0, ts))))
     checks.append(_check("theta_even_and_periodic", worst, 1e-12))
 
     ht, hx = 3e-5, 5e-3
-    xs_h = np.arange(-0.9, 0.9 + 1e-9, 0.1)
-    worst = 0.0
-    for t in (0.1, 0.15, 0.25, 0.4, 0.7, 1.2, 2.0):
-        th_t = (theta(xs_h, t + ht) - theta(xs_h, t - ht)) / (2.0 * ht)
-        th_xx = (
-            -theta(xs_h - 2 * hx, t)
-            + 16.0 * theta(xs_h - hx, t)
-            - 30.0 * theta(xs_h, t)
-            + 16.0 * theta(xs_h + hx, t)
-            - theta(xs_h + 2 * hx, t)
-        ) / (12.0 * hx * hx)
-        worst = max(worst, float(np.max(np.abs(th_t - 0.5 * th_xx))))
-    checks.append(_check("theta_heat_equation_fd", worst, 1e-6))
+    xs_h = np.arange(-0.9, 0.9 + 1e-9, 0.1)[:, None]
+    t = np.array([0.1, 0.15, 0.25, 0.4, 0.7, 1.2, 2.0])
+    th_t = (theta(xs_h, t + ht) - theta(xs_h, t - ht)) / (2.0 * ht)
+    th_xx = (
+        -theta(xs_h - 2 * hx, t)
+        + 16.0 * theta(xs_h - hx, t)
+        - 30.0 * theta(xs_h, t)
+        + 16.0 * theta(xs_h + hx, t)
+        - theta(xs_h + 2 * hx, t)
+    ) / (12.0 * hx * hx)
+    checks.append(_check("theta_heat_equation_fd", np.max(np.abs(th_t - 0.5 * th_xx)), 1e-6))
 
     worst = 0.0
     for t in (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0):
@@ -717,8 +680,7 @@ def selfcheck() -> dict:
     checks.append(_check("thbar_dual_representation", worst, 1e-12))
 
     # Green function: quadrature of the kernel vs the closed form, a = 1
-    val = _gauss_legendre(lambda s: [p_killed(0.3, 0.6, si, 1.0) for si in s],
-                          0.0, 6.0)
+    val = _gauss_legendre(lambda s: p_killed(0.3, 0.6, s, 1.0), 0.0, 6.0)
     # truncation beyond t = 6 is below 1e-12
     checks.append(_check("green_time_quadrature", abs(val - green_killed(0.3, 0.6, 1.0)), 1e-6))
     checks.append(_check("green_reference_value", abs(green_killed(0.3, 0.6, 1.0) - 0.24), 1e-12))
@@ -732,13 +694,11 @@ def selfcheck() -> dict:
     # total right-exit probability equals x/a
     a_ex = 2.0
     x_ex = 1.3
-    mass = _gauss_legendre(lambda s: [exit_density_right(x_ex, si, a_ex) for si in s],
+    mass = _gauss_legendre(lambda s: exit_density_right(x_ex, s, a_ex),
                            0.0, 12.0 * a_ex * a_ex)
     checks.append(_check("right_exit_mass", abs(mass - x_ex / a_ex), 1e-8))
 
-    worst = 0.0
-    for t in (0.05, 0.3, 1.0, 5.0):
-        worst = max(worst, abs(theta_prime(0.0, t)), abs(theta_prime(1.0, t)))
+    worst = np.max(np.abs(theta_prime([[0.0], [1.0]], [0.05, 0.3, 1.0, 5.0])))
     checks.append(_check("theta_prime_reflection_zeros", worst, 1e-12))
 
     return {

@@ -49,6 +49,8 @@ _LEVY, _KER = "nbbm/levy.py", "nbbm/kernels.py"
 _MPMATH = "tests/test_levy.py::test_digamma_and_kappa_match_mpmath"
 _TK = "tests/test_kernels.py::"
 _ADAPTIVE = _TK + "test_I_integral_matches_adaptive_quadrature"
+_ARRAY = _TK + "test_kernels_take_an_array_of_times"
+_CALIBRATION = "tests/test_stats.py::test_calibration_matches_the_kernels"
 
 CATALOGUE = [
     # run_coupled on plus-aligned slots
@@ -149,6 +151,30 @@ CATALOGUE = [
            "max(s0, (a - x) ** 2) / 16.0",
            "math.inf",
            (_ADAPTIVE,)),
+    # kernels._theta_series, the one evaluator of theta, theta' and their
+    # scaled forms
+    Mutant("scaled-exponent-left-at-n-squared", _KER,
+           "lead = -_PI2 * (n * n - 1) if scaled else -_PI2 * n * n",
+           "lead = -_PI2 * n * n",
+           (_TK + "test_scaled_kernel_within_sine_envelope",
+            _TK + "test_taboo_relaxes_to_sine_squared", _CALIBRATION)),
+    Mutant("representation-switch-inverted", _KER,
+           "spectral = t_arr >= REPRESENTATION_SWITCH_T",
+           "spectral = t_arr < REPRESENTATION_SWITCH_T",
+           (_TK + "test_scaled_kernel_within_sine_envelope",
+            _TK + "test_green_matches_time_quadrature",
+            _TK + "test_selfcheck_passes")),
+    Mutant("image-branch-not-rescaled", _KER,
+           "val = (val - 0.5 if deriv == 0 else val) * np.exp(_PI2 * ti / 2.0)",
+           "val = val - 0.5 if deriv == 0 else val",
+           (_TK + "test_bbm_density_definitional_identity", _ADAPTIVE,
+            _CALIBRATION)),
+    Mutant("truncation-mask-dropped", _KER,
+           "out += np.where(live, term, 0.0)",
+           "out += term",
+           (_ARRAY + "[p_killed]", _ARRAY + "[exit_density_right_scaled]",
+            _TK + "test_a_forced_representation_takes_an_array_of_times"
+            "[spectral]")),
 ]
 
 

@@ -69,13 +69,6 @@ def test_theta_two_periodic_and_even():
         assert_close(theta(-x, t), theta(x, t), 1e-12)
 
 
-def test_theta_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        theta(0.3, 0.0)
-    with pytest.raises(ValueError):
-        theta_prime(0.3, -1.0)
-
-
 def test_theta_prime_vanishes_at_reflection_points():
     assert_close(theta_prime(0.0, 1.0), 0.0, 1e-12)
     assert_close(theta_prime(1.0, 0.2), 0.0, 1e-12)
@@ -244,18 +237,64 @@ def test_right_exit_mass_equals_x_over_a():
     assert_close(mass, 0.4, 1e-8)
 
 
-def test_exit_density_right_scaled_takes_an_array_of_times():
-    # one start at many times, on both sides of the representation switch
-    # (t / a^2 = 0.3), gives each time's scalar value within 2 ulp
-    a, x = 5.0, 3.7
-    t = np.concatenate((np.geomspace(0.05, 200.0, 60), [0.3 * a * a]))
-    many = exit_density_right_scaled(x, t, a)
-    one = np.array([exit_density_right_scaled(x, ti, a) for ti in t])
-    assert many.shape == t.shape and np.all(one > 0.0)
-    assert np.all(np.abs(many - one) <= 2.0 * np.spacing(one))
-    assert np.array_equal(exit_density_right_scaled(0.0, t, a), 0.0 * t)
-    with pytest.raises(ValueError):
-        exit_density_right_scaled(x, np.array([1.0, 0.0]), a)
+# theta, theta' and the killed-interval kernels as functions of a position
+# x in [0, a] and a time t, on a = 5, where the representation switch
+# t / a^2 = 0.3 sits at t = 7.5
+_OF_X_AND_T = {
+    "theta": lambda x, t: theta(x / 5.0 - 1.0, t / 25.0),
+    "theta_prime": lambda x, t: theta_prime(x / 5.0 - 1.0, t / 25.0),
+    "p_killed": lambda x, t: p_killed(x, 1.7, t, 5.0),
+    "p_killed_scaled": lambda x, t: p_killed_scaled(x, 1.7, t, 5.0),
+    "exit_density_right": lambda x, t: exit_density_right(x, t, 5.0),
+    "exit_density_right_scaled":
+        lambda x, t: exit_density_right_scaled(x, t, 5.0),
+    "p_taboo": lambda x, t: p_taboo(1.7, x, t, 5.0),
+    "bbm_density": lambda x, t: bbm_density(x, 1.7, t, IntervalParams(5.0)),
+}
+
+
+def _within_2_ulp(got, want):
+    want = np.asarray(want)
+    return np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", _OF_X_AND_T)
+def test_kernels_take_an_array_of_times(name):
+    # one position at many times, on both sides of the switch, gives each
+    # time's scalar value within 2 ulp; a column of positions broadcasts
+    # against the row of times
+    f = _OF_X_AND_T[name]
+    t = np.concatenate((np.geomspace(0.05, 200.0, 60), [7.5]))
+    many = f(3.7, t)
+    one = np.array([f(3.7, ti) for ti in t])
+    assert many.shape == t.shape
+    assert _within_2_ulp(many, one)
+    xs = np.array([[0.4], [2.5], [4.6]])
+    grid = f(xs, t)
+    assert grid.shape == (3, t.size)
+    assert _within_2_ulp(grid, [[f(x, ti) for ti in t] for x in xs[:, 0]])
+    if not name.startswith("theta"):
+        assert np.array_equal(f(0.0, t), 0.0 * t)
+
+
+@pytest.mark.parametrize("method", ["spectral", "gauss"])
+def test_a_forced_representation_takes_an_array_of_times(method):
+    xs = np.linspace(-2.0, 2.0, 9)[:, None]
+    ts = np.geomspace(0.05, 5.0, 7)
+    for f in (theta, theta_prime):
+        grid = f(xs, ts, method=method)
+        want = [[f(x, t, method=method) for t in ts] for x in xs[:, 0]]
+        assert grid.shape == (9, 7) and _within_2_ulp(grid, want)
+
+
+@pytest.mark.parametrize("name", _OF_X_AND_T)
+@pytest.mark.parametrize("t", [
+    0.0, -1.0, math.inf, math.nan,
+    np.array([1.0, 20.0, math.inf]), np.array([20.0, 0.0]),
+], ids=["zero", "negative", "inf", "nan", "inf-in-array", "zero-in-array"])
+def test_kernels_reject_a_time_not_finite_and_positive(name, t):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        _OF_X_AND_T[name](2.0, t)
 
 
 def test_I_integral_scaling_exact():
