@@ -4,8 +4,9 @@ Deterministic numerics used everywhere else in the package: the two classical
 representations of the periodized Gaussian (spectral cosine series and image
 sum), the transition density of Brownian motion killed at 0 and a, its
 right-boundary exit flux, the taboo (doubly-conditioned) kernel, the
-exponential weight functions w_Z and w_Y, the barrier profile built from the
-normalized flux thbar, and the sine-exponential quasi-stationary density.
+exponential weights w_Z and w_Y (w_Z stated once, as w_ZY's first half), the
+barrier profile built from the normalized flux thbar, and the
+sine-exponential quasi-stationary density.
 
 theta, theta', the killed density and the right-exit flux, plain and
 growth-scaled, all rest on one evaluator, `_theta_series`.  Their positions
@@ -98,12 +99,6 @@ def _interval_length(iv) -> float:
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"interval length must be positive and finite, got {a!r}")
     return a
-
-
-def _require_interval(iv) -> IntervalParams:
-    if isinstance(iv, IntervalParams):
-        return iv
-    return IntervalParams(float(iv))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +231,15 @@ def thbar(t, method: str = "auto"):
     Rises strictly from 0 at t = 0 to 1 at infinity.  Spectral form
     sum_{n>=1} (-1)^(n+1) n^2 exp(-pi^2 (n^2-1) t / 2); below the switch the
     image-sum form of d/dt theta(1, t) is used instead.  Negative times give
-    0, the same convention the barrier profile uses.
+    0, the same convention the barrier profile uses; +inf gives 1, NaN raises.
     """
     t = float(t)
+    if not t <= math.inf:
+        raise ValueError(f"thbar needs a time, got {t!r}")
     if t <= 0.0:
         return 0.0
+    if t == math.inf:
+        return 1.0
     if method == "auto":
         method = "spectral" if t >= REPRESENTATION_SWITCH_T else "gauss"
     if method == "spectral":
@@ -275,9 +274,11 @@ def error_envelope_E(t) -> float:
 
     Strictly decreasing; E_1 is about 1.47e-5.  Returns +inf for t <= 0 so
     expressions like min(x, E_{inf S} * ...) degrade gracefully when the
-    window touches zero.
+    window touches zero.  NaN raises ValueError.
     """
     t = float(t)
+    if not t <= math.inf:
+        raise ValueError(f"error envelope needs a time, got {t!r}")
     if t <= 0.0:
         return math.inf
     out = 0.0
@@ -444,63 +445,41 @@ def p_taboo(x, y, t, iv):
 
 
 def w_Z(x, iv):
-    """Additive martingale weight a e^{mu (x-a)} sin(pi x / a) on [0, a], else 0."""
-    iv = _require_interval(iv)
-    a = iv.a
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 0
-    # a e^{mu (xc - a)} with xc = x clipped to [0, a], in place: w_Y's
-    # exponential inside, and no overflow outside
-    xc = np.maximum(x_arr, 0.0)
-    np.minimum(xc, a, out=xc)
-    val = xc - a
-    val *= iv.mu
-    np.exp(val, out=val)
-    val *= a
-    val = _times_sine(val, xc, a)
-    return float(val[0]) if scalar else val
+    """Additive martingale weight a e^{mu (x-a)} sin(pi x / a) on (0, a), else 0."""
+    return w_ZY(x, iv)[0]
 
 
 def w_Y(x, iv):
     """Companion weight e^{mu (x-a)}; no interval indicator."""
-    iv = _require_interval(iv)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
-    val = np.exp(iv.mu * (x_arr - iv.a))
+    val = x_arr - iv.a
+    val *= iv.mu
+    np.exp(val, out=val)
     return float(val[0]) if scalar else val
 
 
 def w_ZY(x, iv):
-    """(w_Z(x, iv), w_Y(x, iv)) from one exponential, bit for bit."""
-    iv = _require_interval(iv)
+    """(w_Z(x, iv), w_Y(x, iv)) from one exponential: the one statement of w_Z.
+
+    w_Z is w_Y times a sin(pi x / a) on 0 < x < a, with exact zeros at and
+    outside the ends, and the sine taken at x clipped to [0, a].
+    """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 0
     a = iv.a
     wy = w_Y(x_arr, iv)
     xc = np.maximum(x_arr, 0.0)
     np.minimum(xc, a, out=xc)
-    val = _times_sine(wy * a, xc, a)
-    if scalar:
-        return float(val[0]), float(wy[0])
-    return val, wy
-
-
-def _times_sine(val, xc, a):
-    """val times sin(pi xc / a) in place, for xc = x clipped to [0, a].
-
-    The one statement of w_Z's sine factor and support: on the open
-    interval 0 < x < a, where the endpoints are exact zeros rather than
-    sin(pi) dust, and an exact zero outside it.  The clip keeps sin off
-    +-inf; xc is overwritten.
-    """
     inside = xc > 0.0
     inside &= xc < a
     xc *= _PI
     xc /= a
-    val *= np.sin(xc, out=xc)
-    val[~inside] = 0.0
-    np.maximum(val, 0.0, out=val)
-    return val
+    wz = wy * a
+    wz *= np.sin(xc, out=xc)
+    wz[~inside] = 0.0
+    np.maximum(wz, 0.0, out=wz)
+    return (float(wz[0]), float(wy[0])) if scalar else (wz, wy)
 
 
 def bbm_density(x, y, t, iv):
@@ -510,7 +489,6 @@ def bbm_density(x, y, t, iv):
     mean offspring increment m exactly offsets the drift and killing at the
     n = 1 eigenvalue, which is what makes w_Z a martingale weight.
     """
-    iv = _require_interval(iv)
     x_arr, y_arr, t_arr, scalar = _broadcast(x, y, t)
     val = np.exp(iv.mu * (x_arr - y_arr)) * p_killed_scaled(x_arr, y_arr, t_arr, iv.a)
     return float(val[0]) if scalar else val
@@ -521,11 +499,12 @@ def barrier_f(shift, t) -> float:
 
     Interpolates from 0 at t = 0 to shift at infinity, monotonically in t.
     shift <= -1 is rejected: the family below -1 loses the uniform
-    f(t) - f(s) >= -1 property the barrier construction relies on.
+    f(t) - f(s) >= -1 property the barrier construction relies on; so is a
+    shift that is not finite.
     """
     shift = float(shift)
-    if shift <= -1.0:
-        raise ValueError(f"barrier shift must be > -1, got {shift!r}")
+    if not -1.0 < shift < math.inf:
+        raise ValueError(f"barrier shift must be finite and > -1, got {shift!r}")
     t = float(t)
     if t <= 0.0:
         return 0.0
@@ -619,7 +598,6 @@ def sine_exp_density(a: float, decay: float) -> SineExpDensity:
 
 def meta_density(x, iv):
     """Quasi-stationary profile: sin(pi x / a) e^{-mu x} on (0, a), normalized."""
-    iv = _require_interval(iv)
     return sine_exp_density(iv.a, iv.mu).pdf(x)
 
 

@@ -393,7 +393,6 @@ class BarrierPath:
         for piece in reversed(self.pieces):
             if t >= piece.t_start:
                 return piece
-        return self.pieces[0]
 
     def _value(self, piece: BarrierPiece, t: float) -> float:
         if piece.delta is None or t <= piece.t_plus:
@@ -412,14 +411,13 @@ class BarrierPath:
         piece = self.pieces[-1]
         if piece.delta is not None:
             raise RuntimeError("open piece already carries a response")
-        if t_break < piece.t_start:
-            raise ValueError(
-                f"breakout at {t_break!r} predates the open piece "
-                f"({piece.t_start!r})")
-        if t_plus < t_break:
-            raise ValueError("response time precedes the breakout")
-        if delta <= -1.0:
-            raise ValueError(f"delta must exceed -1, got {delta!r}")
+        if not t_break >= piece.t_start:
+            raise ValueError(f"breakout at {t_break!r} is not in the open "
+                             f"piece (from {piece.t_start!r})")
+        if not t_plus >= t_break:
+            raise ValueError(f"response {t_plus!r} does not follow the breakout")
+        if not -1.0 < delta < math.inf:
+            raise ValueError(f"delta must be finite and > -1, got {delta!r}")
         piece.t_plus = t_plus
         piece.delta = delta
         theta = max(t_break + math.exp(self.A) * self.iv.a ** 2, t_plus)
@@ -554,9 +552,8 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
 
     sharp = mode in ("bsharp", "csharp")
     dc = cfg.delta_color if "delta_color" in REQUIRED_FIELDS[mode] else 0.0
-    wall_count = 2.0 * math.pi / a ** 3 * math.exp(mu * a)
-    n_flat = int(wall_count * math.exp(A + dc)) if mode == "bflat" else 0
-    n_sharp = int(wall_count * math.exp(A - dc)) if sharp else 0
+    n_flat = hperp_count(A + dc, iv) if mode == "bflat" else 0
+    n_sharp = hperp_count(A - dc, iv) if sharp else 0
     k_env = 1
     while sharp and error_envelope_E(float(k_env)) > dc / 10.0:
         k_env += 1
@@ -856,8 +853,8 @@ def run_bflat(cfg: SimConfig) -> list[BarrierResult]:
     A white particle seeing at least N_flat whites of its replica strictly
     to its right turns red (checked at step ends); reds keep diffusing and
     branching but are culled at each barrier freeze time, and the reported
-    medians and white counts are over whites only.  N_flat is the stationary
-    wall count at mass e^(A + delta_color).  Replicas are batched as in
+    medians and white counts are over whites only.  N_flat is the profile
+    count hperp_count(A + delta_color, iv).  Replicas are batched as in
     `run_bbbm`.
     """
     return _barrier_batch(cfg, "bflat")
@@ -873,8 +870,8 @@ def run_bsharp(cfg: SimConfig, csharp: bool = False) -> list[BarrierResult]:
     (K + 3) a^2 time grid after the hit (or the next barrier freeze,
     whichever is first).  At expiry a blue left of the origin is killed
     (csharp: only when N_sharp particles sit strictly to its right) and
-    survivors re-whiten.  Reported statistics are over all particles.
-    Replicas are batched as in `run_bbbm`.
+    survivors re-whiten.  N_sharp is hperp_count(A - delta_color, iv).
+    Statistics are over all particles, replicas batched as in `run_bbbm`.
 
     At desk scale these modes do not reach their first blue expiry: blues
     branch unchecked for two cells, 200 time units at a = 5, so every

@@ -51,6 +51,7 @@ _TK = "tests/test_kernels.py::"
 _ADAPTIVE = _TK + "test_I_integral_matches_adaptive_quadrature"
 _ARRAY = _TK + "test_kernels_take_an_array_of_times"
 _CALIBRATION = "tests/test_stats.py::test_calibration_matches_the_kernels"
+_JOINT = _TK + "test_joint_weights_equal_the_separate_ones_bit_for_bit"
 
 CATALOGUE = [
     # run_coupled on plus-aligned slots
@@ -175,6 +176,16 @@ CATALOGUE = [
            (_ARRAY + "[p_killed]", _ARRAY + "[exit_density_right_scaled]",
             _TK + "test_a_forced_representation_takes_an_array_of_times"
             "[spectral]")),
+    # kernels.w_ZY, the one statement of the weights w_Z and w_Y
+    Mutant("weight-exponent-as-mu-x-minus-mu-a", _KER,
+           "val = x_arr - iv.a\n    val *= iv.mu",
+           "val = iv.mu * x_arr - iv.mu * iv.a",
+           (_JOINT + "[5.0]", _JOINT + "[8.0]", _JOINT + "[10.0]")),
+    Mutant("weight-support-closed-at-a", _KER,
+           "inside &= xc < a",
+           "inside &= xc <= a",
+           (_TK + "test_weight_functions_at_reference_points",
+            _JOINT + "[5.0]")),
 ]
 
 

@@ -215,6 +215,21 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
               str(tmp_path / "d"), "--threads", "3"])
 
 
+def test_simulate_seed_flag_equals_the_config_seed(tmp_path):
+    ini = _write(tmp_path, NBBM_INI)
+    seeded = _write(tmp_path, NBBM_INI.replace("seed = 11", "seed = 4"),
+                    "seeded.ini")
+    runs = {"plain": [ini], "flag": [ini, "--seed", "4"], "config": [seeded]}
+    out = {}
+    for name, (path, *flag) in runs.items():
+        assert main(["simulate", "--config", str(path), *flag, "--out",
+                     str(tmp_path / name)]) == 0
+        out[name] = [(tmp_path / name / f).read_bytes()
+                     for f in ("series.csv", "manifest.json")]
+    assert out["flag"] == out["config"]
+    assert out["flag"][0] != out["plain"][0]
+
+
 def test_simulate_stamp_keeps_the_hash(tmp_path):
     ini = _write(tmp_path, NBBM_INI)
     plain, stamped = tmp_path / "plain", tmp_path / "stamped"
@@ -719,6 +734,52 @@ def test_report_fails_gaussian_impostor(tmp_path):
     assert main(["report", "--levy", str(fake), "--out", str(rep)]) == 1
     bundle = json.loads((rep / "verdicts.json").read_text())
     assert bundle["failed"] == 1
+
+
+def _series(cols, replicas, times, cells):
+    """A hand-written series CSV: cells(r, t) gives replica r's row at t."""
+    rows = [",".join(map(repr, (r, t, *cells(r, t))))
+            for r in range(replicas) for t in times]
+    return "\n".join(["# manifest=x", "replica,t," + ",".join(cols)]
+                     + rows) + "\n"
+
+
+def _increments(spans):
+    """A hand-written levy CSV, one increment of each span."""
+    rows = [f"{i},{t!r},{0.01 * (i % 7)!r},3" for i, t in enumerate(spans)]
+    return "\n".join(["# manifest=x", "replica,t,value,seed"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("flag, text, name, verdict, needle", [
+    ("--series", _series(["med_0.5"], 1, [0.0, 1.0, 2.0, 3.0],
+                         lambda r, t: (t,)),
+     "speed_med_0.5", "skipped", "need >= 2 replicas"),
+    # the default burn-in, a quarter of the last time, leaves t = 1 and 2
+    ("--series", _series(["med_0.5"], 2, [0.0, 1.0, 2.0],
+                         lambda r, t: (t + r,)),
+     "speed_med_0.5", "skipped", "burn_in leaves fewer than 3 samples"),
+    ("--series", _series(["Z"], 30, [0.0, 1.0],
+                         lambda r, t: (1.0 + 0.1 * t * (-1) ** r,)),
+     "martingale_Z", "pass", "pass Z martingale"),
+    ("--series", _series(["Z"], 30, [0.0, 1.0],
+                         lambda r, t: (1.0 + t + 0.1 * t * (-1) ** r,)),
+     "martingale_Z", "fail", "FAIL Z martingale"),
+    ("--levy", _increments([0.01] * 300 + [0.02]),
+     "cf_vs_kappa", "skipped", "mixed increment spans"),
+    ("--levy", _increments([0.01] * 199),
+     "cf_vs_kappa", "skipped", "unreliable below 200"),
+], ids=["speed-one-replica", "speed-burn-in-past-the-data",
+        "martingale-pass", "martingale-fail", "cf-mixed-spans",
+        "cf-too-few-increments"])
+def test_report_verdict_branches(tmp_path, flag, text, name, verdict, needle):
+    data = _write(tmp_path, text, "input.csv")
+    rep = tmp_path / "rep"
+    code = main(["report", flag, str(data), "--out", str(rep)])
+    assert code == (1 if verdict == "fail" else 0)
+    bundle = json.loads((rep / "verdicts.json").read_text())
+    found = {v["name"]: v for v in bundle["verdicts"]}[name]
+    assert found["verdict"] == verdict
+    assert needle in (found.get("reason") or found["line"])
 
 
 def test_report_requires_an_input(capsys):

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from nbbm import ensemble
-from nbbm.engine import rng_stream
+from nbbm.engine import CapacityError, rng_stream
 from nbbm.ensemble import (breakout_trials, hperp_flat, killed_ensemble,
                            step_segments)
 from nbbm.kernels import w_Z
@@ -619,3 +619,16 @@ def test_lanes_reject_a_bad_step(binary_law, iv5, iv10):
             killed_ensemble(binary_law, iv5,
                             **dict(killed_kw, drift_rate=bad), dt=0.05,
                             record_times=[0.0, 1.0])
+
+
+def test_lanes_stop_at_their_segment_budget(binary_law, iv5, iv10):
+    # every step of either lane processes more than one segment
+    with pytest.raises(CapacityError, match="segment budget 1 "):
+        killed_ensemble(binary_law, iv5, drift_rate=-iv5.mu, replicas=1,
+                        dt=0.05, record_times=[0.0, 1.0],
+                        rng=rng_stream(0, 0, 0),
+                        positions0=np.array([2.0, 2.5]),
+                        replica0=np.array([0, 0]), max_segments=1)
+    with pytest.raises(CapacityError, match="segment budget 1 "):
+        breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=10, dt=0.05,
+                        rng=rng_stream(0, 0, 0), max_segments=1)

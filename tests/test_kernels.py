@@ -103,6 +103,7 @@ def test_thbar_endpoints_and_monotonicity():
     assert thbar(0.0) == 0.0
     assert thbar(-3.0) == 0.0  # convention for negative times
     assert_close(thbar(10.0), 1.0, 1e-6)
+    assert thbar(math.inf) == 1.0
     ts = np.array([0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0])
     vals = np.array([thbar(t) for t in ts])
     assert np.all(np.diff(vals) > 0.0)
@@ -452,6 +453,7 @@ def test_barrier_profile_zero_at_origin_and_zero_shift():
 
 def test_barrier_profile_reaches_its_shift():
     assert_close(barrier_f(2.0, 10.0), 2.0, 1e-5)
+    assert barrier_f(0.5, math.inf) == 0.5
 
 
 def test_barrier_profile_rejects_deep_negative_shift():

@@ -13,7 +13,8 @@ from nbbm import ensemble, selection
 from nbbm.engine import ReproductionLaw, SimConfig, rng_stream
 from nbbm.ensemble import (_branch_slots, breakout_trials, hperp_flat,
                            step_segments)
-from nbbm.kernels import IntervalParams, barrier_f, w_Y, w_Z
+from nbbm.kernels import (IntervalParams, barrier_f, error_envelope_E,
+                          thbar, w_Y, w_Z)
 from nbbm.levy import recentering
 from nbbm.selection import (
     _BLUE,
@@ -289,6 +290,20 @@ def test_branch_slots_are_independent_bernoulli_trials(size, rate):
     assert abs(var - size * p * (1.0 - p)) <= 4.0 * var_se + 1e-12
 
 
+class _ZeroExponentials:
+    """A generator stub whose exponential draws are all 0."""
+
+    def standard_exponential(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_branch_slots_draw_more_gaps_when_the_first_batch_falls_short():
+    # with every gap 0 each slot branches: the first batch of 798 gaps ends
+    # short of slot 1000, and the refill loop draws the rest
+    idx = _branch_slots(1000, 1.0, _ZeroExponentials())
+    assert np.array_equal(idx, np.arange(1000))
+
+
 def test_nbbm_count_falls_below_n_under_deaths(mixed_law):
     # k = 0 kills a particle, so a replica can hold fewer than N; a med is
     # -inf exactly when fewer than ceil(alpha N) particles are left
@@ -443,6 +458,27 @@ def test_install_validation(iv5):
     theta = path.install(1.0, 2.0, 0.2)
     with pytest.raises(ValueError):
         path.install(theta - 5.0, theta, 0.1)  # predates the open piece
+
+
+@pytest.mark.parametrize("call, args", [
+    ("install", (1.0, 2.0, math.nan)),
+    ("install", (1.0, 2.0, math.inf)),
+    ("install", (1.0, math.nan, 0.5)),
+    ("install", (math.nan, 2.0, 0.5)),
+    ("barrier_f", (math.nan, 1.0)),
+    ("barrier_f", (0.5, math.nan)),
+    ("thbar", (math.nan,)),
+    ("error_envelope_E", (math.nan,)),
+])
+def test_barrier_profile_rejects_non_finite_input(iv5, call, args):
+    # NaN fails every check rather than passing it, and so does an
+    # infinite delta; a rejected install leaves the open piece as it was
+    path = BarrierPath(iv5, 1.0)
+    funcs = {"install": path.install, "barrier_f": barrier_f,
+             "thbar": thbar, "error_envelope_E": error_envelope_E}
+    with pytest.raises(ValueError):
+        funcs[call](*args)
+    assert path.pieces[-1].delta is None and path.shift(3.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
