@@ -236,7 +236,15 @@ REQUIRED_FIELDS = {
 
 
 def hperp_count(A: float, iv: IntervalParams) -> int:
-    """floor(2 pi e^A a^-3 e^(mu a)): particle count of the reference profile."""
-    return int(math.floor(2.0 * math.pi * math.exp(A) * iv.a ** -3.0
-                          * math.exp(iv.mu * iv.a)))
+    """floor(2 pi e^A a^-3 e^(mu a)): particle count of the reference profile.
+
+    Raises ValueError, naming A and a, where the count passes the largest
+    double.
+    """
+    try:
+        return int(math.floor(2.0 * math.pi * math.exp(A) * iv.a ** -3.0
+                              * math.exp(iv.mu * iv.a)))
+    except OverflowError:
+        raise ValueError(f"the profile count 2 pi e^A a^-3 e^(mu a) "
+                         f"overflows at A = {A!r}, a = {iv.a!r}") from None
 

@@ -432,12 +432,13 @@ class TrialBatch:
     alive_pos: np.ndarray | None = None
 
 
-# per-trial columns of a pool: launch time, replica, nesting depth, the
-# accumulators, and the step end by which its last lineage left (nan while
-# it runs)
+# per-trial columns of a pool: launch time, replica, nesting depth, whether
+# it has stepped (it steps from its launch time, then on the runner's step
+# grid), the accumulators, and the step end by which its last lineage left
+# (nan while it runs)
 _TRIAL_COLUMNS = (("launch", float), ("replica", np.int64),
-                  ("depth", np.int64), ("Z", float), ("Y", float),
-                  ("n_frozen", np.int64), ("sigma_max", float),
+                  ("depth", np.int64), ("stepped", bool), ("Z", float),
+                  ("Y", float), ("n_frozen", np.int64), ("sigma_max", float),
                   ("censored", bool), ("hit_zeta", bool), ("done_at", float))
 
 # nested trials stop at this depth: a lineage of a depth-3 trial that lands
@@ -454,14 +455,14 @@ _CENSOR_COUNT = 20_000
 class TrialPool:
     """Fugitive trials in flight, of every replica of a barrier run.
 
-    Lineages live in three aligned arrays: the line-frame position `xi`,
-    the index of their trial in `trials`, and `clock`, the time each has
-    been advanced to.  `trials` holds one array per `_TRIAL_COLUMNS` name,
-    one entry per trial not yet decided, and `payload` the launching
-    particle's payload columns, aligned with `trials`, as many as the first
-    launch carried (None before it).  Per replica the pool counts the
-    trials launched, the relaunches (lineages that landed beyond the wall
-    and started a nested trial), the depth-capped lineages, and the
+    Lineages live in two aligned arrays: the line-frame position `xi` and
+    the index of their trial in `trials`.  `trials` holds one array per
+    `_TRIAL_COLUMNS` name, one entry per trial not yet decided, and
+    `payload` the launching particle's payload columns, aligned with
+    `trials`, as many as the first launch carried (None before it).  A
+    trial's lineages share one clock, so its timing is a trial column.  Per
+    replica the pool counts the relaunches (lineages that landed beyond the
+    wall and started a nested trial), the depth-capped lineages, and the
     breakouts whose decision waited for an earlier trial of their replica
     with the total length of those waits.  `breakout_trials` is the only
     code that launches, advances or decides trials.
@@ -471,11 +472,10 @@ class TrialPool:
         self.replicas = replicas
         self.xi = np.empty(0)
         self.trial = np.empty(0, dtype=np.int64)
-        self.clock = np.empty(0)
         self.trials = {k: np.empty(0, dtype=d) for k, d in _TRIAL_COLUMNS}
         self.payload = None
-        self.launched, self.relaunched, self.depth_capped, self.waits = \
-            np.zeros((4, replicas), dtype=np.int64)
+        self.relaunched, self.depth_capped, self.waits = \
+            np.zeros((3, replicas), dtype=np.int64)
         self.wait_time = np.zeros(replicas)
         self.segments = 0
         # whether a trial was done since the last decision
@@ -507,8 +507,6 @@ class TrialPool:
         self.xi = np.concatenate((self.xi, np.full(n, float(y))))
         self.trial = np.concatenate(
             (self.trial, np.arange(first, first + n, dtype=np.int64)))
-        self.clock = np.concatenate((self.clock, t))
-        self.launched += np.bincount(replica, minlength=self.replicas)
 
 
 @dataclass
@@ -529,62 +527,66 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
              rng: np.random.Generator):
     """Advance every lineage of the pool to min(t0 + h, launch + zeta).
 
-    A lineage whose clock is t0 (within 1e-9) steps through [t0, t0 + h];
-    one launched or relaunched at another time steps from its clock, so
-    its span may be shorter or longer than h, and one launched at t0 + h
-    waits for the next step.  When all lineages share one span the step
-    takes its scalar path, so trials launched together draw as the
-    stand-alone batch always has.  Freezes update the accumulators; then
-    the trials past a censor limit lose their lineages, the lineages at
-    their trial's zeta leave the pool, and trials left without lineages
-    are done.  Returns the lineages that froze, as a list of chunks
-    (trial, time, local time, lab position), and those cut at zeta as one
-    such chunk, or None.
+    A trial's lineages share one clock, so its start, span and cut at zeta
+    are decided once per trial.  A trial on the step grid (one that has
+    stepped, or was launched within 1e-9 of t0) steps through [t0, t0 + h];
+    another steps from its launch time, so its span may be shorter or
+    longer than h, and one launched at t0 + h waits for the next step.  A
+    span that ends within 1e-9 of its trial's zeta ends there, and the
+    trial's lineages are cut.  When the trials that step are all on the
+    grid and share one span, the step takes its scalar path, so trials
+    launched together draw as the stand-alone batch always has.  Freezes
+    update the accumulators; then the trials past a censor limit lose their
+    lineages, the lineages at their trial's zeta leave the pool, and trials
+    left without lineages are done.  Returns the lineages that froze, as a
+    list of chunks (trial, time, local time, lab position), and those cut
+    at zeta as one such chunk, or None when no trial reached zeta.
     """
     iv, y, zeta = rules.iv, rules.y, rules.zeta
     a, mu = iv.a, iv.mu
     tr = pool.trials
     t1 = t0 + h
-    x, k, clock = pool.xi, pool.trial, pool.clock
+    x, k = pool.xi, pool.trial
+    # per trial (live: with lineages): where its step starts, how long it
+    # runs, and whether it reaches zeta
+    launch, live = tr["launch"], np.isnan(tr["done_at"])
+    on_grid, start, span = tr["stepped"], t0, h
+    if not on_grid.all():
+        on_grid = on_grid | (np.abs(launch - t0) <= 1e-9)
+        start = np.where(on_grid, t0, launch)
+        span = np.where(on_grid, h, t1 - launch)
+    left = launch + zeta - start
+    cut = left <= span * (1.0 + 1e-9)
+    cut &= live
     wait = None
     t_step, h_step = t0, h
-    # as the stand-alone batch always has, a lineage within 1e-9 of a span
-    # from its zeta ends there
-    snap = np.abs(clock - t0) <= 1e-9
-    uniform = snap.all()
-    start = t0 if uniform else np.where(snap, t0, clock)
-    span = h if uniform else np.where(snap, h, t1 - clock)
-    left = tr["launch"][k] + zeta - start
-    cut = left <= span * (1.0 + 1e-9)
-    any_cut = cut.any()
-    if not uniform or any_cut:
+    if on_grid.all() and not cut.any():
+        tr["stepped"] = on_grid  # all True: every trial now has stepped
+    else:
         span = np.minimum(span, left)
-        move = span > 0.0
-        if not move.all():
-            wait = ~move
-            x, k, cut, span = x[move], k[move], cut[move], span[move]
-            if not uniform:
-                snap, start = snap[move], start[move]
-        if len(span) and (uniform or snap.all()) \
-                and span.min() == span.max():
-            h_step = float(span[0])
+        step = live & (span > 0.0)
+        if (step != live).any():  # trials launched at t0 + h wait
+            wait = ~step[k]
+            x, k = x[~wait], k[~wait]
+        spans = span[step]
+        if len(spans) and on_grid[step].all() \
+                and spans.min() == spans.max():
+            h_step = float(spans[0])
         else:
-            t_step, h_step = start, span
+            t_step, h_step = start[k] if np.ndim(start) else t0, span[k]
+        tr["stepped"] |= step
     frozen = []
-    # which lineages reach zeta rides along only when some do
-    carried = (cut,) if any_cut else ()
     if len(x):
-        x, k, carried, frozen, _, n_seg = step_segments(
-            x, k, carried, t0=t_step, h=h_step, drift=-1.0, law=rules.law,
-            rng=rng)
+        x, k, _, frozen, _, n_seg = step_segments(
+            x, k, t0=t_step, h=h_step, drift=-1.0, law=rules.law, rng=rng)
         pool.segments += n_seg
         if pool.segments > rules.max_segments:
             raise CapacityError(f"segment budget {rules.max_segments} "
                                 f"exhausted at t = {t0:.6g}")
-    n = len(tr["launch"])
+    n = len(launch)
     exits = []
-    for t_f, k_f, *_ in frozen:
-        s = t_f - tr["launch"][k_f]
+    for t_f, k_f in frozen:
+        s = t_f - launch[k_f]
         lab = a - y + (1.0 - mu) * s
         tr["Z"] += np.bincount(k_f, weights=w_Z(lab, iv), minlength=n)
         tr["Y"] += np.bincount(k_f, weights=w_Y(lab, iv), minlength=n)
@@ -592,16 +594,9 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
         np.maximum.at(tr["sigma_max"], k_f, s)
         exits.append((k_f, t_f, s, lab))
     # the survivors, now at t1, then the lineages that waited
-    cut = carried[0] if any_cut else None
-    clock_out = np.full(len(x), t1)
     if wait is not None:
-        x, k, clock_out = (np.concatenate(v) for v in (
-            (x, pool.xi[wait]), (k, pool.trial[wait]),
-            (clock_out, clock[wait])))
-        if any_cut:
-            cut = np.concatenate(
-                (cut, np.zeros(np.count_nonzero(wait), dtype=bool)))
-    clock = clock_out
+        x = np.concatenate((x, pool.xi[wait]))
+        k = np.concatenate((k, pool.trial[wait]))
     # only a freeze moves a trial past a censor limit, and only a freeze, a
     # death, a censored trial or a cut at zeta leaves a trial without
     # lineages
@@ -613,22 +608,20 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
             drop = over[k]
             if drop.any():
                 tr["censored"][k[drop]] = True
-                x, k, clock = x[~drop], k[~drop], clock[~drop]
-                if any_cut:
-                    cut = cut[~drop]
+                x, k = x[~drop], k[~drop]
     alive = None
-    if any_cut and cut.any():
-        k_c = k[cut]
+    if cut.any():
+        c = cut[k]
+        k_c = k[c]
         tr["hit_zeta"][k_c] = True
         tr["sigma_max"][k_c] = zeta
-        alive = (k_c, tr["launch"][k_c] + zeta, np.full(len(k_c), zeta),
-                 x[cut] + (a - y + (1.0 - mu) * zeta))
-        x, k, clock = x[~cut], k[~cut], clock[~cut]
+        alive = (k_c, launch[k_c] + zeta, np.full(len(k_c), zeta),
+                 x[c] + (a - y + (1.0 - mu) * zeta))
+        x, k = x[~c], k[~c]
         left_pool = True
-    pool.xi, pool.trial, pool.clock = x, k, clock
+    pool.xi, pool.trial = x, k
     if left_pool:
-        done = np.isnan(tr["done_at"])
-        done &= np.bincount(k, minlength=n) == 0
+        done = live & (np.bincount(k, minlength=n) == 0)
         if done.any():
             tr["done_at"][done] = t1
             pool.fresh = True
@@ -761,18 +754,20 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     the step's n_trials wall hits, given as hits = (times, replicas,
     *payload) with the times in (t0, t0 + dt], by replica and then hit
     time, then advances every lineage of the pool once, to
-    min(t0 + dt, launch + zeta), through one `step_segments` call.  The
-    payload, any number of per-hit arrays (as many in every call on one
-    pool), is the runner's own: the pool keeps it per trial and hands it
-    back unchanged with the trial's re-entering lineages and its nested
-    trials.  A lineage that leaves the pool beyond the wall relaunches as a
-    nested trial one level deeper at its exit time, up to depth 3; deeper
-    ones are dropped and counted as depth-capped.  The result is a
-    `PoolStep`: the lineages that re-enter below the wall, and the trials
-    decided this step in hit-time order per replica.  A trial's outcome is
-    known when its last lineage leaves; a breakout waits until every
-    earlier trial of its replica is decided, and the pool counts such waits
-    and their length per replica.
+    min(t0 + dt, launch + zeta), through one `step_segments` call.  A trial
+    steps from its launch time, then on the runner's grid; one launched at
+    t0 + dt first steps in the next call.  The payload, any number of
+    per-hit arrays (as many in every call on one pool), is the runner's
+    own: the pool keeps it per trial and hands it back unchanged with the
+    trial's re-entering lineages and its nested trials.  A lineage that
+    leaves the pool beyond the wall relaunches as a nested trial one level
+    deeper at its exit time, up to depth 3; deeper ones are dropped and
+    counted as depth-capped.  The result is a `PoolStep`: the lineages that
+    re-enter below the wall, and the trials decided this step in hit-time
+    order per replica.  A trial's outcome is known when its last lineage
+    leaves; a breakout waits until every earlier trial of its replica is
+    decided, and the pool counts such waits and their length per
+    replica.
     """
     if not (0.0 < y < math.inf and 0.0 < zeta < math.inf):
         raise ValueError(f"y and zeta must be positive and finite, got "

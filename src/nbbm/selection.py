@@ -435,8 +435,9 @@ class BarrierPath:
 class BarrierResult:
     """Series and breakout bookkeeping for one barrier-frame replica.
 
-    wall_hits counts the population's hits and the trial lineages that
-    land beyond the wall, each of which launches one of the trials_run.
+    wall_hits and trials_run are one count: the population's hits and the
+    trial lineages that land beyond the wall, each of which launches one
+    trial.
     breakout_waits counts the breakouts whose decision waited for an
     earlier trial, breakout_wait_time their total wait.  peak_count is the
     largest population at a step end (the start included) and max_pop the
@@ -502,7 +503,7 @@ class _Replica:
     path: BarrierPath
     pending: tuple[float, float] | None = None
     pieces: list[dict] = field(default_factory=list)
-    frozen: int = 0  # the index in pieces of the next piece to freeze
+    frozen: int = 0  # the index of the next piece to freeze, in both lists
     stats: dict = field(default_factory=lambda: dict.fromkeys(
         ("red_killed", "blue_created", "blue_killed", "rewhitened",
          "white_killed_at_origin"), 0))
@@ -514,10 +515,9 @@ class _Replica:
         return self.pending is not None and self.pending[1] <= t1 + 1e-9
 
     def freeze_due(self, t1: float) -> bool:
-        """Whether the next piece to freeze does so by t1; pieces install
-        in the order of their freeze times."""
-        return (self.frozen < len(self.pieces)
-                and self.pieces[self.frozen]["theta"] <= t1 + 1e-9)
+        """Whether the next piece of the path to freeze does so by t1;
+        the open last piece never does (its t_end is inf)."""
+        return self.path.pieces[self.frozen].t_end <= t1 + 1e-9
 
 
 def _tally(reps: list[_Replica], key: str, r_ids: np.ndarray) -> None:
@@ -559,10 +559,12 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         k_env += 1
     sharp_period = (k_env + 3.0) * a ** 2 if sharp else math.inf
 
-    horizon = cfg.horizon if cfg.horizon is not None \
-        else 1.5 * math.exp(A) * a ** 2
-    n_steps, sample_steps = cfg.steps(horizon)
     n_med = hperp_count(A, iv)
+    horizon = cfg.horizon or 1.5 * math.exp(A) * a ** 2
+    if horizon == math.inf:
+        raise ValueError(f"the default horizon 1.5 e^A a^2 overflows at "
+                         f"A = {A!r}, a = {a!r}")
+    n_steps, sample_steps = cfg.steps(horizon)
     max_pop = max(200_000, 100 * n_med)
 
     n_rep = cfg.replicas
@@ -593,8 +595,7 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
         if not (upper or len(pool)):
             return parts
         # no hits: one empty chunk, the population's dtypes
-        hits = tuple(map(np.concatenate,
-                         zip(*(upper or [tuple(x[:0] for x in parts)]))))
+        hits = _joined(*(upper or [tuple(x[:0] for x in parts)]))
         pop_hits[:] += np.bincount(hits[1], minlength=n_rep)
         out = breakout_trials(cfg.law, iv, A, eps, y, zeta,
                               n_trials=len(hits[1]), dt=h, rng=rng,
@@ -802,10 +803,9 @@ def _barrier_batch(cfg: SimConfig, mode: str) -> list[BarrierResult]:
             colour_stats["period"] = sharp_period
         results.append(BarrierResult(
             series=series, path=st.path, pieces=st.pieces, mode=mode,
-            trials_run=int(pool.launched[r]),
+            trials_run=int(wall_hits[r]), wall_hits=int(wall_hits[r]),
             suppressed_breakouts=st.suppressed,
             clamped_responses=st.clamped, reinjected=int(reinjected[r]),
-            wall_hits=int(wall_hits[r]),
             depth_capped=int(pool.depth_capped[r]),
             breakout_waits=int(pool.waits[r]),
             breakout_wait_time=float(pool.wait_time[r]),

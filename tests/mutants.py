@@ -52,6 +52,11 @@ _ADAPTIVE = _TK + "test_I_integral_matches_adaptive_quadrature"
 _ARRAY = _TK + "test_kernels_take_an_array_of_times"
 _CALIBRATION = "tests/test_stats.py::test_calibration_matches_the_kernels"
 _JOINT = _TK + "test_joint_weights_equal_the_separate_ones_bit_for_bit"
+_ENS, _TE = "nbbm/ensemble.py", "tests/test_ensemble.py::"
+_POOLED = _TE + "test_pooled_trials_agree_in_law_with_stand_alone_trials"
+_TIMED = _TE + "test_pool_times_each_trial_once"
+_ON_GRID = "on_grid = on_grid | (np.abs(launch - t0) <= 1e-9)"
+_NESTED = _T + "test_barrier_batch_agrees_in_law_with_the_reference[bbbm-kw2]"
 
 CATALOGUE = [
     # run_coupled on plus-aligned slots
@@ -186,6 +191,31 @@ CATALOGUE = [
            "inside &= xc <= a",
            (_TK + "test_weight_functions_at_reference_points",
             _JOINT + "[5.0]")),
+    # the trial pool; the barrier runners' law checks miss the first two,
+    # only the pool's check against stand-alone trials catches them
+    Mutant("reentry-shifted-0.2-left", _ENS,
+           "reentry = dict(pos=lab,",
+           "reentry = dict(pos=lab - 0.2,",
+           (_POOLED,)),
+    Mutant("depth-cap-2", _ENS,
+           "_MAX_DEPTH = 3",
+           "_MAX_DEPTH = 2",
+           (_POOLED,)),
+    # its per-trial timing; without the two trial tests named here, only
+    # the nested barrier law check catches relaunches stepped from t0, and
+    # no test the other two
+    Mutant("zeta-cut-without-slack", _ENS,
+           "cut = left <= span * (1.0 + 1e-9)",
+           "cut = left <= span",
+           (_TE + "test_trials_reach_zeta_at_a_step_end_that_rounds_past_it",)),
+    Mutant("relaunch-stepped-from-t0", _ENS,
+           _ON_GRID,
+           "on_grid = on_grid | (launch - t0 <= 1e-9)",
+           (_TIMED, _NESTED)),
+    Mutant("step-end-root-stepped-at-once", _ENS,
+           _ON_GRID,
+           _ON_GRID + " | (launch >= t1)",
+           (_TIMED,)),
 ]
 
 

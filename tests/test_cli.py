@@ -386,6 +386,36 @@ def test_simulate_rejects_non_finite_barrier_parameters(tmp_path, capsys,
     assert not (out / "series.csv").exists()
 
 
+@pytest.mark.parametrize("values", [
+    {"A": "800", "horizon": "1.0"},  # e^A overflows
+    {"A": "800", "horizon": None},  # and the default horizon 1.5 e^A a^2
+    {"a": "1000", "A": "3"},  # e^(mu a) overflows
+    {"A": "707", "horizon": None},  # only the default horizon overflows
+], ids=["A-800", "A-800-default-horizon", "a-1000", "A-707-default-horizon"])
+def test_simulate_rejects_an_overflowing_profile_count(tmp_path, capsys,
+                                                       values):
+    """A profile count or default horizon past the largest double ends the
+    run with one ValueError naming A and a, not a traceback."""
+    text = BBBM_INI
+    for key, val in values.items():
+        text = re.sub(rf"^{key} = .*\n",
+                      "" if val is None else f"{key} = {val}\n", text,
+                      flags=re.M)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    errs = [ln for ln in capsys.readouterr().err.splitlines()
+            if ln.startswith("{")]
+    assert len(errs) == 1
+    err = json.loads(errs[0])
+    assert err["error"]["type"] == "ValueError"
+    a = float(values.get("a", 5.0))
+    assert f"A = {float(values['A'])!r}, a = {a!r}" in err["error"]["message"]
+    assert json.loads((out / "error.json").read_text()) == err
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 @pytest.mark.parametrize("mode", ["nbbm", "bbbm"])
 @pytest.mark.parametrize("alphas", ["0.5, 0.5", "0.1234567, 0.1234568"])
 def test_simulate_rejects_alphas_that_share_a_column(tmp_path, capsys, mode,

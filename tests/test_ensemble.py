@@ -171,6 +171,21 @@ def test_trials_zeta_clause_toggle(binary_law, iv10):
     assert flipped.any(), "no trial reached zeta; toggle unexercised"
 
 
+def test_trials_reach_zeta_at_a_step_end_that_rounds_past_it(binary_law,
+                                                              iv10):
+    """Three steps of 0.3 reach zeta = 0.9, though the last one starts with
+    0.9 - 0.6 = 0.30000000000000004 > 0.3 left: a span within 1e-9 of its
+    trial's zeta ends there, so every lineage still running is cut."""
+    assert 0.9 - 2 * 0.3 > 0.3
+    b = breakout_trials(binary_law, iv10, A=2.0, epsilon=1e9, y=2.0,
+                        zeta=0.9, n_trials=50, dt=0.3,
+                        rng=rng_stream(59, 0, 0), collect_line=True)
+    cut = np.unique(b.alive_trial)
+    assert len(cut) > 40
+    assert np.array_equal(np.flatnonzero(b.hit_zeta), cut)
+    assert np.all(b.sigma_max[cut] == 0.9)
+
+
 def test_trials_censoring_counts_as_breakout(monkeypatch, binary_law, iv10):
     monkeypatch.setattr(ensemble, "_CENSOR_COUNT", 1)
     b = breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=200,
@@ -498,8 +513,7 @@ def test_pool_decides_each_replica_in_hit_order(binary_law, iv5):
     order; relaunches count as launches, and a breakout decided after an
     earlier trial of its replica ran on counts as a wait."""
     pool, dec, _ = _pooled(binary_law, iv5, 600, rng_stream(37, 0, 0))
-    assert len(dec["launch"]) == pool.launched.sum()
-    assert pool.launched.sum() == 600 + pool.relaunched.sum()
+    assert len(dec["launch"]) == 600 + pool.relaunched.sum()
     for r in range(pool.replicas):
         assert np.all(np.diff(dec["launch"][dec["replica"] == r]) >= 0.0)
     assert pool.waits.sum() > 0 and pool.wait_time.sum() > 0.0
@@ -554,6 +568,64 @@ def test_pool_payload_survives_a_depth_2_relaunch(binary_law, iv5):
     assert nested and pool.relaunched[0] >= 1
     back = np.concatenate(back)
     assert len(back) and back.dtype == mark.dtype and np.all(back == mark)
+
+
+def test_pool_times_each_trial_once(monkeypatch, binary_law, iv5):
+    """The pool times its trials, not their lineages: a trial first steps
+    from its launch time, so a root launched at a step end waits for the
+    next step, and every span ends at the step end or at the trial's zeta.
+    A step whose lineages all start at t0 with one span passes
+    `step_segments` one float h, as a stand-alone batch does; one with a
+    trial launched mid-step, or relaunched off the grid, passes arrays."""
+    pool, dt, zeta = ensemble.TrialPool(4), 0.05, NEST_KW["zeta"]
+    calls, seen, grid = [], set(), {}
+    real = ensemble.step_segments
+
+    def spy(x, k, *args, t0, h, **kw):
+        tr = pool.trials
+        launch = tr["launch"][k]
+        start, span = (np.broadcast_to(v, k.shape) for v in (t0, h))
+        keys = list(zip(launch.tolist(), tr["depth"][k].tolist(),
+                        tr["replica"][k].tolist()))
+        first = np.array([key not in seen for key in keys])
+        seen.update(keys)
+        assert np.all(np.abs(start[first] - launch[first]) <= 1e-9)
+        end = start + span
+        assert np.all((np.abs(end - grid["t1"]) <= 1e-12)
+                      | (np.abs(end - (launch + zeta)) <= 1e-12))
+        scalar = bool(np.all(np.abs(start - grid["t0"]) <= 1e-9)
+                      and span.min() == span.max())
+        assert type(h) is float if scalar else isinstance(h, np.ndarray)
+        calls.append((h, bool(first.any()), bool((tr["depth"][k] > 1).any())))
+        return real(x, k, *args, t0=t0, h=h, **kw)
+
+    monkeypatch.setattr(ensemble, "step_segments", spy)
+    rng = rng_stream(53, 0, 0)
+
+    def step(i, at):  # hits at t0 + at * dt, one replica after the other
+        grid["t0"] = t0 = i * dt
+        grid["t1"] = t0 + dt
+        hits = (t0 + dt * np.asarray(at, dtype=float), np.arange(len(at)) % 4)
+        breakout_trials(binary_law, iv5, **NEST_KW, n_trials=len(at), dt=dt,
+                        rng=rng, pool=pool, t0=t0, hits=hits)
+
+    step(0, [1.0] * 4)  # roots launched at the step end wait
+    assert calls == []
+    step(1, [])  # then step as one batch with one float h
+    assert len(calls) == 1 and calls[0][0] == dt
+    step(2, [0.3, 0.6])
+    assert isinstance(calls[-1][0], np.ndarray)
+    step(3, [])  # every trial has stepped: on the grid again
+    assert type(calls[-1][0]) is float
+    i = 4
+    while i < 60 or len(pool):
+        assert i < 400, "the pool does not drain"
+        at = rng.random(3 if i < 60 else 0)
+        step(i, np.where(at > 0.5, at, 1.0))  # half of them at the step end
+        i += 1
+    assert pool.relaunched.sum() > 0
+    assert any(type(h) is float and new for h, new, _ in calls[4:])
+    assert any(isinstance(h, np.ndarray) for h, _, deep in calls if deep)
 
 
 def test_per_particle_spans_time_hits_within_each_span(binary_law):
