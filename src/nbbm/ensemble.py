@@ -330,11 +330,17 @@ def hperp_flat(A: float, iv: IntervalParams, replicas: int,
 
     profile: hperp_count(A, iv) particles iid from the stationary count
     density sin(pi x / a) e^(-mu x), so E[Z_0] = e^A per replica up to the
-    count floor.
+    count floor.  A count that times `replicas` passes the largest array
+    size raises ValueError, naming A, a, the count and the replicas, before
+    anything is drawn.
     """
     n0 = hperp_count(A, iv)
     if n0 < 1:
         raise ValueError(f"profile count is {n0} for A = {A!r}, a = {iv.a!r}")
+    if n0 * replicas > np.iinfo(np.intp).max:
+        raise ValueError(f"profile count {n0:.4g} times {replicas} replicas "
+                         f"passes the largest array size at A = {A!r}, "
+                         f"a = {iv.a!r}")
     pos = sine_exp_density(iv.a, iv.mu).sample(n0 * replicas, rng)
     rep = np.repeat(np.arange(replicas, dtype=np.int64), n0)
     return pos, rep

@@ -5,6 +5,7 @@ representations of the periodized Gaussian (spectral cosine series and image
 sum), the transition density of Brownian motion killed at 0 and a, its
 right-boundary exit flux, the taboo (doubly-conditioned) kernel, the
 exponential weights w_Z and w_Y (w_Z stated once, as w_ZY's first half), the
+exact expected wall hits and tail counts of the killed branching motion, the
 barrier profile built from the normalized flux thbar, and the
 sine-exponential quasi-stationary density.
 
@@ -45,6 +46,8 @@ __all__ = [
     "exit_density_right",
     "exit_density_right_scaled",
     "I_integral",
+    "expected_hits",
+    "expected_tail_count",
     "p_taboo",
     "w_Z",
     "w_Y",
@@ -420,6 +423,89 @@ def I_integral(x, S, iv) -> float:
     return _gauss_legendre(
         lambda s: exit_density_right_scaled(x, s, a), s0, s1,
         max(s0, (a - x) ** 2) / 16.0)
+
+
+def _hit_modes(s: float) -> tuple[np.ndarray, np.ndarray]:
+    # the modes n >= 2 of I(x, (0, s a^2)) that decay, with the bounds
+    # 2n / ((n^2 - 1) pi) e^{-(n^2 - 1) pi^2 s/2} of their terms down to
+    # _TERM_TOL; the bounds sum to delta(s)
+    n = np.arange(2, MAX_TERMS + 2)
+    coef = 2.0 * n / ((n * n - 1.0) * _PI) * np.exp(-_PI2 * (n * n - 1.0) * s / 2.0)
+    live = coef >= _TERM_TOL
+    if live[-1]:
+        raise RuntimeError(f"hit series did not reach tol within {MAX_TERMS} terms")
+    return n[live], coef[live]
+
+
+def expected_hits(x, t, iv):
+    """Expected hits of a over (0, t) by branching BM with drift -mu killed
+    at 0 and a, one particle started at each x: w_Y(x) I(x, (0, t)).
+
+    With theta = pi x / a and s = t / a^2, the spectral series of
+    `exit_density_right_scaled` integrated mode by mode gives
+        I(x, (0, t)) = pi s sin theta - (theta cos theta + sin(theta)/2) / pi
+                       - sum_{n>=2} (-1)^(n+1) (2n / ((n^2 - 1) pi))
+                         sin(n theta) e^{-(n^2 - 1) pi^2 s/2}.
+    This closed form serves from s = REPRESENTATION_SWITCH_T on, and below,
+    where its terms cancel, `I_integral`'s quadrature.  Its first term times
+    w_Y(x) is the paper's rate pi t a^-3 w_Z(x); the middle term is at most
+    1 in size, at the wall, and the sum at most delta(s), the sum of its
+    coefficients, so the rest is within (1 + delta(s)) w_Y(x).  That bound
+    replaced the slack constant c_rt fitted at a = 10, and the closed form
+    over a window, where the middle term cancels, the constant c_i.  x is a
+    position or an array of them in [0, a]; the ends give 0.
+    """
+    a, t = iv.a, float(t)
+    x_arr, scalar = _broadcast(x)
+    _require_times(np.asarray(t))
+    _require_in_interval(a, x_arr)
+    s = t / (a * a)
+    if s < REPRESENTATION_SWITCH_T:
+        flux = np.array([I_integral(v, (0.0, t), iv) for v in x_arr.flat]).reshape(x_arr.shape)
+    else:
+        th = _PI * x_arr / a
+        flux = _PI * s * np.sin(th) - (th * np.cos(th) + 0.5 * np.sin(th)) / _PI
+        for n, coef in zip(*_hit_modes(s)):
+            flux += (coef if n % 2 == 0 else -coef) * np.sin(n * th)
+        flux = np.where((x_arr > 0.0) & (x_arr < a), np.maximum(flux, 0.0), 0.0)
+    val = w_Y(x_arr, iv) * flux
+    return float(val[0]) if scalar else val
+
+
+def expected_tail_count(x, r, t, iv):
+    """Expected count above r at time t of branching BM with drift -mu killed
+    at 0 and a, one particle started at each x: int_r^a bbm_density(x, y, t) dy.
+
+    Each mode's y-integral is elementary: with k_n = n pi / a,
+        (2/a) e^{mu x} sum_{n>=1} e^{-(n^2 - 1) pi^2 t/(2a^2)} sin(k_n x) J_n,
+        J_n = [-e^{-mu y} (mu sin(k_n y) + k_n cos(k_n y)) / (mu^2 + k_n^2)]_r^a,
+    cut where the next e^{...} drops below SERIES_TRUNCATION_TOL / 10; it
+    serves at every t > 0, with more terms as t / a^2 shrinks, and raises
+    RuntimeError past MAX_TERMS.  As |sin(n u)| <= n sin u, mode n is at
+    most n^2 e^{-(n^2 - 1) pi^2 t/(2a^2)} times mode 1, so the modes n >= 2
+    add at most E_{t/a^2} / pi^2 of mode 1 (`error_envelope_E`); with mode
+    1's closed form this bounds the paper's prediction's remainder in place
+    of the constant c_nexpec fitted at a = 10 (`stats.oracle_N`).  x is a
+    position or an array of them in [0, a]; 0 <= r <= a.
+    """
+    a, mu, r, t = iv.a, iv.mu, float(r), float(t)
+    x_arr, scalar = _broadcast(x)
+    _require_times(np.asarray(t))
+    _require_in_interval(a, x_arr, np.asarray(r))
+    modes = np.zeros_like(x_arr)
+    for n in range(1, MAX_TERMS + 1):
+        damp = math.exp(-_PI2 * (n * n - 1) * t / (2.0 * a * a))
+        if damp < _TERM_TOL:
+            break
+        k = n * _PI / a
+        lo, hi = (-math.exp(-mu * y) * (mu * math.sin(k * y) + k * math.cos(k * y))
+                  / (mu * mu + k * k) for y in (r, a))
+        modes += damp * (hi - lo) * np.sin(k * x_arr)
+    else:
+        raise RuntimeError(f"tail-count series did not reach tol within {MAX_TERMS} terms")
+    val = np.where((x_arr > 0.0) & (x_arr < a),
+                   np.maximum(2.0 / a * np.exp(mu * x_arr) * modes, 0.0), 0.0)
+    return float(val[0]) if scalar else val
 
 
 def p_taboo(x, y, t, iv):

@@ -3,21 +3,22 @@
 Every comparison against an analytic value goes through OracleReport, which
 records the estimate, its standard error, the analytic target and any
 systematic slack, and passes iff |estimate - analytic| <= slack + 3 SE.
-The slack term carries the known finite-size remainders (error envelopes,
-quadratic profile corrections); the 3 SE term carries the Monte Carlo noise.
+A statistical check sets simulated values against their exact expectation
+with no slack, the 3 SE carrying the Monte Carlo noise; a deterministic one
+sets an asymptotic against it with no SE, the slack a bound on the remainder.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
 from . import levy as _levy
-from .kernels import IntervalParams, sine_exp_density
+from .kernels import (IntervalParams, _hit_modes, error_envelope_E,
+                      expected_hits, expected_tail_count, sine_exp_density,
+                      w_Z, w_ZY)
 
 __all__ = [
     "StatsSeries",
@@ -33,7 +34,6 @@ __all__ = [
     "empirical_cf",
     "CFComparison",
     "increment_vs_levy",
-    "load_calibration",
 ]
 
 
@@ -155,39 +155,73 @@ def oracle_Z(z0: np.ndarray, zt: np.ndarray) -> OracleReport:
     return OracleReport("Z martingale", est, se, 0.0, 0.0, n)
 
 
-def oracle_R(r_counts: np.ndarray, z0: np.ndarray, y0: np.ndarray, t: float,
-             iv: IntervalParams, c_rt: float) -> OracleReport:
-    """Boundary-hit count over [0, t] against pi t a^-3 Z_0 with Y_0 slack.
+def _against_expectation(name: str, observed, replica0, per_particle,
+                         extra: dict) -> OracleReport:
+    # observed per replica less the sum of per_particle over its particles
+    observed = np.asarray(observed, dtype=float)
+    expect = np.bincount(np.asarray(replica0, dtype=np.int64),
+                         weights=per_particle, minlength=len(observed))
+    est, se, n = _mean_se(observed - expect)
+    return OracleReport(name, est, se, 0.0, 0.0, n,
+                        extra=dict(extra, expected=float(expect.mean())))
 
-    Paired per replica: the estimate is the mean of R - pi t a^-3 Z_0 and
-    the systematic slack is c_rt * mean(Y_0).
+
+def oracle_R(r_counts: np.ndarray, x0: np.ndarray, replica0: np.ndarray,
+             t: float, iv: IntervalParams) -> tuple[OracleReport, OracleReport]:
+    """Boundary hits over [0, t] per replica from positions x0 with replica
+    ids replica0, as (statistical, deterministic) reports.
+
+    Statistical, no slack: R against its exact expectation E, the sum of
+    `expected_hits` over the replica's positions.  Deterministic, no SE:
+    mean E against the paper's rate pi t a^-3 Z_0, within (1 + delta(t/a^2))
+    Y_0 by the closed form of `expected_hits`, delta(s) = sum_{n>=2}
+    2n / ((n^2 - 1) pi) e^{-(n^2 - 1) pi^2 s/2}, at every a, t and position.
+    The bound replaces a slack c_rt Y_0 with c_rt = 1.4767 fitted at a = 10:
+    1.5 times 0.98, the fitting grid's approach to the bound of 1 at the wall.
     """
-    r = np.asarray(r_counts, dtype=float)
-    z0 = np.asarray(z0, dtype=float)
-    pred = math.pi * t / iv.a ** 3 * z0
-    est, se, n = _mean_se(r - pred)
-    slack = c_rt * float(np.mean(y0))
-    return OracleReport("boundary hits", est, se, 0.0, slack, n,
-                        extra={"t": t, "c_rt": c_rt})
+    x0 = np.asarray(x0, dtype=float)
+    stat = _against_expectation("boundary hits", r_counts, replica0,
+                                expected_hits(x0, t, iv), {"t": t})
+    wz, wy = (float(w.sum()) / stat.n for w in w_ZY(x0, iv))
+    delta = float(_hit_modes(t / iv.a ** 2)[1].sum())
+    det = OracleReport("boundary-hit rate", stat.extra["expected"], 0.0,
+                       math.pi * t / iv.a ** 3 * wz, (1.0 + delta) * wy,
+                       stat.n, extra={"t": t, "delta": delta})
+    return stat, det
 
 
-def oracle_N(counts_r: np.ndarray, z0: np.ndarray, r: float, t: float,
-             iv: IntervalParams, c_quad: float) -> OracleReport:
-    """Tail count N_t(r) against its w_Z-proportional prediction.
+def oracle_N(counts_r: np.ndarray, x0: np.ndarray, replica0: np.ndarray,
+             r: float, t: float,
+             iv: IntervalParams) -> tuple[OracleReport, OracleReport]:
+    """Tail counts N_t(r) per replica from positions x0 with replica ids
+    replica0, as (statistical, deterministic) reports.
 
-    Prediction per replica: 2 pi (1 + mu r) e^(mu (a - r)) a^-3 Z_0; slack is
-    (E_envelope(t/a^2) + c_quad ((1 + r)/a)^2) times the mean prediction.
+    Statistical, no slack: N_t(r) against its exact expectation E, the sum
+    of `expected_tail_count` over the replica's positions.  Deterministic,
+    no SE: mean E against the paper's 2 pi (1 + mu r) e^(mu (a - r)) a^-3 Z_0,
+    whose relative remainder at the run's own a, r and t is rel_remainder.
+    With u = pi r / a, mode 1 of E is the prediction times 1 + rho, rho =
+    (e^(-mu (a - r)) - mu r (1 - sin(u)/u) - (1 - cos u)) / (1 + mu r), and
+    the modes n >= 2 add under 2 E_{t/a^2} / pi^2 of the prediction; so the
+    slack is max(e^(-mu (a - r)), u^2 / 2) + 2 E_{t/a^2} / pi^2 of it, with
+    1e-11 for rounding, in place of E_{t/a^2} + c_nexpec ((1 + r)/a)^2 with
+    c_nexpec = 1.919 fitted at a = 10 and t = 2 a^2.
     """
-    from .kernels import error_envelope_E
-
     a, mu = iv.a, iv.mu
-    factor = 2.0 * math.pi * (1.0 + mu * r) * math.exp(mu * (a - r)) / a ** 3
-    pred = factor * np.asarray(z0, dtype=float)
-    est, se, n = _mean_se(np.asarray(counts_r, dtype=float) - pred)
-    rel = error_envelope_E(t / a ** 2) + c_quad * ((1.0 + r) / a) ** 2
-    slack = rel * float(np.mean(pred))
-    return OracleReport(f"tail count r={r:g}", est, se, 0.0, slack, n,
-                        extra={"t": t, "r": r, "rel_slack": rel})
+    x0 = np.asarray(x0, dtype=float)
+    stat = _against_expectation(f"tail count r={r:g}", counts_r, replica0,
+                                expected_tail_count(x0, r, t, iv),
+                                {"t": t, "r": r})
+    pred = (2.0 * math.pi * (1.0 + mu * r) * math.exp(mu * (a - r)) / a ** 3
+            * float(w_Z(x0, iv).sum()) / stat.n)
+    exact = stat.extra["expected"]
+    bound = (max(math.exp(-mu * (a - r)), (math.pi * r / a) ** 2 / 2.0)
+             + 2.0 * error_envelope_E(t / a ** 2) / math.pi ** 2 + 1e-11)
+    det = OracleReport(f"tail-count prediction r={r:g}", exact, 0.0, pred,
+                       bound * pred, stat.n,
+                       extra={"t": t, "r": r,
+                              "rel_remainder": exact / pred - 1.0})
+    return stat, det
 
 
 def speed_estimate(times: np.ndarray, med_by_replica: np.ndarray,
@@ -283,9 +317,3 @@ def increment_vs_levy(increments: np.ndarray, dt_inc: float, lams,
     model = np.exp(dt_inc * _levy.kappa(lams, params))
     return CFComparison(lams=lams, phi=phi, model=model, se=se,
                         fitted_c=params.c, n=len(increments))
-
-
-def load_calibration() -> dict:
-    """Fitted envelope constants, frozen from exact-kernel quadrature runs."""
-    with resources.files("nbbm").joinpath("calibration.json").open() as fh:
-        return json.load(fh)

@@ -50,7 +50,7 @@ _MPMATH = "tests/test_levy.py::test_digamma_and_kappa_match_mpmath"
 _TK = "tests/test_kernels.py::"
 _ADAPTIVE = _TK + "test_I_integral_matches_adaptive_quadrature"
 _ARRAY = _TK + "test_kernels_take_an_array_of_times"
-_CALIBRATION = "tests/test_stats.py::test_calibration_matches_the_kernels"
+_CLOSED_FORM = _TK + "test_expected_hits_match_I_integral"
 _JOINT = _TK + "test_joint_weights_equal_the_separate_ones_bit_for_bit"
 _ENS, _TE = "nbbm/ensemble.py", "tests/test_ensemble.py::"
 _POOLED = _TE + "test_pooled_trials_agree_in_law_with_stand_alone_trials"
@@ -105,6 +105,11 @@ CATALOGUE = [
            "m_live, w_live = m_off != -np.inf, w_off != -np.inf",
            "m_live, w_live = m_off > -np.inf, w_off > -np.inf",
            (_NAN_ORPHAN, _CORRUPT, _SORTED)),
+    # the barrier response starts where its breakout's trial ended
+    Mutant("response-at-t-plus-zeta", _SEL,
+           'st.pending = (t_k, t_k + float(dec["sigma_max"][k]))',
+           "st.pending = (t_k, t_k + zeta)",
+           (_T + "test_barrier_response_falls_where_its_trial_ends",)),
     # run_nbbm's block path
     Mutant("nbbm-branch-rate-1.2x", _SEL,
            "idx = _branch_slots(n_blk * size, law.beta0 * h, rng)",
@@ -139,6 +144,11 @@ CATALOGUE = [
            "blue = n_right[r_lo] < n_sharp",
            "blue = n_right[r_lo] <= n_sharp",
            (_ONE + "[bsharp-kw11]",)),
+    # report's series_mean.csv, one np.mean per cell
+    Mutant("series-mean-along-the-replica-axis", "nbbm/cli.py",
+           "np.mean(st[:, i])",
+           "st.mean(axis=0)[i]",
+           ("tests/test_cli.py::test_report_series_mean_is_the_mean_of_each_cell",)),
     # levy._digamma
     Mutant("digamma-b14-sign-flipped", _LEVY,
            "(1 / 12, -691 / 32760",
@@ -163,7 +173,7 @@ CATALOGUE = [
            "lead = -_PI2 * (n * n - 1) if scaled else -_PI2 * n * n",
            "lead = -_PI2 * n * n",
            (_TK + "test_scaled_kernel_within_sine_envelope",
-            _TK + "test_taboo_relaxes_to_sine_squared", _CALIBRATION)),
+            _TK + "test_taboo_relaxes_to_sine_squared", _CLOSED_FORM)),
     Mutant("representation-switch-inverted", _KER,
            "spectral = t_arr >= REPRESENTATION_SWITCH_T",
            "spectral = t_arr < REPRESENTATION_SWITCH_T",
@@ -174,7 +184,7 @@ CATALOGUE = [
            "val = (val - 0.5 if deriv == 0 else val) * np.exp(_PI2 * ti / 2.0)",
            "val = val - 0.5 if deriv == 0 else val",
            (_TK + "test_bbm_density_definitional_identity", _ADAPTIVE,
-            _CALIBRATION)),
+            _CLOSED_FORM)),
     Mutant("truncation-mask-dropped", _KER,
            "out += np.where(live, term, 0.0)",
            "out += term",

@@ -391,7 +391,9 @@ def test_simulate_rejects_non_finite_barrier_parameters(tmp_path, capsys,
     {"A": "800", "horizon": None},  # and the default horizon 1.5 e^A a^2
     {"a": "1000", "A": "3"},  # e^(mu a) overflows
     {"A": "707", "horizon": None},  # only the default horizon overflows
-], ids=["A-800", "A-800-default-horizon", "a-1000", "A-707-default-horizon"])
+    {"A": "707", "horizon": "1.0"},  # the count passes the array size
+], ids=["A-800", "A-800-default-horizon", "a-1000", "A-707-default-horizon",
+        "A-707-count-past-the-array-size"])
 def test_simulate_rejects_an_overflowing_profile_count(tmp_path, capsys,
                                                        values):
     """A profile count or default horizon past the largest double ends the
@@ -686,7 +688,6 @@ class BlockScipy:
             raise ImportError(f"scipy is blocked: {name}")
 
 sys.meta_path.insert(0, BlockScipy())
-import nbbm.calibrate
 from nbbm.cli import main
 
 nbbm_ini, bbbm_ini, tmp = sys.argv[1:]

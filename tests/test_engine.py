@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbbm import ensemble
 from nbbm.engine import (
     ReproductionLaw,
     SimConfig,
@@ -347,6 +348,21 @@ def test_reference_profile_positions_inside(iv10, rng):
 def test_reference_profile_rejects_empty_count(iv10):
     with pytest.raises(ValueError):
         hperp_flat(-20.0, iv10, 1, rng_stream(0, 0, 0))
+
+
+def test_reference_profile_rejects_a_count_past_the_array_size(iv5,
+                                                              monkeypatch):
+    # at A = 707, a = 5 the count, about 2.7e307, is still a finite double;
+    # the check comes before the sampler is built or draws
+    def no_sampler(*args):
+        raise AssertionError("the profile sampler was reached")
+
+    monkeypatch.setattr(ensemble, "sine_exp_density", no_sampler)
+    rng = rng_stream(0, 0, 0)
+    with pytest.raises(ValueError, match=r"profile count 2\.\d+e\+307 times "
+                       r"3 replicas .* at A = 707\.0, a = 5\.0"):
+        hperp_flat(707.0, iv5, 3, rng)
+    assert rng.random() == rng_stream(0, 0, 0).random()
 
 
 def test_reference_profile_weight_concentrates(iv10):

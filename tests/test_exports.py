@@ -26,8 +26,9 @@ OWNED = {
     "stats.oracle_R": "ROADMAP item 5",
     "stats.oracle_N": "ROADMAP item 5",
     "stats.l1_vs_meta": "ROADMAP item 5",
-    "stats.load_calibration": "ROADMAP item 5",
     "kernels.meta_density": "ROADMAP item 5",
+    "kernels.bbm_density":
+        "tests/test_kernels.py::test_expected_tail_count_matches_quadrature",
     "runio.load_population": "ROADMAP item 19",
     "ensemble.bridge_hit_prob":
         "tests/test_engine.py::test_wall_hits_draw_against_bridge_hit_prob",

@@ -16,11 +16,14 @@ from nbbm.kernels import (
     IntervalParams,
     I_integral,
     SineExpDensity,
+    _gauss_legendre,
     barrier_f,
     bbm_density,
     error_envelope_E,
     exit_density_right,
     exit_density_right_scaled,
+    expected_hits,
+    expected_tail_count,
     green_killed,
     meta_density,
     p_killed,
@@ -34,7 +37,6 @@ from nbbm.kernels import (
     w_Z,
     w_ZY,
 )
-from nbbm.stats import load_calibration
 
 from conftest import assert_close
 
@@ -304,23 +306,56 @@ def test_I_integral_scaling_exact():
     assert_close(scaled, I_integral(u, S, 1.0), 1e-10)
 
 
+def _decaying_modes(x, s):
+    # sum_{n>=2} (-1)^(n+1) (2n / ((n^2-1) pi)) sin(n pi x) e^{-(n^2-1) pi^2 s/2}
+    # on the unit interval, written out term by term
+    return math.fsum((-1) ** (n + 1) * 2.0 * n / ((n * n - 1) * PI)
+                     * math.sin(n * PI * x)
+                     * math.exp(-(n * n - 1) * PI * PI * s / 2.0)
+                     for n in range(2, 80))
+
+
 def test_I_integral_window_flux_estimate():
-    # |I(x, S) - pi |S| sin(pi x)| <= c_i min(x, E_{inf S} (1 ^ |S|) sin(pi x))
-    # with the frozen fitted constant; same grid the constant was fitted on
-    c_i = load_calibration()["c_i"]
+    # over a window the time-independent part of the closed form cancels:
+    # I(x, S) = pi |S| sin(pi x) + decaying modes at s0 - the same at s1
     windows = [(0.25, 0.5), (0.25, 1.25), (0.5, 1.0), (0.5, 2.5),
                (1.0, 1.5), (1.0, 3.0), (2.0, 2.5), (2.0, 4.0)]
     for s0, s1 in windows:
-        env = error_envelope_E(s0) * min(1.0, s1 - s0)
         for x in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
-            lhs = abs(I_integral(x, (s0, s1), 1.0) - PI * (s1 - s0) * math.sin(PI * x))
-            rhs = c_i * min(x, env * math.sin(PI * x))
-            assert lhs <= rhs, (x, s0, s1, lhs, rhs)
+            want = (PI * (s1 - s0) * math.sin(PI * x)
+                    + _decaying_modes(x, s0) - _decaying_modes(x, s1))
+            assert_close(I_integral(x, (s0, s1), 1.0), want, 1e-12)
+
+
+@pytest.mark.parametrize("a", [4.0, 10.0])
+def test_expected_hits_match_I_integral(a):
+    # 60 x/a by 9 t/a^2, both sides of the representation switch
+    iv = IntervalParams(a)
+    xs = np.linspace(0.01, 0.999, 60) * a
+    for s in np.geomspace(0.05, 100.0, 9):
+        got = expected_hits(xs, s * a * a, iv) / w_Y(xs, iv)
+        want = np.array([I_integral(x, (0.0, s * a * a), a) for x in xs])
+        big = want > 1e-8
+        assert big.any()
+        assert np.all(np.abs(got - want)[big] <= 1e-11 * want[big]), s
+    assert expected_hits(0.0, 1.0, iv) == expected_hits(a, 1.0, iv) == 0.0
+
+
+@pytest.mark.parametrize("a", [4.0, 10.0])
+def test_expected_tail_count_matches_quadrature(a):
+    iv = IntervalParams(a)
+    for r in (0.0, 0.25 * a, 0.9 * a):
+        for s in (0.05, 0.3, 2.0, 10.0):
+            for x in np.linspace(0.01, 0.999, 12) * a:
+                want = _gauss_legendre(
+                    lambda y: bbm_density(x, y, s * a * a, iv), r, a)
+                got = expected_tail_count(x, r, s * a * a, iv)
+                assert abs(got - want) <= 1e-11 * max(want, 1e-3), (x, r, s)
 
 
 @pytest.mark.parametrize("x, S, a", [
     (0.9999, (0.0, 1.0), 1.0),    # the flux peaks near s = 3e-9
-    (9.9, (0.0, 35.0), 10.0),     # the calibration grid's steepest case
+    (9.9, (0.0, 35.0), 10.0),     # steep near the wall at a = 10
     (0.99, (1e-3, 10.0), 1.0),
     (0.5, (0.0, 100.0), 1.0),
 ])

@@ -858,6 +858,29 @@ def test_barrier_shift_is_evaluated_once_per_step_end(binary_law,
     assert set(calls) <= ends
 
 
+def test_barrier_response_falls_where_its_trial_ends(binary_law,
+                                                     monkeypatch):
+    # a piece's response starts at T + sigma_max of the breakout that made
+    # it; a breakout by weight can end before zeta, and here some do
+    ends = set()
+
+    def recording(*args, **kw):
+        out = breakout_trials(*args, **kw)
+        dec = out.decided
+        ends.update((r, t, t + s) for r, t, s, b in zip(
+            dec["replica"].tolist(), dec["launch"].tolist(),
+            dec["sigma_max"].tolist(), dec["is_breakout"].tolist()) if b)
+        return out
+
+    monkeypatch.setattr(selection, "breakout_trials", recording)
+    cfg = SimConfig(binary_law, **dict(REFERENCE_CASES[9][1], horizon=40.0,
+                                       replicas=4))
+    pieces = {(r, p["T"], p["T_plus"])
+              for r, res in enumerate(run_bbbm(cfg)) for p in res.pieces}
+    assert pieces and pieces <= ends
+    assert any(t_plus - t < cfg.zeta for _, t, t_plus in pieces)
+
+
 # The reference's replicas 1-48 of each IN_LAW case (stream 0 is the
 # batch's), from `barrier_reference.replica_moments`; run that file to
 # recompute them.  The per-hit reference takes about 1.4 s a replica on the

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nbbm import calibrate
 from nbbm.engine import rng_stream
-from nbbm.kernels import error_envelope_E, sine_exp_density
+from nbbm.kernels import (error_envelope_E, expected_hits, expected_tail_count,
+                          sine_exp_density, w_Y, w_Z)
 from nbbm.levy import LevyParams, kappa, sample_levy_increment
 from nbbm.stats import (
     CFComparison,
@@ -19,7 +19,6 @@ from nbbm.stats import (
     increment_vs_levy,
     l1_vs_density,
     l1_vs_meta,
-    load_calibration,
     oracle_N,
     oracle_R,
     oracle_Z,
@@ -69,50 +68,54 @@ def test_oracles_refuse_small_samples(iv10):
     with pytest.raises(ValueError):
         oracle_Z(np.ones(29), np.ones(29))
     with pytest.raises(ValueError):
-        oracle_R(np.ones(10), np.ones(10), np.ones(10), 5.0, iv10, 1.5)
+        oracle_R(np.ones(10), np.full(10, 5.0), np.arange(10), 5.0, iv10)
+
+
+def _profile(seed, iv, reps=40, per=6):
+    rng = rng_stream(seed, 0, 0)
+    return (rng.uniform(0.0, iv.a, reps * per),
+            np.repeat(np.arange(reps), per))
 
 
 def test_oracle_r_exact_prediction_and_slack(iv10):
-    rng = rng_stream(103, 0, 0)
-    z0 = rng.uniform(1.0, 4.0, 40)
-    y0 = rng.uniform(0.5, 1.0, 40)
+    # counts at their exact expectation; the rate's remainder is bounded by
+    # (1 + delta) Y_0, delta summing the decaying modes' coefficients
+    x0, rep0 = _profile(103, iv10)
     t = 50.0
-    rep = oracle_R(math.pi * t / iv10.a ** 3 * z0, z0, y0, t, iv10,
-                   c_rt=1.476744)
-    assert rep.estimate == 0.0 and rep.se == 0.0
-    assert_close(rep.slack, 1.476744 * y0.mean(), 1e-12)
-    assert rep.passed
+    counts = np.bincount(rep0, weights=expected_hits(x0, t, iv10))
+    hits, rate = oracle_R(counts, x0, rep0, t, iv10)
+    assert hits.estimate == 0.0 and hits.se == 0.0 and hits.slack == 0.0
+    assert hits.passed and hits.n == 40
+    s = t / iv10.a ** 2
+    delta = math.fsum(2.0 * n / ((n * n - 1) * math.pi)
+                      * math.exp(-(n * n - 1) * math.pi ** 2 * s / 2.0)
+                      for n in range(2, 40))
+    assert_close(rate.slack, (1.0 + delta) * np.sum(w_Y(x0, iv10)) / 40,
+                 1e-12)
+    assert_close(rate.analytic,
+                 math.pi * t / iv10.a ** 3 * np.sum(w_Z(x0, iv10)) / 40, 1e-12)
+    assert_close(rate.estimate, float(counts.mean()), 1e-12)
+    assert rate.se == 0.0 and rate.passed
 
 
 def test_oracle_n_exact_prediction_and_slack(iv10):
-    rng = rng_stream(104, 0, 0)
-    z0 = rng.uniform(1.0, 4.0, 40)
+    x0, rep0 = _profile(104, iv10)
     r, t = 2.5, 200.0
     a, mu = iv10.a, iv10.mu
+    counts = np.bincount(rep0, weights=expected_tail_count(x0, r, t, iv10))
+    tail, pred = oracle_N(counts, x0, rep0, r, t, iv10)
+    assert tail.estimate == 0.0 and tail.slack == 0.0 and tail.passed
     factor = 2.0 * math.pi * (1.0 + mu * r) * math.exp(mu * (a - r)) / a ** 3
-    rep = oracle_N(factor * z0, z0, r, t, iv10, c_quad=1.918996)
-    assert rep.estimate == 0.0
-    rel = error_envelope_E(t / a ** 2) + 1.918996 * ((1.0 + r) / a) ** 2
-    assert_close(rep.slack, rel * factor * z0.mean(), 1e-12)
-    assert rep.extra["r"] == r
-    assert rep.passed
-
-
-def test_calibration_constants_present():
-    cal = load_calibration()
-    for key in ("c_i", "c_rt", "c_nexpec"):
-        assert isinstance(cal[key], float) and cal[key] > 0.0
-
-
-def test_calibration_matches_the_kernels():
-    # the committed constants were fitted with the kernels' truncation
-    # constants; refitting the two fast ones, rounded as the script writes
-    # them, must give the file's values (c_rt takes over a second)
-    cal = load_calibration()
-    c_nexpec, env = calibrate.fit_c_nexpec()
-    assert round(calibrate.fit_c_i(), 6) == cal["c_i"]
-    assert round(c_nexpec, 6) == cal["c_nexpec"]
-    assert env == cal["fitted_on"]["envelope_at_t_nexpec"]
+    assert_close(pred.analytic, factor * np.sum(w_Z(x0, iv10)) / 40, 1e-12)
+    # at r = a/4 mode 1's quadratic deficit dominates the remainder
+    u = math.pi * r / a
+    rho = (math.exp(-mu * (a - r)) - mu * r * (1.0 - math.sin(u) / u)
+           - (1.0 - math.cos(u))) / (1.0 + mu * r)
+    assert_close(pred.extra["rel_remainder"], rho, 1e-9)
+    rel = u * u / 2.0 + 2.0 * error_envelope_E(t / a ** 2) / math.pi ** 2
+    assert_close(pred.slack, (rel + 1e-11) * pred.analytic, 1e-12)
+    assert pred.extra["r"] == r
+    assert pred.passed
 
 
 # ---------------------------------------------------------------------------
