@@ -9,7 +9,7 @@ Brownian-bridge test against each wall and a branch into k children at the
 branch point with the rest of the step.  The killed ensemble, the
 fugitive trials and the barrier runners in `selection` all advance through
 it.  The trials live in a `TrialPool`, which a barrier run steps once per
-runner step, each lineage through its own span.
+runner step, each trial through its own span.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "KilledEnsembleResult",
     "hperp_flat",
     "killed_ensemble",
-    "TrialBatch",
     "TrialPool",
     "PoolStep",
     "breakout_trials",
@@ -332,17 +331,20 @@ def hperp_flat(A: float, iv: IntervalParams, replicas: int,
     density sin(pi x / a) e^(-mu x), so E[Z_0] = e^A per replica up to the
     count floor.  A count that times `replicas` passes the largest array
     size raises ValueError, naming A, a, the count and the replicas, before
-    anything is drawn.
+    anything is drawn; so does one whose arrays cannot be allocated.
     """
     n0 = hperp_count(A, iv)
     if n0 < 1:
         raise ValueError(f"profile count is {n0} for A = {A!r}, a = {iv.a!r}")
+    size = f"profile count {n0:.4g} times {replicas} replicas"
+    where = f"A = {A!r}, a = {iv.a!r}"
     if n0 * replicas > np.iinfo(np.intp).max:
-        raise ValueError(f"profile count {n0:.4g} times {replicas} replicas "
-                         f"passes the largest array size at A = {A!r}, "
-                         f"a = {iv.a!r}")
-    pos = sine_exp_density(iv.a, iv.mu).sample(n0 * replicas, rng)
-    rep = np.repeat(np.arange(replicas, dtype=np.int64), n0)
+        raise ValueError(f"{size} passes the largest array size at {where}")
+    try:
+        pos = sine_exp_density(iv.a, iv.mu).sample(n0 * replicas, rng)
+        rep = np.repeat(np.arange(replicas, dtype=np.int64), n0)
+    except MemoryError:
+        raise ValueError(f"{size} cannot be allocated at {where}") from None
     return pos, rep
 
 
@@ -410,41 +412,13 @@ def killed_ensemble(law: ReproductionLaw, iv: IntervalParams, *,
         final_positions=pos, final_replica=rep)
 
 
-@dataclass
-class TrialBatch:
-    """Per-trial outcomes of a batch of fugitive trials.
-
-    sigma_max is capped at zeta for trials cut off there (hit_zeta marks
-    them).  Trials whose accumulated weight or frozen count passes the
-    censor limits are stopped early with censored set; their Z, W_y and
-    n_frozen are then lower bounds, already far beyond the breakout
-    threshold.  The optional frozen_* arrays (collect_line) list every
-    frozen particle as (trial, local time, lab position); alive_* list the
-    lineages cut at zeta with their lab positions.
-    """
-
-    n_frozen: np.ndarray
-    Z: np.ndarray
-    Y: np.ndarray
-    W_y: np.ndarray
-    sigma_max: np.ndarray
-    hit_zeta: np.ndarray
-    censored: np.ndarray
-    is_breakout: np.ndarray
-    frozen_trial: np.ndarray | None = None
-    frozen_time: np.ndarray | None = None
-    frozen_pos: np.ndarray | None = None
-    alive_trial: np.ndarray | None = None
-    alive_pos: np.ndarray | None = None
-
-
 # per-trial columns of a pool: launch time, replica, nesting depth, whether
 # it has stepped (it steps from its launch time, then on the runner's step
 # grid), the accumulators, and the step end by which its last lineage left
 # (nan while it runs)
 _TRIAL_COLUMNS = (("launch", float), ("replica", np.int64),
                   ("depth", np.int64), ("stepped", bool), ("Z", float),
-                  ("Y", float), ("n_frozen", np.int64), ("sigma_max", float),
+                  ("n_frozen", np.int64), ("sigma_max", float),
                   ("censored", bool), ("hit_zeta", bool), ("done_at", float))
 
 # nested trials stop at this depth: a lineage of a depth-3 trial that lands
@@ -539,14 +513,15 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
     another steps from its launch time, so its span may be shorter or
     longer than h, and one launched at t0 + h waits for the next step.  A
     span that ends within 1e-9 of its trial's zeta ends there, and the
-    trial's lineages are cut.  When the trials that step are all on the
-    grid and share one span, the step takes its scalar path, so trials
-    launched together draw as the stand-alone batch always has.  Freezes
-    update the accumulators; then the trials past a censor limit lose their
-    lineages, the lineages at their trial's zeta leave the pool, and trials
-    left without lineages are done.  Returns the lineages that froze, as a
-    list of chunks (trial, time, local time, lab position), and those cut
-    at zeta as one such chunk, or None when no trial reached zeta.
+    trial's lineages are cut.  When every trial that steps is on the grid
+    with one span, `step_segments` takes that span as one float h, so
+    trials launched together draw as one batch; otherwise it takes each
+    lineage's start and span as arrays.  Freezes update the accumulators;
+    then the trials past a censor limit lose their lineages, the lineages
+    at their trial's zeta leave the pool, and trials left without lineages
+    are done.  Returns the lineages that froze, as a list of chunks (trial,
+    time, local time, lab position), and those cut at zeta as one such
+    chunk, or None when no trial reached zeta.
     """
     iv, y, zeta = rules.iv, rules.y, rules.zeta
     a, mu = iv.a, iv.mu
@@ -556,31 +531,23 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
     # per trial (live: with lineages): where its step starts, how long it
     # runs, and whether it reaches zeta
     launch, live = tr["launch"], np.isnan(tr["done_at"])
-    on_grid, start, span = tr["stepped"], t0, h
-    if not on_grid.all():
-        on_grid = on_grid | (np.abs(launch - t0) <= 1e-9)
-        start = np.where(on_grid, t0, launch)
-        span = np.where(on_grid, h, t1 - launch)
+    on_grid = tr["stepped"] | (np.abs(launch - t0) <= 1e-9)
+    start = np.where(on_grid, t0, launch)
+    span = np.where(on_grid, h, t1 - launch)
     left = launch + zeta - start
-    cut = left <= span * (1.0 + 1e-9)
-    cut &= live
+    cut = live & (left <= span * (1.0 + 1e-9))
+    np.minimum(span, left, out=span)
+    step = live & (span > 0.0)
+    tr["stepped"] |= step
     wait = None
-    t_step, h_step = t0, h
-    if on_grid.all() and not cut.any():
-        tr["stepped"] = on_grid  # all True: every trial now has stepped
+    if (step != live).any():  # trials launched at t0 + h wait
+        wait = ~step[k]
+        x, k = x[~wait], k[~wait]
+    spans = span[step]
+    if len(spans) and on_grid[step].all() and spans.min() == spans.max():
+        t_step, h_step = t0, float(spans[0])
     else:
-        span = np.minimum(span, left)
-        step = live & (span > 0.0)
-        if (step != live).any():  # trials launched at t0 + h wait
-            wait = ~step[k]
-            x, k = x[~wait], k[~wait]
-        spans = span[step]
-        if len(spans) and on_grid[step].all() \
-                and spans.min() == spans.max():
-            h_step = float(spans[0])
-        else:
-            t_step, h_step = start[k] if np.ndim(start) else t0, span[k]
-        tr["stepped"] |= step
+        t_step, h_step = start[k], span[k]
     frozen = []
     if len(x):
         x, k, _, frozen, _, n_seg = step_segments(
@@ -595,7 +562,6 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
         s = t_f - launch[k_f]
         lab = a - y + (1.0 - mu) * s
         tr["Z"] += np.bincount(k_f, weights=w_Z(lab, iv), minlength=n)
-        tr["Y"] += np.bincount(k_f, weights=w_Y(lab, iv), minlength=n)
         tr["n_frozen"] += np.bincount(k_f, minlength=n)
         np.maximum.at(tr["sigma_max"], k_f, s)
         exits.append((k_f, t_f, s, lab))
@@ -634,9 +600,9 @@ def _advance(pool: TrialPool, rules: _TrialRules, t0: float, h: float,
     return exits, alive
 
 
-def _is_breakout(rules: _TrialRules, Z, hit_zeta, censored) -> np.ndarray:
-    return (Z > rules.threshold) \
-        | (hit_zeta if rules.zeta_breakout else False) | censored
+def _is_breakout(rules: _TrialRules, d: dict) -> np.ndarray:
+    return (d["Z"] > rules.threshold) | d["censored"] \
+        | (d["hit_zeta"] if rules.zeta_breakout else False)
 
 
 @dataclass
@@ -700,9 +666,8 @@ def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
     tr = pool.trials
     # without this skip run_bbbm / run_bflat took 1.026 / 1.031 x the CPU
     if not pool.fresh:
-        decided = {k: v[:0] for k, v in tr.items()}
-        decided["is_breakout"] = np.empty(0, dtype=bool)
-        return decided
+        return dict({k: v[:0] for k, v in tr.items()},
+                    is_breakout=np.empty(0, dtype=bool))
     pool.fresh = False
     # by replica, then launch time, then launch order (lexsort is stable)
     order = np.lexsort((tr["launch"], tr["replica"]))
@@ -714,8 +679,7 @@ def _decide(pool: TrialPool, rules: _TrialRules, t1: float) -> dict:
     base = before[first][np.cumsum(first) - 1]
     take = order[(running == 0) & (before == base)]
     decided = {k: v[take] for k, v in tr.items()}
-    decided["is_breakout"] = _is_breakout(
-        rules, decided["Z"], decided["hit_zeta"], decided["censored"])
+    decided["is_breakout"] = _is_breakout(rules, decided)
     late = decided["is_breakout"] & (decided["done_at"] < t1 - 1e-9)
     if late.any():
         r_late = decided["replica"][late]
@@ -745,16 +709,22 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     A trial works in line coordinates (drift -1, freeze at 0); the line
     rises at 1 - mu in the lab frame from a - y, so a freeze at local time
     s maps to lab position a - y + (1 - mu) s, and a lineage still running
-    at s = zeta is cut there.  Trials past the censor limits, Z above
-    _CENSOR_WEIGHT_MULT epsilon e^A or more than _CENSOR_COUNT frozen, stop
-    early with censored set.  zeta_breakout = False drops the reaching-zeta
-    clause from the breakout classification (weight and censor clauses
-    stay).  The trials run in a `TrialPool`, in one of two forms.
+    at s = zeta is cut there, which sets hit_zeta and caps sigma_max, the
+    local time of the last exit, at zeta.  Trials past the censor limits,
+    Z above _CENSOR_WEIGHT_MULT epsilon e^A or more than _CENSOR_COUNT
+    frozen, stop early with censored set; their Z and n_frozen are lower
+    bounds, far beyond the breakout threshold.  zeta_breakout = False
+    drops the reaching-zeta clause from the breakout classification
+    (weight and censor clauses stay).  The trials run in a `TrialPool`, in
+    one of two forms, and both decide them as the pool's trial columns
+    plus `is_breakout`, one array entry per trial.
 
     Without a pool, n_trials trials start at s = 0 and step together, dt at
     a time, until every lineage has frozen, died or reached zeta; the
-    result is a `TrialBatch`, with every frozen and cut lineage when
-    collect_line is set.
+    result is that dict in launch order.  collect_line adds every frozen
+    lineage as `frozen_trial` (trial index), `frozen_time` (local time)
+    and `frozen_pos` (lab position), and every lineage cut at zeta as
+    `alive_trial` and `alive_pos`.
 
     With a pool, one call is one runner step [t0, t0 + dt].  It launches
     the step's n_trials wall hits, given as hits = (times, replicas,
@@ -805,23 +775,17 @@ def breakout_trials(law: ReproductionLaw, iv: IntervalParams, A: float,
     pool = TrialPool()
     pool._launch(np.zeros(n_trials), np.zeros(n_trials, dtype=np.int64),
                  np.ones(n_trials, dtype=np.int64), y)
-    frozen, alive = [], None
-    for step in range(int(math.ceil(zeta / dt - 1e-9))):
-        if not len(pool):
-            break
+    frozen, alive, step = [], None, 0  # the step reaching zeta cuts all left
+    while len(pool):
         chunks, alive = _advance(pool, rules, step * dt, dt, rng)
         frozen += chunks
-    tr = pool.trials
-    out = TrialBatch(
-        n_frozen=tr["n_frozen"], Z=tr["Z"], Y=tr["Y"],
-        W_y=y * math.exp(-y) * tr["n_frozen"], sigma_max=tr["sigma_max"],
-        hit_zeta=tr["hit_zeta"], censored=tr["censored"],
-        is_breakout=_is_breakout(rules, tr["Z"], tr["hit_zeta"],
-                                 tr["censored"]))
+        step += 1
+    # every trial is done: one decision takes them all, in launch order,
+    # and at t1 = 0 counts no waits, which a batch does not report
+    out = _decide(pool, rules, 0.0)
     if collect_line:
-        out.frozen_trial, _, out.frozen_time, out.frozen_pos = (
-            np.concatenate(v) for v in zip(*frozen)) if frozen else (
-            np.empty(0, dtype=np.int64), None, np.empty(0), np.empty(0))
-        out.alive_trial, _, _, out.alive_pos = alive if alive is not None \
-            else (np.empty(0, dtype=np.int64), None, None, np.empty(0))
+        none = (np.empty(0, dtype=np.int64), None, np.empty(0), np.empty(0))
+        out["frozen_trial"], _, out["frozen_time"], out["frozen_pos"] = (
+            np.concatenate(v) for v in zip(*frozen)) if frozen else none
+        out["alive_trial"], _, _, out["alive_pos"] = alive or none
     return out

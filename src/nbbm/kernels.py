@@ -388,9 +388,9 @@ _GL_NODES = 16
 _GL_PANELS = 12
 
 
-def _gauss_legendre(f, lo: float, hi: float, finest: float = math.inf) -> float:
-    """int_lo^hi f, f mapping an array of nodes to values; the first two
-    panels are 2^-11 of hi - lo wide, or at most `finest` if that is less."""
+def _gauss_legendre(f, lo: float, hi: float, finest: float = math.inf):
+    """int_lo^hi f, f mapping an array of nodes to values or to a row per integral;
+    the first two panels are 2^-11 of hi - lo wide, or at most `finest` if that is less."""
     from numpy.polynomial.legendre import leggauss
 
     u, w = leggauss(_GL_NODES)
@@ -399,30 +399,35 @@ def _gauss_legendre(f, lo: float, hi: float, finest: float = math.inf) -> float:
     edges[0] = lo
     half = np.diff(edges)[:, None] / 2.0
     nodes = edges[:-1, None] + half * (1.0 + u)
-    return float(np.dot((half * w).ravel(), f(nodes.ravel())))
+    return np.dot(f(nodes.ravel()), (half * w).ravel())
 
 
-def I_integral(x, S, iv) -> float:
+def I_integral(x, S, iv):
     """Growth-weighted exit flux int_S e^{pi^2 s/(2a^2)} r_s^a(x) ds.
 
     S is one (s0, s1) window with finite bounds; the part at s <= 0 is
-    dropped, and an empty window gives 0.  x must lie in [0, a].  Scales as
-    I^a(x, S) = I^1(x/a, S/a^2).  Within 6e-14 of 40 nodes on 50 panels
-    for x/a <= 0.9999 and windows up to 100 a^2.
+    dropped, and an empty window gives 0.  x is a position in [0, a], or an
+    array of them that share one quadrature refined for the one nearest the
+    wall; the ends give 0.  Scales as I^a(x, S) = I^1(x/a, S/a^2).  Within
+    6e-14 of 40 nodes on 50 panels for x/a <= 0.9999 and windows up to 100 a^2.
     """
     a = _interval_length(iv)
-    x = float(x)
-    _require_in_interval(a, np.asarray(x))
+    x_arr, scalar = _broadcast(x)
+    _require_in_interval(a, x_arr)
     s0, s1 = map(float, S)
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"time window bounds must be finite, got ({s0!r}, {s1!r})")
     s0 = max(0.0, s0)
-    if s1 <= s0 or not 0.0 < x < a:
-        return 0.0
-    # the flux rises from an essential zero at s ~ (a - x)^2, then varies like s
-    return _gauss_legendre(
-        lambda s: exit_density_right_scaled(x, s, a), s0, s1,
-        max(s0, (a - x) ** 2) / 16.0)
+    out = np.zeros(x_arr.shape)
+    inside = (x_arr > 0.0) & (x_arr < a)
+    xs = x_arr[inside]
+    if s1 > s0 and len(xs):
+        # the flux rises from an essential zero at s ~ (a - x)^2, then varies like s
+        finest = max(s0, (a - xs.max()) ** 2) / 16.0
+        out[inside] = np.concatenate([  # 256 positions at a time
+            _gauss_legendre(lambda s: exit_density_right_scaled(xb[:, None], s, a), s0, s1, finest)
+            for xb in np.split(xs, range(256, len(xs), 256))])
+    return float(out[0]) if scalar else out
 
 
 def _hit_modes(s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -447,13 +452,14 @@ def expected_hits(x, t, iv):
                        - sum_{n>=2} (-1)^(n+1) (2n / ((n^2 - 1) pi))
                          sin(n theta) e^{-(n^2 - 1) pi^2 s/2}.
     This closed form serves from s = REPRESENTATION_SWITCH_T on, and below,
-    where its terms cancel, `I_integral`'s quadrature.  Its first term times
-    w_Y(x) is the paper's rate pi t a^-3 w_Z(x); the middle term is at most
-    1 in size, at the wall, and the sum at most delta(s), the sum of its
-    coefficients, so the rest is within (1 + delta(s)) w_Y(x).  That bound
-    replaced the slack constant c_rt fitted at a = 10, and the closed form
-    over a window, where the middle term cancels, the constant c_i.  x is a
-    position or an array of them in [0, a]; the ends give 0.
+    where its terms cancel, `I_integral`'s quadrature, run once over all
+    positions.  Its first term times w_Y(x) is the paper's rate
+    pi t a^-3 w_Z(x); the middle term is at most 1 in size, at the wall,
+    and the sum at most delta(s), the sum of its coefficients, so the rest
+    is within (1 + delta(s)) w_Y(x).  That bound replaced the slack
+    constant c_rt fitted at a = 10, and the closed form over a window,
+    where the middle term cancels, the constant c_i.  x is a position or an
+    array of them in [0, a]; the ends give 0.
     """
     a, t = iv.a, float(t)
     x_arr, scalar = _broadcast(x)
@@ -461,7 +467,7 @@ def expected_hits(x, t, iv):
     _require_in_interval(a, x_arr)
     s = t / (a * a)
     if s < REPRESENTATION_SWITCH_T:
-        flux = np.array([I_integral(v, (0.0, t), iv) for v in x_arr.flat]).reshape(x_arr.shape)
+        flux = I_integral(x_arr, (0.0, t), iv)
     else:
         th = _PI * x_arr / a
         flux = _PI * s * np.sin(th) - (th * np.cos(th) + 0.5 * np.sin(th)) / _PI

@@ -126,19 +126,19 @@ def _barrier_run(cfg: SimConfig, mode: str, replica: int) -> BarrierResult:
                                     n_trials=1, dt=dt, rng=rng,
                                     collect_line=True,
                                     zeta_breakout=cfg.zeta_breakout)
-            for s_f, x_f in zip(batch.frozen_time, batch.frozen_pos):
+            for s_f, x_f in zip(batch["frozen_time"], batch["frozen_pos"]):
                 heapq.heappush(reinject, (t_hit + float(s_f), seq,
                                           float(x_f), c_hit, e_hit, depth))
                 seq += 1
-            for x_f in batch.alive_pos:
+            for x_f in batch["alive_pos"]:
                 heapq.heappush(reinject, (t_hit + zeta, seq, float(x_f),
                                           c_hit, e_hit, depth))
                 seq += 1
-            if bool(batch.is_breakout[0]):
+            if bool(batch["is_breakout"][0]):
                 if pending is not None or t_hit < path.pieces[-1].t_start:
                     suppressed += 1
                 else:
-                    pending = (t_hit, t_hit + float(batch.sigma_max[0]))
+                    pending = (t_hit, t_hit + float(batch["sigma_max"][0]))
 
         pos, _, (col, expy), origin, upper, _ = step_segments(
             pos, np.zeros(len(pos), dtype=np.int64), (col, expy), t0=t0,

@@ -55,8 +55,11 @@ _JOINT = _TK + "test_joint_weights_equal_the_separate_ones_bit_for_bit"
 _ENS, _TE = "nbbm/ensemble.py", "tests/test_ensemble.py::"
 _POOLED = _TE + "test_pooled_trials_agree_in_law_with_stand_alone_trials"
 _TIMED = _TE + "test_pool_times_each_trial_once"
-_ON_GRID = "on_grid = on_grid | (np.abs(launch - t0) <= 1e-9)"
+_ON_GRID = 'on_grid = tr["stepped"] | (np.abs(launch - t0) <= 1e-9)'
 _NESTED = _T + "test_barrier_batch_agrees_in_law_with_the_reference[bbbm-kw2]"
+_NEG_BINOMIAL = _TE + "test_one_step_line_counts_are_negative_binomial"
+_SLOTS = _T + "test_branch_slots_are_independent_bernoulli_trials"
+_CONSISTENT = _T + "test_barrier_batch_keeps_each_replica_consistent"
 
 CATALOGUE = [
     # run_coupled on plus-aligned slots
@@ -164,9 +167,13 @@ CATALOGUE = [
            "edges = np.linspace(lo, hi, panels + 1)",
            (_TK + "test_selfcheck_passes", _ADAPTIVE)),
     Mutant("I_integral-panels-not-refined-near-the-wall", _KER,
-           "max(s0, (a - x) ** 2) / 16.0",
+           "max(s0, (a - xs.max()) ** 2) / 16.0",
            "math.inf",
            (_ADAPTIVE,)),
+    Mutant("I_integral-refined-for-the-position-farthest-from-the-wall", _KER,
+           "(a - xs.max()) ** 2",
+           "(a - xs.min()) ** 2",
+           (_TK + "test_I_integral_takes_an_array_of_positions[S0]",)),
     # kernels._theta_series, the one evaluator of theta, theta' and their
     # scaled forms
     Mutant("scaled-exponent-left-at-n-squared", _KER,
@@ -211,21 +218,77 @@ CATALOGUE = [
            "_MAX_DEPTH = 3",
            "_MAX_DEPTH = 2",
            (_POOLED,)),
-    # its per-trial timing; without the two trial tests named here, only
-    # the nested barrier law check catches relaunches stepped from t0, and
-    # no test the other two
+    # its per-trial timing, one path since the stand-alone batch steps
+    # through it too; without the trial tests named here, only the nested
+    # barrier law check catches relaunches stepped from t0, and no test the
+    # others.  Without its slack a cut at zeta comes one step late, after a
+    # step of about 1e-16
     Mutant("zeta-cut-without-slack", _ENS,
-           "cut = left <= span * (1.0 + 1e-9)",
-           "cut = left <= span",
+           "cut = live & (left <= span * (1.0 + 1e-9))",
+           "cut = live & (left <= span)",
            (_TE + "test_trials_reach_zeta_at_a_step_end_that_rounds_past_it",)),
     Mutant("relaunch-stepped-from-t0", _ENS,
            _ON_GRID,
-           "on_grid = on_grid | (launch - t0 <= 1e-9)",
+           'on_grid = tr["stepped"] | (launch - t0 <= 1e-9)',
            (_TIMED, _NESTED)),
     Mutant("step-end-root-stepped-at-once", _ENS,
            _ON_GRID,
            _ON_GRID + " | (launch >= t1)",
            (_TIMED,)),
+    Mutant("one-span-test-dropped", _ENS,
+           "on_grid[step].all() and spans.min() == spans.max()",
+           "on_grid[step].all()",
+           (_TIMED,)),
+    # the stand-alone form and the decision
+    Mutant("stand-alone-outcomes-in-reverse-launch-order", _ENS,
+           "out = _decide(pool, rules, 0.0)",
+           "out = {k: v[::-1] for k, v in _decide(pool, rules, 0.0).items()}",
+           (_TE + "test_trials_weight_identities",)),
+    Mutant("breakout-without-its-censor-clause", _ENS,
+           '(d["Z"] > rules.threshold) | d["censored"]',
+           '(d["Z"] > rules.threshold)',
+           (_TE + "test_trials_censoring_counts_as_breakout",)),
+    # the segment step's thinning and branch-slot gaps; the negative
+    # binomial line counts miss a scalar gap without its +1, since their
+    # calls reach the scalar gaps only in loops of a few particles
+    Mutant("no-thinning-where-rem-is-an-array", _ENS,
+           "take = tb < rem_br",
+           "take = tb < math.inf",
+           (_NEG_BINOMIAL,)),
+    Mutant("branch-time-u-not-scaled-to-p_max", _ENS,
+           "tb *= math.expm1(-rate)",
+           "tb *= -1.0",
+           (_NEG_BINOMIAL,)),
+    Mutant("branchers-moved-over-rem", _ENS,
+           "x2[br] = pos[br] + (v[br] if per_tag else v) * tb \\\n"
+           "                + z_br * np.sqrt(tb)",
+           "x2[br] = x2[br]",
+           (_NEG_BINOMIAL,)),
+    Mutant("branch-rate-at-min-rem", _ENS,
+           "rate = beta0 * (rem.max() if per_rem else rem)",
+           "rate = beta0 * (rem.min() if per_rem else rem)",
+           (_NEG_BINOMIAL,)),
+    Mutant("scalar-gap-without-its-plus-1", _ENS,
+           "at = slots[-1] + 1 + draw() / rate",
+           "at = slots[-1] + draw() / rate",
+           (_SLOTS + "[500-0.002]",)),
+    Mutant("array-gap-plus-half", _ENS,
+           "        at += 1.0\n",
+           "        at += 0.5\n",
+           (_NEG_BINOMIAL, _SLOTS + "[40-0.3]")),
+    # the barrier runners' record
+    Mutant("record-Z-slice-one-too-long", _SEL,
+           '"Z": [np.add.reduce(wz[lo:hi]) for lo, hi in spans]',
+           '"Z": [np.add.reduce(wz[lo:hi + 1]) for lo, hi in spans]',
+           (_CONSISTENT,)),
+    Mutant("record-median-rows-in-reverse-replica-order", _SEL,
+           "slots[r, :hi - lo] = seen[lo:hi]",
+           "slots[n_rep - 1 - r, :hi - lo] = seen[lo:hi]",
+           (_CONSISTENT,)),
+    Mutant("record-Y-from-the-Z-weights", _SEL,
+           '"Y": [np.add.reduce(wy[lo:hi]) for lo, hi in spans]',
+           '"Y": [np.add.reduce(wz[lo:hi]) for lo, hi in spans]',
+           (_CONSISTENT,)),
 ]
 
 

@@ -392,12 +392,14 @@ def test_simulate_rejects_non_finite_barrier_parameters(tmp_path, capsys,
     {"a": "1000", "A": "3"},  # e^(mu a) overflows
     {"A": "707", "horizon": None},  # only the default horizon overflows
     {"A": "707", "horizon": "1.0"},  # the count passes the array size
+    {"A": "30", "a": "8.0"},  # the count's arrays cannot be allocated
 ], ids=["A-800", "A-800-default-horizon", "a-1000", "A-707-default-horizon",
-        "A-707-count-past-the-array-size"])
+        "A-707-count-past-the-array-size", "A-30-count-not-allocatable"])
 def test_simulate_rejects_an_overflowing_profile_count(tmp_path, capsys,
                                                        values):
-    """A profile count or default horizon past the largest double ends the
-    run with one ValueError naming A and a, not a traceback."""
+    """A profile count or default horizon past the largest double, or a
+    count whose arrays cannot be allocated, ends the run with one
+    ValueError naming A and a, not a traceback."""
     text = BBBM_INI
     for key, val in values.items():
         text = re.sub(rf"^{key} = .*\n",

@@ -19,7 +19,7 @@ from nbbm.engine import (
 )
 from nbbm.ensemble import (
     _wall_hits, bridge_hit_prob, hperp_flat, step_segments)
-from nbbm.kernels import w_Z
+from nbbm.kernels import IntervalParams, w_Z
 
 from conftest import assert_close
 
@@ -363,6 +363,15 @@ def test_reference_profile_rejects_a_count_past_the_array_size(iv5,
                        r"3 replicas .* at A = 707\.0, a = 5\.0"):
         hperp_flat(707.0, iv5, 3, rng)
     assert rng.random() == rng_stream(0, 0, 0).random()
+
+
+def test_reference_profile_rejects_a_count_it_cannot_allocate():
+    # at A = 30, a = 8 the count, about 2.1e14, fits an array index, but its
+    # 1.6 PB of positions pass the 128 TiB a process can map
+    with pytest.raises(ValueError, match=r"profile count 2\.056e\+14 times "
+                       r"1 replicas cannot be allocated at A = 30\.0, "
+                       r"a = 8\.0"):
+        hperp_flat(30.0, IntervalParams(8.0), 1, rng_stream(0, 0, 0))
 
 
 def test_reference_profile_weight_concentrates(iv10):

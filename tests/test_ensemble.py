@@ -150,31 +150,51 @@ def trial_batch(binary_law, iv10):
 def test_trials_flag_composition(trial_batch):
     b = trial_batch
     threshold = TRIAL_KW["epsilon"] * math.exp(TRIAL_KW["A"])
-    recomputed = (b.Z > threshold) | b.hit_zeta | b.censored
-    assert np.array_equal(b.is_breakout, recomputed)
+    recomputed = (b["Z"] > threshold) | b["hit_zeta"] | b["censored"]
+    assert np.array_equal(b["is_breakout"], recomputed)
 
 
 def test_trials_weight_identities(trial_batch, iv10):
     b = trial_batch
-    y = TRIAL_KW["y"]
-    assert_close(b.W_y, y * math.exp(-y) * b.n_frozen, 1e-9)
     # frozen line positions regroup to the per-trial Z
-    z_regrouped = np.bincount(b.frozen_trial,
-                              weights=w_Z(b.frozen_pos, iv10),
-                              minlength=len(b.Z))
-    keep = ~b.censored
-    assert_close(b.Z[keep], z_regrouped[keep], 1e-9)
-    counts = np.bincount(b.frozen_trial, minlength=len(b.Z))
-    assert np.array_equal(b.n_frozen[keep], counts[keep])
+    n = len(b["Z"])
+    z_regrouped = np.bincount(b["frozen_trial"],
+                              weights=w_Z(b["frozen_pos"], iv10), minlength=n)
+    keep = ~b["censored"]
+    assert_close(b["Z"][keep], z_regrouped[keep], 1e-9)
+    counts = np.bincount(b["frozen_trial"], minlength=n)
+    assert np.array_equal(b["n_frozen"][keep], counts[keep])
 
 
 def test_trials_frozen_on_the_line(trial_batch, iv10):
     b = trial_batch
-    y = TRIAL_KW["y"]
-    line = iv10.a - y + (1.0 - iv10.mu) * b.frozen_time
-    assert float(np.max(np.abs(b.frozen_pos - line))) <= 1e-9
-    assert np.all((b.frozen_time >= 0.0)
-                  & (b.frozen_time <= TRIAL_KW["zeta"] + 1e-12))
+    y, s = TRIAL_KW["y"], b["frozen_time"]
+    line = iv10.a - y + (1.0 - iv10.mu) * s
+    assert float(np.max(np.abs(b["frozen_pos"] - line))) <= 1e-9
+    assert np.all((s >= 0.0) & (s <= TRIAL_KW["zeta"] + 1e-12))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("zeta", [12.0, 1e-12])
+def test_trials_return_one_entry_per_trial(binary_law, iv10, n, zeta):
+    """A stand-alone batch hands back the pool's decided columns, one entry
+    per trial in launch order, and the line arrays with collect_line; also
+    with no trial, and with zeta far below dt, where the first step cuts
+    every trial at zeta."""
+    b = breakout_trials(binary_law, iv10, **dict(TRIAL_KW, zeta=zeta),
+                        n_trials=n, dt=0.05, rng=rng_stream(61, 0, 0),
+                        collect_line=True)
+    line = {"frozen_trial", "frozen_time", "frozen_pos", "alive_trial",
+            "alive_pos"}
+    assert set(b) == {k for k, _ in ensemble._TRIAL_COLUMNS} \
+        | {"is_breakout"} | line
+    for k, dtype in ensemble._TRIAL_COLUMNS:
+        assert b[k].dtype == dtype and b[k].shape == (n,), k
+    assert np.all(b["launch"] == 0.0) and np.all(b["depth"] == 1)
+    assert np.all(b["stepped"]) and np.all(np.isfinite(b["done_at"]))
+    if zeta < 0.05:
+        assert np.all(b["hit_zeta"]) and np.all(b["sigma_max"] == zeta)
+        assert np.array_equal(np.unique(b["alive_trial"]), np.arange(n))
 
 
 def test_trials_zeta_clause_toggle(binary_law, iv10):
@@ -185,11 +205,11 @@ def test_trials_zeta_clause_toggle(binary_law, iv10):
     kw["rng"] = rng_stream(17, 0, 0)
     without = breakout_trials(binary_law, iv10, **quiet, **kw,
                               zeta_breakout=False)
-    assert np.array_equal(with_clause.Z, without.Z)
-    assert np.array_equal(with_clause.hit_zeta, without.hit_zeta)
-    flipped = with_clause.is_breakout & ~without.is_breakout
+    assert np.array_equal(with_clause["Z"], without["Z"])
+    assert np.array_equal(with_clause["hit_zeta"], without["hit_zeta"])
+    flipped = with_clause["is_breakout"] & ~without["is_breakout"]
     assert np.array_equal(
-        flipped, with_clause.hit_zeta & ~without.is_breakout)
+        flipped, with_clause["hit_zeta"] & ~without["is_breakout"])
     assert flipped.any(), "no trial reached zeta; toggle unexercised"
 
 
@@ -197,23 +217,32 @@ def test_trials_reach_zeta_at_a_step_end_that_rounds_past_it(binary_law,
                                                               iv10):
     """Three steps of 0.3 reach zeta = 0.9, though the last one starts with
     0.9 - 0.6 = 0.30000000000000004 > 0.3 left: a span within 1e-9 of its
-    trial's zeta ends there, so every lineage still running is cut."""
+    trial's zeta ends there, so every lineage still running is cut by the
+    end of the third step, not in a fourth."""
     assert 0.9 - 2 * 0.3 > 0.3
     b = breakout_trials(binary_law, iv10, A=2.0, epsilon=1e9, y=2.0,
                         zeta=0.9, n_trials=50, dt=0.3,
                         rng=rng_stream(59, 0, 0), collect_line=True)
-    cut = np.unique(b.alive_trial)
+    cut = np.unique(b["alive_trial"])
     assert len(cut) > 40
-    assert np.array_equal(np.flatnonzero(b.hit_zeta), cut)
-    assert np.all(b.sigma_max[cut] == 0.9)
+    assert np.array_equal(np.flatnonzero(b["hit_zeta"]), cut)
+    assert np.all(b["sigma_max"][cut] == 0.9)
+    assert np.all(b["done_at"] <= 0.9)
 
 
 def test_trials_censoring_counts_as_breakout(monkeypatch, binary_law, iv10):
     monkeypatch.setattr(ensemble, "_CENSOR_COUNT", 1)
     b = breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=200,
                         dt=0.05, rng=rng_stream(19, 0, 0))
-    assert b.censored.any()
-    assert np.all(b.is_breakout[b.censored])
+    assert b["censored"].any()
+    assert np.all(b["is_breakout"][b["censored"]])
+    # with the weight threshold out of reach, and a censored trial never
+    # reaching zeta, only the censor clause makes it a breakout
+    b = breakout_trials(binary_law, iv10, **dict(TRIAL_KW, epsilon=1e9),
+                        n_trials=200, dt=0.05, rng=rng_stream(19, 0, 0))
+    c = b["censored"]
+    assert c.any() and not (b["Z"][c] > 1e9 * math.exp(TRIAL_KW["A"])).any()
+    assert not b["hit_zeta"][c].any() and np.all(b["is_breakout"][c])
 
 
 def test_trials_agree_with_single_trial_engine(binary_law):
@@ -234,12 +263,13 @@ def test_trials_agree_with_single_trial_engine(binary_law):
         singles_break[r] = out.is_breakout
         singles_wy[r] = out.W_y
 
-    p1, p2 = float(np.mean(batch.is_breakout)), float(np.mean(singles_break))
+    p1 = float(np.mean(batch["is_breakout"]))
+    p2 = float(np.mean(singles_break))
     pool = 0.5 * (p1 + p2)
     se = math.sqrt(2.0 * pool * (1.0 - pool) / n)
     assert abs(p1 - p2) <= 3.0 * se, (p1, p2)
 
-    batch_wy = kw["y"] * math.exp(-kw["y"]) * batch.n_frozen
+    batch_wy = kw["y"] * math.exp(-kw["y"]) * batch["n_frozen"]
     ks = sps.ks_2samp(batch_wy, singles_wy)
     assert ks.pvalue > 0.01, f"KS p = {ks.pvalue:g}"
 
@@ -382,14 +412,13 @@ def test_killed_ensemble_matches_the_reference(request, monkeypatch, iv5,
 
 def _trial_values(b, collect_line):
     """Per-trial values compared between the two steps."""
-    vals = {"n_frozen": b.n_frozen, "Z": b.Z, "sigma_max": b.sigma_max,
-            "hit_zeta": b.hit_zeta, "censored": b.censored,
-            "is_breakout": b.is_breakout}
+    vals = {k: b[k] for k in ("n_frozen", "Z", "sigma_max", "hit_zeta",
+                              "censored", "is_breakout")}
     if collect_line:
-        n = len(b.Z)
+        n = len(b["Z"])
         vals["frozen time sum"] = np.bincount(
-            b.frozen_trial, weights=b.frozen_time, minlength=n)
-        vals["alive at zeta"] = np.bincount(b.alive_trial, minlength=n)
+            b["frozen_trial"], weights=b["frozen_time"], minlength=n)
+        vals["alive at zeta"] = np.bincount(b["alive_trial"], minlength=n)
     return vals
 
 
@@ -409,7 +438,7 @@ def test_breakout_trials_match_the_reference(request, monkeypatch, iv10,
             rng=rng_stream(seed, lane, 0), collect_line=collect_line)
 
     new, ref = _on_both_steps(monkeypatch, run)
-    assert ref.n_frozen.sum() > 0 and ref.hit_zeta.any()
+    assert ref["n_frozen"].sum() > 0 and ref["hit_zeta"].any()
     ref_vals = _trial_values(ref, collect_line)
     for name, got in _trial_values(new, collect_line).items():
         z = _z(got, ref_vals[name])
@@ -426,9 +455,9 @@ def test_censored_breakout_trials_match_the_reference(monkeypatch, binary_law,
 
     monkeypatch.setattr(ensemble, "_CENSOR_COUNT", 1)
     new, ref = _on_both_steps(monkeypatch, run)
-    assert ref.censored.any()
+    assert ref["censored"].any()
     for name in ("censored", "is_breakout", "n_frozen"):
-        z = _z(getattr(new, name), getattr(ref, name))
+        z = _z(new[name], ref[name])
         assert abs(z) <= 4.0, (name, z)
 
 
@@ -459,11 +488,11 @@ def _stand_alone_nested(law, iv, n, rng):
             first = b
         else:
             counts.append(np.bincount(family, minlength=n))
-        beyond = b.alive_pos >= iv.a
-        age += [b.frozen_time,
+        beyond = b["alive_pos"] >= iv.a
+        age += [b["frozen_time"],
                 np.full(np.count_nonzero(~beyond), NEST_KW["zeta"])]
-        pos += [b.frozen_pos, b.alive_pos[~beyond]]
-        family = family[b.alive_trial[beyond]]
+        pos += [b["frozen_pos"], b["alive_pos"][~beyond]]
+        family = family[b["alive_trial"][beyond]]
     counts.append(np.bincount(family, minlength=n))
     return first, np.array(counts), np.concatenate(age), np.concatenate(pos)
 
@@ -510,9 +539,9 @@ def test_pooled_trials_agree_in_law_with_stand_alone_trials(binary_law, iv5):
     top = dec["depth"] == 1
     assert np.count_nonzero(top) == n
     for name in ("Z", "n_frozen", "sigma_max"):
-        p = sps.ks_2samp(dec[name][top], getattr(first, name)).pvalue
+        p = sps.ks_2samp(dec[name][top], first[name]).pvalue
         assert p > 1e-3, (name, p)
-    share = first.is_breakout.mean()
+    share = first["is_breakout"].mean()
     assert 0.2 < share < 0.8
     z = (dec["is_breakout"][top].mean() - share) / math.sqrt(
         2.0 * share * (1.0 - share) / n)
@@ -726,3 +755,13 @@ def test_lanes_stop_at_their_segment_budget(binary_law, iv5, iv10):
     with pytest.raises(CapacityError, match="segment budget 1 "):
         breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=10, dt=0.05,
                         rng=rng_stream(0, 0, 0), max_segments=1)
+
+
+def test_pool_stops_at_its_segment_budget(binary_law, iv10):
+    # the pool form carries the budget of the call that steps it
+    pool = ensemble.TrialPool(2)
+    hits = (np.full(10, 0.025), np.arange(10) % 2)
+    with pytest.raises(CapacityError, match="segment budget 1 "):
+        breakout_trials(binary_law, iv10, **TRIAL_KW, n_trials=10, dt=0.05,
+                        rng=rng_stream(0, 0, 0), max_segments=1, pool=pool,
+                        t0=0.0, hits=hits)

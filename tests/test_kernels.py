@@ -366,6 +366,19 @@ def test_I_integral_matches_adaptive_quadrature(x, S, a):
     assert_close(I_integral(x, S, a), want, 1e-12)
 
 
+@pytest.mark.parametrize("S", [(0.0, 6.25), (0.1, 3.0), (2.0, 100.0)])
+def test_I_integral_takes_an_array_of_positions(S):
+    # one quadrature refined for the position nearest the wall, against
+    # each position's own, at a = 5; the walls give 0 either way
+    a = 5.0
+    x = np.concatenate([np.linspace(0.001, 0.999, 120) * a,
+                        [a * (1.0 - 1e-7), a * 1e-7, 0.0, a]]).reshape(4, 31)
+    got = I_integral(x, S, a)
+    want = np.array([I_integral(v, S, a) for v in x.flat]).reshape(x.shape)
+    assert got.shape == x.shape and np.all(want[:, :-2] > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 @pytest.mark.parametrize("x, S", [
     (1.5, (0.1, 0.5)), (-0.1, (0.1, 0.5)), (math.nan, (0.1, 0.5)),
     (0.5, (math.nan, 0.5)), (0.5, (0.1, math.inf)),
